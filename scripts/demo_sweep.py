@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Seeded sweep comparing the enumeration and LP deciders side by side.
+"""Seeded sweep comparing the enumeration, LP and flow deciders side by side.
 
-Generates random connected surfaces and random invariants, runs both
-paths for all four checks, and prints one row per instance.  Useful as a
-quick end-to-end exercise and as a template for larger experiments.
+Generates random connected surfaces and random invariants, runs all three
+paths for all four checks, and prints one row per instance: the
+enumeration verdict of each check, then an lp and a flow column naming
+the checks where that decider disagrees with enumeration ("ok" when none
+does).  Exits 1 on any disagreement.  Useful as a quick end-to-end
+exercise and as a template for larger experiments.
 
 Usage: python scripts/demo_sweep.py [--trials N] [--seed S] [--faces F]
 """
@@ -21,6 +24,7 @@ from anglestruct import (
     check_hyperbolic_edge,
     check_spherical_delaunay,
     check_spherical_edge,
+    check_via_flow,
 )
 from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_triangulation
@@ -43,23 +47,24 @@ def main() -> int:
     rng = random.Random(args.seed)
     started = time.time()
     disagreements = 0
-    print(f"{'trial':>5} {'|F|':>4}  " + "  ".join(f"{name:>10}" for name, *_ in CHECKS))
+    print(f"{'trial':>5} {'|F|':>4}  " + "  ".join(f"{name:>6}" for name, *_ in CHECKS) + f"  {'lp':>11}  {'flow':>11}")
     for trial in range(args.trials):
         n = args.faces or rng.choice([2, 4, 6, 8, 10])
         t = random_triangulation(n, rng)
-        cells = []
+        cells, lp_off, flow_off = [], [], []
         for name, geometry, kind, lo, hi, checker in CHECKS:
             fn = random_edge_values(t, rng, lo, hi, kind)
             enum_verdict = checker(t, fn).verdict
-            lp_verdict = check_via_lp(t, fn, geometry).verdict
-            mark = "" if enum_verdict == lp_verdict else "  <-- DISAGREE"
-            if enum_verdict != lp_verdict:
-                disagreements += 1
-            label = "feas" if enum_verdict is Verdict.FEASIBLE else "infeas"
-            cells.append(f"{label:>10}{mark}")
-        print(f"{trial:>5} {t.n_faces:>4}  " + "  ".join(cells))
+            if check_via_lp(t, fn, geometry).verdict is not enum_verdict:
+                lp_off.append(name)
+            if check_via_flow(t, fn, name).verdict is not enum_verdict:
+                flow_off.append(name)
+            cells.append(f"{'feas' if enum_verdict is Verdict.FEASIBLE else 'infeas':>6}")
+        disagreements += len(lp_off) + len(flow_off)
+        lp_cell, flow_cell = (",".join(off) or "ok" for off in (lp_off, flow_off))
+        print(f"{trial:>5} {t.n_faces:>4}  " + "  ".join(cells) + f"  {lp_cell:>11}  {flow_cell:>11}")
     elapsed = time.time() - started
-    print(f"\n{args.trials} instances x 4 checks in {elapsed:.1f}s, {disagreements} disagreements")
+    print(f"\n{args.trials} instances x 4 checks x 3 deciders in {elapsed:.1f}s, {disagreements} disagreements")
     return 0 if disagreements == 0 else 1
 
 

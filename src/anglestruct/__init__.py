@@ -27,9 +27,9 @@ from .feasibility import (
     check_hyperbolic_edge,
     check_spherical_delaunay,
     check_spherical_edge,
+    check_via_flow,
 )
 from .lp import (
-    DualAssignment,
     InfeasibleCertificate,
     LpProblem,
     build_construction_lp,
@@ -37,7 +37,6 @@ from .lp import (
     construct_hyperbolic_with_delaunay,
     construct_spherical_with_delaunay,
     construct_structure,
-    extract_subset_certificate,
     simplex_solve,
 )
 from .ratpi import PI, RatPi, parse, render
@@ -54,7 +53,6 @@ from .surface import (
 __all__ = [
     "AngleStructure",
     "Corner",
-    "DualAssignment",
     "EdgeFunction",
     "FaceSubset",
     "FeasibilityReport",
@@ -73,6 +71,7 @@ __all__ = [
     "check_hyperbolic_edge",
     "check_spherical_delaunay",
     "check_spherical_edge",
+    "check_via_flow",
     "check_via_lp",
     "classify_structure",
     "classify_triangle",
@@ -86,7 +85,6 @@ __all__ = [
     "edge_invariant",
     "edge_set",
     "enumerate_subsets",
-    "extract_subset_certificate",
     "parse",
     "render",
     "simplex_solve",

@@ -5,6 +5,11 @@ JSON on stdout with fixed key order; exit codes are 0 for feasible or
 consistent, 1 for infeasible or mismatching, 2 for invalid input.  The
 enumeration cap comes from --cap, then the ANGLESTRUCT_CAP environment
 variable, then the default of 20.
+
+``check --method auto`` enumerates at or below AUTO_ENUMERATE_LIMIT faces
+(and the cap) and decides by minimum cut above it; ``--cross-check`` runs
+enumeration, LP and cut and requires them to agree.  The closure variant
+L7 has no subcommand; it is available through the library only.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .angles import (
     edge_invariant,
     euclidean_relation_holds,
 )
-from .errors import AngleStructError
-from .feasibility import FeasibilityReport, QuantifierRange, Verdict
+from .errors import AngleStructError, InvalidSetting
+from .feasibility import Verdict
 from .ratpi import RatPi
 from .sampling import random_structure, random_triangulation
 from .serialize import (
@@ -39,11 +44,18 @@ from .surface import DEFAULT_ENUMERATION_CAP
 
 AUTO_ENUMERATE_LIMIT = 12
 
+_THEOREMS = {
+    (GeometryClass.SPHERICAL, InvariantKind.EDGE): "T1",
+    (GeometryClass.HYPERBOLIC, InvariantKind.EDGE): "T2",
+    (GeometryClass.SPHERICAL, InvariantKind.DELAUNAY): "T3",
+    (GeometryClass.HYPERBOLIC, InvariantKind.DELAUNAY): "T4",
+}
+
 _ENUM_CHECKERS = {
-    (GeometryClass.SPHERICAL, InvariantKind.EDGE): feasibility.check_spherical_edge,
-    (GeometryClass.HYPERBOLIC, InvariantKind.EDGE): feasibility.check_hyperbolic_edge,
-    (GeometryClass.SPHERICAL, InvariantKind.DELAUNAY): feasibility.check_spherical_delaunay,
-    (GeometryClass.HYPERBOLIC, InvariantKind.DELAUNAY): feasibility.check_hyperbolic_delaunay,
+    "T1": feasibility.check_spherical_edge,
+    "T2": feasibility.check_hyperbolic_edge,
+    "T3": feasibility.check_spherical_delaunay,
+    "T4": feasibility.check_hyperbolic_delaunay,
 }
 
 
@@ -60,8 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("path")
     p_check.add_argument("--geometry", choices=["spherical", "hyperbolic"], required=True)
     p_check.add_argument("--invariant", choices=["edge", "delaunay"], required=True)
-    p_check.add_argument("--method", choices=["enumerate", "lp", "auto"], default="auto")
-    p_check.add_argument("--cross-check", action="store_true", help="run both methods, require agreement")
+    p_check.add_argument("--method", choices=["enumerate", "lp", "flow", "auto"], default="auto")
+    p_check.add_argument(
+        "--cross-check", action="store_true", help="run enumeration, LP and flow, require agreement"
+    )
     p_check.add_argument("--dump-lp", action="store_true", help="dump construction programs to stderr")
     p_check.set_defaults(func=cmd_check)
 
@@ -91,9 +105,12 @@ def _resolve_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("ANGLESTRUCT_CAP")
-    if env is not None:
+    if env is None:
+        return DEFAULT_ENUMERATION_CAP
+    try:
         return int(env)
-    return DEFAULT_ENUMERATION_CAP
+    except ValueError:
+        raise InvalidSetting(f"ANGLESTRUCT_CAP={env!r} is not an integer") from None
 
 
 def _require_invariant(invariant, expected_kind=None):
@@ -113,33 +130,35 @@ def cmd_check(args) -> int:
     invariant = _require_invariant(invariant, kind)
     cap = _resolve_cap(args)
 
+    theorem = _THEOREMS[(geometry, kind)]
     method = args.method
     if method == "auto":
-        method = "enumerate" if t.n_faces <= min(AUTO_ENUMERATE_LIMIT, cap) else "lp"
+        method = "enumerate" if t.n_faces <= min(AUTO_ENUMERATE_LIMIT, cap) else "flow"
     if args.dump_lp and invariant.kind is InvariantKind.EDGE:
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
     if method == "enumerate" or args.cross_check:
-        report = _ENUM_CHECKERS[(geometry, kind)](t, invariant, cap)
-    if method == "lp" or args.cross_check:
+        report = _ENUM_CHECKERS[theorem](t, invariant, cap)
+    elif method == "lp":
+        report = lp.check_via_lp(t, invariant, geometry)
+    else:
+        report = feasibility.check_via_flow(t, invariant, theorem)
+    if args.cross_check:
         lp_report = lp.check_via_lp(t, invariant, geometry)
-        if method == "lp" and not args.cross_check:
-            report = lp_report
-        elif report.verdict is not lp_report.verdict:
+        flow_report = feasibility.check_via_flow(t, invariant, theorem)
+        if {lp_report.verdict, flow_report.verdict} != {report.verdict}:
             raise AngleStructError(
-                f"cross-check disagreement: enumerate={report.verdict.value} lp={lp_report.verdict.value}"
+                f"cross-check disagreement: enumerate={report.verdict.value} "
+                f"lp={lp_report.verdict.value} flow={flow_report.verdict.value}"
+            )
+        # both are exact minima over the same quantifier range
+        if report.verdict is Verdict.INFEASIBLE and flow_report.slack != report.slack:
+            raise AngleStructError(
+                f"cross-check disagreement: enumerate slack {report.slack.render()} "
+                f"flow slack {flow_report.slack.render()}"
             )
     print(dumps(report_to_json(report)))
     return 0 if report.verdict is not Verdict.INFEASIBLE else 1
-
-
-def _certificate_report(cert: lp.InfeasibleCertificate) -> FeasibilityReport:
-    quantifier = (
-        QuantifierRange.NONEMPTY_SUBSETS
-        if cert.theorem in ("T1", "T4")
-        else QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
-    )
-    return FeasibilityReport(Verdict.INFEASIBLE, cert.theorem, quantifier, cert.subset, cert.slack)
 
 
 def cmd_construct(args) -> int:
@@ -157,7 +176,8 @@ def cmd_construct(args) -> int:
         result = lp.construct_spherical_with_delaunay(t, invariant)
 
     if isinstance(result, lp.InfeasibleCertificate):
-        print(dumps(report_to_json(_certificate_report(result))))
+        report = feasibility.make_report(result.theorem, True, result.subset, result.slack.coeff)
+        print(dumps(report_to_json(report)))
         return 1
 
     # re-validate before printing: class and recomputed invariant must match

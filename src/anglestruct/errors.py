@@ -49,12 +49,12 @@ class RangeViolation(AngleStructError):
     """An invariant value lies outside the domain its theorem requires."""
 
 
+class InvalidSetting(AngleStructError):
+    """A command-line or environment setting has an unusable value."""
+
+
 class DimensionMismatch(AngleStructError):
     """Linear program data with inconsistent shapes."""
-
-
-class NotACertificate(AngleStructError):
-    """Dual vector is not a usable infeasibility witness."""
 
 
 class VerificationFailed(AngleStructError):

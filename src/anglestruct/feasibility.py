@@ -1,4 +1,5 @@
-"""Brute-force subset checkers for the four feasibility theorems.
+"""Subset conditions of the feasibility theorems, decided by enumeration
+or by one exact minimum cut.
 
 Each characterization quantifies a linear inequality over face subsets:
 
@@ -10,25 +11,45 @@ Each characterization quantifies a linear inequality over face subsets:
   subset X including the empty one, pi*(|F|-|X|) must stay above the
   weight of the edges outside E(X), strictly for T2/T3 and weakly for L7.
 
-The scan walks subsets in Gray-code order, maintaining per-edge incidence
-counts so each step costs O(1) exact-rational updates.  Verdicts report
-the minimum slack over all checked subsets and, when infeasible, the
-violating subset with minimal slack (ties: smaller size, then smaller
-membership bitmask).
+In pi-units all of them minimise g(X) = W(E(X)) - |X|: T1/T4 over nonempty
+X, T2/T3/L7 over proper X shifted by the constant |F| - W(E).  The weight
+W is the invariant itself for T1, T2 and L7 and pi - Dd/2 for T3 and T4.
+
+The enumerators walk subsets in Gray-code order, maintaining per-edge
+incidence counts so each step costs O(1) exact-rational updates.  Their
+verdicts report the minimum slack over all checked subsets and, when
+infeasible, the violating subset with minimal slack (ties: smaller size,
+then smaller membership bitmask).
+
+``check_via_flow`` decides the same conditions in polynomial time: min g
+over all subsets is a maximum-closure problem (Picard 1976), solved by one
+maximum flow, and the quantifier exclusions are read off the smallest and
+largest minimisers of that one cut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .angles import EdgeFunction, InvariantKind
-from .errors import RangeViolation, TooLarge
+from .errors import RangeViolation, TooLarge, VerificationFailed
 from .ratpi import RatPi
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
 
 HALF = Fraction(1, 2)
+
+# theorem -> (invariant kind, domain bounds in pi-units, open interval)
+_DOMAINS = {
+    "T1": (InvariantKind.EDGE, Fraction(0), Fraction(1), True),
+    "T2": (InvariantKind.EDGE, Fraction(0), Fraction(2), True),
+    "T3": (InvariantKind.DELAUNAY, Fraction(-2), Fraction(2), True),
+    "T4": (InvariantKind.DELAUNAY, Fraction(0), Fraction(2), True),
+    "L7": (InvariantKind.EDGE, Fraction(0), Fraction(2), False),
+}
+_NONEMPTY = ("T1", "T4")
 
 
 class Verdict(Enum):
@@ -70,18 +91,27 @@ def _require_range(fn, t, lo, hi, strict, theorem):
             )
 
 
-def _scan(
-    t: Triangulation,
-    weights: list[Fraction],
-    grow_form: bool,
-    include_empty: bool,
-    include_full: bool,
-    cap: int,
-):
+def _edge_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
+    if theorem in ("T3", "T4"):
+        return [1 - fn.value(e).coeff * HALF for e in range(t.n_edges)]
+    return [fn.value(e).coeff for e in range(t.n_edges)]
+
+
+def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
+    """Edge weights W of the theorem's inequality, after checking that fn
+    has the theorem's invariant kind and lies in its domain."""
+    kind, lo, hi, strict = _DOMAINS[theorem]
+    _require_kind(fn, kind, theorem)
+    _require_range(fn, t, lo, hi, strict, theorem)
+    return _edge_weights(t, fn, theorem)
+
+
+def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     """Minimum slack and argmin subset over the quantifier range.
 
-    grow_form evaluates W(E(X)) - pi|X| (T1/T4); otherwise
-    pi(|F|-|X|) - W(E - E(X)) (T2/T3/L7).  All values in pi-units.
+    grow_form evaluates W(E(X)) - pi|X| over nonempty X (T1/T4); otherwise
+    pi(|F|-|X|) - W(E - E(X)) over proper X (T2/T3/L7).  All values in
+    pi-units.
     """
     n = t.n_faces
     if n > cap:
@@ -91,7 +121,7 @@ def _scan(
     covered = Fraction(0)
     size = 0
     mask = 0
-    full = (1 << n) - 1
+    excluded = 0 if grow_form else (1 << n) - 1
     best: tuple[Fraction, int, int] | None = None
 
     def current_slack() -> Fraction:
@@ -101,9 +131,7 @@ def _scan(
 
     def consider():
         nonlocal best
-        if mask == 0 and not include_empty:
-            return
-        if mask == full and not include_full:
+        if mask == excluded:
             return
         key = (current_slack(), size, mask)
         if best is None or key < best:
@@ -134,14 +162,31 @@ def _scan(
     return slack, subset
 
 
-def _report(theorem, quantifier, feasible_verdict, slack, subset, violated):
+def make_report(
+    theorem: str, violated: bool, subset: FaceSubset | None, slack: Fraction | None
+) -> FeasibilityReport:
+    """Report for a theorem's verdict; the certificate is kept only when violated."""
+    if violated:
+        verdict = Verdict.INFEASIBLE
+    else:
+        verdict = Verdict.CLOSURE_ONLY if theorem == "L7" else Verdict.FEASIBLE
+    quantifier = (
+        QuantifierRange.NONEMPTY_SUBSETS
+        if theorem in _NONEMPTY
+        else QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
+    )
     return FeasibilityReport(
-        verdict=Verdict.INFEASIBLE if violated else feasible_verdict,
+        verdict=verdict,
         theorem=theorem,
         quantifier_range=quantifier,
         certificate=subset if violated else None,
-        slack=RatPi(slack),
+        slack=None if slack is None else RatPi(slack),
     )
+
+
+def _enumerate(t, fn, theorem, cap) -> FeasibilityReport:
+    slack, subset = _scan(t, theorem_weights(t, fn, theorem), theorem in _NONEMPTY, cap)
+    return make_report(theorem, slack < 0 if theorem == "L7" else slack <= 0, subset, slack)
 
 
 def check_spherical_edge(
@@ -149,11 +194,7 @@ def check_spherical_edge(
 ) -> FeasibilityReport:
     """Spherical structures with edge invariant d exist iff every nonempty
     subset X satisfies pi|X| < sum of d over E(X)."""
-    _require_kind(d, InvariantKind.EDGE, "T1")
-    _require_range(d, t, Fraction(0), Fraction(1), True, "T1")
-    weights = [d.value(e).coeff for e in range(t.n_edges)]
-    slack, subset = _scan(t, weights, True, False, True, cap)
-    return _report("T1", QuantifierRange.NONEMPTY_SUBSETS, Verdict.FEASIBLE, slack, subset, slack <= 0)
+    return _enumerate(t, d, "T1", cap)
 
 
 def check_hyperbolic_edge(
@@ -162,13 +203,7 @@ def check_hyperbolic_edge(
     """Hyperbolic structures with edge invariant d exist iff every proper
     subset X (including the empty one) satisfies
     pi(|F|-|X|) > sum of d outside E(X)."""
-    _require_kind(d, InvariantKind.EDGE, "T2")
-    _require_range(d, t, Fraction(0), Fraction(2), True, "T2")
-    weights = [d.value(e).coeff for e in range(t.n_edges)]
-    slack, subset = _scan(t, weights, False, True, False, cap)
-    return _report(
-        "T2", QuantifierRange.PROPER_SUBSETS_INCL_EMPTY, Verdict.FEASIBLE, slack, subset, slack <= 0
-    )
+    return _enumerate(t, d, "T2", cap)
 
 
 def check_spherical_delaunay(
@@ -176,17 +211,7 @@ def check_spherical_delaunay(
 ) -> FeasibilityReport:
     """Spherical structures with Delaunay invariant dd exist iff the
     hyperbolic edge-invariant conditions hold for pi - dd/2."""
-    _require_kind(dd, InvariantKind.DELAUNAY, "T3")
-    _require_range(dd, t, Fraction(-2), Fraction(2), True, "T3")
-    reduced = reduce_delaunay_to_edge(dd, t)
-    inner = check_hyperbolic_edge(t, reduced, cap)
-    return FeasibilityReport(
-        verdict=inner.verdict,
-        theorem="T3",
-        quantifier_range=inner.quantifier_range,
-        certificate=inner.certificate,
-        slack=inner.slack,
-    )
+    return _enumerate(t, dd, "T3", cap)
 
 
 def check_hyperbolic_delaunay(
@@ -194,11 +219,7 @@ def check_hyperbolic_delaunay(
 ) -> FeasibilityReport:
     """Hyperbolic structures with Delaunay invariant dd exist iff every
     nonempty subset X satisfies pi|X| < sum of (pi - dd/2) over E(X)."""
-    _require_kind(dd, InvariantKind.DELAUNAY, "T4")
-    _require_range(dd, t, Fraction(0), Fraction(2), True, "T4")
-    weights = [1 - dd.value(e).coeff * HALF for e in range(t.n_edges)]
-    slack, subset = _scan(t, weights, True, False, True, cap)
-    return _report("T4", QuantifierRange.NONEMPTY_SUBSETS, Verdict.FEASIBLE, slack, subset, slack <= 0)
+    return _enumerate(t, dd, "T4", cap)
 
 
 def check_closure(
@@ -206,13 +227,7 @@ def check_closure(
 ) -> FeasibilityReport:
     """The closure of the hyperbolic solution set is nonempty iff every
     proper subset satisfies the T2 inequality weakly."""
-    _require_kind(d, InvariantKind.EDGE, "L7")
-    _require_range(d, t, Fraction(0), Fraction(2), False, "L7")
-    weights = [d.value(e).coeff for e in range(t.n_edges)]
-    slack, subset = _scan(t, weights, False, True, False, cap)
-    return _report(
-        "L7", QuantifierRange.PROPER_SUBSETS_INCL_EMPTY, Verdict.CLOSURE_ONLY, slack, subset, slack < 0
-    )
+    return _enumerate(t, d, "L7", cap)
 
 
 def reduce_delaunay_to_edge(dd: EdgeFunction, t: Triangulation) -> EdgeFunction:
@@ -227,12 +242,162 @@ def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceS
     Negative or zero means the subset certifies infeasibility (for L7,
     only strictly negative does).  Used to re-verify certificates.
     """
-    if theorem in ("T3", "T4"):
-        weights = [1 - fn.value(e).coeff * HALF for e in range(t.n_edges)]
-    else:
-        weights = [fn.value(e).coeff for e in range(t.n_edges)]
+    weights = _edge_weights(t, fn, theorem)
     covered = sum((weights[e] for e in edge_set(t, subset)), Fraction(0))
-    if theorem in ("T1", "T4"):
+    if theorem in _NONEMPTY:
         return RatPi(covered - len(subset))
     total = sum(weights, Fraction(0))
     return RatPi((t.n_faces - len(subset)) - (total - covered))
+
+
+# ---------------------------------------------------------------------------
+# the minimum-cut decider
+
+
+def _closure_network(t: Triangulation, weights):
+    """Arcs (tail, head, capacity) of Picard's closure network, and the scale L.
+
+    Nodes: faces 0..|F|-1, then edges, then source and sink.  Arcs run
+    source -> face (L), face -> each distinct edge of the face (more than
+    any cut), edge -> sink (W(e)*L); L is the lcm of the weight
+    denominators, so every capacity is an int.
+    """
+    nf, ne = t.n_faces, t.n_edges
+    scale = math.lcm(*(w.denominator for w in weights))
+    source, sink = nf + ne, nf + ne + 1
+    unbounded = nf * scale + 1
+    arcs = [(source, f, scale) for f in range(nf)]
+    arcs += [(f, nf + e, unbounded) for f in range(nf) for e in sorted(set(t.faces[f]))]
+    arcs += [(nf + e, sink, int(weights[e] * scale)) for e in range(ne)]
+    return arcs, scale
+
+
+def _max_flow(arcs, n: int, source: int, sink: int):
+    """Dinic's maximum flow on integer capacities.
+
+    Returns the flow on each arc, the nodes the source reaches in the final
+    residual graph and the nodes from which the sink is reachable there.
+    """
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v, c in arcs:  # arc 2i runs u -> v, arc 2i+1 is its residual reverse
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for a in out[u]:
+                if cap[a] and level[head[a]] < 0:
+                    level[head[a]] = level[u] + 1
+                    queue.append(head[a])
+        if level[sink] < 0:
+            break
+        # blocking flow along level-increasing arcs, with current-arc pointers
+        pointer = [0] * n
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                path.clear()
+                u = source
+                continue
+            arcs_u, i, nxt = out[u], pointer[u], level[u] + 1
+            while i < len(arcs_u) and not (cap[arcs_u[i]] and level[head[arcs_u[i]]] == nxt):
+                i += 1
+            pointer[u] = i
+            if i < len(arcs_u):
+                path.append(arcs_u[i])
+                u = head[arcs_u[i]]
+            elif u == source:
+                break
+            else:
+                u = head[path.pop() ^ 1]
+                pointer[u] += 1
+
+    reaches_sink = [False] * n
+    reaches_sink[sink] = True
+    queue = [sink]
+    for v in queue:
+        for a in out[v]:
+            if cap[a ^ 1] and not reaches_sink[head[a]]:
+                reaches_sink[head[a]] = True
+                queue.append(head[a])
+    flow = [c - cap[2 * i] for i, (_, _, c) in enumerate(arcs)]
+    return flow, [lv >= 0 for lv in level], reaches_sink
+
+
+def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> Fraction:
+    """Prove that every subset in `subsets` minimises g; return the minimum.
+
+    `flow` must respect capacities and conservation, and its value must
+    equal the capacity L*(|F| + g(X)) of the cut keeping X and E(X) on the
+    source side, with g(X) evaluated exactly from the rational weights.
+    Max-flow = min-cut then proves that X minimises g.
+    """
+    nf = t.n_faces
+    n = nf + t.n_edges + 2
+    net = [0] * n
+    for (u, v, c), x in zip(arcs, flow, strict=True):
+        if not 0 <= x <= c:
+            raise VerificationFailed(f"flow {x} on arc {u}->{v} outside [0, {c}]")
+        net[u] -= x
+        net[v] += x
+    if any(net[:-2]):
+        raise VerificationFailed("flow is not conserved")
+    minimum = None
+    for subset in subsets:
+        g = sum((weights[e] for e in edge_set(t, subset)), Fraction(0)) - len(subset)
+        if (nf + g) * scale != net[-1]:
+            raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
+        minimum = g
+    return minimum
+
+
+def min_cut(t: Triangulation, weights) -> tuple[Fraction, FaceSubset, FaceSubset]:
+    """Exact minimum of g(X) = W(E(X)) - |X| over all face subsets X, with
+    its smallest and its largest minimiser.  Weights must be nonnegative.
+
+    Minimisers are closed under union and intersection, so the smallest
+    lies inside every other.  Both are proven minimal by the cut = flow
+    self-check; a failure raises VerificationFailed.
+    """
+    nf, ne = t.n_faces, t.n_edges
+    arcs, scale = _closure_network(t, weights)
+    flow, from_source, to_sink = _max_flow(arcs, nf + ne + 2, nf + ne, nf + ne + 1)
+    smallest = frozenset(f for f in range(nf) if from_source[f])
+    largest = frozenset(f for f in range(nf) if not to_sink[f])
+    minimum = _certify_cut(t, weights, arcs, flow, scale, (smallest, largest))
+    return minimum, smallest, largest
+
+
+def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> FeasibilityReport:
+    """Decide T1-T4 or L7 exactly with one minimum cut, at any size.
+
+    Infeasible reports carry the exact minimum slack and a subset attaining
+    it: the smallest minimiser of g, which is the enumeration's pick, or,
+    for a T1/T4 tie at slack 0, the largest.  Feasible and closure-only
+    reports carry no slack: that minimum excludes a set the cut includes.
+    """
+    weights = theorem_weights(t, fn, theorem)
+    minimum, smallest, largest = min_cut(t, weights)
+    if theorem in _NONEMPTY:
+        # g(empty) = 0: a nonempty X reaches the minimum iff one violates
+        subset = smallest if minimum < 0 else largest
+        return make_report(theorem, bool(subset), subset, minimum if subset else None)
+    # slack(F) = 0, so the minimum over proper X is the global one
+    # unless F is the only minimiser
+    slack = t.n_faces - sum(weights, Fraction(0)) + minimum
+    violated = slack < 0 if theorem == "L7" else len(smallest) < t.n_faces
+    return make_report(theorem, violated, smallest, slack if violated else None)

@@ -1,5 +1,4 @@
-"""Exact-rational linear programming path: witness construction and
-combinatorial infeasibility certificates.
+"""Exact-rational linear programming path: witness construction.
 
 The solver is a dense two-phase simplex over ``fractions.Fraction`` with
 Bland's rule, so every pivot is exact and termination is guaranteed even
@@ -14,21 +13,12 @@ equations (facing pair + 2*eps for an edge invariant, signed corner sum
 + 2*eps for a Delaunay invariant).  A positive optimum usually yields an
 interior witness directly.  On the boundary (optimal point with some face
 angle sum exactly pi) a second program maximizing a uniform strict margin
-(4*delta in the face rows) settles existence exactly; its zero optimum
-hands back a dual vector from which a violating face subset is extracted.
+(4*delta in the face rows) settles existence exactly.
 
-Edge-invariant certificates come from the dual-shifting procedure: given
-a multiplier vector with y_f <= 0 and y_f + y_e <= 0 on incidences whose
-objective sum(pi y_f) + sum(D y_e) is nonnegative, repeatedly raise the
-negative face multipliers to zero (compensating on the edges outside the
-zero set) until the visited zero set X itself violates
-pi(|F|-|X|) > sum of D outside E(X).
-
-Delaunay-invariant certificates (nonempty-subset form) are found by an
-exact covering relaxation: minimize sum W(e) nu_e - pi sum mu_f over
-0 <= mu <= 1, nu_e >= mu_f on incidences, sum mu >= 1, then threshold the
-optimal mu.  Some threshold set attains a nonpositive value whenever one
-exists, and every returned subset is re-verified exactly.
+When a program shows that no witness exists, the violating face subset
+and its exact slack come from the minimum cut of
+``feasibility.check_via_flow``; the cut must agree that the instance is
+infeasible, and its subset is re-evaluated exactly.
 """
 
 from __future__ import annotations
@@ -47,21 +37,18 @@ from .angles import (
     delaunay_invariant,
     edge_invariant,
 )
-from .errors import (
-    DimensionMismatch,
-    NotACertificate,
-    RangeViolation,
-    VerificationFailed,
-)
+from .errors import DimensionMismatch, RangeViolation, VerificationFailed
 from .feasibility import (
     FeasibilityReport,
-    QuantifierRange,
     Verdict,
+    check_via_flow,
+    make_report,
     reduce_delaunay_to_edge,
     subset_slack,
+    theorem_weights,
 )
 from .ratpi import RatPi
-from .surface import Corner, FaceSubset, Triangulation, edge_set
+from .surface import Corner, FaceSubset, Triangulation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -464,10 +451,6 @@ def _solution_structure(t: Triangulation, x, margin) -> AngleStructure:
     return AngleStructure(values)
 
 
-def _split_dual(t: Triangulation, y):
-    return list(y[: t.n_faces]), list(y[t.n_faces :])
-
-
 def _hyperbolic_witness_ok(t, structure, fn, kind) -> bool:
     if not structure.is_range_valid(t):
         return False
@@ -492,7 +475,7 @@ def _construct_hyperbolic(t: Triangulation, fn: EdgeFunction) -> ConstructionRes
     if isinstance(outcome, Unbounded):
         raise VerificationFailed("construction program cannot be unbounded")
     if isinstance(outcome, Infeasible):
-        return _infeasible_certificate(t, fn, theorem, outcome.certificate)
+        return _infeasible_certificate(t, fn, theorem)
 
     eps = -outcome.value
     if eps > 0:
@@ -500,7 +483,7 @@ def _construct_hyperbolic(t: Triangulation, fn: EdgeFunction) -> ConstructionRes
         if _hyperbolic_witness_ok(t, witness, fn, kind):
             return witness
     if eps == 0:
-        return _infeasible_certificate(t, fn, theorem, outcome.dual)
+        return _infeasible_certificate(t, fn, theorem)
 
     # Optimal margin is positive but the optimal vertex sits on the Euclidean
     # boundary; decide with the uniform strict-margin program.
@@ -513,23 +496,17 @@ def _construct_hyperbolic(t: Triangulation, fn: EdgeFunction) -> ConstructionRes
         if not _hyperbolic_witness_ok(t, witness, fn, kind):
             raise VerificationFailed("strict-margin witness failed validation")
         return witness
-    return _infeasible_certificate(t, fn, theorem, outcome2.dual)
+    return _infeasible_certificate(t, fn, theorem)
 
 
-def _infeasible_certificate(t, fn, theorem, dual_vector) -> InfeasibleCertificate:
-    if theorem == "T2":
-        yf, ye = _split_dual(t, dual_vector)
-        weights = [fn.value(e).coeff for e in range(t.n_edges)]
-        subset = _shift_to_subset(t, weights, yf, ye, allow_zero=True)
-    else:
-        weights = [1 - fn.value(e).coeff / 2 for e in range(t.n_edges)]
-        deficit, subset = minimize_coverage_deficit(t, weights)
-        if deficit > 0:
-            raise VerificationFailed("construction and subset conditions disagree")
-    slack = subset_slack(t, fn, theorem, subset)
-    if slack.coeff > 0:
-        raise VerificationFailed("extracted subset does not violate the inequality")
-    return InfeasibleCertificate(subset, slack, theorem)
+def _infeasible_certificate(t, fn, theorem) -> InfeasibleCertificate:
+    report = check_via_flow(t, fn, theorem)
+    if report.verdict is not Verdict.INFEASIBLE:
+        raise VerificationFailed("construction and subset conditions disagree")
+    slack = subset_slack(t, fn, theorem, report.certificate)
+    if slack != report.slack or slack.coeff > 0:
+        raise VerificationFailed("cut subset does not violate the inequality")
+    return InfeasibleCertificate(report.certificate, slack, theorem)
 
 
 def construct_structure(
@@ -545,12 +522,12 @@ def construct_structure(
     if d.kind is not InvariantKind.EDGE:
         raise RangeViolation("construct_structure takes an edge invariant")
     if geometry is GeometryClass.HYPERBOLIC:
-        _require_open_range(t, d, Fraction(0), Fraction(2), "T2")
+        theorem_weights(t, d, "T2")
         return _construct_hyperbolic(t, d)
     if geometry is not GeometryClass.SPHERICAL:
         raise RangeViolation(f"no construction for geometry {geometry.value}")
 
-    _require_open_range(t, d, Fraction(0), Fraction(1), "T1")
+    theorem_weights(t, d, "T1")
     dd = EdgeFunction(
         {e: RatPi(2 - 2 * d.value(e).coeff) for e in range(t.n_edges)},
         InvariantKind.DELAUNAY,
@@ -580,7 +557,7 @@ def construct_hyperbolic_with_delaunay(
     """Hyperbolic structure with Delaunay invariant dd, or a T4-violating subset."""
     if dd.kind is not InvariantKind.DELAUNAY:
         raise RangeViolation("expected a Delaunay invariant")
-    _require_open_range(t, dd, Fraction(0), Fraction(2), "T4")
+    theorem_weights(t, dd, "T4")
     return _construct_hyperbolic(t, dd)
 
 
@@ -596,7 +573,7 @@ def construct_spherical_with_delaunay(
     """
     if dd.kind is not InvariantKind.DELAUNAY:
         raise RangeViolation("expected a Delaunay invariant")
-    _require_open_range(t, dd, Fraction(-2), Fraction(2), "T3")
+    theorem_weights(t, dd, "T3")
     reduced = reduce_delaunay_to_edge(dd, t)
     result = _construct_hyperbolic(t, reduced)
     if isinstance(result, InfeasibleCertificate):
@@ -612,171 +589,6 @@ def construct_spherical_with_delaunay(
     return spherical
 
 
-def _require_open_range(t, fn, lo, hi, theorem):
-    for e in range(t.n_edges):
-        if not lo < fn.value(e).coeff < hi:
-            raise RangeViolation(
-                f"{theorem}: value {fn.value(e).render()} at edge {e} outside domain"
-            )
-
-
-# ---------------------------------------------------------------------------
-# dual shifting (edge-invariant certificates)
-
-
-@dataclass(frozen=True)
-class DualAssignment:
-    """Multipliers indexed by faces and edges, feasible for the closure dual
-    when y_f <= 0 and y_f + y_e <= 0 on every incidence."""
-
-    face_values: dict[int, Fraction]
-    edge_values: dict[int, Fraction]
-
-
-def extract_subset_certificate(
-    t: Triangulation, d: EdgeFunction, dual: DualAssignment
-) -> FaceSubset:
-    """Violating subset for the hyperbolic edge-invariant conditions, from a
-    dual-feasible vector with strictly positive objective."""
-    if d.kind is not InvariantKind.EDGE:
-        raise NotACertificate("dual certificates pair with an edge invariant")
-    yf = [dual.face_values.get(f, ZERO) for f in range(t.n_faces)]
-    ye = [dual.edge_values.get(e, ZERO) for e in range(t.n_edges)]
-    weights = [d.value(e).coeff for e in range(t.n_edges)]
-    subset = _shift_to_subset(t, weights, yf, ye, allow_zero=False)
-    slack = subset_slack(t, d, "T2", subset)
-    if slack.coeff > 0:
-        raise VerificationFailed("shifted subset does not violate the inequality")
-    return subset
-
-
-def _dual_objective(t, weights, yf, ye) -> Fraction:
-    return sum(yf, ZERO) + sum(weights[e] * ye[e] for e in range(t.n_edges))
-
-
-def _check_dual_feasible(t, yf, ye):
-    for f in range(t.n_faces):
-        if yf[f] > 0:
-            raise NotACertificate(f"face multiplier {f} positive")
-    for e in range(t.n_edges):
-        for corner in t.edge_corners[e]:
-            if yf[corner.face] + ye[e] > 0:
-                raise NotACertificate(f"incidence ({e},{corner.face}) violates y_f + y_e <= 0")
-
-
-def _shift_to_subset(t, weights, yf, ye, allow_zero: bool) -> FaceSubset:
-    """Run the multiplier shift until the zero set violates the conditions.
-
-    Requires dual feasibility and objective > 0 (== 0 tolerated for the
-    boundary path when allow_zero; the caller guarantees y != 0 there via
-    the margin row of its program).  Each step moves the most negative
-    face ceiling to zero, keeps the vector dual-feasible, never lowers the
-    objective, and strictly grows the zero set, so at most |F| steps run.
-    """
-    yf = list(yf)
-    ye = list(ye)
-    _check_dual_feasible(t, yf, ye)
-    z = _dual_objective(t, weights, yf, ye)
-    if z < 0 or (z == 0 and not allow_zero):
-        raise NotACertificate(f"dual objective {z} not positive")
-
-    n = t.n_faces
-    while True:
-        zero_set = frozenset(f for f in range(n) if yf[f] == 0)
-        if len(zero_set) == n:
-            raise NotACertificate("no violating proper subset reachable from this vector")
-        covered = edge_set(t, zero_set)
-        step = (len(zero_set) - n) + sum(
-            weights[e] for e in range(t.n_edges) if e not in covered
-        )
-        if step >= 0:
-            return zero_set
-        shift = max(yf[f] for f in range(n) if f not in zero_set)
-        if shift >= 0:
-            raise VerificationFailed("shift amount must be negative")
-        for f in range(n):
-            if f not in zero_set:
-                yf[f] -= shift
-        for e in range(t.n_edges):
-            if e not in covered:
-                ye[e] += shift
-        _check_dual_feasible(t, yf, ye)
-        z_next = _dual_objective(t, weights, yf, ye)
-        if z_next < z:
-            raise VerificationFailed("shift lowered the dual objective")
-        z = z_next
-
-
-# ---------------------------------------------------------------------------
-# covering relaxation (nonempty-subset certificates)
-
-
-def minimize_coverage_deficit(t: Triangulation, weights):
-    """Exact minimum of W(E(X)) - pi|X| over nonempty subsets X (pi-units).
-
-    Solves the covering relaxation and thresholds the optimal face mass.
-    Returns (minimum over thresholded subsets, argmin subset); a
-    nonpositive deficit certifies infeasibility of the nonempty-subset
-    conditions for weights W.
-    """
-    nf, ne = t.n_faces, t.n_edges
-    incidences = []
-    for e in range(t.n_edges):
-        for f in sorted({c.face for c in t.edge_corners[e]}):
-            incidences.append((e, f))
-    # columns: mu (nf), nu (ne), cap slack p (nf), incidence slack q, floor slack r
-    n_cols = nf + ne + nf + len(incidences) + 1
-    a = []
-    b = []
-    for f in range(nf):
-        row = [ZERO] * n_cols
-        row[f] = ONE
-        row[nf + ne + f] = ONE
-        a.append(row)
-        b.append(ONE)
-    for idx, (e, f) in enumerate(incidences):
-        row = [ZERO] * n_cols
-        row[nf + e] = -ONE
-        row[f] = ONE
-        row[nf + ne + nf + idx] = ONE
-        a.append(row)
-        b.append(ZERO)
-    row = [ZERO] * n_cols
-    for f in range(nf):
-        row[f] = ONE
-    row[-1] = -ONE
-    a.append(row)
-    b.append(ONE)
-    c = [ZERO] * n_cols
-    for f in range(nf):
-        c[f] = -ONE
-    for e in range(ne):
-        c[nf + e] = weights[e]
-    outcome = simplex_solve(
-        LpProblem(tuple(tuple(r) for r in a), tuple(b), tuple(c), "min")
-    )
-    if not isinstance(outcome, Optimal):
-        raise VerificationFailed("covering relaxation must be feasible and bounded")
-
-    mu = outcome.x[:nf]
-    thresholds = sorted({v for v in mu if v > 0})
-    best = None
-    for threshold in thresholds:
-        subset = frozenset(f for f in range(nf) if mu[f] >= threshold)
-        covered = edge_set(t, subset)
-        value = sum((weights[e] for e in covered), ZERO) - len(subset)
-        mask = sum(1 << f for f in subset)
-        key = (value, len(subset), mask)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise VerificationFailed("relaxation returned zero face mass")
-    value, _, mask = best
-    if value > outcome.value and outcome.value <= 0:
-        raise VerificationFailed("thresholding missed a nonpositive deficit")
-    return value, frozenset(f for f in range(nf) if mask >> f & 1)
-
-
 # ---------------------------------------------------------------------------
 # feasibility reports via the LP path
 
@@ -789,35 +601,15 @@ def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) ->
     (hyperbolic, delaunay) -> T4.
     """
     if fn.kind is InvariantKind.EDGE:
-        if geometry is GeometryClass.SPHERICAL:
-            theorem, quantifier = "T1", QuantifierRange.NONEMPTY_SUBSETS
-        else:
-            theorem, quantifier = "T2", QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
+        theorem = "T1" if geometry is GeometryClass.SPHERICAL else "T2"
         result = construct_structure(t, fn, geometry)
+    elif geometry is GeometryClass.SPHERICAL:
+        theorem = "T3"
+        theorem_weights(t, fn, "T3")
+        result = construct_structure(t, reduce_delaunay_to_edge(fn, t), GeometryClass.HYPERBOLIC)
     else:
-        if geometry is GeometryClass.SPHERICAL:
-            theorem, quantifier = "T3", QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
-            _require_open_range(t, fn, Fraction(-2), Fraction(2), "T3")
-            reduced = reduce_delaunay_to_edge(fn, t)
-            result = construct_structure(t, reduced, GeometryClass.HYPERBOLIC)
-            if isinstance(result, InfeasibleCertificate):
-                result = InfeasibleCertificate(result.subset, result.slack, "T3")
-        else:
-            theorem, quantifier = "T4", QuantifierRange.NONEMPTY_SUBSETS
-            result = construct_hyperbolic_with_delaunay(t, fn)
-
+        theorem = "T4"
+        result = construct_hyperbolic_with_delaunay(t, fn)
     if isinstance(result, InfeasibleCertificate):
-        return FeasibilityReport(
-            verdict=Verdict.INFEASIBLE,
-            theorem=theorem,
-            quantifier_range=quantifier,
-            certificate=result.subset,
-            slack=result.slack,
-        )
-    return FeasibilityReport(
-        verdict=Verdict.FEASIBLE,
-        theorem=theorem,
-        quantifier_range=quantifier,
-        certificate=None,
-        slack=None,
-    )
+        return make_report(theorem, True, result.subset, result.slack.coeff)
+    return make_report(theorem, False, None, None)

@@ -101,6 +101,8 @@ class RatPi:
 
 def parse(text: str) -> RatPi:
     """Parse a ``p/q`` (or bare integer) string into a canonical RatPi."""
+    if not isinstance(text, str):
+        raise MalformedRational(f"{text!r} is not a string")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise MalformedRational(repr(text))

@@ -36,6 +36,8 @@ def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | No
             kind = InvariantKind(obj.get("kind", "edge"))
         except ValueError:
             raise InvalidInstance(f"unknown invariant kind {obj.get('kind')!r}") from None
+    if not isinstance(obj["values"], dict):
+        raise InvalidInstance("invariant values must be a map from edge index to rational")
     values = {}
     for key, text in obj["values"].items():
         try:
@@ -60,7 +62,7 @@ def structure_to_json(t: Triangulation, x: AngleStructure) -> dict:
 
 
 def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
-    if not isinstance(obj, dict) or "corners" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("corners"), list):
         raise InvalidInstance("structure must be an object with a 'corners' list")
     values = {}
     for entry in obj["corners"]:
@@ -110,7 +112,13 @@ def load_instance(path: str):
             raise InvalidInstance(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "faces" not in obj:
         raise InvalidInstance("instance must be an object with a 'faces' list")
-    t = validate(obj["faces"])
+    faces = obj["faces"]
+    # bool is an int subclass; JSON true must not pass as edge 1
+    if not isinstance(faces, list) or not all(
+        isinstance(row, list) and all(type(e) is int for e in row) for row in faces
+    ):
+        raise InvalidInstance("'faces' must be a list of lists of integer edge indices")
+    t = validate(faces)
     if tuple(t.edge_ids) != tuple(range(t.n_edges)):
         raise InvalidInstance("edge identifiers must be dense 0-based indices")
 

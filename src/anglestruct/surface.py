@@ -51,12 +51,6 @@ class Triangulation:
             for k in range(3):
                 yield Corner(f, k)
 
-    def face_edge_mask(self, face: int) -> int:
-        mask = 0
-        for e in self.faces[face]:
-            mask |= 1 << e
-        return mask
-
 
 def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
     """Build a Triangulation from an incidence list, checking the gluing.

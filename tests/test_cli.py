@@ -47,8 +47,15 @@ def test_check_methods_agree(tmp_path, capsys):
     path = write_instance(tmp_path, tetra_payload("3/5"))
     code_e, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--method", "enumerate"])
     code_l, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--method", "lp"])
+    code_f, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--method", "flow"])
     code_x, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
-    assert code_e == code_l == code_x == 0
+    assert code_e == code_l == code_f == code_x == 0
+    # infeasible: all three agree and the flow slack equals the enumeration slack
+    path = write_instance(tmp_path, tetra_payload("7/10"), "infeasible.json")
+    code_x, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge", "--cross-check"])
+    assert code_x == 0 and json.loads(out)["slack"] == "1/5"
+    code_x, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
+    assert code_x == 1 and json.loads(out)["slack"] == "-1/5"
 
 
 def test_check_malformed_rational_exits_2(tmp_path, capsys):
@@ -221,8 +228,8 @@ def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_auto_method_uses_lp_above_limit(tmp_path, capsys, monkeypatch):
-    # cap below |F| forces auto onto the LP path; enumerate would refuse
+def test_auto_method_uses_flow_above_limit(tmp_path, capsys, monkeypatch):
+    # cap below |F| forces auto onto the flow path; enumerate would refuse
     path = write_instance(tmp_path, tetra_payload("7/10"))
     code, out = run(capsys, ["--cap", "2", "check", path, "--geometry", "hyperbolic", "--invariant", "edge"])
     assert code == 1
@@ -241,3 +248,34 @@ def test_dump_lp_goes_to_stderr(tmp_path, capsys):
 def test_missing_file(capsys):
     code, out = run(capsys, ["check", "/nonexistent.json", "--geometry", "spherical", "--invariant", "edge"])
     assert code == 2
+
+
+# --- malformed input exits 2 with an error object, never a traceback
+
+
+@pytest.mark.parametrize(
+    "payload, error_type",
+    [
+        ({"faces": 5}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": ["7/10"] * 6}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "0": 1}}, "MalformedRational"),
+        ({"faces": [[0, True, 2], [0, 3, 4], [True, 3, 5], [2, 4, 5]], "D": tetra_payload()["D"]}, "InvalidInstance"),
+        ({**tetra_payload(), "structure": {"corners": 5}}, "InvalidInstance"),
+    ],
+    ids=["faces-not-a-list", "D-as-list", "rational-as-number", "true-as-edge-id", "corners-not-a-list"],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
+    path = write_instance(tmp_path, payload)
+    code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert set(error) == {"type", "message"}
+    assert error["type"] == error_type
+
+
+def test_bad_cap_environment_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    monkeypatch.setenv("ANGLESTRUCT_CAP", "abc")
+    code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidSetting"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anglestruct import (
     AngleStructure,
-    DualAssignment,
     GeometryClass,
     InvariantKind,
     RatPi,
@@ -22,11 +21,11 @@ from anglestruct import (
     construct_structure,
     delaunay_invariant,
     edge_invariant,
-    extract_subset_certificate,
+    check_via_flow,
 )
-from anglestruct.errors import NotACertificate, RangeViolation
-from anglestruct.feasibility import subset_slack
-from anglestruct.lp import InfeasibleCertificate, check_via_lp, minimize_coverage_deficit
+from anglestruct.errors import RangeViolation, VerificationFailed
+from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
+from anglestruct.lp import InfeasibleCertificate, _infeasible_certificate, check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
     random_structure,
@@ -120,65 +119,77 @@ def test_self_glued_constructions(self_glued):
     assert classify_structure(self_glued, w) is GeometryClass.SPHERICAL
 
 
-# --- the dual-shifting certificate extractor
+# --- certificates come from the minimum cut, which proves itself
+
+
+def _tetra_network(tetra, value):
+    weights = [Fraction(*value)] * 6
+    arcs, scale = _closure_network(tetra, weights)
+    flow, _, _ = _max_flow(arcs, 4 + 6 + 2, 10, 11)
+    return weights, arcs, scale, flow
 
 
 def test_extract_certificate_spec_vector(tetra):
+    # T2 at 7/10: the empty set violates, slack 4 - 6 * 7/10 = -1/5, and it
+    # is the only minimiser of g(X) = W(E(X)) - |X|
     d = const_fn(tetra, (7, 10))
-    dual = DualAssignment(
-        {f: Fraction(-1) for f in range(4)}, {e: Fraction(1) for e in range(6)}
+    assert min_cut(tetra, [Fraction(7, 10)] * 6) == (0, frozenset(), frozenset())
+    report = check_via_flow(tetra, d, "T2")
+    assert report.certificate == frozenset()
+    assert report.slack == RatPi(-1, 5)
+    assert _infeasible_certificate(tetra, d, "T2") == InfeasibleCertificate(
+        frozenset(), RatPi(-1, 5), "T2"
     )
-    # z = -4 + 6 * 7/10 = 1/5 > 0; the empty set already violates
-    subset = extract_subset_certificate(tetra, d, dual)
-    assert subset == frozenset()
 
 
 def test_extract_certificate_rejects_zero_vector(tetra):
-    d = const_fn(tetra, (7, 10))
-    with pytest.raises(NotACertificate):
-        extract_subset_certificate(tetra, d, DualAssignment({}, {}))
+    # the zero flow is feasible, but its value 0 is no cut's capacity
+    weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
+    assert _certify_cut(tetra, weights, arcs, flow, scale, [frozenset()]) == 0
+    with pytest.raises(VerificationFailed):
+        _certify_cut(tetra, weights, arcs, [0] * len(arcs), scale, [frozenset()])
 
 
 def test_extract_certificate_rejects_infeasible_dual(tetra):
-    d = const_fn(tetra, (7, 10))
-    with pytest.raises(NotACertificate):
-        extract_subset_certificate(
-            tetra, d, DualAssignment({0: Fraction(1)}, {e: Fraction(1) for e in range(6)})
-        )
-    with pytest.raises(NotACertificate):
-        # y_f + y_e > 0 on an incidence
-        extract_subset_certificate(
-            tetra,
-            d,
-            DualAssignment({f: Fraction(-1) for f in range(4)}, {0: Fraction(2)}),
-        )
+    weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
+    over = list(flow)
+    over[0] = arcs[0][2] + 1  # above the source arc's capacity
+    with pytest.raises(VerificationFailed, match="outside"):
+        _certify_cut(tetra, weights, arcs, over, scale, [frozenset()])
+    leaky = list(flow)
+    into_sink = next(i for i, (_, v, _) in enumerate(arcs) if v == 11 and flow[i] > 0)
+    leaky[into_sink] -= 1  # its edge node keeps a unit of flow
+    with pytest.raises(VerificationFailed, match="conserved"):
+        _certify_cut(tetra, weights, arcs, leaky, scale, [frozenset()])
+    # a genuine maximum flow still fails against a set that is no minimiser
+    with pytest.raises(VerificationFailed, match="differs"):
+        _certify_cut(tetra, weights, arcs, flow, scale, [frozenset({0})])
 
 
 def test_extract_certificate_rejects_nonpositive_objective(tetra):
+    # T2 at 1/2 is feasible: the cut finds no violating subset, and a
+    # construction that claimed infeasibility would be caught
     d = const_fn(tetra, (1, 2))
-    dual = DualAssignment(
-        {f: Fraction(-1) for f in range(4)}, {e: Fraction(1) for e in range(6)}
-    )
-    # z = -4 + 6/2 = -1 < 0
-    with pytest.raises(NotACertificate):
-        extract_subset_certificate(tetra, d, dual)
+    report = check_via_flow(tetra, d, "T2")
+    assert report.verdict is Verdict.FEASIBLE
+    assert report.certificate is None and report.slack is None
+    assert isinstance(construct_structure(tetra, d, GeometryClass.HYPERBOLIC), AngleStructure)
+    with pytest.raises(VerificationFailed):
+        _infeasible_certificate(tetra, d, "T2")
 
 
 def test_extract_certificate_needs_shifting(tetra):
-    # weights violating only at X = {0}; the perturbed canonical vector has
-    # an empty zero set, so one shift must run before the violation appears
+    # weights violating only at X = {0}: neither the empty nor the full set
     from anglestruct import EdgeFunction
 
     values = {e: (RatPi(1, 10) if e < 3 else RatPi(11, 10)) for e in range(6)}
     d = EdgeFunction(values, InvariantKind.EDGE)
     assert check_hyperbolic_edge(tetra, d).certificate == frozenset({0})
-    dual = DualAssignment(
-        {0: Fraction(-1, 5), 1: Fraction(-1), 2: Fraction(-1), 3: Fraction(-1)},
-        {3: Fraction(1), 4: Fraction(1), 5: Fraction(1)},
-    )
-    subset = extract_subset_certificate(tetra, d, dual)
-    assert subset == frozenset({0})
-    assert subset_slack(tetra, d, "T2", subset) == RatPi(-3, 10)
+    report = check_via_flow(tetra, d, "T2")
+    assert report.certificate == frozenset({0})
+    assert report.slack == RatPi(-3, 10) == subset_slack(tetra, d, "T2", frozenset({0}))
+    cert = construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
+    assert cert == InfeasibleCertificate(frozenset({0}), RatPi(-3, 10), "T2")
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,7 +204,7 @@ def test_extracted_certificates_always_verify(seed):
         assert subset_slack(t, d, "T2", result.subset) == result.slack
 
 
-# --- covering relaxation extractor against exhaustive enumeration
+# --- the cut's minimum of the coverage deficit against exhaustive enumeration
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,7 +215,8 @@ def test_coverage_deficit_matches_enumeration_sign(seed, n):
     weights = [
         Fraction(rng.randint(1, 40), rng.randint(20, 40)) for _ in range(t.n_edges)
     ]
-    value, subset = minimize_coverage_deficit(t, weights)
+    # over all subsets, the empty one included: g(empty) = 0
+    value, smallest, largest = min_cut(t, weights)
     # exhaustive minimum over nonempty subsets
     best = None
     for mask in range(1, 1 << n):
@@ -214,17 +226,14 @@ def test_coverage_deficit_matches_enumeration_sign(seed, n):
             covered.update(t.faces[f])
         val = sum((weights[e] for e in covered), Fraction(0)) - len(chosen)
         best = val if best is None else min(best, val)
-    assert subset
-    direct = sum(
-        (weights[e] for e in set().union(*(t.faces[f] for f in subset))), Fraction(0)
-    ) - len(subset)
-    assert direct == value
-    # certificates rely on the sign: a nonpositive minimum exists exactly
-    # when the extractor returns one (the relaxation may undershoot the
-    # discrete minimum on the strictly positive side)
-    assert (value <= 0) == (best <= 0)
-    if best <= 0:
-        assert value <= 0
+    for subset in (smallest, largest):
+        direct = sum(
+            (weights[e] for e in set().union(*(t.faces[f] for f in subset))), Fraction(0)
+        ) - len(subset)
+        assert direct == value
+    # the cut is exact, so the sign and the value below 0 match enumeration
+    assert value == min(best, 0)
+    assert (best <= 0) == bool(largest)
 
 
 # --- round trips between generated structures and construction

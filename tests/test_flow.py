@@ -1,0 +1,233 @@
+"""The minimum-cut decider against exhaustive enumeration.
+
+Flow and enumeration both compute an exact minimum over the same
+quantifier range, so verdicts and slacks must be equal.  Certificates are
+equal too, except for T1/T4 ties at slack 0: there enumeration picks the
+smallest violating subset and the cut reports the largest minimiser.
+"""
+
+import json
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anglestruct import (
+    AngleStructure,
+    Corner,
+    EdgeFunction,
+    GeometryClass,
+    InvariantKind,
+    RatPi,
+    Verdict,
+    check_closure,
+    check_hyperbolic_delaunay,
+    check_hyperbolic_edge,
+    check_spherical_delaunay,
+    check_spherical_edge,
+    check_via_flow,
+    delaunay_invariant,
+    edge_invariant,
+    validate,
+)
+from anglestruct.cli import main
+from anglestruct.errors import Disconnected, RangeViolation
+from anglestruct.feasibility import min_cut, subset_slack
+from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
+from conftest import SELF_GLUED_FACES, const_fn
+
+ENUMERATORS = {
+    "T1": check_spherical_edge,
+    "T2": check_hyperbolic_edge,
+    "T3": check_spherical_delaunay,
+    "T4": check_hyperbolic_delaunay,
+    "L7": check_closure,
+}
+DOMAINS = {
+    "T1": (Fraction(0), Fraction(1), InvariantKind.EDGE),
+    "T2": (Fraction(0), Fraction(2), InvariantKind.EDGE),
+    "T3": (Fraction(-2), Fraction(2), InvariantKind.DELAUNAY),
+    "T4": (Fraction(0), Fraction(2), InvariantKind.DELAUNAY),
+    "L7": (Fraction(0), Fraction(2), InvariantKind.EDGE),
+}
+
+
+def random_gluing(n_faces, rng):
+    """Connected gluing from a uniform slot pairing; self-glued edges allowed."""
+    while True:
+        slots = [(f, k) for f in range(n_faces) for k in range(3)]
+        rng.shuffle(slots)
+        incidence = [[-1, -1, -1] for _ in range(n_faces)]
+        for i, (f, k) in enumerate(slots):
+            incidence[f][k] = i // 2
+        try:
+            return validate(incidence)
+        except Disconnected:
+            continue
+
+
+def assert_flow_matches_enumeration(t, fn, theorem):
+    flow = check_via_flow(t, fn, theorem)
+    enum = ENUMERATORS[theorem](t, fn)
+    assert flow.verdict is enum.verdict, theorem
+    assert (flow.theorem, flow.quantifier_range) == (enum.theorem, enum.quantifier_range)
+    if flow.verdict is not Verdict.INFEASIBLE:
+        assert flow.certificate is None and flow.slack is None
+        return flow
+    assert flow.slack == enum.slack, theorem
+    assert subset_slack(t, fn, theorem, flow.certificate) == flow.slack
+    if theorem in ("T1", "T4") and flow.slack == RatPi(0):
+        assert flow.certificate
+    else:
+        assert flow.certificate == enum.certificate, theorem
+    return flow
+
+
+def nudged_boundary_values(t, theorem, rng):
+    """Invariant whose weights W start as the edge invariant of a
+    near-equilateral Euclidean structure (W(E) = |F|, every W < pi, slack 0
+    at the empty and the full set), then shift weight between the edges of
+    a random face set Y and the rest, keeping W(E), and nudge a few edges:
+    minimisers then fall on Y and on other sets between empty and full."""
+    angles = {}
+    for f in range(t.n_faces):
+        p = [rng.randint(8, 12) for _ in range(3)]
+        for k in range(3):
+            angles[Corner(f, k)] = RatPi(p[k], sum(p))
+    base = edge_invariant(t, AngleStructure(angles))
+    y = rng.sample(range(t.n_faces), rng.randint(1, t.n_faces))
+    inside = {e for f in y for e in t.faces[f]}
+    n_in, n_out = len(inside), t.n_edges - len(inside)
+    step = Fraction(rng.randint(-8, 48), 96 * max(n_in, n_out))
+    hi = 1 if theorem in ("T1", "T4") else 2
+    weights = []
+    for e in range(t.n_edges):
+        w = base.value(e).coeff
+        shifted = w - step * n_out if e in inside else w + step * n_in
+        if rng.random() < 1 / 4:
+            shifted += Fraction(rng.randint(-4, 4), 96)
+        weights.append(shifted if 0 < shifted < hi else w)
+    kind = DOMAINS[theorem][2]
+    values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
+    return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
+
+
+def cross_check_instance(t, rng):
+    for theorem, (lo, hi, kind) in DOMAINS.items():
+        assert_flow_matches_enumeration(t, random_edge_values(t, rng, lo, hi, kind), theorem)
+        assert_flow_matches_enumeration(t, nudged_boundary_values(t, theorem, rng), theorem)
+
+
+def test_flow_matches_enumeration_seeded():
+    rng = random.Random(2024)
+    for trial in range(60):
+        n = 2 * (trial % 5 + 1)
+        t = random_gluing(n, rng) if trial % 2 else random_triangulation(n, rng)
+        cross_check_instance(t, rng)
+    cross_check_instance(validate(SELF_GLUED_FACES), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]), self_glued=st.booleans())
+def test_flow_matches_enumeration_hypothesis(seed, n, self_glued):
+    rng = random.Random(seed)
+    t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
+    cross_check_instance(t, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]), self_glued=st.booleans())
+def test_flow_boundary_instances_from_euclidean_structures(seed, n, self_glued):
+    # A Euclidean structure's invariants make the slack exactly 0 at F for
+    # T1/T4 (W(E) = sum of all angles = |F|) and at the empty set for
+    # T2/T3; L7 holds weakly there, so it is closure-only.
+    rng = random.Random(seed)
+    t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
+    x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
+    d, dd = edge_invariant(t, x), delaunay_invariant(t, x)
+    cases = [("T2", d), ("T3", dd), ("L7", d)]
+    if all(d.value(e) < RatPi(1) for e in range(t.n_edges)):
+        cases += [("T1", d), ("T4", dd)]
+    for theorem, fn in cases:
+        flow = assert_flow_matches_enumeration(t, fn, theorem)
+        if theorem == "L7":
+            assert flow.verdict is Verdict.CLOSURE_ONLY
+            continue
+        assert flow.verdict is Verdict.INFEASIBLE and flow.slack == RatPi(0)
+        if theorem in ("T2", "T3"):
+            assert flow.certificate == frozenset()
+        else:
+            assert subset_slack(t, fn, theorem, frozenset(range(n))) == RatPi(0)
+
+
+def test_min_cut_minimisers_bracket_every_minimiser():
+    rng = random.Random(7)
+    for trial in range(40):
+        n = 2 * (trial % 4 + 1)
+        t = random_gluing(n, rng)
+        weights = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(t.n_edges)]
+        minimum, smallest, largest = min_cut(t, weights)
+        values = {}
+        for mask in range(1 << n):
+            subset = frozenset(f for f in range(n) if mask >> f & 1)
+            covered = {e for f in subset for e in t.faces[f]}
+            values[subset] = sum((weights[e] for e in covered), Fraction(0)) - len(subset)
+        assert minimum == min(values.values())
+        minimisers = [s for s, v in values.items() if v == minimum]
+        assert all(smallest <= s <= largest for s in minimisers)
+        assert smallest in minimisers and largest in minimisers
+
+
+def test_two_hundred_faces_under_a_second():
+    rng = random.Random(200)
+    t = random_triangulation(200, rng)
+    d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
+    dd = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
+    for theorem, fn in (("T2", d), ("T4", dd)):
+        started = time.perf_counter()
+        report = check_via_flow(t, fn, theorem)
+        assert time.perf_counter() - started < 1.0
+        if report.verdict is Verdict.INFEASIBLE:
+            assert subset_slack(t, fn, theorem, report.certificate) == report.slack
+
+
+def test_cli_auto_above_limit_prints_the_flow_report(tmp_path, capsys):
+    rng = random.Random(14)
+    t = random_triangulation(14, rng)
+    for geometry, lo, hi, kind in (
+        ("hyperbolic", Fraction(0), Fraction(2), InvariantKind.EDGE),
+        ("spherical", Fraction(0), Fraction(1), InvariantKind.EDGE),
+        ("spherical", Fraction(-2), Fraction(2), InvariantKind.DELAUNAY),
+    ):
+        fn = random_edge_values(t, rng, lo, hi, kind)
+        payload = {
+            "faces": [list(row) for row in t.faces],
+            "invariant": {
+                "kind": kind.value,
+                "values": {str(e): fn.value(e).render() for e in range(t.n_edges)},
+            },
+        }
+        path = tmp_path / "fourteen.json"
+        path.write_text(json.dumps(payload))
+        argv = ["check", str(path), "--geometry", geometry, "--invariant", kind.value]
+        outputs = []
+        for method in ("auto", "flow"):
+            code = main(argv + ["--method", method])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        # auto really left enumeration: a feasible flow report has no slack
+        report = json.loads(outputs[0][1])
+        assert ("slack" in report) == (report["verdict"] == "infeasible")
+
+
+def test_flow_rejects_out_of_domain_like_enumeration(tetra):
+    d = const_fn(tetra, (3, 2))
+    for theorem in ("T1", "T3"):  # a value outside (0, 1), then the wrong kind
+        with pytest.raises(RangeViolation) as enumerated:
+            ENUMERATORS[theorem](tetra, d)
+        with pytest.raises(RangeViolation) as flowed:
+            check_via_flow(tetra, d, theorem)
+        assert str(flowed.value) == str(enumerated.value)
