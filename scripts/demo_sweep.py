@@ -14,11 +14,8 @@ Usage: python scripts/demo_sweep.py [--trials N] [--seed S] [--faces F]
 import argparse
 import random
 import time
-from fractions import Fraction
 
 from anglestruct import (
-    GeometryClass,
-    InvariantKind,
     Verdict,
     check_hyperbolic_delaunay,
     check_hyperbolic_edge,
@@ -26,15 +23,17 @@ from anglestruct import (
     check_spherical_edge,
     check_via_flow,
 )
+from anglestruct.feasibility import THEOREMS
 from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_triangulation
 
-CHECKS = [
-    ("T1", GeometryClass.SPHERICAL, InvariantKind.EDGE, Fraction(0), Fraction(1), check_spherical_edge),
-    ("T2", GeometryClass.HYPERBOLIC, InvariantKind.EDGE, Fraction(0), Fraction(2), check_hyperbolic_edge),
-    ("T3", GeometryClass.SPHERICAL, InvariantKind.DELAUNAY, Fraction(-2), Fraction(2), check_spherical_delaunay),
-    ("T4", GeometryClass.HYPERBOLIC, InvariantKind.DELAUNAY, Fraction(0), Fraction(2), check_hyperbolic_delaunay),
-]
+# geometry, invariant kind and domain of each check come from its THEOREMS row
+CHECKERS = {
+    "T1": check_spherical_edge,
+    "T2": check_hyperbolic_edge,
+    "T3": check_spherical_delaunay,
+    "T4": check_hyperbolic_delaunay,
+}
 
 
 def main() -> int:
@@ -47,15 +46,16 @@ def main() -> int:
     rng = random.Random(args.seed)
     started = time.time()
     disagreements = 0
-    print(f"{'trial':>5} {'|F|':>4}  " + "  ".join(f"{name:>6}" for name, *_ in CHECKS) + f"  {'lp':>11}  {'flow':>11}")
+    print(f"{'trial':>5} {'|F|':>4}  " + "  ".join(f"{name:>6}" for name in CHECKERS) + f"  {'lp':>11}  {'flow':>11}")
     for trial in range(args.trials):
         n = args.faces or rng.choice([2, 4, 6, 8, 10])
         t = random_triangulation(n, rng)
         cells, lp_off, flow_off = [], [], []
-        for name, geometry, kind, lo, hi, checker in CHECKS:
-            fn = random_edge_values(t, rng, lo, hi, kind)
+        for name, checker in CHECKERS.items():
+            row = THEOREMS[name]
+            fn = random_edge_values(t, rng, row.lo, row.hi, row.kind)
             enum_verdict = checker(t, fn).verdict
-            if check_via_lp(t, fn, geometry).verdict is not enum_verdict:
+            if check_via_lp(t, fn, row.geometry).verdict is not enum_verdict:
                 lp_off.append(name)
             if check_via_flow(t, fn, name).verdict is not enum_verdict:
                 flow_off.append(name)

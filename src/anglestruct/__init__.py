@@ -34,8 +34,6 @@ from .lp import (
     LpProblem,
     build_construction_lp,
     check_via_lp,
-    construct_hyperbolic_with_delaunay,
-    construct_spherical_with_delaunay,
     construct_structure,
     simplex_solve,
 )
@@ -46,7 +44,6 @@ from .surface import (
     Triangulation,
     corners_facing,
     edge_set,
-    enumerate_subsets,
     validate,
 )
 
@@ -75,8 +72,6 @@ __all__ = [
     "check_via_lp",
     "classify_structure",
     "classify_triangle",
-    "construct_hyperbolic_with_delaunay",
-    "construct_spherical_with_delaunay",
     "construct_structure",
     "corner_transform",
     "corner_transform_inverse",
@@ -84,7 +79,6 @@ __all__ = [
     "delaunay_invariant",
     "edge_invariant",
     "edge_set",
-    "enumerate_subsets",
     "parse",
     "render",
     "simplex_solve",

@@ -135,6 +135,11 @@ def delaunay_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     return EdgeFunction(values, InvariantKind.DELAUNAY)
 
 
+def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
+    """The structure's edge or Delaunay invariant, as kind says."""
+    return edge_invariant(t, x) if kind is InvariantKind.EDGE else delaunay_invariant(t, x)
+
+
 def corner_transform(t: Triangulation, x: AngleStructure) -> AngleStructure:
     """Candidate structure y_i = (pi + x_i - x_j - x_k)/2, unvalidated."""
     x.check_complete(t)

@@ -2,7 +2,9 @@
 
 Subcommands: check, construct, invariants, gen, verify.  All output is
 JSON on stdout with fixed key order; exit codes are 0 for feasible or
-consistent, 1 for infeasible or mismatching, 2 for invalid input.  The
+consistent, 1 for infeasible or mismatching, 2 for invalid input and 3
+for an internal self-check failure (``VerificationFailed``, a bug), the
+last two with one error object on stdout.  The
 enumeration cap comes from --cap, then the ANGLESTRUCT_CAP environment
 variable, then the default of 20.
 
@@ -27,10 +29,10 @@ from .angles import (
     delaunay_invariant,
     edge_invariant,
     euclidean_relation_holds,
+    invariant_of,
 )
-from .errors import AngleStructError, InvalidSetting
+from .errors import AngleStructError, InvalidSetting, VerificationFailed
 from .feasibility import Verdict
-from .ratpi import RatPi
 from .sampling import random_structure, random_triangulation
 from .serialize import (
     InvalidInstance,
@@ -43,13 +45,6 @@ from .serialize import (
 from .surface import DEFAULT_ENUMERATION_CAP
 
 AUTO_ENUMERATE_LIMIT = 12
-
-_THEOREMS = {
-    (GeometryClass.SPHERICAL, InvariantKind.EDGE): "T1",
-    (GeometryClass.HYPERBOLIC, InvariantKind.EDGE): "T2",
-    (GeometryClass.SPHERICAL, InvariantKind.DELAUNAY): "T3",
-    (GeometryClass.HYPERBOLIC, InvariantKind.DELAUNAY): "T4",
-}
 
 _ENUM_CHECKERS = {
     "T1": feasibility.check_spherical_edge,
@@ -130,11 +125,11 @@ def cmd_check(args) -> int:
     invariant = _require_invariant(invariant, kind)
     cap = _resolve_cap(args)
 
-    theorem = _THEOREMS[(geometry, kind)]
+    theorem = feasibility.theorem_for(geometry, kind)
     method = args.method
     if method == "auto":
         method = "enumerate" if t.n_faces <= min(AUTO_ENUMERATE_LIMIT, cap) else "flow"
-    if args.dump_lp and invariant.kind is InvariantKind.EDGE:
+    if args.dump_lp:
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
     if method == "enumerate" or args.cross_check:
@@ -147,13 +142,13 @@ def cmd_check(args) -> int:
         lp_report = lp.check_via_lp(t, invariant, geometry)
         flow_report = feasibility.check_via_flow(t, invariant, theorem)
         if {lp_report.verdict, flow_report.verdict} != {report.verdict}:
-            raise AngleStructError(
+            raise VerificationFailed(
                 f"cross-check disagreement: enumerate={report.verdict.value} "
                 f"lp={lp_report.verdict.value} flow={flow_report.verdict.value}"
             )
         # both are exact minima over the same quantifier range
         if report.verdict is Verdict.INFEASIBLE and flow_report.slack != report.slack:
-            raise AngleStructError(
+            raise VerificationFailed(
                 f"cross-check disagreement: enumerate slack {report.slack.render()} "
                 f"flow slack {flow_report.slack.render()}"
             )
@@ -165,31 +160,15 @@ def cmd_construct(args) -> int:
     t, invariant, _, _ = load_instance(args.path)
     geometry = GeometryClass(args.geometry)
     invariant = _require_invariant(invariant)
-    if args.dump_lp and invariant.kind is InvariantKind.EDGE:
+    if args.dump_lp:
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
-    if invariant.kind is InvariantKind.EDGE:
-        result = lp.construct_structure(t, invariant, geometry)
-    elif geometry is GeometryClass.HYPERBOLIC:
-        result = lp.construct_hyperbolic_with_delaunay(t, invariant)
-    else:
-        result = lp.construct_spherical_with_delaunay(t, invariant)
-
+    # the witness comes back checked for range, class and invariant
+    result = lp.construct_structure(t, invariant, geometry)
     if isinstance(result, lp.InfeasibleCertificate):
         report = feasibility.make_report(result.theorem, True, result.subset, result.slack.coeff)
         print(dumps(report_to_json(report)))
         return 1
-
-    # re-validate before printing: class and recomputed invariant must match
-    if classify_structure(t, result) is not geometry:
-        raise AngleStructError("constructed structure failed class re-validation")
-    recomputed = (
-        edge_invariant(t, result)
-        if invariant.kind is InvariantKind.EDGE
-        else delaunay_invariant(t, result)
-    )
-    if any(recomputed.value(e) != invariant.value(e) for e in range(t.n_edges)):
-        raise AngleStructError("constructed structure failed invariant re-validation")
     print(dumps(structure_to_json(t, result)))
     return 0
 
@@ -228,11 +207,7 @@ def cmd_verify(args) -> int:
     if structure is None or invariant is None:
         raise InvalidInstance("verify needs both a structure and an invariant")
     structure.check_complete(t)
-    recomputed = (
-        edge_invariant(t, structure)
-        if invariant.kind is InvariantKind.EDGE
-        else delaunay_invariant(t, structure)
-    )
+    recomputed = invariant_of(t, structure, invariant.kind)
     mismatched = [
         e for e in range(t.n_edges) if recomputed.value(e) != invariant.value(e)
     ]
@@ -251,7 +226,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except AngleStructError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 2
+        return 3 if isinstance(exc, VerificationFailed) else 2
     except FileNotFoundError as exc:
         print(dumps({"error": {"type": "FileNotFound", "message": str(exc)}}))
         return 2

@@ -25,6 +25,10 @@ then smaller membership bitmask).
 over all subsets is a maximum-closure problem (Picard 1976), solved by one
 maximum flow, and the quantifier exclusions are read off the smallest and
 largest minimisers of that one cut.
+
+``THEOREMS`` states each condition once, as a row of data: geometry,
+invariant kind, domain, weight map, quantifier and strictness.  Every
+decider here, the LP construction and the command line read it.
 """
 
 from __future__ import annotations
@@ -34,22 +38,55 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .angles import EdgeFunction, InvariantKind
+from .angles import EdgeFunction, GeometryClass, InvariantKind
 from .errors import RangeViolation, TooLarge, VerificationFailed
 from .ratpi import RatPi
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
 
 HALF = Fraction(1, 2)
 
-# theorem -> (invariant kind, domain bounds in pi-units, open interval)
-_DOMAINS = {
-    "T1": (InvariantKind.EDGE, Fraction(0), Fraction(1), True),
-    "T2": (InvariantKind.EDGE, Fraction(0), Fraction(2), True),
-    "T3": (InvariantKind.DELAUNAY, Fraction(-2), Fraction(2), True),
-    "T4": (InvariantKind.DELAUNAY, Fraction(0), Fraction(2), True),
-    "L7": (InvariantKind.EDGE, Fraction(0), Fraction(2), False),
+
+@dataclass(frozen=True)
+class Theorem:
+    """One subset condition, stated as data.
+
+    The invariant must lie in lo < v < hi on every edge (lo <= v <= hi
+    when the domain is closed), in pi-units.  The edge weight is
+    W = pi - v/2 when halved, else v itself.  The inequality is quantified
+    over nonempty subsets in the grow form W(E(X)) - pi|X| when nonempty,
+    else over proper subsets (the empty one included) in the shrink form.
+    A strict inequality is already violated at slack 0.
+    """
+
+    geometry: GeometryClass
+    kind: InvariantKind
+    lo: Fraction
+    hi: Fraction
+    open_domain: bool
+    halved: bool
+    nonempty: bool
+    strict: bool
+
+
+_SPH, _HYP = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
+_EDGE, _DEL = InvariantKind.EDGE, InvariantKind.DELAUNAY
+THEOREMS = {
+    # geometry, kind, domain lo and hi, open, halved, nonempty, strict
+    "T1": Theorem(_SPH, _EDGE, Fraction(0), Fraction(1), True, False, True, True),
+    "T2": Theorem(_HYP, _EDGE, Fraction(0), Fraction(2), True, False, False, True),
+    "T3": Theorem(_SPH, _DEL, Fraction(-2), Fraction(2), True, True, False, True),
+    "T4": Theorem(_HYP, _DEL, Fraction(0), Fraction(2), True, True, True, True),
+    "L7": Theorem(_HYP, _EDGE, Fraction(0), Fraction(2), False, False, False, False),
 }
-_NONEMPTY = ("T1", "T4")
+
+
+def theorem_for(geometry: GeometryClass, kind: InvariantKind) -> str:
+    """The existence theorem (T1-T4) for a geometry and invariant kind;
+    L7, the weak closure variant, is never the answer."""
+    for name, row in THEOREMS.items():
+        if row.strict and row.geometry is geometry and row.kind is kind:
+            return name
+    raise RangeViolation(f"no theorem for {geometry.value} geometry with a {kind.value} invariant")
 
 
 class Verdict(Enum):
@@ -75,24 +112,8 @@ class FeasibilityReport:
         return self.verdict is not Verdict.INFEASIBLE
 
 
-def _require_kind(fn: EdgeFunction, kind: InvariantKind, theorem: str) -> None:
-    if fn.kind is not kind:
-        raise RangeViolation(f"{theorem} needs a {kind.value} invariant, got {fn.kind.value}")
-
-
-def _require_range(fn, t, lo, hi, strict, theorem):
-    """Domain check in pi-units; strict means open interval."""
-    for e in range(t.n_edges):
-        c = fn.value(e).coeff
-        bad = not (lo < c < hi) if strict else not (lo <= c <= hi)
-        if bad:
-            raise RangeViolation(
-                f"{theorem}: value {fn.value(e).render()} at edge {e} outside domain"
-            )
-
-
-def _edge_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
-    if theorem in ("T3", "T4"):
+def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]:
+    if row.halved:
         return [1 - fn.value(e).coeff * HALF for e in range(t.n_edges)]
     return [fn.value(e).coeff for e in range(t.n_edges)]
 
@@ -100,10 +121,16 @@ def _edge_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Frac
 def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
     """Edge weights W of the theorem's inequality, after checking that fn
     has the theorem's invariant kind and lies in its domain."""
-    kind, lo, hi, strict = _DOMAINS[theorem]
-    _require_kind(fn, kind, theorem)
-    _require_range(fn, t, lo, hi, strict, theorem)
-    return _edge_weights(t, fn, theorem)
+    row = THEOREMS[theorem]
+    if fn.kind is not row.kind:
+        raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
+    for e in range(t.n_edges):
+        c = fn.value(e).coeff
+        if not (row.lo < c < row.hi if row.open_domain else row.lo <= c <= row.hi):
+            raise RangeViolation(
+                f"{theorem}: value {fn.value(e).render()} at edge {e} outside domain"
+            )
+    return _weights(t, fn, row)
 
 
 def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
@@ -166,13 +193,14 @@ def make_report(
     theorem: str, violated: bool, subset: FaceSubset | None, slack: Fraction | None
 ) -> FeasibilityReport:
     """Report for a theorem's verdict; the certificate is kept only when violated."""
+    row = THEOREMS[theorem]
     if violated:
         verdict = Verdict.INFEASIBLE
     else:
-        verdict = Verdict.CLOSURE_ONLY if theorem == "L7" else Verdict.FEASIBLE
+        verdict = Verdict.FEASIBLE if row.strict else Verdict.CLOSURE_ONLY
     quantifier = (
         QuantifierRange.NONEMPTY_SUBSETS
-        if theorem in _NONEMPTY
+        if row.nonempty
         else QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
     )
     return FeasibilityReport(
@@ -185,8 +213,9 @@ def make_report(
 
 
 def _enumerate(t, fn, theorem, cap) -> FeasibilityReport:
-    slack, subset = _scan(t, theorem_weights(t, fn, theorem), theorem in _NONEMPTY, cap)
-    return make_report(theorem, slack < 0 if theorem == "L7" else slack <= 0, subset, slack)
+    row = THEOREMS[theorem]
+    slack, subset = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
+    return make_report(theorem, slack <= 0 if row.strict else slack < 0, subset, slack)
 
 
 def check_spherical_edge(
@@ -230,21 +259,16 @@ def check_closure(
     return _enumerate(t, d, "L7", cap)
 
 
-def reduce_delaunay_to_edge(dd: EdgeFunction, t: Triangulation) -> EdgeFunction:
-    """The substitution D(e) = pi - dd(e)/2 behind the T3/T2 equivalence."""
-    values = {e: RatPi(1 - dd.value(e).coeff * HALF) for e in range(t.n_edges)}
-    return EdgeFunction(values, InvariantKind.EDGE)
-
-
 def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceSubset) -> RatPi:
     """Exact slack of one subset under the named theorem's inequality.
 
     Negative or zero means the subset certifies infeasibility (for L7,
     only strictly negative does).  Used to re-verify certificates.
     """
-    weights = _edge_weights(t, fn, theorem)
+    row = THEOREMS[theorem]
+    weights = _weights(t, fn, row)
     covered = sum((weights[e] for e in edge_set(t, subset)), Fraction(0))
-    if theorem in _NONEMPTY:
+    if row.nonempty:
         return RatPi(covered - len(subset))
     total = sum(weights, Fraction(0))
     return RatPi((t.n_faces - len(subset)) - (total - covered))
@@ -390,14 +414,15 @@ def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> Feasibil
     for a T1/T4 tie at slack 0, the largest.  Feasible and closure-only
     reports carry no slack: that minimum excludes a set the cut includes.
     """
+    row = THEOREMS[theorem]
     weights = theorem_weights(t, fn, theorem)
     minimum, smallest, largest = min_cut(t, weights)
-    if theorem in _NONEMPTY:
+    if row.nonempty:
         # g(empty) = 0: a nonempty X reaches the minimum iff one violates
         subset = smallest if minimum < 0 else largest
         return make_report(theorem, bool(subset), subset, minimum if subset else None)
     # slack(F) = 0, so the minimum over proper X is the global one
     # unless F is the only minimiser
     slack = t.n_faces - sum(weights, Fraction(0)) + minimum
-    violated = slack < 0 if theorem == "L7" else len(smallest) < t.n_faces
+    violated = len(smallest) < t.n_faces if row.strict else slack < 0
     return make_report(theorem, violated, smallest, slack if violated else None)

@@ -13,7 +13,10 @@ equations (facing pair + 2*eps for an edge invariant, signed corner sum
 + 2*eps for a Delaunay invariant).  A positive optimum usually yields an
 interior witness directly.  On the boundary (optimal point with some face
 angle sum exactly pi) a second program maximizing a uniform strict margin
-(4*delta in the face rows) settles existence exactly.
+(4*delta in the face rows) settles existence exactly.  Each of T1-T4
+solves one of the two hyperbolic programs (edge or Delaunay invariant)
+and maps its witness back with the corner transform where the geometry
+is spherical (``_ROUTES``).
 
 When a program shows that no witness exists, the violating face subset
 and its exact slack come from the minimum cut of
@@ -34,17 +37,17 @@ from .angles import (
     classify_structure,
     corner_transform,
     corner_transform_inverse,
-    delaunay_invariant,
-    edge_invariant,
+    invariant_of,
 )
-from .errors import DimensionMismatch, RangeViolation, VerificationFailed
+from .errors import DimensionMismatch, VerificationFailed
 from .feasibility import (
+    THEOREMS,
     FeasibilityReport,
     Verdict,
     check_via_flow,
     make_report,
-    reduce_delaunay_to_edge,
     subset_slack,
+    theorem_for,
     theorem_weights,
 )
 from .ratpi import RatPi
@@ -384,7 +387,7 @@ def _edge_row_pattern(t: Triangulation, e: int, kind: InvariantKind) -> dict[int
     return coeffs
 
 
-def _margin_lp(t: Triangulation, values, kind: InvariantKind, face_margin: int) -> LpProblem:
+def _margin_lp(t: Triangulation, program: EdgeFunction, face_margin: int) -> LpProblem:
     """min -margin over a_i, s_f, margin with face rows
     a_i+a_j+a_k + face_margin*m + s_f = pi and invariant rows pattern + 2m = value."""
     nf, ne = t.n_faces, t.n_edges
@@ -402,34 +405,47 @@ def _margin_lp(t: Triangulation, values, kind: InvariantKind, face_margin: int) 
         b.append(ONE)
     for e in range(ne):
         row = [ZERO] * n_cols
-        for col, coeff in _edge_row_pattern(t, e, kind).items():
+        for col, coeff in _edge_row_pattern(t, e, program.kind).items():
             row[col] = coeff
         row[margin_col] = Fraction(2)
         a.append(row)
-        b.append(values[e])
+        b.append(program.value(e).coeff)
     c = [ZERO] * n_cols
     c[margin_col] = -ONE
     return LpProblem(tuple(tuple(r) for r in a), tuple(b), tuple(c), "min")
 
 
-def build_construction_lp(
-    t: Triangulation, d: EdgeFunction, geometry: GeometryClass
-) -> LpProblem:
-    """The margin program deciding existence for the requested geometry.
+# theorem -> the corner transform that maps the witness of its hyperbolic
+# program back to the requested geometry (none for hyperbolic requests)
+_ROUTES = {"T1": corner_transform, "T2": None, "T3": corner_transform_inverse, "T4": None}
 
-    Hyperbolic uses the edge-invariant equations for d directly; spherical
-    goes through the transform route, prescribing the Delaunay invariant
-    2*pi - 2*d of the hyperbolic structure whose transform realizes d.
+
+def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
+    """Theorem, hyperbolic program invariant and back-transform of a request.
+
+    The program is that of the hyperbolic theorem with the same quantifier:
+    T4's (Delaunay) for T1 and T4, T2's (edge) for T2 and T3.  It prescribes
+    the invariant whose weights equal the requested theorem's weights W:
+    the edge invariant W, or the Delaunay invariant 2*pi - 2*W (as
+    pi - Dd/2 = W).  So T1 prescribes Dd = 2*pi - 2*D, T3 prescribes
+    D = pi - Dd/2, and the same subsets violate both theorems.
     """
-    if d.kind is not InvariantKind.EDGE:
-        raise RangeViolation("construction takes an edge invariant")
-    if geometry is GeometryClass.HYPERBOLIC:
-        values = [d.value(e).coeff for e in range(t.n_edges)]
-        return _margin_lp(t, values, InvariantKind.EDGE, 3)
-    if geometry is GeometryClass.SPHERICAL:
-        values = [2 - 2 * d.value(e).coeff for e in range(t.n_edges)]
-        return _margin_lp(t, values, InvariantKind.DELAUNAY, 3)
-    raise RangeViolation(f"no construction for geometry {geometry.value}")
+    theorem = theorem_for(geometry, fn.kind)
+    weights = theorem_weights(t, fn, theorem)
+    kind = InvariantKind.EDGE
+    if THEOREMS[theorem].nonempty:
+        kind, weights = InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]
+    program = EdgeFunction({e: RatPi(w) for e, w in enumerate(weights)}, kind)
+    return theorem, program, _ROUTES[theorem]
+
+
+def build_construction_lp(
+    t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
+) -> LpProblem:
+    """The margin program that construct_structure solves first, for either
+    invariant kind."""
+    _, program, _ = _route(t, fn, geometry)
+    return _margin_lp(t, program, 3)
 
 
 @dataclass(frozen=True)
@@ -451,52 +467,37 @@ def _solution_structure(t: Triangulation, x, margin) -> AngleStructure:
     return AngleStructure(values)
 
 
-def _hyperbolic_witness_ok(t, structure, fn, kind) -> bool:
-    if not structure.is_range_valid(t):
+def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry) -> bool:
+    """Angles in (0, pi), the geometry's class and invariant fn, recomputed."""
+    if not x.is_range_valid(t) or classify_structure(t, x) is not geometry:
         return False
-    if classify_structure(t, structure) is not GeometryClass.HYPERBOLIC:
-        return False
-    recomputed = (
-        edge_invariant(t, structure)
-        if kind is InvariantKind.EDGE
-        else delaunay_invariant(t, structure)
-    )
+    recomputed = invariant_of(t, x, fn.kind)
     return all(recomputed.value(e) == fn.value(e) for e in range(t.n_edges))
 
 
-def _construct_hyperbolic(t: Triangulation, fn: EdgeFunction) -> ConstructionResult:
-    """Hyperbolic structure with the prescribed invariant (edge or Delaunay),
-    or a violating subset for the matching theorem."""
-    kind = fn.kind
-    theorem = "T2" if kind is InvariantKind.EDGE else "T4"
-    values = [fn.value(e).coeff for e in range(t.n_edges)]
-    outcome = simplex_solve(_margin_lp(t, values, kind, 3))
-
+def _solve_margin(t: Triangulation, program: EdgeFunction) -> AngleStructure | None:
+    """Validated hyperbolic structure with the program's invariant, or None
+    when none exists."""
+    outcome = simplex_solve(_margin_lp(t, program, 3))
     if isinstance(outcome, Unbounded):
         raise VerificationFailed("construction program cannot be unbounded")
-    if isinstance(outcome, Infeasible):
-        return _infeasible_certificate(t, fn, theorem)
-
-    eps = -outcome.value
-    if eps > 0:
-        witness = _solution_structure(t, outcome.x, eps)
-        if _hyperbolic_witness_ok(t, witness, fn, kind):
-            return witness
-    if eps == 0:
-        return _infeasible_certificate(t, fn, theorem)
+    if isinstance(outcome, Infeasible) or outcome.value == 0:
+        return None
+    witness = _solution_structure(t, outcome.x, -outcome.value)
+    if _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
+        return witness
 
     # Optimal margin is positive but the optimal vertex sits on the Euclidean
     # boundary; decide with the uniform strict-margin program.
-    outcome2 = simplex_solve(_margin_lp(t, values, kind, 4))
-    if isinstance(outcome2, (Infeasible, Unbounded)):
+    outcome = simplex_solve(_margin_lp(t, program, 4))
+    if isinstance(outcome, (Infeasible, Unbounded)):
         raise VerificationFailed("strict-margin program must be feasible and bounded here")
-    delta = -outcome2.value
-    if delta > 0:
-        witness = _solution_structure(t, outcome2.x, delta)
-        if not _hyperbolic_witness_ok(t, witness, fn, kind):
-            raise VerificationFailed("strict-margin witness failed validation")
-        return witness
-    return _infeasible_certificate(t, fn, theorem)
+    if outcome.value == 0:
+        return None
+    witness = _solution_structure(t, outcome.x, -outcome.value)
+    if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
+        raise VerificationFailed("strict-margin witness failed validation")
+    return witness
 
 
 def _infeasible_certificate(t, fn, theorem) -> InfeasibleCertificate:
@@ -510,83 +511,24 @@ def _infeasible_certificate(t, fn, theorem) -> InfeasibleCertificate:
 
 
 def construct_structure(
-    t: Triangulation, d: EdgeFunction, geometry: GeometryClass
+    t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> ConstructionResult:
-    """Witness structure with edge invariant d, or a violating face subset.
+    """Witness of the geometry with edge or Delaunay invariant fn, or a face
+    subset violating the theorem (T1-T4) for that pair.
 
-    Hyperbolic solves the margin program directly.  Spherical prescribes
-    the Delaunay invariant 2*pi - 2*d to a hyperbolic structure and maps
-    it through the corner transform; the result is re-validated and its
-    edge invariant equals d exactly.
+    Solves the hyperbolic margin program of the theorem's route and maps
+    its witness back with the route's corner transform.  The returned
+    witness has been checked for range, class and recomputed invariant.
     """
-    if d.kind is not InvariantKind.EDGE:
-        raise RangeViolation("construct_structure takes an edge invariant")
-    if geometry is GeometryClass.HYPERBOLIC:
-        theorem_weights(t, d, "T2")
-        return _construct_hyperbolic(t, d)
-    if geometry is not GeometryClass.SPHERICAL:
-        raise RangeViolation(f"no construction for geometry {geometry.value}")
-
-    theorem_weights(t, d, "T1")
-    dd = EdgeFunction(
-        {e: RatPi(2 - 2 * d.value(e).coeff) for e in range(t.n_edges)},
-        InvariantKind.DELAUNAY,
-    )
-    result = _construct_hyperbolic(t, dd)
-    if isinstance(result, InfeasibleCertificate):
-        # pi - dd/2 = d, so the T4 inequality for dd is literally the T1
-        # inequality for d on the same subset.
-        slack = subset_slack(t, d, "T1", result.subset)
-        if slack != result.slack:
-            raise VerificationFailed("T4/T1 certificate slack mismatch")
-        return InfeasibleCertificate(result.subset, slack, "T1")
-    spherical = corner_transform(t, result)
-    if not spherical.is_range_valid(t):
-        raise VerificationFailed("transformed witness left (0, pi)")
-    if classify_structure(t, spherical) is not GeometryClass.SPHERICAL:
-        raise VerificationFailed("transformed witness is not spherical")
-    recomputed = edge_invariant(t, spherical)
-    if any(recomputed.value(e) != d.value(e) for e in range(t.n_edges)):
-        raise VerificationFailed("transformed witness has wrong edge invariant")
-    return spherical
-
-
-def construct_hyperbolic_with_delaunay(
-    t: Triangulation, dd: EdgeFunction
-) -> ConstructionResult:
-    """Hyperbolic structure with Delaunay invariant dd, or a T4-violating subset."""
-    if dd.kind is not InvariantKind.DELAUNAY:
-        raise RangeViolation("expected a Delaunay invariant")
-    theorem_weights(t, dd, "T4")
-    return _construct_hyperbolic(t, dd)
-
-
-def construct_spherical_with_delaunay(
-    t: Triangulation, dd: EdgeFunction
-) -> ConstructionResult:
-    """Spherical structure with Delaunay invariant dd, or a T3-violating subset.
-
-    Builds the hyperbolic structure with edge invariant pi - dd/2 and
-    inverts the corner substitution (the forward direction maps spherical
-    onto hyperbolic); the result carries Delaunay invariant
-    2*pi - 2*(pi - dd/2) = dd exactly.
-    """
-    if dd.kind is not InvariantKind.DELAUNAY:
-        raise RangeViolation("expected a Delaunay invariant")
-    theorem_weights(t, dd, "T3")
-    reduced = reduce_delaunay_to_edge(dd, t)
-    result = _construct_hyperbolic(t, reduced)
-    if isinstance(result, InfeasibleCertificate):
-        return InfeasibleCertificate(result.subset, result.slack, "T3")
-    spherical = corner_transform_inverse(t, result)
-    if not spherical.is_range_valid(t):
-        raise VerificationFailed("transformed witness left (0, pi)")
-    if classify_structure(t, spherical) is not GeometryClass.SPHERICAL:
-        raise VerificationFailed("transformed witness is not spherical")
-    recomputed = delaunay_invariant(t, spherical)
-    if any(recomputed.value(e) != dd.value(e) for e in range(t.n_edges)):
-        raise VerificationFailed("transformed witness has wrong Delaunay invariant")
-    return spherical
+    theorem, program, transform = _route(t, fn, geometry)
+    witness = _solve_margin(t, program)
+    if witness is None:
+        return _infeasible_certificate(t, fn, theorem)
+    if transform is not None:
+        witness = transform(t, witness)
+        if not _witness_ok(t, witness, fn, geometry):
+            raise VerificationFailed(f"transformed witness fails validation against {theorem}")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +536,9 @@ def construct_spherical_with_delaunay(
 
 
 def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) -> FeasibilityReport:
-    """Same verdict surface as the enumeration checkers, decided by LP.
-
-    Dispatch: (spherical, edge) -> T1, (hyperbolic, edge) -> T2,
-    (spherical, delaunay) -> T3 via the pi - dd/2 reduction,
-    (hyperbolic, delaunay) -> T4.
-    """
-    if fn.kind is InvariantKind.EDGE:
-        theorem = "T1" if geometry is GeometryClass.SPHERICAL else "T2"
-        result = construct_structure(t, fn, geometry)
-    elif geometry is GeometryClass.SPHERICAL:
-        theorem = "T3"
-        theorem_weights(t, fn, "T3")
-        result = construct_structure(t, reduce_delaunay_to_edge(fn, t), GeometryClass.HYPERBOLIC)
-    else:
-        theorem = "T4"
-        result = construct_hyperbolic_with_delaunay(t, fn)
+    """Same verdict surface as the enumeration checkers, decided by
+    construct_structure."""
+    result = construct_structure(t, fn, geometry)
     if isinstance(result, InfeasibleCertificate):
-        return make_report(theorem, True, result.subset, result.slack.coeff)
-    return make_report(theorem, False, None, None)
+        return make_report(result.theorem, True, result.subset, result.slack.coeff)
+    return make_report(theorem_for(geometry, fn.kind), False, None, None)

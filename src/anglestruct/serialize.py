@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
-from .errors import AngleStructError, MissingCorner
+from .errors import AngleStructError, MalformedRational, MissingCorner
 from .feasibility import FeasibilityReport
 from .ratpi import parse as parse_ratpi
 from .surface import Corner, Triangulation, validate
@@ -19,6 +19,13 @@ from .surface import Corner, Triangulation, validate
 
 class InvalidInstance(AngleStructError):
     """Instance file violates the documented JSON schema."""
+
+
+def _rational(text: Any):
+    try:
+        return parse_ratpi(text)
+    except ValueError:  # more digits than int() converts
+        raise MalformedRational(f"{text[:12]}... has too many digits") from None
 
 
 def edge_function_to_json(t: Triangulation, fn: EdgeFunction) -> dict:
@@ -46,7 +53,7 @@ def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | No
             raise InvalidInstance(f"invariant key {key!r} is not an edge index") from None
         if not 0 <= e < t.n_edges:
             raise InvalidInstance(f"invariant names unknown edge {e}")
-        values[e] = parse_ratpi(text)
+        values[e] = _rational(text)
     missing = [e for e in range(t.n_edges) if e not in values]
     if missing:
         raise InvalidInstance(f"invariant missing edges {missing}")
@@ -76,7 +83,7 @@ def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
             raise InvalidInstance(f"bad corner key {key!r}") from None
         if not (0 <= corner.face < t.n_faces and 0 <= corner.slot < 3):
             raise InvalidInstance(f"corner {key} outside the triangulation")
-        values[corner] = parse_ratpi(text)
+        values[corner] = _rational(text)
     structure = AngleStructure(values)
     try:
         structure.check_complete(t)

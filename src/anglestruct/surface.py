@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import Disconnected, EdgeDegree, EmptyTriangulation, TooLarge, UnknownEdge
+from .errors import Disconnected, EdgeDegree, EmptyTriangulation, UnknownEdge
 
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -132,25 +132,3 @@ def edge_set(t: Triangulation, subset: FaceSubset) -> frozenset[int]:
         out.update(t.faces[f])
     return frozenset(out)
 
-
-def enumerate_subsets(
-    t: Triangulation,
-    include_empty: bool,
-    include_full: bool,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[FaceSubset]:
-    """Yield face subsets once each, filtered by the empty/full flags.
-
-    Refuses instances above the enumeration cap; callers with more faces
-    must take the LP path instead.
-    """
-    n = t.n_faces
-    if n > cap:
-        raise TooLarge(f"{n} faces exceeds enumeration cap {cap}")
-    full = (1 << n) - 1
-    for mask in range(1 << n):
-        if mask == 0 and not include_empty:
-            continue
-        if mask == full and not include_full:
-            continue
-        yield frozenset(f for f in range(n) if mask >> f & 1)

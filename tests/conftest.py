@@ -40,3 +40,10 @@ def self_glued():
 def const_fn(t, value, kind=InvariantKind.EDGE) -> EdgeFunction:
     coeff = Fraction(*value) if isinstance(value, tuple) else Fraction(value)
     return EdgeFunction({e: RatPi(coeff) for e in range(t.n_edges)}, kind)
+
+
+def face_subsets(t, nonempty_proper=False):
+    """Every face subset of t, or only the nonempty proper ones."""
+    n = t.n_faces
+    masks = range(1, (1 << n) - 1) if nonempty_proper else range(1 << n)
+    return [frozenset(f for f in range(n) if m >> f & 1) for m in masks]

@@ -20,7 +20,6 @@ from anglestruct import (
     check_spherical_delaunay,
     check_spherical_edge,
     classify_structure,
-    construct_spherical_with_delaunay,
     construct_structure,
     delaunay_invariant,
     edge_invariant,
@@ -43,8 +42,8 @@ from anglestruct.sampling import (
     random_structure,
     random_triangulation,
 )
-from anglestruct.surface import edge_set, enumerate_subsets
-from conftest import TETRA_FACES, const_fn
+from anglestruct.surface import edge_set
+from conftest import TETRA_FACES, const_fn, face_subsets
 
 FACE_COUNTS = [2, 4, 6, 8, 10]
 
@@ -124,7 +123,7 @@ def test_criterion_3_delaunay_reduction():
         assert r3.slack == r2.slack
         if r3.verdict is Verdict.FEASIBLE:
             feasible_cases += 1
-            witness = construct_spherical_with_delaunay(t, dd)
+            witness = construct_structure(t, dd, GeometryClass.SPHERICAL)
             assert isinstance(witness, AngleStructure)
             assert classify_structure(t, witness) is GeometryClass.SPHERICAL
             recomputed = delaunay_invariant(t, witness)
@@ -228,7 +227,7 @@ def test_criterion_7_subset_edge_counting():
     checked = 0
     for trial in range(60):
         t = random_triangulation(FACE_COUNTS[trial % 5], rng)
-        for subset in enumerate_subsets(t, False, False):
+        for subset in face_subsets(t, nonempty_proper=True):
             assert 2 * len(edge_set(t, subset)) >= 3 * len(subset) + 1, (trial, subset)
             checked += 1
     announce(7, True, f"2|E(X)| >= 3|X|+1 held on {checked} nonempty proper subsets (exhaustive)")

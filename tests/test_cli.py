@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from anglestruct import lp
 from anglestruct.cli import main
+from anglestruct.feasibility import make_report
 from conftest import TETRA_FACES
 
 
@@ -243,6 +245,21 @@ def test_dump_lp_goes_to_stderr(tmp_path, capsys):
     assert code == 0
     assert captured.err.startswith("min ")
     json.loads(captured.out)  # stdout still clean JSON
+    # Delaunay invariants dump the program that construct solves, too
+    payload = {
+        "faces": TETRA_FACES,
+        "invariant": {"kind": "delaunay", "values": {str(e): "3/5" for e in range(6)}},
+    }
+    path = write_instance(tmp_path, payload, "delaunay.json")
+    for argv in (
+        ["check", path, "--geometry", "hyperbolic", "--invariant", "delaunay", "--dump-lp"],
+        ["construct", path, "--geometry", "hyperbolic", "--dump-lp"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.startswith("min ")
+        json.loads(captured.out)
 
 
 def test_missing_file(capsys):
@@ -279,3 +296,16 @@ def test_bad_cap_environment_exits_2(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvalidSetting"
+
+
+def test_cross_check_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    # an LP decider that claims feasibility on an infeasible instance is a
+    # bug, reported apart from invalid input
+    monkeypatch.setattr(lp, "check_via_lp", lambda t, fn, geometry: make_report("T2", False, None, None))
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    code, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
+    assert code == 3
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "VerificationFailed"
+    assert "cross-check disagreement" in error["message"]

@@ -16,8 +16,6 @@ from anglestruct import (
     check_spherical_delaunay,
     check_spherical_edge,
     classify_structure,
-    construct_hyperbolic_with_delaunay,
-    construct_spherical_with_delaunay,
     construct_structure,
     delaunay_invariant,
     edge_invariant,
@@ -78,22 +76,22 @@ def test_construction_range_checks(tetra):
         construct_structure(tetra, const_fn(tetra, 2), GeometryClass.HYPERBOLIC)
     with pytest.raises(RangeViolation):
         construct_structure(
-            tetra, const_fn(tetra, (1, 2), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
+            tetra, const_fn(tetra, (-1, 2), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
         )
     with pytest.raises(RangeViolation):
         construct_structure(tetra, const_fn(tetra, (1, 2)), GeometryClass.EUCLIDEAN)
 
 
 def test_delaunay_constructions(tetra):
-    w = construct_hyperbolic_with_delaunay(
-        tetra, const_fn(tetra, (3, 5), InvariantKind.DELAUNAY)
+    w = construct_structure(
+        tetra, const_fn(tetra, (3, 5), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
     )
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.HYPERBOLIC
     assert all(delaunay_invariant(tetra, w).value(e) == RatPi(3, 5) for e in range(6))
 
-    cert = construct_hyperbolic_with_delaunay(
-        tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY)
+    cert = construct_structure(
+        tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
     )
     assert isinstance(cert, InfeasibleCertificate)
     assert cert.theorem == "T4"
@@ -101,8 +99,8 @@ def test_delaunay_constructions(tetra):
         tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), "T4", cert.subset
     ).coeff <= 0
 
-    w = construct_spherical_with_delaunay(
-        tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY)
+    w = construct_structure(
+        tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), GeometryClass.SPHERICAL
     )
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.SPHERICAL

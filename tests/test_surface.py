@@ -9,7 +9,6 @@ from anglestruct.errors import (
     Disconnected,
     EdgeDegree,
     EmptyTriangulation,
-    TooLarge,
     UnknownEdge,
 )
 from anglestruct.sampling import random_triangulation
@@ -17,10 +16,9 @@ from anglestruct.surface import (
     Corner,
     corners_facing,
     edge_set,
-    enumerate_subsets,
     validate,
 )
-from conftest import SELF_GLUED_FACES, TETRA_FACES
+from conftest import TETRA_FACES, face_subsets
 
 
 def test_tetrahedron_validates(tetra):
@@ -89,31 +87,11 @@ def test_edge_set(tetra):
 
 
 def test_edge_set_monotone(tetra):
-    subsets = list(enumerate_subsets(tetra, True, True))
+    subsets = face_subsets(tetra)
     for x in subsets:
         for y in subsets:
             if x <= y:
                 assert edge_set(tetra, x) <= edge_set(tetra, y)
-
-
-def test_enumerate_subsets_counts(tetra):
-    assert sum(1 for _ in enumerate_subsets(tetra, False, True)) == 15
-    assert sum(1 for _ in enumerate_subsets(tetra, True, False)) == 15
-    assert sum(1 for _ in enumerate_subsets(tetra, True, True)) == 16
-    two = validate(SELF_GLUED_FACES)
-    assert set(map(frozenset, enumerate_subsets(two, True, True))) == {
-        frozenset(),
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({0, 1}),
-    }
-
-
-def test_enumerate_subsets_cap():
-    rng = random.Random(5)
-    t = random_triangulation(8, rng)
-    with pytest.raises(TooLarge):
-        list(enumerate_subsets(t, True, True, cap=6))
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,5 +106,5 @@ def test_generated_instances_satisfy_counting_identity(seed, n):
 def test_proper_subsets_cover_extra_edges(seed, n):
     # 2|E(X)| >= 3|X| + 1 for every nonempty proper subset of a connected surface
     t = random_triangulation(n, random.Random(seed))
-    for subset in enumerate_subsets(t, False, False):
+    for subset in face_subsets(t, nonempty_proper=True):
         assert 2 * len(edge_set(t, subset)) >= 3 * len(subset) + 1
