@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--cross-check", action="store_true", help="run enumeration, LP and flow, require agreement"
     )
-    p_check.add_argument("--dump-lp", action="store_true", help="dump construction programs to stderr")
+    p_check.add_argument("--dump-lp", action="store_true", help="dump the construction program to stderr")
     p_check.set_defaults(func=cmd_check)
 
     p_con = sub.add_parser("construct", help="explicit witness structure or certificate")

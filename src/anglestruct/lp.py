@@ -7,18 +7,19 @@ optimum the dual multipliers are read off the reduced costs of each row's
 initial unit column; when phase 1 ends positive the same read yields a
 Farkas vector (A^t y <= 0, b^t y > 0).
 
-Construction works on the margin formulation x_i = a_i + eps: maximizing
-eps subject to the face bound a_i+a_j+a_k+3*eps <= pi and the invariant
-equations (facing pair + 2*eps for an edge invariant, signed corner sum
-+ 2*eps for a Delaunay invariant).  A positive optimum usually yields an
-interior witness directly.  On the boundary (optimal point with some face
-angle sum exactly pi) a second program maximizing a uniform strict margin
-(4*delta in the face rows) settles existence exactly.  Each of T1-T4
-solves one of the two hyperbolic programs (edge or Delaunay invariant)
-and maps its witness back with the corner transform where the geometry
-is spherical (``_ROUTES``).
+Construction solves one margin program over x_i = a_i + m, a_i >= 0:
+maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
+invariant equations (facing pair + 2*m for an edge invariant, signed
+corner sum + 2*m for a Delaunay invariant).  Every corner is then at
+least m and every face sum at most pi - m, so a positive optimum is a
+strictly hyperbolic witness; and a strictly hyperbolic witness is a
+feasible point with m = min(min x_i, pi - max face sum) > 0, so an
+optimum of 0 or an infeasible program means that no witness exists.
+Each of T1-T4 solves the program of a hyperbolic theorem (edge or
+Delaunay invariant) and maps its witness back with the corner transform
+where the geometry is spherical (``_ROUTES``).
 
-When a program shows that no witness exists, the violating face subset
+When the program shows that no witness exists, the violating face subset
 and its exact slack come from the minimum cut of
 ``feasibility.check_via_flow``; the cut must agree that the instance is
 infeasible, and its subset is re-evaluated exactly.
@@ -371,36 +372,29 @@ def _corner_col(corner: Corner) -> int:
 def _edge_row_pattern(t: Triangulation, e: int, kind: InvariantKind) -> dict[int, Fraction]:
     """Corner-column coefficients of edge e's invariant equation."""
     coeffs: dict[int, Fraction] = {}
-
-    def bump(corner, delta):
-        col = _corner_col(corner)
-        coeffs[col] = coeffs.get(col, ZERO) + delta
-
-    for facing in t.edge_corners[e]:
+    for f, k in t.edge_corners[e]:
         if kind is InvariantKind.EDGE:
-            bump(facing, ONE)
+            terms = [(k, ONE)]
         else:
-            bump(facing, -ONE)
-            f, k = facing
-            bump(Corner(f, (k + 1) % 3), ONE)
-            bump(Corner(f, (k + 2) % 3), ONE)
+            terms = [(k, -ONE), ((k + 1) % 3, ONE), ((k + 2) % 3, ONE)]
+        for slot, delta in terms:
+            coeffs[3 * f + slot] = coeffs.get(3 * f + slot, ZERO) + delta
     return coeffs
 
 
-def _margin_lp(t: Triangulation, program: EdgeFunction, face_margin: int) -> LpProblem:
-    """min -margin over a_i, s_f, margin with face rows
-    a_i+a_j+a_k + face_margin*m + s_f = pi and invariant rows pattern + 2m = value."""
+def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
+    """min -m over a_i, s_f, m with face rows a_i+a_j+a_k + 4m + s_f = pi
+    and invariant rows pattern + 2m = value."""
     nf, ne = t.n_faces, t.n_edges
     n_cols = 3 * nf + nf + 1
     margin_col = 4 * nf
-    a = []
-    b = []
+    a, b = [], []
     for f in range(nf):
         row = [ZERO] * n_cols
         for k in range(3):
             row[3 * f + k] = ONE
         row[3 * nf + f] = ONE
-        row[margin_col] = Fraction(face_margin)
+        row[margin_col] = Fraction(4)
         a.append(row)
         b.append(ONE)
     for e in range(ne):
@@ -442,10 +436,10 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
 def build_construction_lp(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> LpProblem:
-    """The margin program that construct_structure solves first, for either
+    """The margin program that construct_structure solves, for either
     invariant kind."""
     _, program, _ = _route(t, fn, geometry)
-    return _margin_lp(t, program, 3)
+    return _margin_lp(t, program)
 
 
 @dataclass(frozen=True)
@@ -461,10 +455,7 @@ ConstructionResult = AngleStructure | InfeasibleCertificate
 
 
 def _solution_structure(t: Triangulation, x, margin) -> AngleStructure:
-    values = {}
-    for corner in t.corners():
-        values[corner] = RatPi(x[_corner_col(corner)] + margin)
-    return AngleStructure(values)
+    return AngleStructure({c: RatPi(x[_corner_col(c)] + margin) for c in t.corners()})
 
 
 def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry) -> bool:
@@ -478,25 +469,14 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 def _solve_margin(t: Triangulation, program: EdgeFunction) -> AngleStructure | None:
     """Validated hyperbolic structure with the program's invariant, or None
     when none exists."""
-    outcome = simplex_solve(_margin_lp(t, program, 3))
+    outcome = simplex_solve(_margin_lp(t, program))
     if isinstance(outcome, Unbounded):
         raise VerificationFailed("construction program cannot be unbounded")
     if isinstance(outcome, Infeasible) or outcome.value == 0:
         return None
     witness = _solution_structure(t, outcome.x, -outcome.value)
-    if _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
-        return witness
-
-    # Optimal margin is positive but the optimal vertex sits on the Euclidean
-    # boundary; decide with the uniform strict-margin program.
-    outcome = simplex_solve(_margin_lp(t, program, 4))
-    if isinstance(outcome, (Infeasible, Unbounded)):
-        raise VerificationFailed("strict-margin program must be feasible and bounded here")
-    if outcome.value == 0:
-        return None
-    witness = _solution_structure(t, outcome.x, -outcome.value)
     if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
-        raise VerificationFailed("strict-margin witness failed validation")
+        raise VerificationFailed("margin witness failed validation")
     return witness
 
 

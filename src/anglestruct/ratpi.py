@@ -106,8 +106,11 @@ def parse(text: str) -> RatPi:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise MalformedRational(repr(text))
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # more digits than int() converts
+        raise MalformedRational(f"{text[:12]}... has too many digits") from None
     if den == 0:
         raise ZeroDenominator(text)
     return RatPi(num, den)

@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
-from .errors import AngleStructError, MalformedRational, MissingCorner
+from .errors import AngleStructError, MissingCorner
 from .feasibility import FeasibilityReport
 from .ratpi import parse as parse_ratpi
 from .surface import Corner, Triangulation, validate
@@ -21,11 +21,22 @@ class InvalidInstance(AngleStructError):
     """Instance file violates the documented JSON schema."""
 
 
-def _rational(text: Any):
+def _index(key: Any, what: str) -> int:
+    """A key's index; only the canonical decimal form names one."""
     try:
-        return parse_ratpi(text)
-    except ValueError:  # more digits than int() converts
-        raise MalformedRational(f"{text[:12]}... has too many digits") from None
+        index = int(key)
+    except (TypeError, ValueError):
+        index = None
+    if index is None or str(index) != key:
+        raise InvalidInstance(f"{what} {key!r} is not a canonical decimal index")
+    return index
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise InvalidInstance("an object in the instance repeats a key")
+    return obj
 
 
 def edge_function_to_json(t: Triangulation, fn: EdgeFunction) -> dict:
@@ -47,13 +58,10 @@ def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | No
         raise InvalidInstance("invariant values must be a map from edge index to rational")
     values = {}
     for key, text in obj["values"].items():
-        try:
-            e = int(key)
-        except ValueError:
-            raise InvalidInstance(f"invariant key {key!r} is not an edge index") from None
+        e = _index(key, "invariant key")
         if not 0 <= e < t.n_edges:
             raise InvalidInstance(f"invariant names unknown edge {e}")
-        values[e] = _rational(text)
+        values[e] = parse_ratpi(text)
     missing = [e for e in range(t.n_edges) if e not in values]
     if missing:
         raise InvalidInstance(f"invariant missing edges {missing}")
@@ -78,12 +86,14 @@ def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
         key, text = entry
         try:
             face_text, slot_text = key.split("/")
-            corner = Corner(int(face_text), int(slot_text))
         except (ValueError, AttributeError):
             raise InvalidInstance(f"bad corner key {key!r}") from None
+        corner = Corner(_index(face_text, "corner face"), _index(slot_text, "corner slot"))
         if not (0 <= corner.face < t.n_faces and 0 <= corner.slot < 3):
             raise InvalidInstance(f"corner {key} outside the triangulation")
-        values[corner] = _rational(text)
+        if corner in values:
+            raise InvalidInstance(f"corner {key} given twice")
+        values[corner] = parse_ratpi(text)
     structure = AngleStructure(values)
     try:
         structure.check_complete(t)
@@ -114,7 +124,7 @@ def load_instance(path: str):
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise InvalidInstance(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "faces" not in obj:

@@ -190,7 +190,7 @@ def test_criterion_5_golden_tetrahedron_table():
     r = check_hyperbolic_edge(t, const_fn(t, (3, 5)))
     checks.append(r.verdict is Verdict.FEASIBLE and r.slack == RatPi(2, 5))
     outcome = simplex_solve(build_construction_lp(t, const_fn(t, (3, 5)), GeometryClass.HYPERBOLIC))
-    checks.append(isinstance(outcome, Optimal) and -outcome.value == Fraction(3, 10))
+    checks.append(isinstance(outcome, Optimal) and -outcome.value == Fraction(1, 10))
 
     from anglestruct import check_closure
 

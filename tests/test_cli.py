@@ -18,6 +18,9 @@ def tetra_payload(value="7/10"):
     return {"faces": TETRA_FACES, "D": {str(e): value for e in range(6)}}
 
 
+CORNERS = [[f"{f}/{k}", "1/3"] for f in range(4) for k in range(3)]
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -121,7 +124,12 @@ def test_construct_spherical_golden(tmp_path, capsys):
     code, out = run(capsys, ["construct", path, "--geometry", "spherical"])
     assert code == 0
     structure = json.loads(out)
-    assert all(value == "7/20" for _, value in structure["corners"])
+    assert structure["corners"] == [
+        ["0/0", "11/20"], ["0/1", "7/20"], ["0/2", "3/20"],
+        ["1/0", "3/20"], ["1/1", "11/20"], ["1/2", "7/20"],
+        ["2/0", "7/20"], ["2/1", "3/20"], ["2/2", "11/20"],
+        ["3/0", "11/20"], ["3/1", "7/20"], ["3/2", "3/20"],
+    ]
 
 
 def test_invariants_euclidean(tmp_path, capsys):
@@ -278,11 +286,29 @@ def test_missing_file(capsys):
         ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "0": 1}}, "MalformedRational"),
         ({"faces": [[0, True, 2], [0, 3, 4], [True, 3, 5], [2, 4, 5]], "D": tetra_payload()["D"]}, "InvalidInstance"),
         ({**tetra_payload(), "structure": {"corners": 5}}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "00": "1/2"}}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "+0": "1/2"}}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], " 0": "1/2"}}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "0_0": "1/2"}}, "InvalidInstance"),
+        (json.dumps(tetra_payload())[:-2] + ', "0": "1/2"}}', "InvalidInstance"),
+        ({**tetra_payload(), "structure": {"corners": [["0/0", "1/3"]] + CORNERS}}, "InvalidInstance"),
+        ({**tetra_payload(), "structure": {"corners": [["00/0", "1/3"]] + CORNERS[1:]}}, "InvalidInstance"),
+        ({**tetra_payload(), "structure": {"corners": [["0/+0", "1/3"]] + CORNERS[1:]}}, "InvalidInstance"),
     ],
-    ids=["faces-not-a-list", "D-as-list", "rational-as-number", "true-as-edge-id", "corners-not-a-list"],
+    ids=[
+        "faces-not-a-list", "D-as-list", "rational-as-number", "true-as-edge-id", "corners-not-a-list",
+        "edge-key-leading-zero", "edge-key-plus", "edge-key-space", "edge-key-underscore",
+        "edge-key-repeated", "corner-key-repeated", "corner-key-leading-zero", "corner-slot-plus",
+    ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
-    path = write_instance(tmp_path, payload)
+    # a str payload is raw file text, for JSON that json.dumps cannot produce
+    if isinstance(payload, str):
+        path = tmp_path / "inst.json"
+        path.write_text(payload)
+        path = str(path)
+    else:
+        path = write_instance(tmp_path, payload)
     code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
     assert code == 2
     error = json.loads(out)["error"]

@@ -20,6 +20,8 @@ from anglestruct import (
     delaunay_invariant,
     edge_invariant,
     check_via_flow,
+    lp,
+    validate,
 )
 from anglestruct.errors import RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
@@ -29,7 +31,7 @@ from anglestruct.sampling import (
     random_structure,
     random_triangulation,
 )
-from conftest import const_fn
+from conftest import SELF_GLUED_FACES, TETRA_FACES, const_fn
 
 
 def test_hyperbolic_construction_golden(tetra):
@@ -47,12 +49,36 @@ def test_hyperbolic_construction_golden(tetra):
 
 
 def test_hyperbolic_boundary_equality(tetra):
-    # eps* = pi/3 > 0 but every optimal point has Euclidean faces; the
-    # strict-margin program settles it and the certificate is the empty set
+    # the face rows sum to A + 16m + S = 4 and the edge rows to A + 12m = 4,
+    # so the program's optimum is exactly 0; the certificate is the empty set
     cert = construct_structure(tetra, const_fn(tetra, (2, 3)), GeometryClass.HYPERBOLIC)
     assert isinstance(cert, InfeasibleCertificate)
     assert cert.subset == frozenset()
     assert cert.slack == RatPi(0)
+
+
+@pytest.mark.parametrize(
+    "faces, value, geometry",
+    [
+        (TETRA_FACES, (2, 3), GeometryClass.HYPERBOLIC),
+        (TETRA_FACES, (7, 10), GeometryClass.SPHERICAL),
+        (SELF_GLUED_FACES, (1, 2), GeometryClass.HYPERBOLIC),
+    ],
+    ids=["tetra-boundary-hyperbolic", "tetra-spherical", "self-glued-hyperbolic"],
+)
+def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, geometry):
+    solved = []
+    solve = lp.simplex_solve
+
+    def recording(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "simplex_solve", recording)
+    t = validate(faces)
+    fn = const_fn(t, value)
+    construct_structure(t, fn, geometry)
+    assert solved == [lp.build_construction_lp(t, fn, geometry)]
 
 
 def test_spherical_construction_golden(tetra):
@@ -241,8 +267,8 @@ def test_coverage_deficit_matches_enumeration_sign(seed, n):
 @given(seed=st.integers(0, 10**6))
 def test_equality_boundary_instances(seed):
     # scale a realizable invariant so the totals exactly fill pi*|F|;
-    # the open problem then fails by equality at the empty subset and the
-    # margin program alone cannot see it
+    # the open problem then fails by equality at the empty subset, where
+    # the margin program's optimum is exactly 0
     from anglestruct import EdgeFunction
 
     rng = random.Random(seed)

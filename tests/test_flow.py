@@ -35,7 +35,8 @@ from anglestruct import (
 )
 from anglestruct.cli import main
 from anglestruct.errors import Disconnected, RangeViolation
-from anglestruct.feasibility import min_cut, subset_slack
+from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
+from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
 from conftest import SELF_GLUED_FACES, const_fn
 
@@ -115,10 +116,15 @@ def nudged_boundary_values(t, theorem, rng):
     return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
 
 
-def cross_check_instance(t, rng):
+def cross_check_instance(t, rng, with_lp=False):
+    """Flow against enumeration on all five theorems and, with_lp, the
+    construction program's verdict against flow on T1-T4."""
     for theorem, (lo, hi, kind) in DOMAINS.items():
-        assert_flow_matches_enumeration(t, random_edge_values(t, rng, lo, hi, kind), theorem)
-        assert_flow_matches_enumeration(t, nudged_boundary_values(t, theorem, rng), theorem)
+        for fn in (random_edge_values(t, rng, lo, hi, kind), nudged_boundary_values(t, theorem, rng)):
+            flow = assert_flow_matches_enumeration(t, fn, theorem)
+            if with_lp and theorem != "L7":
+                lp_report = check_via_lp(t, fn, THEOREMS[theorem].geometry)
+                assert lp_report.verdict is flow.verdict, theorem
 
 
 def test_flow_matches_enumeration_seeded():
@@ -126,8 +132,9 @@ def test_flow_matches_enumeration_seeded():
     for trial in range(60):
         n = 2 * (trial % 5 + 1)
         t = random_gluing(n, rng) if trial % 2 else random_triangulation(n, rng)
-        cross_check_instance(t, rng)
-    cross_check_instance(validate(SELF_GLUED_FACES), rng)
+        # the program on half the trials, both gluings and every size
+        cross_check_instance(t, rng, with_lp=trial % 4 < 2)
+    cross_check_instance(validate(SELF_GLUED_FACES), rng, with_lp=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -156,11 +156,14 @@ def test_construction_lp_symmetric_optimum(tetra):
     problem = build_construction_lp(tetra, const_fn(tetra, (3, 5)), GeometryClass.HYPERBOLIC)
     out = simplex_solve(problem)
     assert isinstance(out, Optimal)
-    assert -out.value == Fraction(3, 10)  # the edge equations force a = 0
-    assert all(out.x[j] == 0 for j in range(12))
+    # the face rows sum to A + 16m + S = 4 and the edge rows to A + 12m = 18/5
+    # (A the corner mass, S the face slacks), so 4m + S = 2/5: m = 1/10 and
+    # every face slack is 0
+    assert -out.value == Fraction(1, 10)
+    assert all(out.x[j] == 0 for j in range(12, 16))
 
-    # D = 7pi/10 overfills every face budget: total corner mass 21pi/5 - 12eps
-    # against capacity 4pi - 12eps, so the program is infeasible outright
+    # D = 7pi/10 overfills every face budget: total corner mass 21pi/5 - 12m
+    # against capacity 4pi - 16m, so the program is infeasible outright
     infeasible_side = build_construction_lp(
         tetra, const_fn(tetra, (7, 10)), GeometryClass.HYPERBOLIC
     )

@@ -36,6 +36,13 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_parse_too_many_digits():
+    # beyond the digits int() converts, parse still raises its own error
+    for bad in ("9" * 5000, "1/" + "9" * 5000):
+        with pytest.raises(MalformedRational, match="too many digits"):
+            parse(bad)
+
+
 def test_angle_times_angle_is_rejected():
     with pytest.raises(TypeError):
         RatPi(1, 2) * RatPi(1, 3)
