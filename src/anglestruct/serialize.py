@@ -21,17 +21,6 @@ class InvalidInstance(AngleStructError):
     """Instance file violates the documented JSON schema."""
 
 
-def _index(key: Any, what: str) -> int:
-    """A key's index; only the canonical decimal form names one."""
-    try:
-        index = int(key)
-    except (TypeError, ValueError):
-        index = None
-    if index is None or str(index) != key:
-        raise InvalidInstance(f"{what} {key!r} is not a canonical decimal index")
-    return index
-
-
 def _unique_keys(pairs):
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -56,12 +45,13 @@ def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | No
             raise InvalidInstance(f"unknown invariant kind {obj.get('kind')!r}") from None
     if not isinstance(obj["values"], dict):
         raise InvalidInstance("invariant values must be a map from edge index to rational")
+    # only the canonical decimal form names an edge, so no two keys name one
+    names = {str(e): e for e in range(t.n_edges)}
     values = {}
     for key, text in obj["values"].items():
-        e = _index(key, "invariant key")
-        if not 0 <= e < t.n_edges:
-            raise InvalidInstance(f"invariant names unknown edge {e}")
-        values[e] = parse_ratpi(text)
+        if key not in names:
+            raise InvalidInstance(f"invariant key {key!r} is not the canonical decimal index of an edge")
+        values[names[key]] = parse_ratpi(text)
     missing = [e for e in range(t.n_edges) if e not in values]
     if missing:
         raise InvalidInstance(f"invariant missing edges {missing}")
@@ -79,18 +69,16 @@ def structure_to_json(t: Triangulation, x: AngleStructure) -> dict:
 def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
     if not isinstance(obj, dict) or not isinstance(obj.get("corners"), list):
         raise InvalidInstance("structure must be an object with a 'corners' list")
+    # as for edges, only the form structure_to_json writes names a corner
+    names = {f"{c.face}/{c.slot}": c for c in t.corners()}
     values = {}
     for entry in obj["corners"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise InvalidInstance(f"bad corner entry {entry!r}")
         key, text = entry
-        try:
-            face_text, slot_text = key.split("/")
-        except (ValueError, AttributeError):
-            raise InvalidInstance(f"bad corner key {key!r}") from None
-        corner = Corner(_index(face_text, "corner face"), _index(slot_text, "corner slot"))
-        if not (0 <= corner.face < t.n_faces and 0 <= corner.slot < 3):
-            raise InvalidInstance(f"corner {key} outside the triangulation")
+        corner = names.get(key) if isinstance(key, str) else None
+        if corner is None:
+            raise InvalidInstance(f"corner key {key!r} is not the canonical face/slot of a corner")
         if corner in values:
             raise InvalidInstance(f"corner {key} given twice")
         values[corner] = parse_ratpi(text)
