@@ -16,10 +16,11 @@ X, T2/T3/L7 over proper X shifted by the constant |F| - W(E).  The weight
 W is the invariant itself for T1, T2 and L7 and pi - Dd/2 for T3 and T4.
 
 The enumerators walk subsets in Gray-code order, maintaining per-edge
-incidence counts so each step costs O(1) exact-rational updates.  Their
-verdicts report the minimum slack over all checked subsets and, when
-infeasible, the violating subset with minimal slack (ties: smaller size,
-then smaller membership bitmask).
+incidence counts so each step costs O(1) integer updates of the slack
+scaled by L, the lcm of the weight denominators.  Their verdicts report
+the minimum slack over all checked subsets and, when infeasible, the
+violating subset with minimal slack (ties: smaller size, then smaller
+membership bitmask); the slack of that subset is re-evaluated exactly.
 
 ``check_via_flow`` decides the same conditions in polynomial time: min g
 over all subsets is a maximum-closure problem (Picard 1976), solved by one
@@ -138,55 +139,52 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
 
     grow_form evaluates W(E(X)) - pi|X| over nonempty X (T1/T4); otherwise
     pi(|F|-|X|) - W(E - E(X)) over proper X (T2/T3/L7).  All values in
-    pi-units.
+    pi-units.  The walk runs on integers scaled by L, the lcm of the weight
+    denominators: in both forms adding a face lowers the scaled slack by L
+    and raises it by W(e)*L for each edge it newly covers.
     """
     n = t.n_faces
     if n > cap:
         raise TooLarge(f"{n} faces exceeds enumeration cap {cap}")
-    total = sum(weights, Fraction(0))
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = [int(w * scale) for w in weights]
+    faces = t.faces
     counts = [0] * t.n_edges
-    covered = Fraction(0)
-    size = 0
-    mask = 0
-    excluded = 0 if grow_form else (1 << n) - 1
-    best: tuple[Fraction, int, int] | None = None
-
-    def current_slack() -> Fraction:
-        if grow_form:
-            return covered - size
-        return (n - size) - (total - covered)
-
-    def consider():
-        nonlocal best
-        if mask == excluded:
-            return
-        key = (current_slack(), size, mask)
-        if best is None or key < best:
-            best = key
-
-    consider()
+    full = (1 << n) - 1
+    size = mask = 0
+    # start from a subset in the range: F in grow form (the walk visits it
+    # again as an equal key), the empty set in shrink form
+    if grow_form:
+        slack, excluded = 0, 0
+        best, best_size, best_mask = sum(scaled) - n * scale, n, full
+    else:
+        slack, excluded = n * scale - sum(scaled), full
+        best, best_size, best_mask = slack, 0, 0
     for k in range(1, 1 << n):
         face = (k & -k).bit_length() - 1
         bit = 1 << face
+        mask ^= bit
         if mask & bit:
-            mask ^= bit
-            size -= 1
-            for e in t.faces[face]:
-                counts[e] -= 1
-                if counts[e] == 0:
-                    covered -= weights[e]
-        else:
-            mask ^= bit
             size += 1
-            for e in t.faces[face]:
-                if counts[e] == 0:
-                    covered += weights[e]
+            slack -= scale
+            for e in faces[face]:
+                if not counts[e]:
+                    slack += scaled[e]
                 counts[e] += 1
-        consider()
+        else:
+            size -= 1
+            slack += scale
+            for e in faces[face]:
+                counts[e] -= 1
+                if not counts[e]:
+                    slack -= scaled[e]
+        if slack <= best and mask != excluded and (
+            slack < best or size < best_size or size == best_size and mask < best_mask
+        ):
+            best, best_size, best_mask = slack, size, mask
 
-    slack, size, mask = best
-    subset = frozenset(f for f in range(n) if mask >> f & 1)
-    return slack, subset
+    subset = frozenset(f for f in range(n) if best_mask >> f & 1)
+    return Fraction(best, scale), subset
 
 
 def make_report(
@@ -215,6 +213,8 @@ def make_report(
 def _enumerate(t, fn, theorem, cap) -> FeasibilityReport:
     row = THEOREMS[theorem]
     slack, subset = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
+    if subset_slack(t, fn, theorem, subset).coeff != slack:
+        raise VerificationFailed(f"scan slack {slack} differs from that of {sorted(subset)}")
     return make_report(theorem, slack <= 0 if row.strict else slack < 0, subset, slack)
 
 

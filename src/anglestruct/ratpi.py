@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import MalformedRational, ZeroDenominator
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class RatPi:
@@ -100,10 +100,10 @@ class RatPi:
 
 
 def parse(text: str) -> RatPi:
-    """Parse a ``p/q`` (or bare integer) string into a canonical RatPi."""
+    """Parse an ASCII ``p/q`` (or bare integer) string into a canonical RatPi."""
     if not isinstance(text, str):
         raise MalformedRational(f"{text!r} is not a string")
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise MalformedRational(repr(text))
     try:

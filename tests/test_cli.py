@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from anglestruct import lp
+from anglestruct import feasibility, lp
 from anglestruct.cli import main
 from anglestruct.feasibility import make_report
 from conftest import TETRA_FACES
@@ -294,11 +295,13 @@ def test_missing_file(capsys):
         ({**tetra_payload(), "structure": {"corners": [["0/0", "1/3"]] + CORNERS}}, "InvalidInstance"),
         ({**tetra_payload(), "structure": {"corners": [["00/0", "1/3"]] + CORNERS[1:]}}, "InvalidInstance"),
         ({**tetra_payload(), "structure": {"corners": [["0/+0", "1/3"]] + CORNERS[1:]}}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "0": "\u0667/\u0661\u0660"}}, "MalformedRational"),
     ],
     ids=[
         "faces-not-a-list", "D-as-list", "rational-as-number", "true-as-edge-id", "corners-not-a-list",
         "edge-key-leading-zero", "edge-key-plus", "edge-key-space", "edge-key-underscore",
         "edge-key-repeated", "corner-key-repeated", "corner-key-leading-zero", "corner-slot-plus",
+        "rational-non-ascii-digits",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
@@ -322,6 +325,24 @@ def test_bad_cap_environment_exits_2(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvalidSetting"
+
+
+def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    # a scan whose slack is not the exact slack of its own subset is a bug
+    scan = feasibility._scan
+
+    def off_scan(*args):
+        slack, subset = scan(*args)
+        return slack + Fraction(1, 7), subset
+
+    monkeypatch.setattr(feasibility, "_scan", off_scan)
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    for geometry in ("spherical", "hyperbolic"):
+        code, out = run(capsys, ["check", path, "--geometry", geometry, "--invariant", "edge", "--method", "enumerate"])
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "VerificationFailed"
+        assert "scan slack" in error["message"]
 
 
 def test_cross_check_disagreement_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +18,10 @@ from anglestruct import (
     check_spherical_edge,
     delaunay_invariant,
     edge_invariant,
+    validate,
 )
 from anglestruct.errors import RangeViolation, TooLarge
-from anglestruct.feasibility import QuantifierRange, subset_slack
+from anglestruct.feasibility import QuantifierRange, _scan, subset_slack
 from anglestruct.sampling import (
     random_edge_values,
     random_hyperbolic_delaunay_domain,
@@ -29,24 +29,22 @@ from anglestruct.sampling import (
     random_structure,
     random_triangulation,
 )
-from conftest import const_fn
+from conftest import const_fn, random_gluing
 
 
-# --- independent oracle: plain powerset loops, no Gray-code, no incremental sums
+# --- independent oracle: plain loops over masks, no Gray-code, no incremental sums
 
 
-def powerset(items):
-    items = list(items)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-
-
-def oracle_min_slack(t, weights, grow_form, include_empty, include_full):
+def oracle_argmin(t, weights, grow_form):
+    """The least (slack, size, mask) over the quantifier range: nonempty
+    subsets in grow form, proper subsets (the empty one included) else."""
+    n = t.n_faces
+    total = sum(weights, Fraction(0))
     best = None
-    for subset in powerset(range(t.n_faces)):
-        if not include_empty and not subset:
+    for mask in range(1 << n):
+        if mask == (0 if grow_form else (1 << n) - 1):
             continue
-        if not include_full and len(subset) == t.n_faces:
-            continue
+        subset = [f for f in range(n) if mask >> f & 1]
         covered = set()
         for f in subset:
             covered.update(t.faces[f])
@@ -54,10 +52,10 @@ def oracle_min_slack(t, weights, grow_form, include_empty, include_full):
         if grow_form:
             slack = cov - len(subset)
         else:
-            total = sum(weights, Fraction(0))
-            slack = (t.n_faces - len(subset)) - (total - cov)
-        if best is None or slack < best:
-            best = slack
+            slack = (n - len(subset)) - (total - cov)
+        key = (slack, len(subset), mask)
+        if best is None or key < best:
+            best = key
     return best
 
 
@@ -65,6 +63,29 @@ def weights_of(fn, t, theorem):
     if theorem in ("T3", "T4"):
         return [1 - fn.value(e).coeff / 2 for e in range(t.n_edges)]
     return [fn.value(e).coeff for e in range(t.n_edges)]
+
+
+# theorem -> (checker, domain lo, hi, invariant kind)
+ENUMERATORS = {
+    "T1": (check_spherical_edge, 0, 1, InvariantKind.EDGE),
+    "T2": (check_hyperbolic_edge, 0, 2, InvariantKind.EDGE),
+    "T3": (check_spherical_delaunay, -2, 2, InvariantKind.DELAUNAY),
+    "T4": (check_hyperbolic_delaunay, 0, 2, InvariantKind.DELAUNAY),
+    "L7": (check_closure, 0, 2, InvariantKind.EDGE),
+}
+
+
+def assert_scan_matches_oracle(t, fn, theorem):
+    check = ENUMERATORS[theorem][0]
+    grow_form = theorem in ("T1", "T4")
+    weights = weights_of(fn, t, theorem)
+    slack, _, mask = oracle_argmin(t, weights, grow_form)
+    argmin = frozenset(f for f in range(t.n_faces) if mask >> f & 1)
+    # the scan's pick, feasible or not, then the report built from it
+    assert _scan(t, weights, grow_form, t.n_faces) == (slack, argmin), theorem
+    r = check(t, fn)
+    assert r.slack.coeff == slack, theorem
+    assert r.certificate == (argmin if r.verdict is Verdict.INFEASIBLE else None), theorem
 
 
 # --- golden tetrahedron table, frozen from the hand-enumerated subset scans
@@ -147,20 +168,45 @@ def test_enumeration_cap(tetra):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6]))
-def test_scan_matches_independent_oracle(seed, n):
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8]), self_glued=st.booleans())
+def test_scan_matches_independent_oracle(seed, n, self_glued):
     rng = random.Random(seed)
-    t = random_triangulation(n, rng)
-    d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
-    w = weights_of(d, t, "T2")
-    r = check_hyperbolic_edge(t, d)
-    assert r.slack.coeff == oracle_min_slack(t, w, False, True, False)
-    d1 = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
-    r1 = check_spherical_edge(t, d1)
-    assert r1.slack.coeff == oracle_min_slack(t, weights_of(d1, t, "T1"), True, False, True)
-    dd = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
-    r4 = check_hyperbolic_delaunay(t, dd)
-    assert r4.slack.coeff == oracle_min_slack(t, weights_of(dd, t, "T4"), True, False, True)
+    t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
+    for theorem, (_, lo, hi, kind) in ENUMERATORS.items():
+        fn = random_edge_values(t, rng, Fraction(lo), Fraction(hi), kind)
+        assert_scan_matches_oracle(t, fn, theorem)
+
+
+def test_scan_matches_oracle_with_mixed_denominators():
+    # denominators 7, 9, 11 and 240 give a common denominator of 55440
+    # (twice that for the halved T3/T4 weights); values in (1/4, 1) lie in
+    # every domain and around 2/3, the Euclidean mean, so every theorem
+    # meets feasible and infeasible instances
+    rng = random.Random(5440)
+    for trial in range(12):
+        n = 2 * (trial % 4 + 1)
+        t = random_gluing(n, rng) if trial % 2 else random_triangulation(n, rng)
+        for theorem, (_, _, _, kind) in ENUMERATORS.items():
+            values = {}
+            for e in range(t.n_edges):
+                den = rng.choice((7, 9, 11, 240))
+                values[e] = RatPi(rng.randint(den // 3, den - 1), den)
+            assert_scan_matches_oracle(t, EdgeFunction(values, kind), theorem)
+
+
+def test_scan_breaks_ties_by_mask():
+    # {0, 1, 3} and {1, 2, 3} both reach the minimum slack 9/10 with three
+    # faces; the smaller mask (0b1011) wins, although the Gray-code walk
+    # meets 0b1110 first
+    t = validate([[0, 1, 0], [2, 3, 1], [4, 5, 4], [3, 5, 2]])
+    d = EdgeFunction(
+        {e: RatPi(Fraction(v)) for e, v in enumerate(["1/10", "1/5", "3/5", "2/5", "1/10", "3/5"])},
+        InvariantKind.EDGE,
+    )
+    weights = weights_of(d, t, "T2")
+    assert subset_slack(t, d, "T2", frozenset({1, 2, 3})) == RatPi(9, 10)
+    assert oracle_argmin(t, weights, False) == (Fraction(9, 10), 3, 0b1011)
+    assert _scan(t, weights, False, t.n_faces) == (Fraction(9, 10), frozenset({0, 1, 3}))
 
 
 @settings(max_examples=30, deadline=None)

@@ -34,11 +34,11 @@ from anglestruct import (
     validate,
 )
 from anglestruct.cli import main
-from anglestruct.errors import Disconnected, RangeViolation
+from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
 from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
-from conftest import SELF_GLUED_FACES, const_fn
+from conftest import SELF_GLUED_FACES, const_fn, random_gluing
 
 ENUMERATORS = {
     "T1": check_spherical_edge,
@@ -54,20 +54,6 @@ DOMAINS = {
     "T4": (Fraction(0), Fraction(2), InvariantKind.DELAUNAY),
     "L7": (Fraction(0), Fraction(2), InvariantKind.EDGE),
 }
-
-
-def random_gluing(n_faces, rng):
-    """Connected gluing from a uniform slot pairing; self-glued edges allowed."""
-    while True:
-        slots = [(f, k) for f in range(n_faces) for k in range(3)]
-        rng.shuffle(slots)
-        incidence = [[-1, -1, -1] for _ in range(n_faces)]
-        for i, (f, k) in enumerate(slots):
-            incidence[f][k] = i // 2
-        try:
-            return validate(incidence)
-        except Disconnected:
-            continue
 
 
 def assert_flow_matches_enumeration(t, fn, theorem):

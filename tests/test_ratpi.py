@@ -36,6 +36,13 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_parse_only_ascii_digits_unpadded():
+    # non-ASCII digits, surrounding space and a trailing newline are not p/q
+    for bad in ("\u0663/\u0664", "\uff11/2", " 1/2 ", "1/2\n"):
+        with pytest.raises(MalformedRational):
+            parse(bad)
+
+
 def test_parse_too_many_digits():
     # beyond the digits int() converts, parse still raises its own error
     for bad in ("9" * 5000, "1/" + "9" * 5000):
