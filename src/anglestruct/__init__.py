@@ -30,7 +30,6 @@ from .feasibility import (
     check_via_flow,
 )
 from .lp import (
-    InfeasibleCertificate,
     LpProblem,
     build_construction_lp,
     check_via_lp,
@@ -54,7 +53,6 @@ __all__ = [
     "FaceSubset",
     "FeasibilityReport",
     "GeometryClass",
-    "InfeasibleCertificate",
     "InvariantKind",
     "LpProblem",
     "PI",

@@ -2,11 +2,11 @@
 
 Subcommands: check, construct, invariants, gen, verify.  All output is
 JSON on stdout with fixed key order; exit codes are 0 for feasible or
-consistent, 1 for infeasible or mismatching, 2 for invalid input and 3
-for an internal self-check failure (``VerificationFailed``, a bug), the
-last two with one error object on stdout.  The
-enumeration cap comes from --cap, then the ANGLESTRUCT_CAP environment
-variable, then the default of 20.
+consistent, 1 for infeasible or mismatching, 2 for invalid input or an
+unreadable instance file and 3 for an internal self-check failure
+(``VerificationFailed``, a bug), the last two with one error object on
+stdout.  The enumeration cap comes from --cap, then the ANGLESTRUCT_CAP
+environment variable, then the default of 20.
 
 ``check --method auto`` enumerates at or below AUTO_ENUMERATE_LIMIT faces
 (and the cap) and decides by minimum cut above it; ``--cross-check`` runs
@@ -32,7 +32,7 @@ from .angles import (
     invariant_of,
 )
 from .errors import AngleStructError, InvalidSetting, VerificationFailed
-from .feasibility import Verdict
+from .feasibility import FeasibilityReport, Verdict
 from .sampling import random_structure, random_triangulation
 from .serialize import (
     InvalidInstance,
@@ -45,13 +45,6 @@ from .serialize import (
 from .surface import DEFAULT_ENUMERATION_CAP
 
 AUTO_ENUMERATE_LIMIT = 12
-
-_ENUM_CHECKERS = {
-    "T1": feasibility.check_spherical_edge,
-    "T2": feasibility.check_hyperbolic_edge,
-    "T3": feasibility.check_spherical_delaunay,
-    "T4": feasibility.check_hyperbolic_delaunay,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +126,7 @@ def cmd_check(args) -> int:
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
     if method == "enumerate" or args.cross_check:
-        report = _ENUM_CHECKERS[theorem](t, invariant, cap)
+        report = feasibility.ENUMERATORS[theorem](t, invariant, cap)
     elif method == "lp":
         report = lp.check_via_lp(t, invariant, geometry)
     else:
@@ -165,9 +158,8 @@ def cmd_construct(args) -> int:
 
     # the witness comes back checked for range, class and invariant
     result = lp.construct_structure(t, invariant, geometry)
-    if isinstance(result, lp.InfeasibleCertificate):
-        report = feasibility.make_report(result.theorem, True, result.subset, result.slack.coeff)
-        print(dumps(report_to_json(report)))
+    if isinstance(result, FeasibilityReport):
+        print(dumps(report_to_json(result)))
         return 1
     print(dumps(structure_to_json(t, result)))
     return 0
@@ -227,8 +219,9 @@ def main(argv=None) -> int:
     except AngleStructError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3 if isinstance(exc, VerificationFailed) else 2
-    except FileNotFoundError as exc:
-        print(dumps({"error": {"type": "FileNotFound", "message": str(exc)}}))
+    except OSError as exc:
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else "UnreadableFile"
+        print(dumps({"error": {"type": kind, "message": str(exc)}}))
         return 2
 
 

@@ -28,8 +28,10 @@ maximum flow, and the quantifier exclusions are read off the smallest and
 largest minimisers of that one cut.
 
 ``THEOREMS`` states each condition once, as a row of data: geometry,
-invariant kind, domain, weight map, quantifier and strictness.  Every
-decider here, the LP construction and the command line read it.
+invariant kind (which fixes the weight map), domain, quantifier and
+strictness (which also fixes whether the domain is open).  Every decider
+here, the LP construction and the command line read it, and
+``ENUMERATORS`` names each condition's enumeration checker.
 """
 
 from __future__ import annotations
@@ -51,20 +53,19 @@ HALF = Fraction(1, 2)
 class Theorem:
     """One subset condition, stated as data.
 
-    The invariant must lie in lo < v < hi on every edge (lo <= v <= hi
-    when the domain is closed), in pi-units.  The edge weight is
-    W = pi - v/2 when halved, else v itself.  The inequality is quantified
-    over nonempty subsets in the grow form W(E(X)) - pi|X| when nonempty,
-    else over proper subsets (the empty one included) in the shrink form.
-    A strict inequality is already violated at slack 0.
+    The invariant must lie in lo < v < hi on every edge for a strict
+    condition and in lo <= v <= hi for the weak one, in pi-units.  The
+    edge weight is W = pi - v/2 for a Delaunay invariant, else v itself.
+    The inequality is quantified over nonempty subsets in the grow form
+    W(E(X)) - pi|X| when nonempty, else over proper subsets (the empty one
+    included) in the shrink form.  A strict inequality is already violated
+    at slack 0.
     """
 
     geometry: GeometryClass
     kind: InvariantKind
     lo: Fraction
     hi: Fraction
-    open_domain: bool
-    halved: bool
     nonempty: bool
     strict: bool
 
@@ -72,12 +73,12 @@ class Theorem:
 _SPH, _HYP = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
 _EDGE, _DEL = InvariantKind.EDGE, InvariantKind.DELAUNAY
 THEOREMS = {
-    # geometry, kind, domain lo and hi, open, halved, nonempty, strict
-    "T1": Theorem(_SPH, _EDGE, Fraction(0), Fraction(1), True, False, True, True),
-    "T2": Theorem(_HYP, _EDGE, Fraction(0), Fraction(2), True, False, False, True),
-    "T3": Theorem(_SPH, _DEL, Fraction(-2), Fraction(2), True, True, False, True),
-    "T4": Theorem(_HYP, _DEL, Fraction(0), Fraction(2), True, True, True, True),
-    "L7": Theorem(_HYP, _EDGE, Fraction(0), Fraction(2), False, False, False, False),
+    # geometry, kind, domain lo and hi, nonempty, strict
+    "T1": Theorem(_SPH, _EDGE, Fraction(0), Fraction(1), True, True),
+    "T2": Theorem(_HYP, _EDGE, Fraction(0), Fraction(2), False, True),
+    "T3": Theorem(_SPH, _DEL, Fraction(-2), Fraction(2), False, True),
+    "T4": Theorem(_HYP, _DEL, Fraction(0), Fraction(2), True, True),
+    "L7": Theorem(_HYP, _EDGE, Fraction(0), Fraction(2), False, False),
 }
 
 
@@ -103,18 +104,23 @@ class QuantifierRange(Enum):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """A theorem's verdict, with the violating subset when infeasible and
+    the exact slack when the decider knows it."""
+
     verdict: Verdict
     theorem: str
-    quantifier_range: QuantifierRange
     certificate: FaceSubset | None
     slack: RatPi | None
 
-    def is_feasible(self) -> bool:
-        return self.verdict is not Verdict.INFEASIBLE
+    @property
+    def quantifier_range(self) -> QuantifierRange:
+        if THEOREMS[self.theorem].nonempty:
+            return QuantifierRange.NONEMPTY_SUBSETS
+        return QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
 
 
 def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]:
-    if row.halved:
+    if row.kind is InvariantKind.DELAUNAY:
         return [1 - fn.value(e).coeff * HALF for e in range(t.n_edges)]
     return [fn.value(e).coeff for e in range(t.n_edges)]
 
@@ -127,11 +133,17 @@ def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fr
         raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
     for e in range(t.n_edges):
         c = fn.value(e).coeff
-        if not (row.lo < c < row.hi if row.open_domain else row.lo <= c <= row.hi):
+        if not (row.lo < c < row.hi if row.strict else row.lo <= c <= row.hi):
             raise RangeViolation(
                 f"{theorem}: value {fn.value(e).render()} at edge {e} outside domain"
             )
     return _weights(t, fn, row)
+
+
+def _scaled(weights: list[Fraction]) -> tuple[list[int], int]:
+    """The weights times L, the lcm of their denominators, as ints, and L."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
 
 
 def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
@@ -146,8 +158,7 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     n = t.n_faces
     if n > cap:
         raise TooLarge(f"{n} faces exceeds enumeration cap {cap}")
-    scale = math.lcm(*(w.denominator for w in weights))
-    scaled = [int(w * scale) for w in weights]
+    scaled, scale = _scaled(weights)
     faces = t.faces
     counts = [0] * t.n_edges
     full = (1 << n) - 1
@@ -196,15 +207,9 @@ def make_report(
         verdict = Verdict.INFEASIBLE
     else:
         verdict = Verdict.FEASIBLE if row.strict else Verdict.CLOSURE_ONLY
-    quantifier = (
-        QuantifierRange.NONEMPTY_SUBSETS
-        if row.nonempty
-        else QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
-    )
     return FeasibilityReport(
         verdict=verdict,
         theorem=theorem,
-        quantifier_range=quantifier,
         certificate=subset if violated else None,
         slack=None if slack is None else RatPi(slack),
     )
@@ -259,6 +264,17 @@ def check_closure(
     return _enumerate(t, d, "L7", cap)
 
 
+# theorem -> its enumeration checker.  Callers look a checker up here at
+# call time, so rebinding an entry (to wrap a checker) reaches every call.
+ENUMERATORS = {
+    "T1": check_spherical_edge,
+    "T2": check_hyperbolic_edge,
+    "T3": check_spherical_delaunay,
+    "T4": check_hyperbolic_delaunay,
+    "L7": check_closure,
+}
+
+
 def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceSubset) -> RatPi:
     """Exact slack of one subset under the named theorem's inequality.
 
@@ -287,12 +303,12 @@ def _closure_network(t: Triangulation, weights):
     denominators, so every capacity is an int.
     """
     nf, ne = t.n_faces, t.n_edges
-    scale = math.lcm(*(w.denominator for w in weights))
+    scaled, scale = _scaled(weights)
     source, sink = nf + ne, nf + ne + 1
     unbounded = nf * scale + 1
     arcs = [(source, f, scale) for f in range(nf)]
     arcs += [(f, nf + e, unbounded) for f in range(nf) for e in sorted(set(t.faces[f]))]
-    arcs += [(nf + e, sink, int(weights[e] * scale)) for e in range(ne)]
+    arcs += [(nf + e, sink, scaled[e]) for e in range(ne)]
     return arcs, scale
 
 
@@ -367,11 +383,15 @@ def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> 
 
     `flow` must respect capacities and conservation, and its value must
     equal the capacity L*(|F| + g(X)) of the cut keeping X and E(X) on the
-    source side, with g(X) evaluated exactly from the rational weights.
+    source side.  g(X)*L is summed from the edge -> sink capacities, the
+    last |E| arcs, after checking that each equals W(e)*L exactly.
     Max-flow = min-cut then proves that X minimises g.
     """
-    nf = t.n_faces
-    n = nf + t.n_edges + 2
+    nf, ne = t.n_faces, t.n_edges
+    n = nf + ne + 2
+    scaled = [c for _, _, c in arcs[len(arcs) - ne:]]
+    if any(c * w.denominator != w.numerator * scale for c, w in zip(scaled, weights, strict=True)):
+        raise VerificationFailed("an edge capacity differs from its scaled weight")
     net = [0] * n
     for (u, v, c), x in zip(arcs, flow, strict=True):
         if not 0 <= x <= c:
@@ -382,11 +402,10 @@ def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> 
         raise VerificationFailed("flow is not conserved")
     minimum = None
     for subset in subsets:
-        g = sum((weights[e] for e in edge_set(t, subset)), Fraction(0)) - len(subset)
-        if (nf + g) * scale != net[-1]:
+        minimum = sum(scaled[e] for e in edge_set(t, subset)) - len(subset) * scale
+        if nf * scale + minimum != net[-1]:
             raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
-        minimum = g
-    return minimum
+    return Fraction(minimum, scale)
 
 
 def min_cut(t: Triangulation, weights) -> tuple[Fraction, FaceSubset, FaceSubset]:

@@ -15,12 +15,13 @@ least m and every face sum at most pi - m, so a positive optimum is a
 strictly hyperbolic witness; and a strictly hyperbolic witness is a
 feasible point with m = min(min x_i, pi - max face sum) > 0, so an
 optimum of 0 or an infeasible program means that no witness exists.
-Each of T1-T4 solves the program of a hyperbolic theorem (edge or
-Delaunay invariant) and maps its witness back with the corner transform
-where the geometry is spherical (``_ROUTES``).
+Each of T1-T4 solves the program of the hyperbolic theorem with the same
+quantifier (T4's Delaunay program for T1 and T4, T2's edge program for T2
+and T3) and, where the geometry is spherical, maps its witness back with
+the corner transform that belongs to that program.
 
-When the program shows that no witness exists, the violating face subset
-and its exact slack come from the minimum cut of
+When the program shows that no witness exists, ``construct_structure``
+returns the ``FeasibilityReport`` of the minimum cut of
 ``feasibility.check_via_flow``; the cut must agree that the instance is
 infeasible, and its subset is re-evaluated exactly.
 """
@@ -52,7 +53,7 @@ from .feasibility import (
     theorem_weights,
 )
 from .ratpi import RatPi
-from .surface import Corner, FaceSubset, Triangulation
+from .surface import Corner, Triangulation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,16 +65,13 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min (or max) c.x  subject to  A x = b, x >= 0, all data rational."""
+    """min c.x  subject to  A x = b, x >= 0, all data rational."""
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
     c: tuple[Fraction, ...]
-    sense: str = "min"
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise DimensionMismatch(f"unknown sense {self.sense!r}")
         n = len(self.c)
         if len(self.a) != len(self.b):
             raise DimensionMismatch("row count of A differs from b")
@@ -90,13 +88,12 @@ class LpProblem:
         return len(self.c)
 
 
-def make_problem(a, b, c, sense="min") -> LpProblem:
+def make_problem(a, b, c) -> LpProblem:
     """Coerce nested int/Fraction data into a canonical LpProblem."""
     return LpProblem(
         tuple(tuple(Fraction(v) for v in row) for row in a),
         tuple(Fraction(v) for v in b),
         tuple(Fraction(v) for v in c),
-        sense,
     )
 
 
@@ -205,9 +202,7 @@ class _Tableau:
 
 def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with dual multipliers and Farkas certificates."""
-    minimizing = problem.sense == "min"
     m, n = problem.n_rows, problem.n_cols
-    cost = [c if minimizing else -c for c in problem.c]
 
     row_sign = [ONE if bv >= 0 else -ONE for bv in problem.b]
     rows = [
@@ -255,7 +250,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
             return Infeasible(tuple(y))
         live_orig_rows = _expel_artificials(tab, live_orig_rows)
 
-    phase2_cost = list(cost) + [ZERO] * (n_total - n)
+    phase2_cost = list(problem.c) + [ZERO] * (n_total - n)
     tab.set_costs(phase2_cost)
     enter = tab.run(structural)
     if enter is not None:
@@ -264,7 +259,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
         for i, col in enumerate(tab.basis):
             if col < n:
                 ray[col] = -tab.rows[i][enter]
-        _verify_ray(problem, ray, minimizing)
+        _verify_ray(problem, ray)
         return Unbounded(tuple(ray))
 
     x = [ZERO] * n
@@ -273,9 +268,6 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
             x[col] = tab.rhs[i]
     value = -tab.obj_value
     y = _read_dual(tab, phase2_cost, live_orig_rows, row_sign, m)
-    if not minimizing:
-        value = -value
-        y = [-v for v in y]
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
@@ -320,14 +312,14 @@ def _verify_farkas(problem: LpProblem, y):
         raise VerificationFailed("Farkas vector fails b^t y > 0")
 
 
-def _verify_ray(problem: LpProblem, ray, minimizing):
+def _verify_ray(problem: LpProblem, ray):
     for i in range(problem.n_rows):
         if sum(problem.a[i][j] * ray[j] for j in range(problem.n_cols)) != 0:
             raise VerificationFailed("unbounded ray leaves the constraint space")
     if any(v < 0 for v in ray):
         raise VerificationFailed("unbounded ray not nonnegative")
     drift = sum(problem.c[j] * ray[j] for j in range(problem.n_cols))
-    if minimizing and drift >= 0 or not minimizing and drift <= 0:
+    if drift >= 0:
         raise VerificationFailed("ray does not improve the objective")
 
 
@@ -343,9 +335,7 @@ def _verify_optimal(problem: LpProblem, x, value, y):
     if sum(problem.b[i] * y[i] for i in range(m)) != value:
         raise VerificationFailed("strong duality mismatch")
     for j in range(n):
-        dot = sum(problem.a[i][j] * y[i] for i in range(m))
-        bad = dot > problem.c[j] if problem.sense == "min" else dot < problem.c[j]
-        if bad:
+        if sum(problem.a[i][j] * y[i] for i in range(m)) > problem.c[j]:
             raise VerificationFailed("dual multipliers infeasible at optimum")
 
 
@@ -355,7 +345,7 @@ def render_problem(problem: LpProblem) -> str:
     def fmt(v: Fraction) -> str:
         return f"{v.numerator}/{v.denominator}"
 
-    lines = [f"{problem.sense} {' '.join(fmt(v) for v in problem.c)}"]
+    lines = [f"min {' '.join(fmt(v) for v in problem.c)}"]
     for row, bv in zip(problem.a, problem.b):
         lines.append(f"{' '.join(fmt(v) for v in row)} = {fmt(bv)}")
     return "\n".join(lines)
@@ -406,12 +396,7 @@ def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
         b.append(program.value(e).coeff)
     c = [ZERO] * n_cols
     c[margin_col] = -ONE
-    return LpProblem(tuple(tuple(r) for r in a), tuple(b), tuple(c), "min")
-
-
-# theorem -> the corner transform that maps the witness of its hyperbolic
-# program back to the requested geometry (none for hyperbolic requests)
-_ROUTES = {"T1": corner_transform, "T2": None, "T3": corner_transform_inverse, "T4": None}
+    return LpProblem(tuple(tuple(r) for r in a), tuple(b), tuple(c))
 
 
 def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
@@ -422,15 +407,19 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
     the invariant whose weights equal the requested theorem's weights W:
     the edge invariant W, or the Delaunay invariant 2*pi - 2*W (as
     pi - Dd/2 = W).  So T1 prescribes Dd = 2*pi - 2*D, T3 prescribes
-    D = pi - Dd/2, and the same subsets violate both theorems.
+    D = pi - Dd/2, and the same subsets violate both theorems.  A spherical
+    request maps the program's witness back with corner_transform (T1,
+    from the Delaunay program) or its inverse (T3, from the edge program);
+    a hyperbolic request needs no transform.
     """
     theorem = theorem_for(geometry, fn.kind)
     weights = theorem_weights(t, fn, theorem)
-    kind = InvariantKind.EDGE
+    kind, transform = InvariantKind.EDGE, corner_transform_inverse
     if THEOREMS[theorem].nonempty:
         kind, weights = InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]
+        transform = corner_transform
     program = EdgeFunction({e: RatPi(w) for e, w in enumerate(weights)}, kind)
-    return theorem, program, _ROUTES[theorem]
+    return theorem, program, transform if geometry is GeometryClass.SPHERICAL else None
 
 
 def build_construction_lp(
@@ -440,18 +429,6 @@ def build_construction_lp(
     invariant kind."""
     _, program, _ = _route(t, fn, geometry)
     return _margin_lp(t, program)
-
-
-@dataclass(frozen=True)
-class InfeasibleCertificate:
-    """Face subset violating the stated theorem's inequality, with exact slack."""
-
-    subset: FaceSubset
-    slack: RatPi
-    theorem: str
-
-
-ConstructionResult = AngleStructure | InfeasibleCertificate
 
 
 def _solution_structure(t: Triangulation, x, margin) -> AngleStructure:
@@ -480,21 +457,23 @@ def _solve_margin(t: Triangulation, program: EdgeFunction) -> AngleStructure | N
     return witness
 
 
-def _infeasible_certificate(t, fn, theorem) -> InfeasibleCertificate:
+def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
+    """The cut's infeasible report, its certificate re-evaluated exactly."""
     report = check_via_flow(t, fn, theorem)
     if report.verdict is not Verdict.INFEASIBLE:
         raise VerificationFailed("construction and subset conditions disagree")
     slack = subset_slack(t, fn, theorem, report.certificate)
     if slack != report.slack or slack.coeff > 0:
         raise VerificationFailed("cut subset does not violate the inequality")
-    return InfeasibleCertificate(report.certificate, slack, theorem)
+    return report
 
 
 def construct_structure(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
-) -> ConstructionResult:
-    """Witness of the geometry with edge or Delaunay invariant fn, or a face
-    subset violating the theorem (T1-T4) for that pair.
+) -> AngleStructure | FeasibilityReport:
+    """Witness of the geometry with edge or Delaunay invariant fn, or the
+    infeasible report of the theorem (T1-T4) for that pair, whose
+    certificate is a face subset violating its inequality.
 
     Solves the hyperbolic margin program of the theorem's route and maps
     its witness back with the route's corner transform.  The returned
@@ -519,6 +498,6 @@ def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) ->
     """Same verdict surface as the enumeration checkers, decided by
     construct_structure."""
     result = construct_structure(t, fn, geometry)
-    if isinstance(result, InfeasibleCertificate):
-        return make_report(result.theorem, True, result.subset, result.slack.coeff)
+    if isinstance(result, FeasibilityReport):
+        return result
     return make_report(theorem_for(geometry, fn.kind), False, None, None)

@@ -111,9 +111,11 @@ def load_instance(path: str):
     indices coincide.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        # ValueError covers bad JSON, non-UTF-8 bytes (UnicodeDecodeError)
+        # and integers past the interpreter's digit limit
         try:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidInstance(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "faces" not in obj:
         raise InvalidInstance("instance must be an object with a 'faces' list")

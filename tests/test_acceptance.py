@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from anglestruct import (
     AngleStructure,
+    FeasibilityReport,
     GeometryClass,
     InvariantKind,
     RatPi,
@@ -28,7 +29,6 @@ from anglestruct import (
 from anglestruct.feasibility import subset_slack
 from anglestruct.lp import (
     Infeasible,
-    InfeasibleCertificate,
     Optimal,
     Unbounded,
     build_construction_lp,
@@ -93,9 +93,9 @@ def test_criterion_2_hyperbolic_edge_verdict_equals_lp():
             assert all(recomputed.value(e) == d.value(e) for e in range(t.n_edges))
         else:
             infeasible_cases += 1
-            assert isinstance(constructed, InfeasibleCertificate)
-            assert subset_slack(t, d, "T2", constructed.subset).coeff <= 0
-            assert subset_slack(t, d, "T2", constructed.subset) == constructed.slack
+            assert isinstance(constructed, FeasibilityReport)
+            assert subset_slack(t, d, "T2", constructed.certificate).coeff <= 0
+            assert subset_slack(t, d, "T2", constructed.certificate) == constructed.slack
         agreements += 1
     announce(
         2,

@@ -276,6 +276,12 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_directory_as_instance_exits_2(tmp_path, capsys):
+    code, out = run(capsys, ["check", str(tmp_path), "--geometry", "spherical", "--invariant", "edge"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UnreadableFile"
+
+
 # --- malformed input exits 2 with an error object, never a traceback
 
 
@@ -296,19 +302,23 @@ def test_missing_file(capsys):
         ({**tetra_payload(), "structure": {"corners": [["00/0", "1/3"]] + CORNERS[1:]}}, "InvalidInstance"),
         ({**tetra_payload(), "structure": {"corners": [["0/+0", "1/3"]] + CORNERS[1:]}}, "InvalidInstance"),
         ({"faces": TETRA_FACES, "D": {**tetra_payload()["D"], "0": "\u0667/\u0661\u0660"}}, "MalformedRational"),
+        (b'{"faces": [[0, 1, 2], [0, 1, 2]], "D": {"0": "1/2\xff"}}', "InvalidInstance"),
+        ("[" * 100000, "InvalidInstance"),
+        ('{"faces": [[0, 1, ' + "9" * 5000 + "]]}", "InvalidInstance"),
     ],
     ids=[
         "faces-not-a-list", "D-as-list", "rational-as-number", "true-as-edge-id", "corners-not-a-list",
         "edge-key-leading-zero", "edge-key-plus", "edge-key-space", "edge-key-underscore",
         "edge-key-repeated", "corner-key-repeated", "corner-key-leading-zero", "corner-slot-plus",
-        "rational-non-ascii-digits",
+        "rational-non-ascii-digits", "not-utf-8", "nested-past-recursion-limit", "integer-past-digit-limit",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
-    # a str payload is raw file text, for JSON that json.dumps cannot produce
-    if isinstance(payload, str):
+    # a str or bytes payload is raw file content, for JSON that json.dumps
+    # cannot produce or a file that is not JSON text at all
+    if isinstance(payload, (str, bytes)):
         path = tmp_path / "inst.json"
-        path.write_text(payload)
+        path.write_bytes(payload.encode() if isinstance(payload, str) else payload)
         path = str(path)
     else:
         path = write_instance(tmp_path, payload)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anglestruct import (
     AngleStructure,
+    FeasibilityReport,
     GeometryClass,
     InvariantKind,
     RatPi,
@@ -25,7 +26,8 @@ from anglestruct import (
 )
 from anglestruct.errors import RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
-from anglestruct.lp import InfeasibleCertificate, _infeasible_certificate, check_via_lp
+from anglestruct.feasibility import make_report
+from anglestruct.lp import _infeasible_certificate, check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
     random_structure,
@@ -42,8 +44,8 @@ def test_hyperbolic_construction_golden(tetra):
     assert all(d.value(e) == RatPi(3, 5) for e in range(6))
 
     cert = construct_structure(tetra, const_fn(tetra, (7, 10)), GeometryClass.HYPERBOLIC)
-    assert isinstance(cert, InfeasibleCertificate)
-    assert cert.subset == frozenset()
+    assert isinstance(cert, FeasibilityReport)
+    assert cert.certificate == frozenset()
     assert cert.theorem == "T2"
     assert cert.slack == RatPi(-1, 5)
 
@@ -52,8 +54,8 @@ def test_hyperbolic_boundary_equality(tetra):
     # the face rows sum to A + 16m + S = 4 and the edge rows to A + 12m = 4,
     # so the program's optimum is exactly 0; the certificate is the empty set
     cert = construct_structure(tetra, const_fn(tetra, (2, 3)), GeometryClass.HYPERBOLIC)
-    assert isinstance(cert, InfeasibleCertificate)
-    assert cert.subset == frozenset()
+    assert isinstance(cert, FeasibilityReport)
+    assert cert.certificate == frozenset()
     assert cert.slack == RatPi(0)
 
 
@@ -89,8 +91,8 @@ def test_spherical_construction_golden(tetra):
     assert all(d.value(e) == RatPi(7, 10) for e in range(6))
 
     cert = construct_structure(tetra, const_fn(tetra, (3, 5)), GeometryClass.SPHERICAL)
-    assert isinstance(cert, InfeasibleCertificate)
-    assert cert.subset == frozenset(range(4))
+    assert isinstance(cert, FeasibilityReport)
+    assert cert.certificate == frozenset(range(4))
     assert cert.theorem == "T1"
     assert cert.slack == RatPi(-2, 5)
 
@@ -119,10 +121,10 @@ def test_delaunay_constructions(tetra):
     cert = construct_structure(
         tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
     )
-    assert isinstance(cert, InfeasibleCertificate)
+    assert isinstance(cert, FeasibilityReport)
     assert cert.theorem == "T4"
     assert subset_slack(
-        tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), "T4", cert.subset
+        tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), "T4", cert.certificate
     ).coeff <= 0
 
     w = construct_structure(
@@ -161,8 +163,8 @@ def test_extract_certificate_spec_vector(tetra):
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset()
     assert report.slack == RatPi(-1, 5)
-    assert _infeasible_certificate(tetra, d, "T2") == InfeasibleCertificate(
-        frozenset(), RatPi(-1, 5), "T2"
+    assert _infeasible_certificate(tetra, d, "T2") == make_report(
+        "T2", True, frozenset(), Fraction(-1, 5)
     )
 
 
@@ -213,7 +215,7 @@ def test_extract_certificate_needs_shifting(tetra):
     assert report.certificate == frozenset({0})
     assert report.slack == RatPi(-3, 10) == subset_slack(tetra, d, "T2", frozenset({0}))
     cert = construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
-    assert cert == InfeasibleCertificate(frozenset({0}), RatPi(-3, 10), "T2")
+    assert cert == make_report("T2", True, frozenset({0}), Fraction(-3, 10))
 
 
 @settings(max_examples=25, deadline=None)
@@ -223,9 +225,9 @@ def test_extracted_certificates_always_verify(seed):
     t = random_triangulation(rng.choice([2, 4, 6, 8]), rng)
     d = random_edge_values(t, rng, Fraction(1), Fraction(2), InvariantKind.EDGE)
     result = construct_structure(t, d, GeometryClass.HYPERBOLIC)
-    if isinstance(result, InfeasibleCertificate):
-        assert subset_slack(t, d, "T2", result.subset).coeff <= 0
-        assert subset_slack(t, d, "T2", result.subset) == result.slack
+    if isinstance(result, FeasibilityReport):
+        assert subset_slack(t, d, "T2", result.certificate).coeff <= 0
+        assert subset_slack(t, d, "T2", result.certificate) == result.slack
 
 
 # --- the cut's minimum of the coverage deficit against exhaustive enumeration
@@ -283,8 +285,8 @@ def test_equality_boundary_instances(seed):
     scaled = EdgeFunction(values, InvariantKind.EDGE)
     assert check_hyperbolic_edge(t, scaled).verdict is Verdict.INFEASIBLE
     result = construct_structure(t, scaled, GeometryClass.HYPERBOLIC)
-    assert isinstance(result, InfeasibleCertificate)
-    assert subset_slack(t, scaled, "T2", result.subset).coeff <= 0
+    assert isinstance(result, FeasibilityReport)
+    assert subset_slack(t, scaled, "T2", result.certificate).coeff <= 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,7 +21,7 @@ from anglestruct import (
     validate,
 )
 from anglestruct.errors import RangeViolation, TooLarge
-from anglestruct.feasibility import QuantifierRange, _scan, subset_slack
+from anglestruct.feasibility import ENUMERATORS, THEOREMS, QuantifierRange, _scan, subset_slack
 from anglestruct.sampling import (
     random_edge_values,
     random_hyperbolic_delaunay_domain,
@@ -65,18 +65,8 @@ def weights_of(fn, t, theorem):
     return [fn.value(e).coeff for e in range(t.n_edges)]
 
 
-# theorem -> (checker, domain lo, hi, invariant kind)
-ENUMERATORS = {
-    "T1": (check_spherical_edge, 0, 1, InvariantKind.EDGE),
-    "T2": (check_hyperbolic_edge, 0, 2, InvariantKind.EDGE),
-    "T3": (check_spherical_delaunay, -2, 2, InvariantKind.DELAUNAY),
-    "T4": (check_hyperbolic_delaunay, 0, 2, InvariantKind.DELAUNAY),
-    "L7": (check_closure, 0, 2, InvariantKind.EDGE),
-}
-
-
 def assert_scan_matches_oracle(t, fn, theorem):
-    check = ENUMERATORS[theorem][0]
+    check = ENUMERATORS[theorem]
     grow_form = theorem in ("T1", "T4")
     weights = weights_of(fn, t, theorem)
     slack, _, mask = oracle_argmin(t, weights, grow_form)
@@ -172,26 +162,26 @@ def test_enumeration_cap(tetra):
 def test_scan_matches_independent_oracle(seed, n, self_glued):
     rng = random.Random(seed)
     t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
-    for theorem, (_, lo, hi, kind) in ENUMERATORS.items():
-        fn = random_edge_values(t, rng, Fraction(lo), Fraction(hi), kind)
+    for theorem, row in THEOREMS.items():
+        fn = random_edge_values(t, rng, row.lo, row.hi, row.kind)
         assert_scan_matches_oracle(t, fn, theorem)
 
 
 def test_scan_matches_oracle_with_mixed_denominators():
     # denominators 7, 9, 11 and 240 give a common denominator of 55440
-    # (twice that for the halved T3/T4 weights); values in (1/4, 1) lie in
+    # (twice that for the T3/T4 weights pi - v/2); values in (1/4, 1) lie in
     # every domain and around 2/3, the Euclidean mean, so every theorem
     # meets feasible and infeasible instances
     rng = random.Random(5440)
     for trial in range(12):
         n = 2 * (trial % 4 + 1)
         t = random_gluing(n, rng) if trial % 2 else random_triangulation(n, rng)
-        for theorem, (_, _, _, kind) in ENUMERATORS.items():
+        for theorem, row in THEOREMS.items():
             values = {}
             for e in range(t.n_edges):
                 den = rng.choice((7, 9, 11, 240))
                 values[e] = RatPi(rng.randint(den // 3, den - 1), den)
-            assert_scan_matches_oracle(t, EdgeFunction(values, kind), theorem)
+            assert_scan_matches_oracle(t, EdgeFunction(values, row.kind), theorem)
 
 
 def test_scan_breaks_ties_by_mask():

@@ -23,11 +23,6 @@ from anglestruct import (
     InvariantKind,
     RatPi,
     Verdict,
-    check_closure,
-    check_hyperbolic_delaunay,
-    check_hyperbolic_edge,
-    check_spherical_delaunay,
-    check_spherical_edge,
     check_via_flow,
     delaunay_invariant,
     edge_invariant,
@@ -35,25 +30,10 @@ from anglestruct import (
 )
 from anglestruct.cli import main
 from anglestruct.errors import RangeViolation
-from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
+from anglestruct.feasibility import ENUMERATORS, THEOREMS, min_cut, subset_slack
 from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
 from conftest import SELF_GLUED_FACES, const_fn, random_gluing
-
-ENUMERATORS = {
-    "T1": check_spherical_edge,
-    "T2": check_hyperbolic_edge,
-    "T3": check_spherical_delaunay,
-    "T4": check_hyperbolic_delaunay,
-    "L7": check_closure,
-}
-DOMAINS = {
-    "T1": (Fraction(0), Fraction(1), InvariantKind.EDGE),
-    "T2": (Fraction(0), Fraction(2), InvariantKind.EDGE),
-    "T3": (Fraction(-2), Fraction(2), InvariantKind.DELAUNAY),
-    "T4": (Fraction(0), Fraction(2), InvariantKind.DELAUNAY),
-    "L7": (Fraction(0), Fraction(2), InvariantKind.EDGE),
-}
 
 
 def assert_flow_matches_enumeration(t, fn, theorem):
@@ -97,7 +77,7 @@ def nudged_boundary_values(t, theorem, rng):
         if rng.random() < 1 / 4:
             shifted += Fraction(rng.randint(-4, 4), 96)
         weights.append(shifted if 0 < shifted < hi else w)
-    kind = DOMAINS[theorem][2]
+    kind = THEOREMS[theorem].kind
     values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
     return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
 
@@ -105,11 +85,11 @@ def nudged_boundary_values(t, theorem, rng):
 def cross_check_instance(t, rng, with_lp=False):
     """Flow against enumeration on all five theorems and, with_lp, the
     construction program's verdict against flow on T1-T4."""
-    for theorem, (lo, hi, kind) in DOMAINS.items():
-        for fn in (random_edge_values(t, rng, lo, hi, kind), nudged_boundary_values(t, theorem, rng)):
+    for theorem, row in THEOREMS.items():
+        for fn in (random_edge_values(t, rng, row.lo, row.hi, row.kind), nudged_boundary_values(t, theorem, rng)):
             flow = assert_flow_matches_enumeration(t, fn, theorem)
             if with_lp and theorem != "L7":
-                lp_report = check_via_lp(t, fn, THEOREMS[theorem].geometry)
+                lp_report = check_via_lp(t, fn, row.geometry)
                 assert lp_report.verdict is flow.verdict, theorem
 
 

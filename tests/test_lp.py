@@ -41,20 +41,11 @@ def test_trivial_unbounded_ray():
     assert out.ray == (Fraction(1), Fraction(1))
 
 
-def test_max_sense():
-    # max x1 + x2 s.t. x1 + x2 + s = 3
-    out = simplex_solve(make_problem([[1, 1, 1]], [3], [1, 1, 0], sense="max"))
-    assert isinstance(out, Optimal)
-    assert out.value == 3
-
-
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        LpProblem(((Fraction(1),),), (Fraction(1), Fraction(2)), (Fraction(0),), "min")
+        LpProblem(((Fraction(1),),), (Fraction(1), Fraction(2)), (Fraction(0),))
     with pytest.raises(DimensionMismatch):
         make_problem([[1, 2]], [1], [0])
-    with pytest.raises(DimensionMismatch):
-        make_problem([[1]], [1], [0], sense="maximize")
 
 
 def test_degenerate_cycling_guard():
