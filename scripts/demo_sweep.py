@@ -15,8 +15,8 @@ import argparse
 import random
 import time
 
-from anglestruct import Verdict, check_via_flow
-from anglestruct.feasibility import ENUMERATORS, THEOREMS
+from anglestruct import Verdict, check_via_enumeration, check_via_flow
+from anglestruct.feasibility import THEOREMS
 from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_triangulation
 
@@ -43,7 +43,7 @@ def main() -> int:
         for name in CHECKS:
             row = THEOREMS[name]
             fn = random_edge_values(t, rng, row.lo, row.hi, row.kind)
-            enum_verdict = ENUMERATORS[name](t, fn).verdict
+            enum_verdict = check_via_enumeration(t, fn, name).verdict
             if check_via_lp(t, fn, row.geometry).verdict is not enum_verdict:
                 lp_off.append(name)
             if check_via_flow(t, fn, name).verdict is not enum_verdict:

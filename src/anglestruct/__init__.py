@@ -23,10 +23,7 @@ from .feasibility import (
     QuantifierRange,
     Verdict,
     check_closure,
-    check_hyperbolic_delaunay,
-    check_hyperbolic_edge,
-    check_spherical_delaunay,
-    check_spherical_edge,
+    check_via_enumeration,
     check_via_flow,
 )
 from .lp import (
@@ -62,10 +59,7 @@ __all__ = [
     "Verdict",
     "build_construction_lp",
     "check_closure",
-    "check_hyperbolic_delaunay",
-    "check_hyperbolic_edge",
-    "check_spherical_delaunay",
-    "check_spherical_edge",
+    "check_via_enumeration",
     "check_via_flow",
     "check_via_lp",
     "classify_structure",

@@ -6,7 +6,8 @@ consistent, 1 for infeasible or mismatching, 2 for invalid input or an
 unreadable instance file and 3 for an internal self-check failure
 (``VerificationFailed``, a bug), the last two with one error object on
 stdout.  The enumeration cap comes from --cap, then the ANGLESTRUCT_CAP
-environment variable, then the default of 20.
+environment variable, then the default of 20; a value that is not an
+integer, from either source, is an InvalidSetting.
 
 ``check --method auto`` enumerates at or below AUTO_ENUMERATE_LIMIT faces
 (and the cap) and decides by minimum cut above it; ``--cross-check`` runs
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide and construct spherical/hyperbolic angle structures "
         "with prescribed edge or Delaunay invariants.",
     )
-    parser.add_argument("--cap", type=int, default=None, help="subset-enumeration cap")
+    parser.add_argument("--cap", default=None, help="subset-enumeration cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="feasibility verdict with certificate")
@@ -91,14 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_cap(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("ANGLESTRUCT_CAP")
-    if env is None:
-        return DEFAULT_ENUMERATION_CAP
+        name, value = "--cap", args.cap
+    else:
+        name, value = "ANGLESTRUCT_CAP", os.environ.get("ANGLESTRUCT_CAP")
+        if value is None:
+            return DEFAULT_ENUMERATION_CAP
     try:
-        return int(env)
+        return int(value)
     except ValueError:
-        raise InvalidSetting(f"ANGLESTRUCT_CAP={env!r} is not an integer") from None
+        raise InvalidSetting(f"{name}={value!r} is not an integer") from None
 
 
 def _require_invariant(invariant, expected_kind=None):
@@ -126,7 +128,7 @@ def cmd_check(args) -> int:
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
     if method == "enumerate" or args.cross_check:
-        report = feasibility.ENUMERATORS[theorem](t, invariant, cap)
+        report = feasibility.check_via_enumeration(t, invariant, theorem, cap)
     elif method == "lp":
         report = lp.check_via_lp(t, invariant, geometry)
     else:

@@ -15,9 +15,9 @@ In pi-units all of them minimise g(X) = W(E(X)) - |X|: T1/T4 over nonempty
 X, T2/T3/L7 over proper X shifted by the constant |F| - W(E).  The weight
 W is the invariant itself for T1, T2 and L7 and pi - Dd/2 for T3 and T4.
 
-The enumerators walk subsets in Gray-code order, maintaining per-edge
-incidence counts so each step costs O(1) integer updates of the slack
-scaled by L, the lcm of the weight denominators.  Their verdicts report
+``check_via_enumeration`` walks subsets in Gray-code order, maintaining
+per-edge incidence counts so each step costs O(1) integer updates of the
+slack scaled by L, the lcm of the weight denominators.  Its verdicts report
 the minimum slack over all checked subsets and, when infeasible, the
 violating subset with minimal slack (ties: smaller size, then smaller
 membership bitmask); the slack of that subset is re-evaluated exactly.
@@ -30,8 +30,8 @@ largest minimisers of that one cut.
 ``THEOREMS`` states each condition once, as a row of data: geometry,
 invariant kind (which fixes the weight map), domain, quantifier and
 strictness (which also fixes whether the domain is open).  Every decider
-here, the LP construction and the command line read it, and
-``ENUMERATORS`` names each condition's enumeration checker.
+here takes a theorem by its name in that table, and the LP construction
+and the command line read it too.
 """
 
 from __future__ import annotations
@@ -215,7 +215,11 @@ def make_report(
     )
 
 
-def _enumerate(t, fn, theorem, cap) -> FeasibilityReport:
+def check_via_enumeration(
+    t: Triangulation, fn: EdgeFunction, theorem: str, cap: int = DEFAULT_ENUMERATION_CAP
+) -> FeasibilityReport:
+    """Decide T1-T4 or L7 exactly by scanning every subset in the
+    theorem's quantifier range; more than `cap` faces raise TooLarge."""
     row = THEOREMS[theorem]
     slack, subset = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
     if subset_slack(t, fn, theorem, subset).coeff != slack:
@@ -223,56 +227,12 @@ def _enumerate(t, fn, theorem, cap) -> FeasibilityReport:
     return make_report(theorem, slack <= 0 if row.strict else slack < 0, subset, slack)
 
 
-def check_spherical_edge(
-    t: Triangulation, d: EdgeFunction, cap: int = DEFAULT_ENUMERATION_CAP
-) -> FeasibilityReport:
-    """Spherical structures with edge invariant d exist iff every nonempty
-    subset X satisfies pi|X| < sum of d over E(X)."""
-    return _enumerate(t, d, "T1", cap)
-
-
-def check_hyperbolic_edge(
-    t: Triangulation, d: EdgeFunction, cap: int = DEFAULT_ENUMERATION_CAP
-) -> FeasibilityReport:
-    """Hyperbolic structures with edge invariant d exist iff every proper
-    subset X (including the empty one) satisfies
-    pi(|F|-|X|) > sum of d outside E(X)."""
-    return _enumerate(t, d, "T2", cap)
-
-
-def check_spherical_delaunay(
-    t: Triangulation, dd: EdgeFunction, cap: int = DEFAULT_ENUMERATION_CAP
-) -> FeasibilityReport:
-    """Spherical structures with Delaunay invariant dd exist iff the
-    hyperbolic edge-invariant conditions hold for pi - dd/2."""
-    return _enumerate(t, dd, "T3", cap)
-
-
-def check_hyperbolic_delaunay(
-    t: Triangulation, dd: EdgeFunction, cap: int = DEFAULT_ENUMERATION_CAP
-) -> FeasibilityReport:
-    """Hyperbolic structures with Delaunay invariant dd exist iff every
-    nonempty subset X satisfies pi|X| < sum of (pi - dd/2) over E(X)."""
-    return _enumerate(t, dd, "T4", cap)
-
-
 def check_closure(
     t: Triangulation, d: EdgeFunction, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> FeasibilityReport:
     """The closure of the hyperbolic solution set is nonempty iff every
-    proper subset satisfies the T2 inequality weakly."""
-    return _enumerate(t, d, "L7", cap)
-
-
-# theorem -> its enumeration checker.  Callers look a checker up here at
-# call time, so rebinding an entry (to wrap a checker) reaches every call.
-ENUMERATORS = {
-    "T1": check_spherical_edge,
-    "T2": check_hyperbolic_edge,
-    "T3": check_spherical_delaunay,
-    "T4": check_hyperbolic_delaunay,
-    "L7": check_closure,
-}
+    proper subset satisfies the T2 inequality weakly (L7)."""
+    return check_via_enumeration(t, d, "L7", cap)
 
 
 def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceSubset) -> RatPi:

@@ -1,10 +1,11 @@
 """Seeded random instances: gluings, angle structures, invariant values.
 
 Gluings are sampled by shuffling the 3N face slots and pairing them
-consecutively, rejecting pairings that glue a face to itself or leave the
-surface disconnected.  Structures are sampled face by face and rescaled
-or rejected until the requested geometry class holds.  Everything is
-driven by a caller-supplied ``random.Random`` so runs are reproducible.
+consecutively, rejecting pairings that leave the surface disconnected; a
+pairing may glue two sides of one face.  Structures are sampled face by
+face and rescaled or rejected until the requested geometry class holds.
+Everything is driven by a caller-supplied ``random.Random`` so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -19,19 +20,15 @@ from .surface import Corner, Triangulation, validate
 
 
 def random_triangulation(n_faces: int, rng: random.Random) -> Triangulation:
-    """Connected gluing of n_faces triangles without self-glued edges."""
+    """Connected gluing of n_faces triangles; self-glued edges allowed."""
     if n_faces < 2 or n_faces % 2:
         raise OddFaceCount(f"need an even face count >= 2, got {n_faces}")
     for _ in range(10_000):
         slots = [(f, k) for f in range(n_faces) for k in range(3)]
         rng.shuffle(slots)
-        pairs = [(slots[i], slots[i + 1]) for i in range(0, len(slots), 2)]
-        if any(p[0][0] == p[1][0] for p in pairs):
-            continue
         incidence = [[-1, -1, -1] for _ in range(n_faces)]
-        for e, (s1, s2) in enumerate(pairs):
-            incidence[s1[0]][s1[1]] = e
-            incidence[s2[0]][s2[1]] = e
+        for i, (f, k) in enumerate(slots):
+            incidence[f][k] = i // 2
         try:
             return validate(incidence)
         except Disconnected:

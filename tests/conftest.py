@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import EdgeFunction, InvariantKind, RatPi, validate
-from anglestruct.errors import Disconnected
 
 TETRA_FACES = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
 
@@ -49,16 +48,3 @@ def face_subsets(t, nonempty_proper=False):
     masks = range(1, (1 << n) - 1) if nonempty_proper else range(1 << n)
     return [frozenset(f for f in range(n) if m >> f & 1) for m in masks]
 
-
-def random_gluing(n_faces, rng):
-    """Connected gluing from a uniform slot pairing; self-glued edges allowed."""
-    while True:
-        slots = [(f, k) for f in range(n_faces) for k in range(3)]
-        rng.shuffle(slots)
-        incidence = [[-1, -1, -1] for _ in range(n_faces)]
-        for i, (f, k) in enumerate(slots):
-            incidence[f][k] = i // 2
-        try:
-            return validate(incidence)
-        except Disconnected:
-            continue

@@ -16,10 +16,7 @@ from anglestruct import (
     InvariantKind,
     RatPi,
     Verdict,
-    check_hyperbolic_delaunay,
-    check_hyperbolic_edge,
-    check_spherical_delaunay,
-    check_spherical_edge,
+    check_via_enumeration,
     classify_structure,
     construct_structure,
     delaunay_invariant,
@@ -60,7 +57,7 @@ def test_criterion_1_spherical_edge_verdict_equals_construction():
     for trial in range(200):
         t = random_triangulation(FACE_COUNTS[trial % 5], rng)
         d = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
-        enumerated = check_spherical_edge(t, d)
+        enumerated = check_via_enumeration(t, d, "T1")
         constructed = construct_structure(t, d, GeometryClass.SPHERICAL)
         built = isinstance(constructed, AngleStructure)
         assert built == (enumerated.verdict is Verdict.FEASIBLE), f"trial {trial}"
@@ -84,7 +81,7 @@ def test_criterion_2_hyperbolic_edge_verdict_equals_lp():
     for trial in range(200):
         t = random_triangulation(FACE_COUNTS[trial % 5], rng)
         d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
-        enumerated = check_hyperbolic_edge(t, d)
+        enumerated = check_via_enumeration(t, d, "T2")
         constructed = construct_structure(t, d, GeometryClass.HYPERBOLIC)
         built = isinstance(constructed, AngleStructure)
         assert built == (enumerated.verdict is Verdict.FEASIBLE), f"trial {trial}"
@@ -116,8 +113,8 @@ def test_criterion_3_delaunay_reduction():
             {e: RatPi(1 - dd.value(e).coeff / 2) for e in range(t.n_edges)},
             InvariantKind.EDGE,
         )
-        r3 = check_spherical_delaunay(t, dd)
-        r2 = check_hyperbolic_edge(t, reduced)
+        r3 = check_via_enumeration(t, dd, "T3")
+        r2 = check_via_enumeration(t, reduced, "T2")
         assert r3.verdict == r2.verdict, f"trial {trial}"
         assert r3.certificate == r2.certificate
         assert r3.slack == r2.slack
@@ -142,23 +139,23 @@ def test_criterion_4_soundness_zero_false_infeasibility():
         t = random_triangulation(FACE_COUNTS[trial % 5], rng)
 
         hyp = random_structure(t, GeometryClass.HYPERBOLIC, rng)
-        if check_hyperbolic_edge(t, edge_invariant(t, hyp)).verdict is not Verdict.FEASIBLE:
+        if check_via_enumeration(t, edge_invariant(t, hyp), "T2").verdict is not Verdict.FEASIBLE:
             false_infeasible += 1
         hyp_dd = random_hyperbolic_delaunay_domain(t, rng)
         if (
-            check_hyperbolic_delaunay(t, delaunay_invariant(t, hyp_dd)).verdict
+            check_via_enumeration(t, delaunay_invariant(t, hyp_dd), "T4").verdict
             is not Verdict.FEASIBLE
         ):
             false_infeasible += 1
 
         sph = random_structure(t, GeometryClass.SPHERICAL, rng)
         if (
-            check_spherical_delaunay(t, delaunay_invariant(t, sph)).verdict
+            check_via_enumeration(t, delaunay_invariant(t, sph), "T3").verdict
             is not Verdict.FEASIBLE
         ):
             false_infeasible += 1
         sph_d = random_spherical_edge_domain(t, rng)
-        if check_spherical_edge(t, edge_invariant(t, sph_d)).verdict is not Verdict.FEASIBLE:
+        if check_via_enumeration(t, edge_invariant(t, sph_d), "T1").verdict is not Verdict.FEASIBLE:
             false_infeasible += 1
     announce(
         4,
@@ -172,29 +169,29 @@ def test_criterion_5_golden_tetrahedron_table():
     t = validate(TETRA_FACES)
     checks = []
 
-    r = check_spherical_edge(t, const_fn(t, (7, 10)))
+    r = check_via_enumeration(t, const_fn(t, (7, 10)), "T1")
     checks.append(r.verdict is Verdict.FEASIBLE and r.slack == RatPi(1, 5))
-    r = check_hyperbolic_edge(t, const_fn(t, (7, 10)))
+    r = check_via_enumeration(t, const_fn(t, (7, 10)), "T2")
     checks.append(
         r.verdict is Verdict.INFEASIBLE
         and r.certificate == frozenset()
         and r.slack == RatPi(-1, 5)
     )
 
-    r = check_spherical_edge(t, const_fn(t, (3, 5)))
+    r = check_via_enumeration(t, const_fn(t, (3, 5)), "T1")
     checks.append(
         r.verdict is Verdict.INFEASIBLE
         and r.certificate == frozenset(range(4))
         and r.slack == RatPi(-2, 5)
     )
-    r = check_hyperbolic_edge(t, const_fn(t, (3, 5)))
+    r = check_via_enumeration(t, const_fn(t, (3, 5)), "T2")
     checks.append(r.verdict is Verdict.FEASIBLE and r.slack == RatPi(2, 5))
     outcome = simplex_solve(build_construction_lp(t, const_fn(t, (3, 5)), GeometryClass.HYPERBOLIC))
     checks.append(isinstance(outcome, Optimal) and -outcome.value == Fraction(1, 10))
 
     from anglestruct import check_closure
 
-    r = check_hyperbolic_edge(t, const_fn(t, (2, 3)))
+    r = check_via_enumeration(t, const_fn(t, (2, 3)), "T2")
     checks.append(
         r.verdict is Verdict.INFEASIBLE and r.certificate == frozenset() and r.slack == RatPi(0)
     )

@@ -173,8 +173,8 @@ def test_gen_two_faces_three_edges(capsys):
     data = json.loads(out)
     edges = {e for row in data["faces"] for e in row}
     assert edges == {0, 1, 2}
-    # without self-gluing both faces carry all three edges
-    assert sorted(data["faces"][0]) == sorted(data["faces"][1]) == [0, 1, 2]
+    assert len(data["faces"]) == 2
+    assert sorted(e for row in data["faces"] for e in row) == [0, 0, 1, 1, 2, 2]
 
 
 def test_gen_odd_face_count_rejected(capsys):
@@ -335,6 +335,15 @@ def test_bad_cap_environment_exits_2(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvalidSetting"
+
+
+def test_bad_cap_flag_exits_2_like_environment(tmp_path, capsys):
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    code = main(["--cap", "abc", "check", path, "--geometry", "spherical", "--invariant", "edge"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "InvalidSetting"
+    assert captured.err == ""
 
 
 def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):

@@ -12,14 +12,11 @@ from anglestruct import (
     InvariantKind,
     RatPi,
     Verdict,
-    check_hyperbolic_delaunay,
-    check_hyperbolic_edge,
-    check_spherical_delaunay,
-    check_spherical_edge,
     classify_structure,
     construct_structure,
     delaunay_invariant,
     edge_invariant,
+    check_via_enumeration,
     check_via_flow,
     lp,
     validate,
@@ -210,7 +207,7 @@ def test_extract_certificate_needs_shifting(tetra):
 
     values = {e: (RatPi(1, 10) if e < 3 else RatPi(11, 10)) for e in range(6)}
     d = EdgeFunction(values, InvariantKind.EDGE)
-    assert check_hyperbolic_edge(tetra, d).certificate == frozenset({0})
+    assert check_via_enumeration(tetra, d, "T2").certificate == frozenset({0})
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset({0})
     assert report.slack == RatPi(-3, 10) == subset_slack(tetra, d, "T2", frozenset({0}))
@@ -283,7 +280,7 @@ def test_equality_boundary_instances(seed):
     if any(not Fraction(0) < v.coeff < Fraction(2) for v in values.values()):
         return
     scaled = EdgeFunction(values, InvariantKind.EDGE)
-    assert check_hyperbolic_edge(t, scaled).verdict is Verdict.INFEASIBLE
+    assert check_via_enumeration(t, scaled, "T2").verdict is Verdict.INFEASIBLE
     result = construct_structure(t, scaled, GeometryClass.HYPERBOLIC)
     assert isinstance(result, FeasibilityReport)
     assert subset_slack(t, scaled, "T2", result.certificate).coeff <= 0
@@ -308,10 +305,10 @@ def test_lp_check_agrees_with_enumeration(seed):
     rng = random.Random(seed)
     t = random_triangulation(rng.choice([2, 4, 6, 8]), rng)
     d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
-    assert check_via_lp(t, d, GeometryClass.HYPERBOLIC).verdict == check_hyperbolic_edge(t, d).verdict
+    assert check_via_lp(t, d, GeometryClass.HYPERBOLIC).verdict == check_via_enumeration(t, d, "T2").verdict
     d1 = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
-    assert check_via_lp(t, d1, GeometryClass.SPHERICAL).verdict == check_spherical_edge(t, d1).verdict
+    assert check_via_lp(t, d1, GeometryClass.SPHERICAL).verdict == check_via_enumeration(t, d1, "T1").verdict
     dd = random_edge_values(t, rng, Fraction(-2), Fraction(2), InvariantKind.DELAUNAY)
-    assert check_via_lp(t, dd, GeometryClass.SPHERICAL).verdict == check_spherical_delaunay(t, dd).verdict
+    assert check_via_lp(t, dd, GeometryClass.SPHERICAL).verdict == check_via_enumeration(t, dd, "T3").verdict
     dd4 = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
-    assert check_via_lp(t, dd4, GeometryClass.HYPERBOLIC).verdict == check_hyperbolic_delaunay(t, dd4).verdict
+    assert check_via_lp(t, dd4, GeometryClass.HYPERBOLIC).verdict == check_via_enumeration(t, dd4, "T4").verdict

@@ -12,16 +12,13 @@ from anglestruct import (
     RatPi,
     Verdict,
     check_closure,
-    check_hyperbolic_delaunay,
-    check_hyperbolic_edge,
-    check_spherical_delaunay,
-    check_spherical_edge,
+    check_via_enumeration,
     delaunay_invariant,
     edge_invariant,
     validate,
 )
 from anglestruct.errors import RangeViolation, TooLarge
-from anglestruct.feasibility import ENUMERATORS, THEOREMS, QuantifierRange, _scan, subset_slack
+from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, subset_slack
 from anglestruct.sampling import (
     random_edge_values,
     random_hyperbolic_delaunay_domain,
@@ -29,7 +26,7 @@ from anglestruct.sampling import (
     random_structure,
     random_triangulation,
 )
-from conftest import const_fn, random_gluing
+from conftest import const_fn
 
 
 # --- independent oracle: plain loops over masks, no Gray-code, no incremental sums
@@ -66,14 +63,13 @@ def weights_of(fn, t, theorem):
 
 
 def assert_scan_matches_oracle(t, fn, theorem):
-    check = ENUMERATORS[theorem]
     grow_form = theorem in ("T1", "T4")
     weights = weights_of(fn, t, theorem)
     slack, _, mask = oracle_argmin(t, weights, grow_form)
     argmin = frozenset(f for f in range(t.n_faces) if mask >> f & 1)
     # the scan's pick, feasible or not, then the report built from it
     assert _scan(t, weights, grow_form, t.n_faces) == (slack, argmin), theorem
-    r = check(t, fn)
+    r = check_via_enumeration(t, fn, theorem)
     assert r.slack.coeff == slack, theorem
     assert r.certificate == (argmin if r.verdict is Verdict.INFEASIBLE else None), theorem
 
@@ -82,31 +78,31 @@ def assert_scan_matches_oracle(t, fn, theorem):
 
 
 def test_t1_golden(tetra):
-    r = check_spherical_edge(tetra, const_fn(tetra, (7, 10)))
+    r = check_via_enumeration(tetra, const_fn(tetra, (7, 10)), "T1")
     assert r.verdict is Verdict.FEASIBLE
     assert r.slack == RatPi(1, 5)  # tightest subset is all four faces
     assert r.certificate is None
     assert r.quantifier_range is QuantifierRange.NONEMPTY_SUBSETS
 
-    r = check_spherical_edge(tetra, const_fn(tetra, (3, 5)))
+    r = check_via_enumeration(tetra, const_fn(tetra, (3, 5)), "T1")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset(range(4))
     assert r.slack == RatPi(-2, 5)
 
 
 def test_t2_golden(tetra):
-    r = check_hyperbolic_edge(tetra, const_fn(tetra, (3, 5)))
+    r = check_via_enumeration(tetra, const_fn(tetra, (3, 5)), "T2")
     assert r.verdict is Verdict.FEASIBLE
     assert r.slack == RatPi(2, 5)
     assert r.quantifier_range is QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
 
-    r = check_hyperbolic_edge(tetra, const_fn(tetra, (7, 10)))
+    r = check_via_enumeration(tetra, const_fn(tetra, (7, 10)), "T2")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset()
     assert r.slack == RatPi(-1, 5)
 
     # boundary: equality at the empty subset kills the open problem only
-    r = check_hyperbolic_edge(tetra, const_fn(tetra, (2, 3)))
+    r = check_via_enumeration(tetra, const_fn(tetra, (2, 3)), "T2")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset()
     assert r.slack == RatPi(0)
@@ -123,45 +119,45 @@ def test_closure_golden(tetra):
 
 
 def test_t3_golden(tetra):
-    r = check_spherical_delaunay(tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY))
+    r = check_via_enumeration(tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), "T3")
     assert r.verdict is Verdict.FEASIBLE
     assert r.theorem == "T3"
-    r = check_spherical_delaunay(tetra, const_fn(tetra, (3, 5), InvariantKind.DELAUNAY))
+    r = check_via_enumeration(tetra, const_fn(tetra, (3, 5), InvariantKind.DELAUNAY), "T3")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset()
 
 
 def test_t4_golden(tetra):
-    r = check_hyperbolic_delaunay(tetra, const_fn(tetra, (3, 5), InvariantKind.DELAUNAY))
+    r = check_via_enumeration(tetra, const_fn(tetra, (3, 5), InvariantKind.DELAUNAY), "T4")
     assert r.verdict is Verdict.FEASIBLE
-    r = check_hyperbolic_delaunay(tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY))
+    r = check_via_enumeration(tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), "T4")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset(range(4))
 
 
 def test_range_violations(tetra):
     with pytest.raises(RangeViolation):
-        check_spherical_edge(tetra, const_fn(tetra, 1))  # needs (0, pi)
+        check_via_enumeration(tetra, const_fn(tetra, 1), "T1")  # needs (0, pi)
     with pytest.raises(RangeViolation):
-        check_hyperbolic_edge(tetra, const_fn(tetra, 2))
+        check_via_enumeration(tetra, const_fn(tetra, 2), "T2")
     with pytest.raises(RangeViolation):
-        check_spherical_delaunay(tetra, const_fn(tetra, 2, InvariantKind.DELAUNAY))
+        check_via_enumeration(tetra, const_fn(tetra, 2, InvariantKind.DELAUNAY), "T3")
     with pytest.raises(RangeViolation):
-        check_hyperbolic_delaunay(tetra, const_fn(tetra, 0, InvariantKind.DELAUNAY))
+        check_via_enumeration(tetra, const_fn(tetra, 0, InvariantKind.DELAUNAY), "T4")
     with pytest.raises(RangeViolation):
-        check_spherical_edge(tetra, const_fn(tetra, (1, 2), InvariantKind.DELAUNAY))
+        check_via_enumeration(tetra, const_fn(tetra, (1, 2), InvariantKind.DELAUNAY), "T1")
 
 
 def test_enumeration_cap(tetra):
     with pytest.raises(TooLarge):
-        check_spherical_edge(tetra, const_fn(tetra, (1, 2)), cap=2)
+        check_via_enumeration(tetra, const_fn(tetra, (1, 2)), "T1", cap=2)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8]), self_glued=st.booleans())
-def test_scan_matches_independent_oracle(seed, n, self_glued):
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8]))
+def test_scan_matches_independent_oracle(seed, n):
     rng = random.Random(seed)
-    t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
+    t = random_triangulation(n, rng)
     for theorem, row in THEOREMS.items():
         fn = random_edge_values(t, rng, row.lo, row.hi, row.kind)
         assert_scan_matches_oracle(t, fn, theorem)
@@ -175,7 +171,7 @@ def test_scan_matches_oracle_with_mixed_denominators():
     rng = random.Random(5440)
     for trial in range(12):
         n = 2 * (trial % 4 + 1)
-        t = random_gluing(n, rng) if trial % 2 else random_triangulation(n, rng)
+        t = random_triangulation(n, rng)
         for theorem, row in THEOREMS.items():
             values = {}
             for e in range(t.n_edges):
@@ -210,8 +206,8 @@ def test_t1_t4_duality_under_substitution(seed, n):
         {e: RatPi(2 - 2 * d.value(e).coeff) for e in range(t.n_edges)},
         InvariantKind.DELAUNAY,
     )
-    r1 = check_spherical_edge(t, d)
-    r4 = check_hyperbolic_delaunay(t, dd)
+    r1 = check_via_enumeration(t, d, "T1")
+    r4 = check_via_enumeration(t, dd, "T4")
     assert r1.verdict == r4.verdict
     assert r1.certificate == r4.certificate
     assert r1.slack == r4.slack
@@ -227,8 +223,8 @@ def test_t3_delegates_to_t2_verbatim(seed, n):
         {e: RatPi(1 - dd.value(e).coeff / 2) for e in range(t.n_edges)},
         InvariantKind.EDGE,
     )
-    r3 = check_spherical_delaunay(t, dd)
-    r2 = check_hyperbolic_edge(t, reduced)
+    r3 = check_via_enumeration(t, dd, "T3")
+    r2 = check_via_enumeration(t, reduced, "T2")
     assert r3.verdict == r2.verdict
     assert r3.certificate == r2.certificate
     assert r3.slack == r2.slack
@@ -241,12 +237,12 @@ def test_certificates_reverify(seed):
     rng = random.Random(seed)
     t = random_triangulation(rng.choice([2, 4, 6, 8]), rng)
     d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
-    r = check_hyperbolic_edge(t, d)
+    r = check_via_enumeration(t, d, "T2")
     if r.certificate is not None:
         assert subset_slack(t, d, "T2", r.certificate).coeff <= 0
         assert subset_slack(t, d, "T2", r.certificate) == r.slack
     d1 = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
-    r1 = check_spherical_edge(t, d1)
+    r1 = check_via_enumeration(t, d1, "T1")
     if r1.certificate is not None:
         assert subset_slack(t, d1, "T1", r1.certificate).coeff <= 0
         assert subset_slack(t, d1, "T1", r1.certificate) == r1.slack
@@ -263,22 +259,22 @@ def test_monotonicity_in_single_edge(seed):
     e = rng.randrange(t.n_edges)
     bump = Fraction(rng.randint(1, 100), 100)
 
-    before = check_hyperbolic_edge(t, d).verdict
+    before = check_via_enumeration(t, d, "T2").verdict
     raised = EdgeFunction(
         {k: (RatPi(d.value(k).coeff + bump) if k == e else d.value(k)) for k in range(t.n_edges)},
         InvariantKind.EDGE,
     )
-    after = check_hyperbolic_edge(t, raised).verdict
+    after = check_via_enumeration(t, raised, "T2").verdict
     assert not (before is Verdict.INFEASIBLE and after is Verdict.FEASIBLE)
 
-    before = check_spherical_edge(t, d).verdict
+    before = check_via_enumeration(t, d, "T1").verdict
     lower = Fraction(rng.randint(1, 100), 1000)
     lowered = EdgeFunction(
         {k: (RatPi(d.value(k).coeff - lower) if k == e else d.value(k)) for k in range(t.n_edges)},
         InvariantKind.EDGE,
     )
     if all(lowered.value(k).coeff > 0 for k in range(t.n_edges)):
-        after = check_spherical_edge(t, lowered).verdict
+        after = check_via_enumeration(t, lowered, "T1").verdict
         assert not (before is Verdict.INFEASIBLE and after is Verdict.FEASIBLE)
 
 
@@ -289,17 +285,17 @@ def test_soundness_on_computed_invariants(seed):
     rng = random.Random(seed)
     t = random_triangulation(rng.choice([2, 4, 6, 8, 10]), rng)
     hyp = random_structure(t, GeometryClass.HYPERBOLIC, rng)
-    assert check_hyperbolic_edge(t, edge_invariant(t, hyp)).verdict is Verdict.FEASIBLE
+    assert check_via_enumeration(t, edge_invariant(t, hyp), "T2").verdict is Verdict.FEASIBLE
     sph = random_structure(t, GeometryClass.SPHERICAL, rng)
     assert (
-        check_spherical_delaunay(t, delaunay_invariant(t, sph)).verdict is Verdict.FEASIBLE
+        check_via_enumeration(t, delaunay_invariant(t, sph), "T3").verdict is Verdict.FEASIBLE
     )
     hyp4 = random_hyperbolic_delaunay_domain(t, rng)
     assert (
-        check_hyperbolic_delaunay(t, delaunay_invariant(t, hyp4)).verdict is Verdict.FEASIBLE
+        check_via_enumeration(t, delaunay_invariant(t, hyp4), "T4").verdict is Verdict.FEASIBLE
     )
     sph1 = random_spherical_edge_domain(t, rng)
-    assert check_spherical_edge(t, edge_invariant(t, sph1)).verdict is Verdict.FEASIBLE
+    assert check_via_enumeration(t, edge_invariant(t, sph1), "T1").verdict is Verdict.FEASIBLE
 
 
 def test_witness_backed_examples(tetra):
@@ -308,13 +304,13 @@ def test_witness_backed_examples(tetra):
     import anglestruct as a
 
     x = a.AngleStructure({c: RatPi(7, 20) for c in tetra.corners()})
-    assert check_spherical_edge(tetra, edge_invariant(tetra, x)).verdict is Verdict.FEASIBLE
+    assert check_via_enumeration(tetra, edge_invariant(tetra, x), "T1").verdict is Verdict.FEASIBLE
     x = a.AngleStructure({c: RatPi(3, 10) for c in tetra.corners()})
     assert (
-        check_hyperbolic_delaunay(tetra, delaunay_invariant(tetra, x)).verdict
+        check_via_enumeration(tetra, delaunay_invariant(tetra, x), "T4").verdict
         is Verdict.FEASIBLE
     )
     x = a.AngleStructure({c: RatPi(2, 5) for c in tetra.corners()})
     dd = delaunay_invariant(tetra, x)
     assert all(dd.value(e) == RatPi(4, 5) for e in range(6))
-    assert check_spherical_delaunay(tetra, dd).verdict is Verdict.FEASIBLE
+    assert check_via_enumeration(tetra, dd, "T3").verdict is Verdict.FEASIBLE

@@ -23,6 +23,7 @@ from anglestruct import (
     InvariantKind,
     RatPi,
     Verdict,
+    check_via_enumeration,
     check_via_flow,
     delaunay_invariant,
     edge_invariant,
@@ -30,15 +31,15 @@ from anglestruct import (
 )
 from anglestruct.cli import main
 from anglestruct.errors import RangeViolation
-from anglestruct.feasibility import ENUMERATORS, THEOREMS, min_cut, subset_slack
+from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
 from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
-from conftest import SELF_GLUED_FACES, const_fn, random_gluing
+from conftest import SELF_GLUED_FACES, const_fn
 
 
 def assert_flow_matches_enumeration(t, fn, theorem):
     flow = check_via_flow(t, fn, theorem)
-    enum = ENUMERATORS[theorem](t, fn)
+    enum = check_via_enumeration(t, fn, theorem)
     assert flow.verdict is enum.verdict, theorem
     assert (flow.theorem, flow.quantifier_range) == (enum.theorem, enum.quantifier_range)
     if flow.verdict is not Verdict.INFEASIBLE:
@@ -97,28 +98,28 @@ def test_flow_matches_enumeration_seeded():
     rng = random.Random(2024)
     for trial in range(60):
         n = 2 * (trial % 5 + 1)
-        t = random_gluing(n, rng) if trial % 2 else random_triangulation(n, rng)
-        # the program on half the trials, both gluings and every size
+        t = random_triangulation(n, rng)
+        # the program on half the trials and every size
         cross_check_instance(t, rng, with_lp=trial % 4 < 2)
     cross_check_instance(validate(SELF_GLUED_FACES), rng, with_lp=True)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]), self_glued=st.booleans())
-def test_flow_matches_enumeration_hypothesis(seed, n, self_glued):
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]))
+def test_flow_matches_enumeration_hypothesis(seed, n):
     rng = random.Random(seed)
-    t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
+    t = random_triangulation(n, rng)
     cross_check_instance(t, rng)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]), self_glued=st.booleans())
-def test_flow_boundary_instances_from_euclidean_structures(seed, n, self_glued):
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]))
+def test_flow_boundary_instances_from_euclidean_structures(seed, n):
     # A Euclidean structure's invariants make the slack exactly 0 at F for
     # T1/T4 (W(E) = sum of all angles = |F|) and at the empty set for
     # T2/T3; L7 holds weakly there, so it is closure-only.
     rng = random.Random(seed)
-    t = random_gluing(n, rng) if self_glued else random_triangulation(n, rng)
+    t = random_triangulation(n, rng)
     x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
     d, dd = edge_invariant(t, x), delaunay_invariant(t, x)
     cases = [("T2", d), ("T3", dd), ("L7", d)]
@@ -140,7 +141,7 @@ def test_min_cut_minimisers_bracket_every_minimiser():
     rng = random.Random(7)
     for trial in range(40):
         n = 2 * (trial % 4 + 1)
-        t = random_gluing(n, rng)
+        t = random_triangulation(n, rng)
         weights = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(t.n_edges)]
         minimum, smallest, largest = min_cut(t, weights)
         values = {}
@@ -200,7 +201,7 @@ def test_flow_rejects_out_of_domain_like_enumeration(tetra):
     d = const_fn(tetra, (3, 2))
     for theorem in ("T1", "T3"):  # a value outside (0, 1), then the wrong kind
         with pytest.raises(RangeViolation) as enumerated:
-            ENUMERATORS[theorem](tetra, d)
+            check_via_enumeration(tetra, d, theorem)
         with pytest.raises(RangeViolation) as flowed:
             check_via_flow(tetra, d, theorem)
         assert str(flowed.value) == str(enumerated.value)

@@ -36,3 +36,15 @@ def test_readme_example_session(tmp_path, capsys):
             assert out.startswith(expected.split("...", 1)[0]), argv
         else:
             assert out == expected + "\n", argv
+
+
+def test_readme_library_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out == "Verdict.FEASIBLE\n"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone fails here
+    exec("from anglestruct import *", {})
