@@ -33,7 +33,7 @@ from .lp import (
     construct_structure,
     simplex_solve,
 )
-from .ratpi import PI, RatPi, parse, render
+from .ratpi import PI, RatPi, parse
 from .surface import (
     Corner,
     FaceSubset,
@@ -72,7 +72,6 @@ __all__ = [
     "edge_invariant",
     "edge_set",
     "parse",
-    "render",
     "simplex_solve",
     "validate",
 ]

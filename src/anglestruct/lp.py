@@ -119,224 +119,188 @@ LpOutcome = Optimal | Infeasible | Unbounded
 
 # ---------------------------------------------------------------------------
 # simplex kernel
+#
+# The tableau is a list of augmented rows [B^-1 A | B^-1 b], one per live
+# constraint, then one objective row of reduced costs whose last entry is
+# minus the objective value.  basis[i] is the basic column of row i,
+# reader[i] its initial unit column (where its multiplier is read) and
+# orig[i] the row of A it came from.
 
 
-class _Tableau:
-    def __init__(self, rows, rhs, reader_cols, basis, n_struct):
-        self.rows = rows            # list of lists, width n_total
-        self.rhs = rhs              # list, one per row
-        self.reader = reader_cols   # per live row: its initial unit column
-        self.basis = basis          # per live row: basic column
-        self.n_struct = n_struct    # columns 0..n_struct-1 are structural
-        self.obj = None             # reduced costs, width n_total
-        self.obj_value = ZERO       # current objective value
+def _pivot(rows, basis, r, col):
+    """Make col basic in row r: normalise it, then eliminate col from every
+    other row, the objective row included."""
+    prow = rows[r]
+    pval = prow[col]
+    if pval != 1:
+        inv = 1 / pval
+        rows[r] = prow = [v * inv for v in prow]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v != 0]
+    for i, target in enumerate(rows):
+        factor = target[col]
+        if factor != 0 and i != r:
+            for j, v in nonzero:
+                target[j] -= factor * v
+    basis[r] = col
 
-    def set_costs(self, costs):
-        self.obj = list(costs)
-        self.obj_value = ZERO
-        for i, col in enumerate(self.basis):
-            cb = costs[col]
-            if cb != 0:
-                row = self.rows[i]
-                obj = self.obj
-                for j in range(len(obj)):
-                    if row[j] != 0:
-                        obj[j] -= cb * row[j]
-                self.obj_value -= cb * self.rhs[i]
 
-    def pivot(self, row_idx, col):
-        rows, rhs, obj = self.rows, self.rhs, self.obj
-        prow = rows[row_idx]
-        pval = prow[col]
-        if pval != 1:
-            inv = 1 / pval
-            rows[row_idx] = prow = [v * inv for v in prow]
-            rhs[row_idx] *= inv
-        width = len(prow)
-        for i in range(len(rows)):
-            if i == row_idx:
-                continue
-            factor = rows[i][col]
-            if factor != 0:
-                target = rows[i]
-                for j in range(width):
-                    if prow[j] != 0:
-                        target[j] -= factor * prow[j]
-                rhs[i] -= factor * self.rhs[row_idx]
-        factor = obj[col]
-        if factor != 0:
-            for j in range(width):
-                if prow[j] != 0:
-                    obj[j] -= factor * prow[j]
-            self.obj_value -= factor * self.rhs[row_idx]
-        self.basis[row_idx] = col
+def _price(rows, basis, costs):
+    """Set the objective row to the reduced costs of costs at basis."""
+    obj = [*costs, ZERO]
+    for row, col in zip(rows, basis):
+        cb = costs[col]
+        if cb != 0:
+            for j, v in enumerate(row):
+                if v != 0:
+                    obj[j] -= cb * v
+    rows[len(basis):] = [obj]
 
-    def run(self, allowed):
-        """Bland-rule simplex; returns entering column on unboundedness, else None."""
-        rows, rhs, obj, basis = self.rows, self.rhs, self.obj, self.basis
-        while True:
-            enter = -1
-            for j in allowed:
-                if obj[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return None
-            leave = -1
-            best_ratio = None
-            for i in range(len(rows)):
-                coeff = rows[i][enter]
-                if coeff > 0:
-                    ratio = rhs[i] / coeff
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                return enter
-            self.pivot(leave, enter)
+
+def _run(rows, basis, allowed):
+    """Bland-rule simplex; returns entering column on unboundedness, else None."""
+    obj = rows[-1]
+    while True:
+        enter = next((j for j in allowed if obj[j] < 0), None)
+        if enter is None:
+            return None
+        leave = -1
+        best_ratio = None
+        for i, col in enumerate(basis):
+            coeff = rows[i][enter]
+            if coeff > 0:
+                ratio = rows[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and col < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return enter
+        _pivot(rows, basis, leave, enter)
 
 
 def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with dual multipliers and Farkas certificates."""
     m, n = problem.n_rows, problem.n_cols
-
-    row_sign = [ONE if bv >= 0 else -ONE for bv in problem.b]
-    rows = [
-        [v * row_sign[i] for v in problem.a[i]] for i in range(m)
-    ]
-    rhs = [problem.b[i] * row_sign[i] for i in range(m)]
+    rows = [list(row) if bv >= 0 else [-v for v in row] for row, bv in zip(problem.a, problem.b)]
 
     basis: list[int | None] = [None] * m
-    used = set()
     for j in range(n):
         hits = [i for i in range(m) if rows[i][j] != 0]
-        if len(hits) == 1 and rows[hits[0]][j] == 1:
-            i = hits[0]
-            if basis[i] is None and j not in used:
-                basis[i] = j
-                used.add(j)
+        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
+            basis[hits[0]] = j
 
-    artificial_of_row = {}
-    n_total = n
-    for i in range(m):
+    n_art = basis.count(None)
+    art = n
+    for i, row in enumerate(rows):
+        row.extend([ZERO] * n_art)
         if basis[i] is None:
-            artificial_of_row[i] = n_total
-            n_total += 1
-    for i in range(m):
-        pad = [ZERO] * (n_total - n)
-        if i in artificial_of_row:
-            pad[artificial_of_row[i] - n] = ONE
-            basis[i] = artificial_of_row[i]
-        rows[i].extend(pad)
-    reader = [artificial_of_row.get(i, basis[i]) for i in range(m)]
+            row[art] = ONE
+            basis[i] = art
+            art += 1
+        row.append(abs(problem.b[i]))
+    reader = list(basis)
+    orig = list(range(m))
 
-    tab = _Tableau(rows, rhs, reader, basis, n)
-    structural = list(range(n))
-    live_orig_rows = list(range(m))
-
-    if artificial_of_row:
-        phase1_cost = [ZERO] * n + [ONE] * (n_total - n)
-        tab.set_costs(phase1_cost)
-        if tab.run(structural) is not None:
+    if n_art:
+        phase1_cost = [ZERO] * n + [ONE] * n_art
+        _price(rows, basis, phase1_cost)
+        if _run(rows, basis, range(n)) is not None:
             raise VerificationFailed("phase 1 unbounded")
-        w = -tab.obj_value
-        if w > 0:
-            y = _read_dual(tab, phase1_cost, live_orig_rows, row_sign, m)
+        if rows[-1][-1] < 0:  # the artificials sum to more than 0
+            y = _read_dual(rows, reader, orig, phase1_cost, problem.b)
             _verify_farkas(problem, y)
             return Infeasible(tuple(y))
-        live_orig_rows = _expel_artificials(tab, live_orig_rows)
+        _expel_artificials(rows, basis, reader, orig, n)
 
-    phase2_cost = list(problem.c) + [ZERO] * (n_total - n)
-    tab.set_costs(phase2_cost)
-    enter = tab.run(structural)
+    phase2_cost = list(problem.c) + [ZERO] * n_art
+    _price(rows, basis, phase2_cost)
+    enter = _run(rows, basis, range(n))
     if enter is not None:
         ray = [ZERO] * n
         ray[enter] = ONE
-        for i, col in enumerate(tab.basis):
+        for row, col in zip(rows, basis):
             if col < n:
-                ray[col] = -tab.rows[i][enter]
+                ray[col] = -row[enter]
         _verify_ray(problem, ray)
         return Unbounded(tuple(ray))
 
     x = [ZERO] * n
-    for i, col in enumerate(tab.basis):
+    for row, col in zip(rows, basis):
         if col < n:
-            x[col] = tab.rhs[i]
-    value = -tab.obj_value
-    y = _read_dual(tab, phase2_cost, live_orig_rows, row_sign, m)
+            x[col] = row[-1]
+    value = -rows[-1][-1]
+    y = _read_dual(rows, reader, orig, phase2_cost, problem.b)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
 
-def _expel_artificials(tab: _Tableau, live_orig_rows):
+def _expel_artificials(rows, basis, reader, orig, n):
     """Pivot zero-valued artificials out of the basis; drop redundant rows."""
-    n = tab.n_struct
     i = 0
-    while i < len(tab.rows):
-        if tab.basis[i] >= n:
-            if tab.rhs[i] != 0:
+    while i < len(basis):
+        if basis[i] >= n:
+            row = rows[i]
+            if row[-1] != 0:
                 raise VerificationFailed("artificial basic with nonzero value at phase-1 optimum")
-            col = next((j for j in range(n) if tab.rows[i][j] != 0), None)
+            col = next((j for j in range(n) if row[j] != 0), None)
             if col is None:
-                del tab.rows[i]
-                del tab.rhs[i]
-                del tab.basis[i]
-                del tab.reader[i]
-                del live_orig_rows[i]
+                for seq in (rows, basis, reader, orig):
+                    del seq[i]
                 continue
-            tab.pivot(i, col)
+            _pivot(rows, basis, i, col)
         i += 1
-    return live_orig_rows
 
 
-def _read_dual(tab: _Tableau, costs, live_orig_rows, row_sign, m):
-    """Row multipliers via y_i = c_u - r_u at each row's initial unit column."""
-    y = [ZERO] * m
-    for i, orig in enumerate(live_orig_rows):
-        col = tab.reader[i]
-        y[orig] = (costs[col] - tab.obj[col]) * row_sign[orig]
+def _read_dual(rows, reader, orig, costs, b):
+    """Row multipliers via y_i = c_u - r_u at each row's initial unit column,
+    negated for a row that was negated to make b_i >= 0."""
+    obj = rows[-1]
+    y = [ZERO] * len(b)
+    for col, i in zip(reader, orig):
+        y[i] = costs[col] - obj[col] if b[i] >= 0 else obj[col] - costs[col]
     return y
 
 
+def _dot(coeffs, values):
+    """Exact sum of the products, skipping zero coefficients."""
+    return sum((a * v for a, v in zip(coeffs, values, strict=True) if a != 0), ZERO)
+
+
+def _columns(problem: LpProblem):
+    """The n columns of A, also when A has no rows."""
+    return [[row[j] for row in problem.a] for j in range(problem.n_cols)]
+
+
 def _verify_farkas(problem: LpProblem, y):
-    n = problem.n_cols
-    for j in range(n):
-        dot = sum(problem.a[i][j] * y[i] for i in range(problem.n_rows))
-        if dot > 0:
-            raise VerificationFailed("Farkas vector fails A^t y <= 0")
-    if sum(problem.b[i] * y[i] for i in range(problem.n_rows)) <= 0:
+    if any(_dot(column, y) > 0 for column in _columns(problem)):
+        raise VerificationFailed("Farkas vector fails A^t y <= 0")
+    if _dot(problem.b, y) <= 0:
         raise VerificationFailed("Farkas vector fails b^t y > 0")
 
 
 def _verify_ray(problem: LpProblem, ray):
-    for i in range(problem.n_rows):
-        if sum(problem.a[i][j] * ray[j] for j in range(problem.n_cols)) != 0:
-            raise VerificationFailed("unbounded ray leaves the constraint space")
+    if any(_dot(row, ray) != 0 for row in problem.a):
+        raise VerificationFailed("unbounded ray leaves the constraint space")
     if any(v < 0 for v in ray):
         raise VerificationFailed("unbounded ray not nonnegative")
-    drift = sum(problem.c[j] * ray[j] for j in range(problem.n_cols))
-    if drift >= 0:
+    if _dot(problem.c, ray) >= 0:
         raise VerificationFailed("ray does not improve the objective")
 
 
 def _verify_optimal(problem: LpProblem, x, value, y):
-    m, n = problem.n_rows, problem.n_cols
-    for i in range(m):
-        if sum(problem.a[i][j] * x[j] for j in range(n)) != problem.b[i]:
-            raise VerificationFailed("optimal point violates A x = b")
+    if any(_dot(row, x) != bv for row, bv in zip(problem.a, problem.b)):
+        raise VerificationFailed("optimal point violates A x = b")
     if any(v < 0 for v in x):
         raise VerificationFailed("optimal point violates x >= 0")
-    if sum(problem.c[j] * x[j] for j in range(n)) != value:
+    if _dot(problem.c, x) != value:
         raise VerificationFailed("objective mismatch at optimum")
-    if sum(problem.b[i] * y[i] for i in range(m)) != value:
+    if _dot(problem.b, y) != value:
         raise VerificationFailed("strong duality mismatch")
-    for j in range(n):
-        if sum(problem.a[i][j] * y[i] for i in range(m)) > problem.c[j]:
-            raise VerificationFailed("dual multipliers infeasible at optimum")
+    if any(_dot(column, y) > cj for column, cj in zip(_columns(problem), problem.c)):
+        raise VerificationFailed("dual multipliers infeasible at optimum")
 
 
 def render_problem(problem: LpProblem) -> str:

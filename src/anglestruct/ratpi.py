@@ -34,14 +34,6 @@ class RatPi:
     def __setattr__(self, name, value):
         raise AttributeError("RatPi is immutable")
 
-    @property
-    def numerator(self) -> int:
-        return self.coeff.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.coeff.denominator
-
     def __add__(self, other):
         if not isinstance(other, RatPi):
             return NotImplemented
@@ -114,10 +106,6 @@ def parse(text: str) -> RatPi:
     if den == 0:
         raise ZeroDenominator(text)
     return RatPi(num, den)
-
-
-def render(value: RatPi) -> str:
-    return value.render()
 
 
 ZERO = RatPi(0)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -27,9 +28,12 @@ from anglestruct.feasibility import make_report
 from anglestruct.lp import _infeasible_certificate, check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
+    random_hyperbolic_delaunay_domain,
+    random_spherical_edge_domain,
     random_structure,
     random_triangulation,
 )
+from anglestruct.serialize import dumps, structure_to_json
 from conftest import SELF_GLUED_FACES, TETRA_FACES, const_fn
 
 
@@ -140,6 +144,31 @@ def test_self_glued_constructions(self_glued):
     w = construct_structure(self_glued, const_fn(self_glued, (3, 4)), GeometryClass.SPHERICAL)
     assert isinstance(w, AngleStructure)
     assert classify_structure(self_glued, w) is GeometryClass.SPHERICAL
+
+
+# sha256 of the JSON bytes of the 16 witnesses below; a change that moves
+# the simplex to another vertex on purpose updates it and says so
+WITNESS_DIGEST = "7cf444f9ca068321dc3a2b83f7f1c52a8ccfc65d92e4653f44a85f4ded94eeeb"
+
+
+def test_witness_bytes_pinned():
+    # T1-T4 at 6, 8, 10 and 12 faces, each invariant computed from a
+    # structure of its theorem's domain, so every request is feasible
+    sph, hyp = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for n in (6, 8, 10, 12):
+        t = random_triangulation(n, rng)
+        for geometry, fn in (
+            (sph, edge_invariant(t, random_spherical_edge_domain(t, rng))),
+            (hyp, edge_invariant(t, random_structure(t, hyp, rng))),
+            (sph, delaunay_invariant(t, random_structure(t, sph, rng))),
+            (hyp, delaunay_invariant(t, random_hyperbolic_delaunay_domain(t, rng))),
+        ):
+            w = construct_structure(t, fn, geometry)
+            assert isinstance(w, AngleStructure)
+            digest.update(dumps(structure_to_json(t, w)).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 # --- certificates come from the minimum cut, which proves itself

@@ -1,15 +1,19 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from anglestruct import GeometryClass, InvariantKind
-from anglestruct.errors import DimensionMismatch
+from anglestruct.errors import DimensionMismatch, VerificationFailed
 from anglestruct.lp import (
     Infeasible,
     LpProblem,
     Optimal,
     Unbounded,
+    _verify_farkas,
+    _verify_optimal,
+    _verify_ray,
     build_construction_lp,
     make_problem,
     render_problem,
@@ -60,6 +64,56 @@ def test_degenerate_cycling_guard():
     out = simplex_solve(make_problem(a, b, c))
     assert isinstance(out, Optimal)
     assert out.value == Fraction(-1, 20)
+
+
+def fractions(*values):
+    return tuple(Fraction(v) for v in values)
+
+
+def test_redundant_equality_rows():
+    # phase 1 leaves an artificial basic at 0 on a row that is a multiple of
+    # another; that row is dropped and its multiplier reads 0
+    out = simplex_solve(make_problem([[1, 1], [2, 2]], [1, 2], [1, 0]))
+    assert out == Optimal(fractions(0, 1), Fraction(0), fractions(0, 0))
+    out = simplex_solve(
+        make_problem([[1, 1, 0], [2, 2, 0], [0, 1, 1]], [1, 2, 1], [0, -1, 0])
+    )
+    assert out == Optimal(fractions(0, 1, 0), Fraction(-1), fractions(-1, 0, 0))
+    out = simplex_solve(make_problem([[1, 1], [2, 2], [1, 1]], [1, 2, 3], [0, 0]))
+    assert out == Infeasible(fractions(-3, 1, 1))
+    out = simplex_solve(make_problem([[1, -1], [-2, 2]], [0, 0], [-1, 0]))
+    assert out == Unbounded(fractions(1, 1))
+
+
+def test_verifiers_reject_tampered_answers():
+    problem = make_problem([[1, 1]], [1], [1, 2])
+    _verify_optimal(problem, fractions(1, 0), Fraction(1), fractions(1))
+    for x, value, y, message in [
+        ((1, 1), 1, (1,), "A x = b"),
+        ((2, -1), 1, (1,), "x >= 0"),
+        ((1, 0), 2, (1,), "objective mismatch"),
+        ((1, 0), 1, (2,), "strong duality"),
+        ((0, 1), 2, (2,), "dual multipliers infeasible"),
+    ]:
+        with pytest.raises(VerificationFailed, match=re.escape(message)):
+            _verify_optimal(problem, fractions(*x), Fraction(value), fractions(*y))
+    # with no rows, A^t y = 0 must still be checked against every cost
+    with pytest.raises(VerificationFailed, match="dual multipliers infeasible"):
+        _verify_optimal(make_problem([], [], [-1, 0]), fractions(0, 0), Fraction(0), ())
+
+    problem = make_problem([[1, 1]], [-1], [0, 0])
+    _verify_farkas(problem, fractions(-1))
+    for y, message in [(1, "A^t y <= 0"), (0, "b^t y > 0")]:
+        with pytest.raises(VerificationFailed, match=re.escape(message)):
+            _verify_farkas(problem, fractions(y))
+
+    problem = make_problem([[1, -1]], [0], [-1, 0])
+    _verify_ray(problem, fractions(1, 1))
+    for ray, message in [((1, 0), "constraint space"), ((-1, -1), "not nonnegative")]:
+        with pytest.raises(VerificationFailed, match=message):
+            _verify_ray(problem, fractions(*ray))
+    with pytest.raises(VerificationFailed, match="does not improve"):
+        _verify_ray(make_problem([[1, -1]], [0], [1, 0]), fractions(1, 1))
 
 
 def random_problem(rng, m, n):

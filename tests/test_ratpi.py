@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anglestruct.errors import MalformedRational, ZeroDenominator
-from anglestruct.ratpi import PI, RatPi, parse, render
+from anglestruct.ratpi import PI, RatPi, parse
 
 
 def test_basic_arithmetic():
@@ -22,10 +22,10 @@ def test_basic_arithmetic():
 def test_parse_and_render():
     assert parse("7/10") == RatPi(7, 10)
     assert parse("2/4") == RatPi(1, 2)
-    assert render(parse("2/4")) == "1/2"
+    assert parse("2/4").render() == "1/2"
     assert parse("-3") == RatPi(-3, 1)
-    assert render(parse("-6/4")) == "-3/2"
-    assert render(RatPi(0)) == "0/1"
+    assert parse("-6/4").render() == "-3/2"
+    assert RatPi(0).render() == "0/1"
 
 
 def test_parse_errors():
@@ -83,10 +83,10 @@ def test_canonical_form_is_path_independent(p, q, r, s):
     left = RatPi(p, q) + RatPi(r, s)
     right = RatPi(p * s + r * q, q * s)
     assert left == right
-    assert render(left) == render(right)
-    assert parse(render(left)) == left
+    assert left.render() == right.render()
+    assert parse(left.render()) == left
 
 
 def test_pi_constant():
     assert PI == RatPi(1, 1)
-    assert render(PI) == "1/1"
+    assert PI.render() == "1/1"
