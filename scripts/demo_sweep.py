@@ -5,8 +5,10 @@ Generates random connected surfaces and random invariants, runs all three
 paths for all four checks, and prints one row per instance: the
 enumeration verdict of each check, then an lp and a flow column naming
 the checks where that decider disagrees with enumeration ("ok" when none
-does).  Exits 1 on any disagreement.  Useful as a quick end-to-end
-exercise and as a template for larger experiments.
+does).  A decider disagrees when its verdict differs or, on infeasible
+input, its certificate or slack does.  Exits 1 on any disagreement.
+Useful as a quick end-to-end exercise and as a template for larger
+experiments.
 
 Usage: python scripts/demo_sweep.py [--trials N] [--seed S] [--faces F]
 """
@@ -23,6 +25,14 @@ from anglestruct.sampling import random_edge_values, random_triangulation
 # the four existence theorems; geometry, invariant kind and domain of each
 # check come from its THEOREMS row
 CHECKS = [name for name, row in THEOREMS.items() if row.strict]
+
+
+def agrees(report, enumerated) -> bool:
+    """Same verdict and, when infeasible, the same report (feasible lp and
+    flow reports carry no slack to compare)."""
+    if enumerated.verdict is Verdict.INFEASIBLE:
+        return report == enumerated
+    return report.verdict is enumerated.verdict
 
 
 def main() -> int:
@@ -43,12 +53,12 @@ def main() -> int:
         for name in CHECKS:
             row = THEOREMS[name]
             fn = random_edge_values(t, rng, row.lo, row.hi, row.kind)
-            enum_verdict = check_via_enumeration(t, fn, name).verdict
-            if check_via_lp(t, fn, row.geometry).verdict is not enum_verdict:
+            enumerated = check_via_enumeration(t, fn, name)
+            if not agrees(check_via_lp(t, fn, row.geometry), enumerated):
                 lp_off.append(name)
-            if check_via_flow(t, fn, name).verdict is not enum_verdict:
+            if not agrees(check_via_flow(t, fn, name), enumerated):
                 flow_off.append(name)
-            cells.append(f"{'feas' if enum_verdict is Verdict.FEASIBLE else 'infeas':>6}")
+            cells.append(f"{'feas' if enumerated.verdict is Verdict.FEASIBLE else 'infeas':>6}")
         disagreements += len(lp_off) + len(flow_off)
         lp_cell, flow_cell = (",".join(off) or "ok" for off in (lp_off, flow_off))
         print(f"{trial:>5} {t.n_faces:>4}  " + "  ".join(cells) + f"  {lp_cell:>11}  {flow_cell:>11}")

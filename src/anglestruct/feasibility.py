@@ -11,21 +11,22 @@ Each characterization quantifies a linear inequality over face subsets:
   subset X including the empty one, pi*(|F|-|X|) must stay above the
   weight of the edges outside E(X), strictly for T2/T3 and weakly for L7.
 
-In pi-units all of them minimise g(X) = W(E(X)) - |X|: T1/T4 over nonempty
-X, T2/T3/L7 over proper X shifted by the constant |F| - W(E).  The weight
-W is the invariant itself for T1, T2 and L7 and pi - Dd/2 for T3 and T4.
+In pi-units all of them minimise slack(X) = g(X) + c with g(X) =
+W(E(X)) - |X|: T1/T4 over nonempty X with c = 0, T2/T3/L7 over proper X
+with c = |F| - W(E).  The weight W is the invariant itself for T1, T2 and
+L7 and pi - Dd/2 for T3 and T4.  The minimisers of g are closed under
+union and intersection (Picard and Queyranne 1980), so every decider
+reports one certificate: the meet of the subsets attaining the minimum
+slack over the quantifier range or, for T1/T4 at slack exactly 0, where
+the excluded empty set attains 0 too, their join.
 
 ``check_via_enumeration`` walks subsets in Gray-code order, maintaining
 per-edge incidence counts so each step costs O(1) integer updates of the
-slack scaled by L, the lcm of the weight denominators.  Its verdicts report
-the minimum slack over all checked subsets and, when infeasible, the
-violating subset with minimal slack (ties: smaller size, then smaller
-membership bitmask); the slack of that subset is re-evaluated exactly.
-
-``check_via_flow`` decides the same conditions in polynomial time: min g
-over all subsets is a maximum-closure problem (Picard 1976), solved by one
-maximum flow, and the quantifier exclusions are read off the smallest and
-largest minimisers of that one cut.
+slack scaled by L, the lcm of the weight denominators; the slack of the
+subset it reports is re-evaluated exactly.  ``check_via_flow`` decides
+the same conditions in polynomial time: min g over all subsets is a
+maximum-closure problem (Picard 1976), solved by one maximum flow, whose
+smallest and largest minimisers are the meet and the join.
 
 ``THEOREMS`` states each condition once, as a row of data: geometry,
 invariant kind (which fixes the weight map), domain, quantifier and
@@ -58,8 +59,7 @@ class Theorem:
     edge weight is W = pi - v/2 for a Delaunay invariant, else v itself.
     The inequality is quantified over nonempty subsets in the grow form
     W(E(X)) - pi|X| when nonempty, else over proper subsets (the empty one
-    included) in the shrink form.  A strict inequality is already violated
-    at slack 0.
+    included) in the shrink form.
     """
 
     geometry: GeometryClass
@@ -68,6 +68,14 @@ class Theorem:
     hi: Fraction
     nonempty: bool
     strict: bool
+
+    def violated(self, slack: Fraction) -> bool:
+        """A strict inequality is already violated at slack 0."""
+        return slack <= 0 if self.strict else slack < 0
+
+    def certificate(self, slack: Fraction, meet: FaceSubset, join: FaceSubset) -> FaceSubset:
+        """Meet of the subsets attaining the minimum slack; join at a T1/T4 zero tie."""
+        return join if self.nonempty and slack == 0 else meet
 
 
 _SPH, _HYP = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
@@ -146,14 +154,18 @@ def _scaled(weights: list[Fraction]) -> tuple[list[int], int]:
     return [w.numerator * (scale // w.denominator) for w in weights], scale
 
 
-def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
-    """Minimum slack and argmin subset over the quantifier range.
+def _offset(t: Triangulation, weights: list[Fraction], grow_form: bool) -> Fraction:
+    """c in slack(X) = g(X) + c: 0 in grow form, |F| - W(E) in shrink form."""
+    return Fraction(0) if grow_form else t.n_faces - sum(weights, Fraction(0))
 
-    grow_form evaluates W(E(X)) - pi|X| over nonempty X (T1/T4); otherwise
-    pi(|F|-|X|) - W(E - E(X)) over proper X (T2/T3/L7).  All values in
-    pi-units.  The walk runs on integers scaled by L, the lcm of the weight
-    denominators: in both forms adding a face lowers the scaled slack by L
-    and raises it by W(e)*L for each edge it newly covers.
+
+def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
+    """Minimum slack over nonempty X in grow form (T1/T4), proper X else,
+    with the meet, the join and the first found of the subsets attaining it.
+
+    The walk runs on integers scaled by L, the lcm of the weight
+    denominators: adding a face lowers the scaled slack by L and raises it
+    by W(e)*L for each edge it newly covers.
     """
     n = t.n_faces
     if n > cap:
@@ -162,40 +174,37 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     faces = t.faces
     counts = [0] * t.n_edges
     full = (1 << n) - 1
-    size = mask = 0
-    # start from a subset in the range: F in grow form (the walk visits it
-    # again as an equal key), the empty set in shrink form
-    if grow_form:
-        slack, excluded = 0, 0
-        best, best_size, best_mask = sum(scaled) - n * scale, n, full
-    else:
-        slack, excluded = n * scale - sum(scaled), full
-        best, best_size, best_mask = slack, 0, 0
+    mask = 0
+    slack = int(_offset(t, weights, grow_form) * scale)
+    # the walk leaves the empty set for good; start from F in grow form
+    # (the walk visits it again as a tie), the empty set in shrink form
+    first, best = (full, slack + sum(scaled) - n * scale) if grow_form else (0, slack)
+    meet = join = first
+    excluded = full ^ first
     for k in range(1, 1 << n):
         face = (k & -k).bit_length() - 1
         bit = 1 << face
         mask ^= bit
         if mask & bit:
-            size += 1
             slack -= scale
             for e in faces[face]:
                 if not counts[e]:
                     slack += scaled[e]
                 counts[e] += 1
         else:
-            size -= 1
             slack += scale
             for e in faces[face]:
                 counts[e] -= 1
                 if not counts[e]:
                     slack -= scaled[e]
-        if slack <= best and mask != excluded and (
-            slack < best or size < best_size or size == best_size and mask < best_mask
-        ):
-            best, best_size, best_mask = slack, size, mask
-
-    subset = frozenset(f for f in range(n) if best_mask >> f & 1)
-    return Fraction(best, scale), subset
+        if slack <= best and mask != excluded:
+            if slack < best:
+                best, meet, join, first = slack, mask, mask, mask
+            else:
+                meet &= mask
+                join |= mask
+    subsets = (frozenset(f for f in range(n) if m >> f & 1) for m in (meet, join, first))
+    return (Fraction(best, scale), *subsets)
 
 
 def make_report(
@@ -221,10 +230,12 @@ def check_via_enumeration(
     """Decide T1-T4 or L7 exactly by scanning every subset in the
     theorem's quantifier range; more than `cap` faces raise TooLarge."""
     row = THEOREMS[theorem]
-    slack, subset = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
+    slack, meet, join, first = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
+    violated = row.violated(slack)
+    subset = row.certificate(slack, meet, join) if violated else first
     if subset_slack(t, fn, theorem, subset).coeff != slack:
         raise VerificationFailed(f"scan slack {slack} differs from that of {sorted(subset)}")
-    return make_report(theorem, slack <= 0 if row.strict else slack < 0, subset, slack)
+    return make_report(theorem, violated, subset, slack)
 
 
 def check_closure(
@@ -244,10 +255,7 @@ def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceS
     row = THEOREMS[theorem]
     weights = _weights(t, fn, row)
     covered = sum((weights[e] for e in edge_set(t, subset)), Fraction(0))
-    if row.nonempty:
-        return RatPi(covered - len(subset))
-    total = sum(weights, Fraction(0))
-    return RatPi((t.n_faces - len(subset)) - (total - covered))
+    return RatPi(covered - len(subset) + _offset(t, weights, row.nonempty))
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +378,8 @@ def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> 
 
 def min_cut(t: Triangulation, weights) -> tuple[Fraction, FaceSubset, FaceSubset]:
     """Exact minimum of g(X) = W(E(X)) - |X| over all face subsets X, with
-    its smallest and its largest minimiser.  Weights must be nonnegative.
-
-    Minimisers are closed under union and intersection, so the smallest
-    lies inside every other.  Both are proven minimal by the cut = flow
-    self-check; a failure raises VerificationFailed.
+    its smallest and its largest minimiser, both proven minimal by the
+    cut = flow self-check.  Weights must be nonnegative.
     """
     nf, ne = t.n_faces, t.n_edges
     arcs, scale = _closure_network(t, weights)
@@ -388,20 +393,16 @@ def min_cut(t: Triangulation, weights) -> tuple[Fraction, FaceSubset, FaceSubset
 def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> FeasibilityReport:
     """Decide T1-T4 or L7 exactly with one minimum cut, at any size.
 
-    Infeasible reports carry the exact minimum slack and a subset attaining
-    it: the smallest minimiser of g, which is the enumeration's pick, or,
-    for a T1/T4 tie at slack 0, the largest.  Feasible and closure-only
-    reports carry no slack: that minimum excludes a set the cut includes.
+    Infeasible reports carry the exact minimum slack and the certificate
+    that enumeration reports.  Feasible and closure-only reports carry no
+    slack: that minimum excludes a set the cut includes.
     """
     row = THEOREMS[theorem]
     weights = theorem_weights(t, fn, theorem)
     minimum, smallest, largest = min_cut(t, weights)
-    if row.nonempty:
-        # g(empty) = 0: a nonempty X reaches the minimum iff one violates
-        subset = smallest if minimum < 0 else largest
-        return make_report(theorem, bool(subset), subset, minimum if subset else None)
-    # slack(F) = 0, so the minimum over proper X is the global one
-    # unless F is the only minimiser
-    slack = t.n_faces - sum(weights, Fraction(0)) + minimum
-    violated = len(smallest) < t.n_faces if row.strict else slack < 0
-    return make_report(theorem, violated, smallest, slack if violated else None)
+    # the excluded set (empty in grow form, F otherwise) has slack 0, so the
+    # global minimum is the range's unless that set is the only one attaining it
+    slack = minimum + _offset(t, weights, row.nonempty)
+    subset = row.certificate(slack, smallest, largest)
+    violated = row.violated(slack) and len(subset) != (0 if row.nonempty else t.n_faces)
+    return make_report(theorem, violated, subset, slack if violated else None)

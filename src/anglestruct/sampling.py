@@ -18,6 +18,8 @@ from .errors import Disconnected, OddFaceCount
 from .ratpi import RatPi
 from .surface import Corner, Triangulation, validate
 
+MAX_DENOMINATOR = 40
+
 
 def random_triangulation(n_faces: int, rng: random.Random) -> Triangulation:
     """Connected gluing of n_faces triangles; self-glued edges allowed."""
@@ -29,6 +31,9 @@ def random_triangulation(n_faces: int, rng: random.Random) -> Triangulation:
         incidence = [[-1, -1, -1] for _ in range(n_faces)]
         for i, (f, k) in enumerate(slots):
             incidence[f][k] = i // 2
+        # number the slot pairs by first appearance, face by face
+        first: dict[int, int] = {}
+        incidence = [[first.setdefault(p, len(first)) for p in row] for row in incidence]
         try:
             return validate(incidence)
         except Disconnected:
@@ -112,13 +117,12 @@ def random_edge_values(
     lo: Fraction,
     hi: Fraction,
     kind: InvariantKind,
-    max_denominator: int = 40,
 ) -> EdgeFunction:
     """Independent per-edge rationals strictly inside (lo, hi), in pi-units."""
     values = {}
     for e in range(t.n_edges):
         while True:
-            den = rng.randint(1, max_denominator)
+            den = rng.randint(1, MAX_DENOMINATOR)
             low = lo * den
             high = hi * den
             num_min = low.numerator // low.denominator + 1

@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
-from .errors import AngleStructError, MissingCorner
+from .errors import AngleStructError
 from .feasibility import FeasibilityReport
 from .ratpi import parse as parse_ratpi
 from .surface import Corner, Triangulation, validate
@@ -83,10 +83,7 @@ def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
             raise InvalidInstance(f"corner {key} given twice")
         values[corner] = parse_ratpi(text)
     structure = AngleStructure(values)
-    try:
-        structure.check_complete(t)
-    except MissingCorner as exc:
-        raise MissingCorner(str(exc)) from None
+    structure.check_complete(t)
     return structure
 
 

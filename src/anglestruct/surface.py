@@ -28,8 +28,8 @@ class Corner(NamedTuple):
 class Triangulation:
     """Validated gluing: ``faces[f][k]`` is the dense edge index opposite corner k.
 
-    ``edge_ids`` preserves the identifiers used in the raw incidence list,
-    in order of first appearance; all other fields use dense indices.
+    ``edge_ids[e]`` is the identifier dense edge e had in the raw incidence
+    list; all other fields use dense indices.
     ``edge_corners[e]`` holds the two corners facing edge e (both may lie
     in the same face when the edge is self-glued).
     """
@@ -55,8 +55,9 @@ class Triangulation:
 def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
     """Build a Triangulation from an incidence list, checking the gluing.
 
-    Edge identifiers may be arbitrary integers; they are reindexed densely
-    by first appearance.  Raises EdgeDegree unless every identifier occurs
+    Edge identifiers may be arbitrary integers.  A numbering that is
+    already 0..|E|-1 is kept; any other is reindexed densely by first
+    appearance.  Raises EdgeDegree unless every identifier occurs
     exactly twice, Disconnected unless faces form one component under
     shared edges, Empty on an empty list.
     """
@@ -67,23 +68,17 @@ def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
         if len(row) != 3:
             raise EdgeDegree(f"face {f} has {len(row)} edge slots, expected 3")
 
-    index: dict[int, int] = {}
-    edge_ids: list[int] = []
-    faces: list[tuple[int, int, int]] = []
-    occurrences: dict[int, list[Corner]] = {}
-    for f, row in enumerate(rows):
-        dense_row = []
-        for k, ident in enumerate(row):
-            if ident not in index:
-                index[ident] = len(edge_ids)
-                edge_ids.append(ident)
-                occurrences[index[ident]] = []
-            e = index[ident]
-            dense_row.append(e)
+    edge_ids = list(dict.fromkeys(ident for row in rows for ident in row))
+    if set(edge_ids) == set(range(len(edge_ids))):
+        edge_ids.sort()
+    index = {ident: e for e, ident in enumerate(edge_ids)}
+    faces = [tuple(index[ident] for ident in row) for row in rows]
+    occurrences: list[list[Corner]] = [[] for _ in edge_ids]
+    for f, row in enumerate(faces):
+        for k, e in enumerate(row):
             occurrences[e].append(Corner(f, k))
-        faces.append(tuple(dense_row))
 
-    for e, corners in occurrences.items():
+    for e, corners in enumerate(occurrences):
         if len(corners) != 2:
             raise EdgeDegree(
                 f"edge {edge_ids[e]} appears {len(corners)} times, expected 2"

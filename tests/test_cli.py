@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -351,8 +352,8 @@ def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     scan = feasibility._scan
 
     def off_scan(*args):
-        slack, subset = scan(*args)
-        return slack + Fraction(1, 7), subset
+        slack, *subsets = scan(*args)
+        return (slack + Fraction(1, 7), *subsets)
 
     monkeypatch.setattr(feasibility, "_scan", off_scan)
     path = write_instance(tmp_path, tetra_payload("7/10"))
@@ -375,3 +376,38 @@ def test_cross_check_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["type"] == "VerificationFailed"
     assert "cross-check disagreement" in error["message"]
+
+
+def test_cross_check_certificate_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    # same verdict and slack, another certificate: still a disagreement
+    flow = feasibility.check_via_flow
+    monkeypatch.setattr(
+        feasibility, "check_via_flow", lambda *args: dataclasses.replace(flow(*args), certificate=frozenset({0}))
+    )
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    code, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "VerificationFailed",
+        "message": "cross-check disagreement: enumerate [] at slack -1/5, flow [0] at slack -1/5",
+    }
+
+
+def test_dense_edge_numbering_in_any_order_checks_like_the_ordered_one(tmp_path, capsys):
+    # edge ids 0 and 1 swapped: still exactly 0..5, so the ids are kept and
+    # the same instance, values swapped with them, gives the same reports
+    values = ["1/2", "9/10", "1/5", "4/5", "3/5", "7/10"]
+    ordered = {"faces": TETRA_FACES, "D": {str(e): v for e, v in enumerate(values)}}
+    swapped = [values[1], values[0]] + values[2:]
+    reordered = {
+        "faces": [[1, 0, 2], [1, 3, 4], [0, 3, 5], [2, 4, 5]],
+        "D": {str(e): v for e, v in enumerate(swapped)},
+    }
+    for geometry in ("spherical", "hyperbolic"):
+        outputs = []
+        for name, payload in (("ordered.json", ordered), ("reordered.json", reordered)):
+            path = write_instance(tmp_path, payload, name)
+            outputs.append(run(capsys, ["check", path, "--geometry", geometry, "--invariant", "edge"]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1), outputs[0]

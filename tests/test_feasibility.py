@@ -32,28 +32,27 @@ from conftest import const_fn
 # --- independent oracle: plain loops over masks, no Gray-code, no incremental sums
 
 
-def oracle_argmin(t, weights, grow_form):
-    """The least (slack, size, mask) over the quantifier range: nonempty
-    subsets in grow form, proper subsets (the empty one included) else."""
+def oracle_minimisers(t, weights, grow_form):
+    """The least slack over the quantifier range (nonempty subsets in grow
+    form, proper subsets, the empty one included, else) and every subset
+    in that range attaining it."""
     n = t.n_faces
     total = sum(weights, Fraction(0))
-    best = None
+    slacks = {}
     for mask in range(1 << n):
         if mask == (0 if grow_form else (1 << n) - 1):
             continue
-        subset = [f for f in range(n) if mask >> f & 1]
+        subset = frozenset(f for f in range(n) if mask >> f & 1)
         covered = set()
         for f in subset:
             covered.update(t.faces[f])
         cov = sum((weights[e] for e in covered), Fraction(0))
         if grow_form:
-            slack = cov - len(subset)
+            slacks[subset] = cov - len(subset)
         else:
-            slack = (n - len(subset)) - (total - cov)
-        key = (slack, len(subset), mask)
-        if best is None or key < best:
-            best = key
-    return best
+            slacks[subset] = (n - len(subset)) - (total - cov)
+    best = min(slacks.values())
+    return best, [s for s, v in slacks.items() if v == best]
 
 
 def weights_of(fn, t, theorem):
@@ -65,13 +64,20 @@ def weights_of(fn, t, theorem):
 def assert_scan_matches_oracle(t, fn, theorem):
     grow_form = theorem in ("T1", "T4")
     weights = weights_of(fn, t, theorem)
-    slack, _, mask = oracle_argmin(t, weights, grow_form)
-    argmin = frozenset(f for f in range(t.n_faces) if mask >> f & 1)
-    # the scan's pick, feasible or not, then the report built from it
-    assert _scan(t, weights, grow_form, t.n_faces) == (slack, argmin), theorem
+    slack, attaining = oracle_minimisers(t, weights, grow_form)
+    meet, join = frozenset.intersection(*attaining), frozenset.union(*attaining)
+    # the scan's meet, join and first attaining subset, feasible or not
+    scanned = _scan(t, weights, grow_form, t.n_faces)
+    assert scanned[:3] == (slack, meet, join), theorem
+    assert scanned[3] in attaining, theorem
+    # the report: the meet, or the join at a T1/T4 tie with the empty set at 0
     r = check_via_enumeration(t, fn, theorem)
     assert r.slack.coeff == slack, theorem
-    assert r.certificate == (argmin if r.verdict is Verdict.INFEASIBLE else None), theorem
+    if r.verdict is Verdict.INFEASIBLE:
+        assert r.certificate == (join if grow_form and slack == 0 else meet), theorem
+        assert r.certificate in attaining, theorem
+    else:
+        assert r.certificate is None, theorem
 
 
 # --- golden tetrahedron table, frozen from the hand-enumerated subset scans
@@ -180,19 +186,22 @@ def test_scan_matches_oracle_with_mixed_denominators():
             assert_scan_matches_oracle(t, EdgeFunction(values, row.kind), theorem)
 
 
-def test_scan_breaks_ties_by_mask():
-    # {0, 1, 3} and {1, 2, 3} both reach the minimum slack 9/10 with three
-    # faces; the smaller mask (0b1011) wins, although the Gray-code walk
-    # meets 0b1110 first
-    t = validate([[0, 1, 0], [2, 3, 1], [4, 5, 4], [3, 5, 2]])
-    d = EdgeFunction(
-        {e: RatPi(Fraction(v)) for e, v in enumerate(["1/10", "1/5", "3/5", "2/5", "1/10", "3/5"])},
-        InvariantKind.EDGE,
-    )
-    weights = weights_of(d, t, "T2")
-    assert subset_slack(t, d, "T2", frozenset({1, 2, 3})) == RatPi(9, 10)
-    assert oracle_argmin(t, weights, False) == (Fraction(9, 10), 3, 0b1011)
-    assert _scan(t, weights, False, t.n_faces) == (Fraction(9, 10), frozenset({0, 1, 3}))
+def test_scan_joins_t1_t4_zero_tie():
+    # face 3 and all four faces reach slack 0, as the excluded empty set
+    # does; the meet {3} is the smallest, the report takes the join F
+    t = validate([[0, 1, 1], [2, 3, 4], [2, 0, 3], [4, 5, 5]])
+    weights = [Fraction(1, 4) if e == 4 else Fraction(3, 4) for e in range(6)]
+    for theorem, kind, values in (
+        ("T1", InvariantKind.EDGE, weights),
+        ("T4", InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]),
+    ):
+        fn = EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
+        assert oracle_minimisers(t, weights, True) == (0, [frozenset({3}), frozenset(range(4))])
+        slack, meet, join, _ = _scan(t, weights, True, t.n_faces)
+        assert (slack, meet, join) == (0, frozenset({3}), frozenset(range(4)))
+        r = check_via_enumeration(t, fn, theorem)
+        assert r.verdict is Verdict.INFEASIBLE
+        assert (r.certificate, r.slack) == (frozenset(range(4)), RatPi(0))
 
 
 @settings(max_examples=30, deadline=None)

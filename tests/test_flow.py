@@ -1,9 +1,9 @@
 """The minimum-cut decider against exhaustive enumeration.
 
 Flow and enumeration both compute an exact minimum over the same
-quantifier range, so verdicts and slacks must be equal.  Certificates are
-equal too, except for T1/T4 ties at slack 0: there enumeration picks the
-smallest violating subset and the cut reports the largest minimiser.
+quantifier range and report one certificate rule, so verdicts, slacks and
+certificates must be equal, and every command that prints an infeasible
+report prints the same bytes.
 """
 
 import json
@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anglestruct import (
@@ -47,10 +47,7 @@ def assert_flow_matches_enumeration(t, fn, theorem):
         return flow
     assert flow.slack == enum.slack, theorem
     assert subset_slack(t, fn, theorem, flow.certificate) == flow.slack
-    if theorem in ("T1", "T4") and flow.slack == RatPi(0):
-        assert flow.certificate
-    else:
-        assert flow.certificate == enum.certificate, theorem
+    assert flow.certificate == enum.certificate, theorem
     return flow
 
 
@@ -205,3 +202,64 @@ def test_flow_rejects_out_of_domain_like_enumeration(tetra):
         with pytest.raises(RangeViolation) as flowed:
             check_via_flow(tetra, d, theorem)
         assert str(flowed.value) == str(enumerated.value)
+
+
+def instance_payload(t, fn):
+    return {
+        "faces": [list(row) for row in t.faces],
+        "invariant": {"kind": fn.kind.value, "values": {str(e): fn.value(e).render() for e in range(t.n_edges)}},
+    }
+
+
+def assert_one_infeasible_report(tmp_path, capsys, t, rng):
+    """On T1-T4, random and boundary invariants: every infeasible check
+    prints the same bytes under enumerate and flow, and construct prints
+    that report too."""
+    for theorem, row in THEOREMS.items():
+        if not row.strict:
+            continue
+        for fn in (random_edge_values(t, rng, row.lo, row.hi, row.kind), nudged_boundary_values(t, theorem, rng)):
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(instance_payload(t, fn)))
+            check = ["check", str(path), "--geometry", row.geometry.value, "--invariant", row.kind.value]
+            outputs = []
+            for argv in (check + ["--method", "enumerate"], check + ["--method", "flow"]):
+                outputs.append((main(argv), capsys.readouterr().out))
+            if outputs[0][0] != 1:
+                continue
+            outputs.append((main(["construct", str(path), "--geometry", row.geometry.value]), capsys.readouterr().out))
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], theorem
+
+
+def test_one_infeasible_report_seeded(tmp_path, capsys):
+    rng = random.Random(909)
+    for trial in range(25):
+        assert_one_infeasible_report(tmp_path, capsys, random_triangulation(2 * (trial % 5 + 1), rng), rng)
+    assert_one_infeasible_report(tmp_path, capsys, validate(SELF_GLUED_FACES), rng)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]))
+def test_one_infeasible_report_hypothesis(tmp_path, capsys, seed, n):
+    rng = random.Random(seed)
+    assert_one_infeasible_report(tmp_path, capsys, random_triangulation(n, rng), rng)
+
+
+def test_t1_zero_tie_prints_one_report(tmp_path, capsys):
+    # face 3 and all four faces reach slack 0 under T1; every decider and
+    # construct report the join of the two, all four faces
+    t = validate([[0, 1, 1], [2, 3, 4], [2, 0, 3], [4, 5, 5]])
+    d = EdgeFunction({e: RatPi(1, 4) if e == 4 else RatPi(3, 4) for e in range(6)}, InvariantKind.EDGE)
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(instance_payload(t, d)))
+    check = ["check", str(path), "--geometry", "spherical", "--invariant", "edge"]
+    expected = (
+        '{"verdict": "infeasible", "theorem": "T1", "quantifier_range": "nonempty-subsets", '
+        '"certificate": [0, 1, 2, 3], "slack": "0/1"}\n'
+    )
+    for argv in [check + ["--method", m] for m in ("enumerate", "flow", "auto", "lp")] + [
+        check + ["--cross-check"],
+        ["construct", str(path), "--geometry", "spherical"],
+    ]:
+        assert main(argv) == 1
+        assert capsys.readouterr().out == expected, argv

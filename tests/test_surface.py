@@ -56,6 +56,12 @@ def test_validate_normalizes_arbitrary_identifiers():
     assert t.faces[0] == (0, 1, 2)
 
 
+def test_validate_keeps_a_dense_numbering_in_any_order():
+    t = validate([[1, 0, 2], [1, 3, 4], [0, 3, 5], [2, 4, 5]])
+    assert t.edge_ids == tuple(range(6))
+    assert t.faces[0] == (1, 0, 2)
+
+
 def test_corners_facing(tetra, self_glued):
     for e in range(tetra.n_edges):
         c1, c2 = corners_facing(tetra, e)
