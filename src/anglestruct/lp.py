@@ -1,11 +1,14 @@
 """Exact-rational linear programming path: witness construction.
 
-The solver is a dense two-phase simplex over ``fractions.Fraction`` with
-Bland's rule, so every pivot is exact and termination is guaranteed even
-on the highly degenerate symmetric instances this domain produces.  At an
-optimum the dual multipliers are read off the reduced costs of each row's
-initial unit column; when phase 1 ends positive the same read yields a
-Farkas vector (A^t y <= 0, b^t y > 0).
+The solver is a dense two-phase simplex with Bland's rule over integer
+rows: each tableau row is a list of int numerators over one positive row
+denominator, reduced by their gcd after every elimination, so every pivot
+is exact without ``Fraction`` arithmetic, and termination is guaranteed
+even on the highly degenerate symmetric instances this domain produces.
+The point, value and multipliers become ``Fraction``s only when read out
+and checked.  At an optimum the dual multipliers are read off the reduced
+costs of each row's initial unit column; when phase 1 ends positive the
+same read yields a Farkas vector (A^t y <= 0, b^t y > 0).
 
 Construction solves one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
@@ -28,6 +31,7 @@ infeasible, and its subset is re-evaluated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +50,7 @@ from .feasibility import (
     THEOREMS,
     FeasibilityReport,
     Verdict,
+    _scaled,
     check_via_flow,
     make_report,
     subset_slack,
@@ -53,7 +58,7 @@ from .feasibility import (
     theorem_weights,
 )
 from .ratpi import RatPi
-from .surface import Corner, Triangulation
+from .surface import Triangulation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -122,122 +127,123 @@ LpOutcome = Optimal | Infeasible | Unbounded
 #
 # The tableau is a list of augmented rows [B^-1 A | B^-1 b], one per live
 # constraint, then one objective row of reduced costs whose last entry is
-# minus the objective value.  basis[i] is the basic column of row i,
+# minus the objective value.  Row i holds numerators over the positive
+# denominator dens[i], with gcd 1.  basis[i] is the basic column of row i,
 # reader[i] its initial unit column (where its multiplier is read) and
 # orig[i] the row of A it came from.
 
 
-def _pivot(rows, basis, r, col):
-    """Make col basic in row r: normalise it, then eliminate col from every
-    other row, the objective row included."""
-    prow = rows[r]
-    pval = prow[col]
-    if pval != 1:
-        inv = 1 / pval
-        rows[r] = prow = [v * inv for v in prow]
-    nonzero = [(j, v) for j, v in enumerate(prow) if v != 0]
+def _pivot(rows, dens, basis, r, col):
+    """Make col basic in row r: normalise it to the denominator d = prow[col]
+    > 0, then set every other row with a nonzero factor in col, the objective
+    row included, to (target * d - factor * prow) / (dens[i] * d), reduced."""
+    g = math.gcd(*rows[r]) if rows[r][col] > 0 else -math.gcd(*rows[r])
+    rows[r] = prow = [v // g for v in rows[r]]
+    dens[r] = d = prow[col]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for i, target in enumerate(rows):
         factor = target[col]
-        if factor != 0 and i != r:
+        if factor and i != r:
+            target = [v * d for v in target]
             for j, v in nonzero:
                 target[j] -= factor * v
+            g = math.gcd(*target, dens[i] * d)
+            rows[i], dens[i] = [v // g for v in target], dens[i] * d // g
     basis[r] = col
 
 
-def _price(rows, basis, costs):
-    """Set the objective row to the reduced costs of costs at basis."""
-    obj = [*costs, ZERO]
-    for row, col in zip(rows, basis):
-        cb = costs[col]
-        if cb != 0:
-            for j, v in enumerate(row):
-                if v != 0:
-                    obj[j] -= cb * v
-    rows[len(basis):] = [obj]
+def _price(rows, dens, basis, costs):
+    """Set the objective row to the reduced costs of costs at basis, by
+    pivoting again on each basic column that has a nonzero cost."""
+    obj, scale = _scaled([*costs, ZERO])
+    rows[len(basis):], dens[len(basis):] = [obj], [scale]
+    for r, col in enumerate(basis):
+        if rows[-1][col]:
+            _pivot(rows, dens, basis, r, col)
 
 
-def _run(rows, basis, allowed):
-    """Bland-rule simplex; returns entering column on unboundedness, else None."""
-    obj = rows[-1]
+def _run(rows, dens, basis, allowed):
+    """Bland-rule simplex; returns entering column on unboundedness, else None.
+
+    Ratios rhs_i / coeff_i compare by cross-multiplication; the row
+    denominators cancel."""
     while True:
+        obj = rows[-1]
         enter = next((j for j in allowed if obj[j] < 0), None)
         if enter is None:
             return None
-        leave = -1
-        best_ratio = None
+        leave, best_rhs, best_coeff = -1, 1, 0  # 1/0: every ratio is smaller
         for i, col in enumerate(basis):
             coeff = rows[i][enter]
             if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and col < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                cross = rows[i][-1] * best_coeff - best_rhs * coeff
+                if cross < 0 or (cross == 0 and col < basis[leave]):
+                    leave, best_rhs, best_coeff = i, rows[i][-1], coeff
         if leave < 0:
             return enter
-        _pivot(rows, basis, leave, enter)
+        _pivot(rows, dens, basis, leave, enter)
 
 
 def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with dual multipliers and Farkas certificates."""
     m, n = problem.n_rows, problem.n_cols
-    rows = [list(row) if bv >= 0 else [-v for v in row] for row, bv in zip(problem.a, problem.b)]
+    rows, dens = [], []
+    for row, bv in zip(problem.a, problem.b):
+        nums, den = _scaled([*row, bv])
+        rows.append(nums if bv >= 0 else [-v for v in nums])
+        dens.append(den)
 
     basis: list[int | None] = [None] * m
     for j in range(n):
         hits = [i for i in range(m) if rows[i][j] != 0]
-        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
+        if len(hits) == 1 and rows[hits[0]][j] == dens[hits[0]] and basis[hits[0]] is None:
             basis[hits[0]] = j
 
     n_art = basis.count(None)
     art = n
     for i, row in enumerate(rows):
-        row.extend([ZERO] * n_art)
+        row[n:n] = [0] * n_art
         if basis[i] is None:
-            row[art] = ONE
+            row[art] = dens[i]
             basis[i] = art
             art += 1
-        row.append(abs(problem.b[i]))
     reader = list(basis)
     orig = list(range(m))
 
     if n_art:
         phase1_cost = [ZERO] * n + [ONE] * n_art
-        _price(rows, basis, phase1_cost)
-        if _run(rows, basis, range(n)) is not None:
+        _price(rows, dens, basis, phase1_cost)
+        if _run(rows, dens, basis, range(n)) is not None:
             raise VerificationFailed("phase 1 unbounded")
         if rows[-1][-1] < 0:  # the artificials sum to more than 0
-            y = _read_dual(rows, reader, orig, phase1_cost, problem.b)
+            y = _read_dual(rows, dens, reader, orig, phase1_cost, problem.b)
             _verify_farkas(problem, y)
             return Infeasible(tuple(y))
-        _expel_artificials(rows, basis, reader, orig, n)
+        _expel_artificials(rows, dens, basis, reader, orig, n)
 
     phase2_cost = list(problem.c) + [ZERO] * n_art
-    _price(rows, basis, phase2_cost)
-    enter = _run(rows, basis, range(n))
+    _price(rows, dens, basis, phase2_cost)
+    enter = _run(rows, dens, basis, range(n))
     if enter is not None:
         ray = [ZERO] * n
         ray[enter] = ONE
-        for row, col in zip(rows, basis):
+        for row, den, col in zip(rows, dens, basis):
             if col < n:
-                ray[col] = -row[enter]
+                ray[col] = Fraction(-row[enter], den)
         _verify_ray(problem, ray)
         return Unbounded(tuple(ray))
 
     x = [ZERO] * n
-    for row, col in zip(rows, basis):
+    for row, den, col in zip(rows, dens, basis):
         if col < n:
-            x[col] = row[-1]
-    value = -rows[-1][-1]
-    y = _read_dual(rows, reader, orig, phase2_cost, problem.b)
+            x[col] = Fraction(row[-1], den)
+    value = Fraction(-rows[-1][-1], dens[-1])
+    y = _read_dual(rows, dens, reader, orig, phase2_cost, problem.b)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
 
-def _expel_artificials(rows, basis, reader, orig, n):
+def _expel_artificials(rows, dens, basis, reader, orig, n):
     """Pivot zero-valued artificials out of the basis; drop redundant rows."""
     i = 0
     while i < len(basis):
@@ -247,20 +253,21 @@ def _expel_artificials(rows, basis, reader, orig, n):
                 raise VerificationFailed("artificial basic with nonzero value at phase-1 optimum")
             col = next((j for j in range(n) if row[j] != 0), None)
             if col is None:
-                for seq in (rows, basis, reader, orig):
+                for seq in (rows, dens, basis, reader, orig):
                     del seq[i]
                 continue
-            _pivot(rows, basis, i, col)
+            _pivot(rows, dens, basis, i, col)
         i += 1
 
 
-def _read_dual(rows, reader, orig, costs, b):
+def _read_dual(rows, dens, reader, orig, costs, b):
     """Row multipliers via y_i = c_u - r_u at each row's initial unit column,
     negated for a row that was negated to make b_i >= 0."""
-    obj = rows[-1]
+    obj, den = rows[-1], dens[-1]
     y = [ZERO] * len(b)
     for col, i in zip(reader, orig):
-        y[i] = costs[col] - obj[col] if b[i] >= 0 else obj[col] - costs[col]
+        yi = costs[col] - Fraction(obj[col], den)
+        y[i] = yi if b[i] >= 0 else -yi
     return y
 
 
@@ -317,10 +324,6 @@ def render_problem(problem: LpProblem) -> str:
 
 # ---------------------------------------------------------------------------
 # construction programs
-
-
-def _corner_col(corner: Corner) -> int:
-    return 3 * corner.face + corner.slot
 
 
 def _edge_row_pattern(t: Triangulation, e: int, kind: InvariantKind) -> dict[int, Fraction]:
@@ -395,10 +398,6 @@ def build_construction_lp(
     return _margin_lp(t, program)
 
 
-def _solution_structure(t: Triangulation, x, margin) -> AngleStructure:
-    return AngleStructure({c: RatPi(x[_corner_col(c)] + margin) for c in t.corners()})
-
-
 def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry) -> bool:
     """Angles in (0, pi), the geometry's class and invariant fn, recomputed."""
     if not x.is_range_valid(t) or classify_structure(t, x) is not geometry:
@@ -415,7 +414,8 @@ def _solve_margin(t: Triangulation, program: EdgeFunction) -> AngleStructure | N
         raise VerificationFailed("construction program cannot be unbounded")
     if isinstance(outcome, Infeasible) or outcome.value == 0:
         return None
-    witness = _solution_structure(t, outcome.x, -outcome.value)
+    x, margin = outcome.x, -outcome.value
+    witness = AngleStructure({c: RatPi(x[3 * c.face + c.slot] + margin) for c in t.corners()})
     if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
         raise VerificationFailed("margin witness failed validation")
     return witness
@@ -459,7 +459,7 @@ def construct_structure(
 
 
 def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) -> FeasibilityReport:
-    """Same verdict surface as the enumeration checkers, decided by
+    """The report check_via_enumeration and check_via_flow give, decided by
     construct_structure."""
     result = construct_structure(t, fn, geometry)
     if isinstance(result, FeasibilityReport):

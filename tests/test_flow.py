@@ -6,6 +6,7 @@ certificates must be equal, and every command that prints an infeasible
 report prints the same bytes.
 """
 
+import itertools
 import json
 import random
 import time
@@ -78,6 +79,44 @@ def nudged_boundary_values(t, theorem, rng):
     kind = THEOREMS[theorem].kind
     values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
     return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
+
+
+def planted_tie_values(t, theorem, rng):
+    """(T1/T4 invariant, {f1, f2}) for two faces f1, f2 with no common
+    edge, where the nonempty zero-slack sets are exactly {f1}, {f2} and
+    their join {f1, f2}; None when t has no such pair.
+
+    The edges of each f_k weigh 1 in total.  Every other face must have at
+    most one edge among them and be reached, through the remaining edges,
+    from a face with none; the remaining edges weigh 1 - eps with
+    eps < 1/(2|F|).  A set S of other faces then covers at least |S| + 1
+    remaining edges, so every set with another face has positive slack.
+    """
+    pairs = list(itertools.combinations(range(t.n_faces), 2))
+    rng.shuffle(pairs)
+    for pair in pairs:
+        tight = [set(t.faces[f]) for f in pair]
+        planted = tight[0] | tight[1]
+        rest = [f for f in range(t.n_faces) if f not in pair]
+        if tight[0] & tight[1] or any(sum(e in planted for e in t.faces[f]) > 1 for f in rest):
+            continue
+        reached = [f for f in rest if not planted & set(t.faces[f])]
+        for f in reached:
+            for e in set(t.faces[f]) - planted:
+                for g, _ in t.edge_corners[e]:
+                    if g not in reached:
+                        reached.append(g)
+        if len(reached) < len(rest):
+            continue
+        weights = [1 - Fraction(rng.randint(1, 4), 8 * t.n_faces) for _ in range(t.n_edges)]
+        for edges in tight:
+            parts = {e: rng.randint(1, 9) for e in edges}
+            for e, p in parts.items():
+                weights[e] = Fraction(p, sum(parts.values()))
+        kind = THEOREMS[theorem].kind
+        values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
+        return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind), frozenset(pair)
+    return None
 
 
 def cross_check_instance(t, rng, with_lp=False):
@@ -212,30 +251,44 @@ def instance_payload(t, fn):
 
 
 def assert_one_infeasible_report(tmp_path, capsys, t, rng):
-    """On T1-T4, random and boundary invariants: every infeasible check
-    prints the same bytes under enumerate and flow, and construct prints
-    that report too."""
+    """On T1-T4, random, boundary and (T1/T4) planted-tie invariants: every
+    infeasible check prints the same bytes under enumerate and flow, and
+    construct prints that report too; a planted tie reports its join.
+    Returns the number of planted ties checked."""
+    ties = 0
     for theorem, row in THEOREMS.items():
         if not row.strict:
             continue
-        for fn in (random_edge_values(t, rng, row.lo, row.hi, row.kind), nudged_boundary_values(t, theorem, rng)):
+        cases = [(random_edge_values(t, rng, row.lo, row.hi, row.kind), None)]
+        cases.append((nudged_boundary_values(t, theorem, rng), None))
+        if row.nonempty and (planted := planted_tie_values(t, theorem, rng)):
+            cases.append(planted)
+        for fn, join in cases:
             path = tmp_path / "instance.json"
             path.write_text(json.dumps(instance_payload(t, fn)))
             check = ["check", str(path), "--geometry", row.geometry.value, "--invariant", row.kind.value]
             outputs = []
             for argv in (check + ["--method", "enumerate"], check + ["--method", "flow"]):
                 outputs.append((main(argv), capsys.readouterr().out))
+            if join is not None:
+                report = json.loads(outputs[0][1])
+                assert outputs[0][0] == 1 and report["slack"] == "0/1", theorem
+                assert report["certificate"] == sorted(join), theorem
+                ties += 1
             if outputs[0][0] != 1:
                 continue
             outputs.append((main(["construct", str(path), "--geometry", row.geometry.value]), capsys.readouterr().out))
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], theorem
+    return ties
 
 
 def test_one_infeasible_report_seeded(tmp_path, capsys):
     rng = random.Random(909)
+    ties = 0
     for trial in range(25):
-        assert_one_infeasible_report(tmp_path, capsys, random_triangulation(2 * (trial % 5 + 1), rng), rng)
+        ties += assert_one_infeasible_report(tmp_path, capsys, random_triangulation(2 * (trial % 5 + 1), rng), rng)
     assert_one_infeasible_report(tmp_path, capsys, validate(SELF_GLUED_FACES), rng)
+    assert ties >= 10, ties
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

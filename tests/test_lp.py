@@ -123,22 +123,64 @@ def random_problem(rng, m, n):
     return make_problem(a, b, c)
 
 
+def random_rational_problem(rng, m, n):
+    """Entries p/q with q up to 6 and either sign, so rows mix denominators
+    and b has negative entries."""
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    a = [[draw() for _ in range(n)] for _ in range(m)]
+    return make_problem(a, [draw() for _ in range(m)], [draw() for _ in range(n)])
+
+
+def outcome_counts(rng, draw, trials):
+    """Outcome kinds over random systems of 1-6 rows and 1-8 columns; the
+    solver checks Ax=b, strong duality, dual feasibility and Farkas
+    validity on every solve, so the sweep exercises every path."""
+    statuses = {"Optimal": 0, "Infeasible": 0, "Unbounded": 0}
+    for _ in range(trials):
+        out = simplex_solve(draw(rng, rng.randint(1, 6), rng.randint(1, 8)))
+        statuses[type(out).__name__] += 1
+    return statuses
+
+
 def test_random_systems_verify_internally():
-    # the solver asserts Ax=b, strong duality, dual feasibility and Farkas
-    # validity on every solve; sweeping random systems exercises all paths
-    rng = random.Random(99)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(200):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 8)
-        out = simplex_solve(random_problem(rng, m, n))
-        if isinstance(out, Optimal):
-            statuses["optimal"] += 1
-        elif isinstance(out, Infeasible):
-            statuses["infeasible"] += 1
-        else:
-            statuses["unbounded"] += 1
+    statuses = outcome_counts(random.Random(99), random_problem, 200)
     assert all(count > 10 for count in statuses.values()), statuses
+
+
+def test_rational_systems_verify_internally():
+    statuses = outcome_counts(random.Random(2718), random_rational_problem, 300)
+    assert all(count > 10 for count in statuses.values()), statuses
+
+
+def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
+    # Scaling row i of A and b_i by q > 0 keeps the feasible set, so the
+    # optimal value stays and y_i becomes y_i / q.  The point and the
+    # multipliers are unique, and so must come back equal, when x has one
+    # positive entry per row and every column outside its support has a
+    # positive reduced cost; the solver may pick another optimum otherwise.
+    rng = random.Random(1618)
+    unique = 0
+    for _ in range(400):
+        problem = random_rational_problem(rng, rng.randint(1, 4), rng.randint(2, 7))
+        out = simplex_solve(problem)
+        if not isinstance(out, Optimal):
+            continue
+        i, q = rng.randrange(problem.n_rows), Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        a = [[q * v for v in row] if k == i else row for k, row in enumerate(problem.a)]
+        b = [q * v if k == i else v for k, v in enumerate(problem.b)]
+        scaled = simplex_solve(make_problem(a, b, problem.c))
+        assert isinstance(scaled, Optimal) and scaled.value == out.value
+        reduced = [cj - sum(row[j] * yk for row, yk in zip(problem.a, out.dual)) for j, cj in enumerate(problem.c)]
+        if sum(v > 0 for v in out.x) == problem.n_rows and all(
+            r > 0 for r, v in zip(reduced, out.x) if v == 0
+        ):
+            unique += 1
+            assert scaled.x == out.x
+            assert scaled.dual == tuple(y / q if k == i else y for k, y in enumerate(out.dual))
+    assert unique > 10, unique
 
 
 def dual_cone_max_is_zero(problem) -> bool:
