@@ -1,14 +1,18 @@
 """Exact-rational linear programming path: witness construction.
 
-The solver is a dense two-phase simplex with Bland's rule over integer
-rows: each tableau row is a list of int numerators over one positive row
-denominator, reduced by their gcd after every elimination, so every pivot
-is exact without ``Fraction`` arithmetic, and termination is guaranteed
-even on the highly degenerate symmetric instances this domain produces.
-The point, value and multipliers become ``Fraction``s only when read out
-and checked.  At an optimum the dual multipliers are read off the reduced
-costs of each row's initial unit column; when phase 1 ends positive the
-same read yields a Farkas vector (A^t y <= 0, b^t y > 0).
+The solver is a two-phase simplex over sparse integer rows: each tableau
+row is a dict of its nonzero int numerators over one positive row
+denominator, reduced by their gcd after every elimination, so a pivot
+touches only nonzeros and is exact without ``Fraction`` arithmetic.  The
+entering column has the most negative reduced cost (Dantzig's rule); after
+a fixed run of degenerate pivots Bland's rule takes over until the point
+moves, so the run ends even on the highly degenerate symmetric instances
+this domain produces.  The point, value and multipliers become
+``Fraction``s only when read out and checked, against the problem's own
+data through its nonzero view of A by rows and by columns.  At an optimum
+the dual multipliers are read off the reduced costs of each row's initial
+unit column; when phase 1 ends positive the same read yields a Farkas
+vector (A^t y <= 0, b^t y > 0).
 
 Construction solves one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .angles import (
@@ -84,6 +89,28 @@ class LpProblem:
             if len(row) != n:
                 raise DimensionMismatch("row width of A differs from c")
 
+    @cached_property
+    def row_terms(self) -> tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]:
+        """Each equation a_i x = b_i times L_i, the lcm of its denominators:
+        the nonzeros (j, L_i a_ij) as ints, L_i b_i and L_i."""
+        view = []
+        for row, bv in zip(self.a, self.b):
+            terms = [(j, v) for j, v in enumerate(row) if v]
+            scale = math.lcm(bv.denominator, *(v.denominator for _, v in terms))
+            terms = tuple((j, v.numerator * (scale // v.denominator)) for j, v in terms)
+            view.append((terms, bv.numerator * (scale // bv.denominator), scale))
+        return tuple(view)
+
+    @cached_property
+    def col_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzeros (i, L_i a_ij) of each column of A, scaled as in
+        row_terms, also when A has no rows."""
+        cols = [[] for _ in self.c]
+        for i, (terms, _, _) in enumerate(self.row_terms):
+            for j, v in terms:
+                cols[j].append((i, v))
+        return tuple(map(tuple, cols))
+
     @property
     def n_rows(self) -> int:
         return len(self.a)
@@ -126,61 +153,86 @@ LpOutcome = Optimal | Infeasible | Unbounded
 # simplex kernel
 #
 # The tableau is a list of augmented rows [B^-1 A | B^-1 b], one per live
-# constraint, then one objective row of reduced costs whose last entry is
-# minus the objective value.  Row i holds numerators over the positive
-# denominator dens[i], with gcd 1.  basis[i] is the basic column of row i,
-# reader[i] its initial unit column (where its multiplier is read) and
-# orig[i] the row of A it came from.
+# constraint, then one objective row of reduced costs whose right-hand side
+# is minus the objective value.  Row i is a dict of its nonzero numerators
+# over the positive denominator dens[i], the right-hand side under the key
+# _RHS.  basis[i] is the basic column of row i, reader[i] its initial unit
+# column (where its multiplier is read) and orig[i] the row of A it came
+# from.
+
+_RHS = -1
+# Dantzig's rule gives way to Bland's after this many degenerate pivots in a
+# row, until the next pivot that moves the point
+_DEGENERATE_RUN = 10
 
 
 def _pivot(rows, dens, basis, r, col):
     """Make col basic in row r: normalise it to the denominator d = prow[col]
     > 0, then set every other row with a nonzero factor in col, the objective
-    row included, to (target * d - factor * prow) / (dens[i] * d), reduced."""
-    g = math.gcd(*rows[r]) if rows[r][col] > 0 else -math.gcd(*rows[r])
-    rows[r] = prow = [v // g for v in rows[r]]
+    row included, to (target * d - factor * prow) / (dens[i] * d), reduced.
+    Each pass visits the nonzeros only."""
+    prow = rows[r]
+    g = math.gcd(*prow.values()) if prow[col] > 0 else -math.gcd(*prow.values())
+    if g != 1:
+        rows[r] = prow = {j: v // g for j, v in prow.items()}
     dens[r] = d = prow[col]
-    nonzero = [(j, v) for j, v in enumerate(prow) if v]
+    terms = prow.items()
     for i, target in enumerate(rows):
-        factor = target[col]
+        factor = target.get(col)
         if factor and i != r:
-            target = [v * d for v in target]
-            for j, v in nonzero:
-                target[j] -= factor * v
-            g = math.gcd(*target, dens[i] * d)
-            rows[i], dens[i] = [v // g for v in target], dens[i] * d // g
+            if d != 1:
+                target = {j: v * d for j, v in target.items()}
+            for j, v in terms:
+                w = target.get(j, 0) - factor * v
+                if w:
+                    target[j] = w
+                else:
+                    del target[j]
+            g = math.gcd(*target.values(), dens[i] * d)
+            rows[i] = {j: v // g for j, v in target.items()} if g != 1 else target
+            dens[i] = dens[i] * d // g
     basis[r] = col
 
 
 def _price(rows, dens, basis, costs):
     """Set the objective row to the reduced costs of costs at basis, by
     pivoting again on each basic column that has a nonzero cost."""
-    obj, scale = _scaled([*costs, ZERO])
-    rows[len(basis):], dens[len(basis):] = [obj], [scale]
+    nums, scale = _scaled(costs)
+    rows[len(basis):], dens[len(basis):] = [{j: v for j, v in enumerate(nums) if v}], [scale]
     for r, col in enumerate(basis):
-        if rows[-1][col]:
+        if col in rows[-1]:
             _pivot(rows, dens, basis, r, col)
 
 
-def _run(rows, dens, basis, allowed):
-    """Bland-rule simplex; returns entering column on unboundedness, else None.
+def _run(rows, dens, basis, n):
+    """Simplex over the columns j < n; returns the entering column on
+    unboundedness, else None.
 
-    Ratios rhs_i / coeff_i compare by cross-multiplication; the row
-    denominators cancel."""
+    The entering column has the most negative reduced-cost numerator (the
+    objective row has one denominator), the lowest such index on a tie.
+    After _DEGENERATE_RUN degenerate pivots in a row it is the lowest index
+    with a negative reduced cost (Bland's rule), until a pivot moves the
+    point.  A pivot that moves the point lowers the objective, so no basis
+    comes back across one, and Bland's rule cannot cycle between two; the
+    run ends.  Ratios rhs_i / coeff_i compare by cross-multiplication; the
+    row denominators cancel."""
+    degenerate = 0
     while True:
-        obj = rows[-1]
-        enter = next((j for j in allowed if obj[j] < 0), None)
-        if enter is None:
+        entering = [(v, j) for j, v in rows[-1].items() if v < 0 and 0 <= j < n]
+        if not entering:
             return None
+        enter = min(entering)[1] if degenerate < _DEGENERATE_RUN else min(j for _, j in entering)
         leave, best_rhs, best_coeff = -1, 1, 0  # 1/0: every ratio is smaller
         for i, col in enumerate(basis):
-            coeff = rows[i][enter]
+            coeff = rows[i].get(enter, 0)
             if coeff > 0:
-                cross = rows[i][-1] * best_coeff - best_rhs * coeff
+                rhs = rows[i].get(_RHS, 0)
+                cross = rhs * best_coeff - best_rhs * coeff
                 if cross < 0 or (cross == 0 and col < basis[leave]):
-                    leave, best_rhs, best_coeff = i, rows[i][-1], coeff
+                    leave, best_rhs, best_coeff = i, rhs, coeff
         if leave < 0:
             return enter
+        degenerate = degenerate + 1 if best_rhs == 0 else 0
         _pivot(rows, dens, basis, leave, enter)
 
 
@@ -188,34 +240,36 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with dual multipliers and Farkas certificates."""
     m, n = problem.n_rows, problem.n_cols
     rows, dens = [], []
-    for row, bv in zip(problem.a, problem.b):
-        nums, den = _scaled([*row, bv])
-        rows.append(nums if bv >= 0 else [-v for v in nums])
-        dens.append(den)
+    for terms, bv, scale in problem.row_terms:
+        sign = -1 if bv < 0 else 1
+        rows.append({j: sign * v for j, v in terms})
+        if bv:
+            rows[-1][_RHS] = sign * bv
+        dens.append(scale)
 
     basis: list[int | None] = [None] * m
-    for j in range(n):
-        hits = [i for i in range(m) if rows[i][j] != 0]
-        if len(hits) == 1 and rows[hits[0]][j] == dens[hits[0]] and basis[hits[0]] is None:
-            basis[hits[0]] = j
+    for j, terms in enumerate(problem.col_terms):
+        if len(terms) == 1:
+            i = terms[0][0]
+            if basis[i] is None and rows[i][j] == dens[i]:
+                basis[i] = j
 
-    n_art = basis.count(None)
     art = n
     for i, row in enumerate(rows):
-        row[n:n] = [0] * n_art
         if basis[i] is None:
             row[art] = dens[i]
             basis[i] = art
             art += 1
+    n_art = art - n
     reader = list(basis)
     orig = list(range(m))
 
     if n_art:
         phase1_cost = [ZERO] * n + [ONE] * n_art
         _price(rows, dens, basis, phase1_cost)
-        if _run(rows, dens, basis, range(n)) is not None:
+        if _run(rows, dens, basis, n) is not None:
             raise VerificationFailed("phase 1 unbounded")
-        if rows[-1][-1] < 0:  # the artificials sum to more than 0
+        if rows[-1].get(_RHS, 0) < 0:  # the artificials sum to more than 0
             y = _read_dual(rows, dens, reader, orig, phase1_cost, problem.b)
             _verify_farkas(problem, y)
             return Infeasible(tuple(y))
@@ -223,21 +277,21 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
 
     phase2_cost = list(problem.c) + [ZERO] * n_art
     _price(rows, dens, basis, phase2_cost)
-    enter = _run(rows, dens, basis, range(n))
+    enter = _run(rows, dens, basis, n)
     if enter is not None:
         ray = [ZERO] * n
         ray[enter] = ONE
         for row, den, col in zip(rows, dens, basis):
             if col < n:
-                ray[col] = Fraction(-row[enter], den)
+                ray[col] = Fraction(-row.get(enter, 0), den)
         _verify_ray(problem, ray)
         return Unbounded(tuple(ray))
 
     x = [ZERO] * n
     for row, den, col in zip(rows, dens, basis):
         if col < n:
-            x[col] = Fraction(row[-1], den)
-    value = Fraction(-rows[-1][-1], dens[-1])
+            x[col] = Fraction(row.get(_RHS, 0), den)
+    value = Fraction(-rows[-1].get(_RHS, 0), dens[-1])
     y = _read_dual(rows, dens, reader, orig, phase2_cost, problem.b)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
@@ -249,9 +303,9 @@ def _expel_artificials(rows, dens, basis, reader, orig, n):
     while i < len(basis):
         if basis[i] >= n:
             row = rows[i]
-            if row[-1] != 0:
+            if _RHS in row:
                 raise VerificationFailed("artificial basic with nonzero value at phase-1 optimum")
-            col = next((j for j in range(n) if row[j] != 0), None)
+            col = min((j for j in row if 0 <= j < n), default=None)
             if col is None:
                 for seq in (rows, dens, basis, reader, orig):
                     del seq[i]
@@ -266,47 +320,59 @@ def _read_dual(rows, dens, reader, orig, costs, b):
     obj, den = rows[-1], dens[-1]
     y = [ZERO] * len(b)
     for col, i in zip(reader, orig):
-        yi = costs[col] - Fraction(obj[col], den)
+        yi = costs[col] - Fraction(obj.get(col, 0), den)
         y[i] = yi if b[i] >= 0 else -yi
     return y
 
 
-def _dot(coeffs, values):
-    """Exact sum of the products, skipping zero coefficients."""
-    return sum((a * v for a, v in zip(coeffs, values, strict=True) if a != 0), ZERO)
+# The checks read the problem's own data, never the tableau, in exact
+# integers: x, y and c scaled by the lcm of their denominators, against the
+# row-scaled nonzero view of A by rows or by columns.
 
 
-def _columns(problem: LpProblem):
-    """The n columns of A, also when A has no rows."""
-    return [[row[j] for row in problem.a] for j in range(problem.n_cols)]
+def _dot(terms, values):
+    """Sum of v * values[k] over the (k, v) terms."""
+    return sum(v * values[k] for k, v in terms)
+
+
+def _dual_scaled(problem: LpProblem, y):
+    """y_i / L_i as ints over a common denominator M, and M: the terms of
+    column j then sum to M (A^t y)_j, and L_i b_i to M b^t y."""
+    return _scaled([yi / scale for yi, (_, _, scale) in zip(y, problem.row_terms, strict=True)])
 
 
 def _verify_farkas(problem: LpProblem, y):
-    if any(_dot(column, y) > 0 for column in _columns(problem)):
+    ys, _ = _dual_scaled(problem, y)
+    if any(_dot(terms, ys) > 0 for terms in problem.col_terms):
         raise VerificationFailed("Farkas vector fails A^t y <= 0")
-    if _dot(problem.b, y) <= 0:
+    if sum(bv * v for (_, bv, _), v in zip(problem.row_terms, ys)) <= 0:
         raise VerificationFailed("Farkas vector fails b^t y > 0")
 
 
 def _verify_ray(problem: LpProblem, ray):
-    if any(_dot(row, ray) != 0 for row in problem.a):
+    rs, _ = _scaled(ray)
+    if any(_dot(terms, rs) != 0 for terms, _, _ in problem.row_terms):
         raise VerificationFailed("unbounded ray leaves the constraint space")
     if any(v < 0 for v in ray):
         raise VerificationFailed("unbounded ray not nonnegative")
-    if _dot(problem.c, ray) >= 0:
+    cs, _ = _scaled(problem.c)
+    if sum(c * v for c, v in zip(cs, rs, strict=True)) >= 0:
         raise VerificationFailed("ray does not improve the objective")
 
 
 def _verify_optimal(problem: LpProblem, x, value, y):
-    if any(_dot(row, x) != bv for row, bv in zip(problem.a, problem.b)):
+    xs, lx = _scaled(x)
+    if any(_dot(terms, xs) != bv * lx for terms, bv, _ in problem.row_terms):
         raise VerificationFailed("optimal point violates A x = b")
     if any(v < 0 for v in x):
         raise VerificationFailed("optimal point violates x >= 0")
-    if _dot(problem.c, x) != value:
+    cs, lc = _scaled(problem.c)
+    if sum(c * v for c, v in zip(cs, xs, strict=True)) != value * lc * lx:
         raise VerificationFailed("objective mismatch at optimum")
-    if _dot(problem.b, y) != value:
+    ys, ly = _dual_scaled(problem, y)
+    if sum(bv * v for (_, bv, _), v in zip(problem.row_terms, ys)) != value * ly:
         raise VerificationFailed("strong duality mismatch")
-    if any(_dot(column, y) > cj for column, cj in zip(_columns(problem), problem.c)):
+    if any(_dot(terms, ys) * lc > c * ly for terms, c in zip(problem.col_terms, cs)):
         raise VerificationFailed("dual multipliers infeasible at optimum")
 
 

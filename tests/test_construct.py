@@ -148,7 +148,10 @@ def test_self_glued_constructions(self_glued):
 
 # sha256 of the JSON bytes of the 16 witnesses below; a change that moves
 # the simplex to another vertex on purpose updates it and says so
-WITNESS_DIGEST = "7cf444f9ca068321dc3a2b83f7f1c52a8ccfc65d92e4653f44a85f4ded94eeeb"
+WITNESS_DIGEST = "f7df2fae05f10bbbd7c60de991ac42579a98e770173588e88f73b793a458e140"
+# sha256 of the exact optimal margins of the same 16 programs; the optimum
+# value is unique, so no choice of pivots may move it
+MARGIN_DIGEST = "e9b2291d2023d3f60a886d9d3a57707f33711ecadc09bc3e52becab0b2e70690"
 
 
 def test_witness_bytes_pinned():
@@ -156,7 +159,7 @@ def test_witness_bytes_pinned():
     # structure of its theorem's domain, so every request is feasible
     sph, hyp = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
     rng = random.Random(8)
-    digest = hashlib.sha256()
+    digest, margins = hashlib.sha256(), hashlib.sha256()
     for n in (6, 8, 10, 12):
         t = random_triangulation(n, rng)
         for geometry, fn in (
@@ -168,6 +171,9 @@ def test_witness_bytes_pinned():
             w = construct_structure(t, fn, geometry)
             assert isinstance(w, AngleStructure)
             digest.update(dumps(structure_to_json(t, w)).encode())
+            outcome = lp.simplex_solve(lp.build_construction_lp(t, fn, geometry))
+            margins.update(f"{-outcome.value}\n".encode())
+    assert margins.hexdigest() == MARGIN_DIGEST
     assert digest.hexdigest() == WITNESS_DIGEST
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from anglestruct import GeometryClass, InvariantKind
+from anglestruct import GeometryClass, InvariantKind, lp
 from anglestruct.errors import DimensionMismatch, VerificationFailed
 from anglestruct.lp import (
     Infeasible,
@@ -53,7 +53,7 @@ def test_dimension_mismatch():
 
 
 def test_degenerate_cycling_guard():
-    # Beale's cycling instance in equality form; Bland's rule must terminate
+    # a variant of Beale's cycling instance; the pivot rule must terminate
     a = [
         [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
         [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
@@ -64,6 +64,49 @@ def test_degenerate_cycling_guard():
     out = simplex_solve(make_problem(a, b, c))
     assert isinstance(out, Optimal)
     assert out.value == Fraction(-1, 20)
+
+
+# Beale (1955): max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4 subject to
+# 1/4 x1 - 8 x2 - x3 + 9 x4 <= 0, 1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0 and
+# x3 <= 1, with slack columns 4-6 as the starting basis
+BEALE = (
+    [
+        [Fraction(1, 4), -8, -1, 9, 1, 0, 0],
+        [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ],
+    [0, 0, 1],
+    [Fraction(-3, 4), 20, Fraction(-1, 2), 6, 0, 0, 0],
+)
+
+
+def test_beale_terminates_at_the_verified_optimum():
+    out = simplex_solve(make_problem(*BEALE))
+    assert out == Optimal(
+        fractions(1, 0, 1, 0, Fraction(3, 4), 0, 0),
+        Fraction(-5, 4),
+        fractions(0, Fraction(-3, 2), Fraction(-5, 4)),
+    )
+
+
+def test_dantzig_cycles_on_beale_without_the_bland_fallback(monkeypatch):
+    # with the fallback switched off, Dantzig's rule returns to a basis it
+    # has already visited, so the fallback is what makes the run above end
+    class Cycled(Exception):
+        pass
+
+    seen, pivot = set(), lp._pivot
+
+    def recording(rows, dens, basis, r, col):
+        pivot(rows, dens, basis, r, col)
+        if tuple(basis) in seen:
+            raise Cycled
+        seen.add(tuple(basis))
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", float("inf"))
+    with pytest.raises(Cycled):
+        simplex_solve(make_problem(*BEALE))
 
 
 def fractions(*values):
@@ -85,6 +128,25 @@ def test_redundant_equality_rows():
     assert out == Unbounded(fractions(1, 1))
 
 
+def test_empty_rows_and_columns():
+    # an all-zero row with b = 0 is redundant: its artificial stays basic at
+    # 0 with nothing to pivot on, so the row is dropped and its multiplier is 0
+    out = simplex_solve(make_problem([[1, 1], [0, 0]], [1, 0], [1, 0]))
+    assert out == Optimal(fractions(0, 1), Fraction(0), fractions(0, 0))
+    # with b != 0 it cannot hold; the Farkas vector weighs that row alone
+    for bv, y in [(3, 1), (-3, -1)]:
+        out = simplex_solve(make_problem([[1, 1], [0, 0]], [1, bv], [0, 0]))
+        assert out == Infeasible(fractions(0, y))
+    # an all-zero column enters on a negative cost and no row stops it
+    out = simplex_solve(make_problem([[1, 0, 1], [1, 0, 0]], [1, 1], [1, -1, 0]))
+    assert out == Unbounded(fractions(0, 1, 0))
+    out = simplex_solve(make_problem([[1, 0, 1], [1, 0, 0]], [1, 1], [1, 1, 0]))
+    assert out == Optimal(fractions(1, 0, 0), Fraction(1), fractions(0, 1))
+    # no rows at all: every column is empty
+    assert simplex_solve(make_problem([], [], [-1, 0])) == Unbounded(fractions(1, 0))
+    assert simplex_solve(make_problem([], [], [1, 0])) == Optimal(fractions(0, 0), Fraction(0), ())
+
+
 def test_verifiers_reject_tampered_answers():
     problem = make_problem([[1, 1]], [1], [1, 2])
     _verify_optimal(problem, fractions(1, 0), Fraction(1), fractions(1))
@@ -100,6 +162,18 @@ def test_verifiers_reject_tampered_answers():
     # with no rows, A^t y = 0 must still be checked against every cost
     with pytest.raises(VerificationFailed, match="dual multipliers infeasible"):
         _verify_optimal(make_problem([], [], [-1, 0]), fractions(0, 0), Fraction(0), ())
+    # an all-zero column, here with a negative cost, is checked the same way
+    problem = make_problem([[1, 0], [0, 0]], [1, 0], [1, -1])
+    with pytest.raises(VerificationFailed, match="dual multipliers infeasible"):
+        _verify_optimal(problem, fractions(1, 0), Fraction(1), fractions(1, 0))
+    # an all-zero row with b != 0 is checked in A x = b and in b^t y
+    problem = make_problem([[1, 1], [0, 0]], [1, 3], [0, 0])
+    with pytest.raises(VerificationFailed, match=re.escape("A x = b")):
+        _verify_optimal(problem, fractions(1, 0), Fraction(0), fractions(0, 0))
+    _verify_farkas(problem, fractions(0, 1))
+    for y, message in [((1, 1), "A^t y <= 0"), ((0, -1), "b^t y > 0")]:
+        with pytest.raises(VerificationFailed, match=re.escape(message)):
+            _verify_farkas(problem, fractions(*y))
 
     problem = make_problem([[1, 1]], [-1], [0, 0])
     _verify_farkas(problem, fractions(-1))
@@ -114,6 +188,14 @@ def test_verifiers_reject_tampered_answers():
             _verify_ray(problem, fractions(*ray))
     with pytest.raises(VerificationFailed, match="does not improve"):
         _verify_ray(make_problem([[1, -1]], [0], [1, 0]), fractions(1, 1))
+    # with no rows every ray stays in the constraint space, and b^t y = 0
+    problem = make_problem([], [], [-1, 0])
+    _verify_ray(problem, fractions(1, 0))
+    for ray, message in [((-1, 0), "not nonnegative"), ((0, 1), "does not improve")]:
+        with pytest.raises(VerificationFailed, match=message):
+            _verify_ray(problem, fractions(*ray))
+    with pytest.raises(VerificationFailed, match=re.escape("b^t y > 0")):
+        _verify_farkas(problem, ())
 
 
 def random_problem(rng, m, n):
