@@ -3,7 +3,8 @@
 Decides, for a triangulated closed surface and a prescribed invariant,
 whether a spherical or hyperbolic angle structure exists; constructs an
 explicit witness when it does and a violating face-subset certificate
-when it does not.  All arithmetic is exact (rational multiples of pi).
+when it does not.  All arithmetic is exact: every angle, invariant value
+and slack is a ``Fraction``, its coefficient of pi.
 """
 
 from .angles import (
@@ -33,7 +34,7 @@ from .lp import (
     construct_structure,
     simplex_solve,
 )
-from .ratpi import PI, RatPi, parse
+from .ratpi import parse
 from .surface import (
     Corner,
     FaceSubset,
@@ -52,9 +53,7 @@ __all__ = [
     "GeometryClass",
     "InvariantKind",
     "LpProblem",
-    "PI",
     "QuantifierRange",
-    "RatPi",
     "Triangulation",
     "Verdict",
     "build_construction_lp",

@@ -1,6 +1,7 @@
 """Angle structures, their geometry class, and the two edge invariants.
 
-An angle structure assigns every corner a value in (0, pi).  A face is
+An angle structure assigns every corner a value in (0, pi), held as its
+Fraction coefficient of pi (see ``ratpi``).  A face is
 Euclidean, hyperbolic or spherical according to its angle sum (with the
 extra pairwise condition for the spherical case), and the structure as a
 whole carries a class only when all faces agree.
@@ -23,10 +24,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import MissingCorner, OutOfRange
-from .ratpi import PI, RatPi, TWO_PI, ZERO
+from .ratpi import render
 from .surface import Corner, Triangulation, corners_facing, other_corners
-
-HALF = Fraction(1, 2)
 
 
 class GeometryClass(Enum):
@@ -45,9 +44,9 @@ class InvariantKind(Enum):
 class AngleStructure:
     """One angle per corner; plain container, range checks live in validators."""
 
-    values: dict[Corner, RatPi]
+    values: dict[Corner, Fraction]
 
-    def angle(self, corner: Corner) -> RatPi:
+    def angle(self, corner: Corner) -> Fraction:
         try:
             return self.values[corner]
         except KeyError:
@@ -60,35 +59,35 @@ class AngleStructure:
 
     def is_range_valid(self, t: Triangulation) -> bool:
         """True when every corner value lies strictly inside (0, pi)."""
-        return all(ZERO < self.angle(c) < PI for c in t.corners())
+        return all(0 < self.angle(c) < 1 for c in t.corners())
 
 
 @dataclass(frozen=True)
 class EdgeFunction:
     """Values indexed by dense edge index, tagged edge or Delaunay."""
 
-    values: dict[int, RatPi]
+    values: dict[int, Fraction]
     kind: InvariantKind
 
-    def value(self, edge: int) -> RatPi:
+    def value(self, edge: int) -> Fraction:
         return self.values[edge]
 
 
-def classify_triangle(a: RatPi, b: RatPi, c: RatPi) -> GeometryClass:
+def classify_triangle(a: Fraction, b: Fraction, c: Fraction) -> GeometryClass:
     """Class of a positive angle triple per the angle-sum trichotomy.
 
     Spherical additionally needs all of b+c-a, a+c-b, a+b-c below pi;
     a triple with sum above pi failing that is NOT_GEOMETRIC.
     """
     for v in (a, b, c):
-        if not ZERO < v < PI:
-            raise OutOfRange(v.render())
+        if not 0 < v < 1:
+            raise OutOfRange(render(v))
     total = a + b + c
-    if total == PI:
+    if total == 1:
         return GeometryClass.EUCLIDEAN
-    if total < PI:
+    if total < 1:
         return GeometryClass.HYPERBOLIC
-    if b + c - a < PI and a + c - b < PI and a + b - c < PI:
+    if b + c - a < 1 and a + c - b < 1 and a + b - c < 1:
         return GeometryClass.SPHERICAL
     return GeometryClass.NOT_GEOMETRIC
 
@@ -108,10 +107,6 @@ def classify_structure(t: Triangulation, x: AngleStructure) -> GeometryClass:
     return result
 
 
-def face_sum(t: Triangulation, x: AngleStructure, face: int) -> RatPi:
-    return x.angle(Corner(face, 0)) + x.angle(Corner(face, 1)) + x.angle(Corner(face, 2))
-
-
 def edge_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     """Sum of the two facing angles, per edge."""
     x.check_complete(t)
@@ -127,7 +122,7 @@ def delaunay_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     x.check_complete(t)
     values = {}
     for e in range(t.n_edges):
-        total = ZERO
+        total = 0
         for facing in corners_facing(t, e):
             j, k = other_corners(t, facing)
             total = total + x.angle(j) + x.angle(k) - x.angle(facing)
@@ -146,7 +141,7 @@ def corner_transform(t: Triangulation, x: AngleStructure) -> AngleStructure:
     values = {}
     for corner in t.corners():
         j, k = other_corners(t, corner)
-        values[corner] = (PI + x.angle(corner) - x.angle(j) - x.angle(k)) * HALF
+        values[corner] = (1 + x.angle(corner) - x.angle(j) - x.angle(k)) / 2
     return AngleStructure(values)
 
 
@@ -156,7 +151,7 @@ def corner_transform_inverse(t: Triangulation, y: AngleStructure) -> AngleStruct
     values = {}
     for corner in t.corners():
         j, k = other_corners(t, corner)
-        values[corner] = PI - y.angle(j) - y.angle(k)
+        values[corner] = 1 - y.angle(j) - y.angle(k)
     return AngleStructure(values)
 
 
@@ -164,4 +159,4 @@ def euclidean_relation_holds(t: Triangulation, x: AngleStructure) -> bool:
     """True when 2*D(e) + Dd(e) = 2*pi on every edge."""
     d = edge_invariant(t, x)
     dd = delaunay_invariant(t, x)
-    return all(2 * d.value(e) + dd.value(e) == TWO_PI for e in range(t.n_edges))
+    return all(2 * d.value(e) + dd.value(e) == 2 for e in range(t.n_edges))

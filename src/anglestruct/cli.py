@@ -35,6 +35,7 @@ from .angles import (
 )
 from .errors import AngleStructError, InvalidSetting, VerificationFailed
 from .feasibility import FeasibilityReport, Verdict
+from .ratpi import render
 from .sampling import random_structure, random_triangulation
 from .serialize import (
     InvalidInstance,
@@ -147,7 +148,7 @@ def cmd_check(args) -> int:
             if report.verdict is Verdict.INFEASIBLE and other != report:
                 raise VerificationFailed(
                     f"cross-check disagreement: enumerate {sorted(report.certificate)} at slack "
-                    f"{report.slack.render()}, {name} {sorted(other.certificate)} at slack {other.slack.render()}"
+                    f"{render(report.slack)}, {name} {sorted(other.certificate)} at slack {render(other.slack)}"
                 )
     print(dumps(report_to_json(report)))
     return 0 if report.verdict is not Verdict.INFEASIBLE else 1

@@ -44,11 +44,8 @@ from fractions import Fraction
 
 from .angles import EdgeFunction, GeometryClass, InvariantKind
 from .errors import RangeViolation, TooLarge, VerificationFailed
-from .ratpi import RatPi
+from .ratpi import render
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
-
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class Theorem:
@@ -118,7 +115,7 @@ class FeasibilityReport:
     verdict: Verdict
     theorem: str
     certificate: FaceSubset | None
-    slack: RatPi | None
+    slack: Fraction | None
 
     @property
     def quantifier_range(self) -> QuantifierRange:
@@ -129,8 +126,8 @@ class FeasibilityReport:
 
 def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]:
     if row.kind is InvariantKind.DELAUNAY:
-        return [1 - fn.value(e).coeff * HALF for e in range(t.n_edges)]
-    return [fn.value(e).coeff for e in range(t.n_edges)]
+        return [1 - fn.value(e) / 2 for e in range(t.n_edges)]
+    return [fn.value(e) for e in range(t.n_edges)]
 
 
 def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
@@ -140,11 +137,9 @@ def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fr
     if fn.kind is not row.kind:
         raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
     for e in range(t.n_edges):
-        c = fn.value(e).coeff
-        if not (row.lo < c < row.hi if row.strict else row.lo <= c <= row.hi):
-            raise RangeViolation(
-                f"{theorem}: value {fn.value(e).render()} at edge {e} outside domain"
-            )
+        v = fn.value(e)
+        if not (row.lo < v < row.hi if row.strict else row.lo <= v <= row.hi):
+            raise RangeViolation(f"{theorem}: value {render(v)} at edge {e} outside domain")
     return _weights(t, fn, row)
 
 
@@ -220,7 +215,7 @@ def make_report(
         verdict=verdict,
         theorem=theorem,
         certificate=subset if violated else None,
-        slack=None if slack is None else RatPi(slack),
+        slack=slack,
     )
 
 
@@ -233,7 +228,7 @@ def check_via_enumeration(
     slack, meet, join, first = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
     violated = row.violated(slack)
     subset = row.certificate(slack, meet, join) if violated else first
-    if subset_slack(t, fn, theorem, subset).coeff != slack:
+    if subset_slack(t, fn, theorem, subset) != slack:
         raise VerificationFailed(f"scan slack {slack} differs from that of {sorted(subset)}")
     return make_report(theorem, violated, subset, slack)
 
@@ -246,7 +241,7 @@ def check_closure(
     return check_via_enumeration(t, d, "L7", cap)
 
 
-def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceSubset) -> RatPi:
+def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceSubset) -> Fraction:
     """Exact slack of one subset under the named theorem's inequality.
 
     Negative or zero means the subset certifies infeasibility (for L7,
@@ -255,7 +250,7 @@ def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceS
     row = THEOREMS[theorem]
     weights = _weights(t, fn, row)
     covered = sum((weights[e] for e in edge_set(t, subset)), Fraction(0))
-    return RatPi(covered - len(subset) + _offset(t, weights, row.nonempty))
+    return covered - len(subset) + _offset(t, weights, row.nonempty)
 
 
 # ---------------------------------------------------------------------------

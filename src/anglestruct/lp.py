@@ -62,7 +62,7 @@ from .feasibility import (
     theorem_for,
     theorem_weights,
 )
-from .ratpi import RatPi
+from .ratpi import render
 from .surface import Triangulation
 
 ZERO = Fraction(0)
@@ -378,13 +378,9 @@ def _verify_optimal(problem: LpProblem, x, value, y):
 
 def render_problem(problem: LpProblem) -> str:
     """Plain-text dump, every entry as p/q, for --dump-lp auditing."""
-
-    def fmt(v: Fraction) -> str:
-        return f"{v.numerator}/{v.denominator}"
-
-    lines = [f"min {' '.join(fmt(v) for v in problem.c)}"]
+    lines = [f"min {' '.join(render(v) for v in problem.c)}"]
     for row, bv in zip(problem.a, problem.b):
-        lines.append(f"{' '.join(fmt(v) for v in row)} = {fmt(bv)}")
+        lines.append(f"{' '.join(render(v) for v in row)} = {render(bv)}")
     return "\n".join(lines)
 
 
@@ -426,7 +422,7 @@ def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
             row[col] = coeff
         row[margin_col] = Fraction(2)
         a.append(row)
-        b.append(program.value(e).coeff)
+        b.append(program.value(e))
     c = [ZERO] * n_cols
     c[margin_col] = -ONE
     return LpProblem(tuple(tuple(r) for r in a), tuple(b), tuple(c))
@@ -451,7 +447,7 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
     if THEOREMS[theorem].nonempty:
         kind, weights = InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]
         transform = corner_transform
-    program = EdgeFunction({e: RatPi(w) for e, w in enumerate(weights)}, kind)
+    program = EdgeFunction(dict(enumerate(weights)), kind)
     return theorem, program, transform if geometry is GeometryClass.SPHERICAL else None
 
 
@@ -481,7 +477,7 @@ def _solve_margin(t: Triangulation, program: EdgeFunction) -> AngleStructure | N
     if isinstance(outcome, Infeasible) or outcome.value == 0:
         return None
     x, margin = outcome.x, -outcome.value
-    witness = AngleStructure({c: RatPi(x[3 * c.face + c.slot] + margin) for c in t.corners()})
+    witness = AngleStructure({c: x[3 * c.face + c.slot] + margin for c in t.corners()})
     if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
         raise VerificationFailed("margin witness failed validation")
     return witness
@@ -493,7 +489,7 @@ def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
     if report.verdict is not Verdict.INFEASIBLE:
         raise VerificationFailed("construction and subset conditions disagree")
     slack = subset_slack(t, fn, theorem, report.certificate)
-    if slack != report.slack or slack.coeff > 0:
+    if slack != report.slack or slack > 0:
         raise VerificationFailed("cut subset does not violate the inequality")
     return report
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
 from .errors import Disconnected, OddFaceCount
-from .ratpi import RatPi
 from .surface import Corner, Triangulation, validate
 
 MAX_DENOMINATOR = 40
@@ -76,7 +75,7 @@ def random_structure(
     for f in range(t.n_faces):
         triple = sampler(rng)
         for k in range(3):
-            values[Corner(f, k)] = RatPi(triple[k])
+            values[Corner(f, k)] = triple[k]
     return AngleStructure(values)
 
 
@@ -94,7 +93,7 @@ def random_hyperbolic_delaunay_domain(t: Triangulation, rng: random.Random) -> A
         total = p + q + r
         triple = [Fraction(p, total) * scale, Fraction(q, total) * scale, Fraction(r, total) * scale]
         for k in range(3):
-            values[Corner(f, k)] = RatPi(triple[k])
+            values[Corner(f, k)] = triple[k]
     return AngleStructure(values)
 
 
@@ -107,7 +106,7 @@ def random_spherical_edge_domain(t: Triangulation, rng: random.Random) -> AngleS
     values = {}
     for f in range(t.n_faces):
         for k in range(3):
-            values[Corner(f, k)] = RatPi(rng.randint(41, 59), 120)
+            values[Corner(f, k)] = Fraction(rng.randint(41, 59), 120)
     return AngleStructure(values)
 
 
@@ -132,6 +131,6 @@ def random_edge_values(
             num = rng.randint(num_min, num_max)
             value = Fraction(num, den)
             if lo < value < hi:
-                values[e] = RatPi(value)
+                values[e] = value
                 break
     return EdgeFunction(values, kind)

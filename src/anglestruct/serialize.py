@@ -13,7 +13,7 @@ from typing import Any
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
 from .errors import AngleStructError
 from .feasibility import FeasibilityReport
-from .ratpi import parse as parse_ratpi
+from .ratpi import parse as parse_ratpi, render
 from .surface import Corner, Triangulation, validate
 
 
@@ -31,7 +31,7 @@ def _unique_keys(pairs):
 def edge_function_to_json(t: Triangulation, fn: EdgeFunction) -> dict:
     return {
         "kind": fn.kind.value,
-        "values": {str(e): fn.value(e).render() for e in range(t.n_edges)},
+        "values": {str(e): render(fn.value(e)) for e in range(t.n_edges)},
     }
 
 
@@ -62,7 +62,7 @@ def structure_to_json(t: Triangulation, x: AngleStructure) -> dict:
     corners = []
     for f in range(t.n_faces):
         for k in range(3):
-            corners.append([f"{f}/{k}", x.angle(Corner(f, k)).render()])
+            corners.append([f"{f}/{k}", render(x.angle(Corner(f, k)))])
     return {"corners": corners}
 
 
@@ -96,7 +96,7 @@ def report_to_json(report: FeasibilityReport) -> dict:
     if report.certificate is not None:
         out["certificate"] = sorted(report.certificate)
     if report.slack is not None:
-        out["slack"] = report.slack.render()
+        out["slack"] = render(report.slack)
     return out
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from anglestruct import EdgeFunction, InvariantKind, RatPi, validate
+from anglestruct import EdgeFunction, InvariantKind, validate
 
 TETRA_FACES = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
 
@@ -39,7 +39,7 @@ def self_glued():
 
 def const_fn(t, value, kind=InvariantKind.EDGE) -> EdgeFunction:
     coeff = Fraction(*value) if isinstance(value, tuple) else Fraction(value)
-    return EdgeFunction({e: RatPi(coeff) for e in range(t.n_edges)}, kind)
+    return EdgeFunction({e: coeff for e in range(t.n_edges)}, kind)
 
 
 def face_subsets(t, nonempty_proper=False):

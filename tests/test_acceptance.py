@@ -14,7 +14,6 @@ from anglestruct import (
     FeasibilityReport,
     GeometryClass,
     InvariantKind,
-    RatPi,
     Verdict,
     check_via_enumeration,
     classify_structure,
@@ -91,7 +90,7 @@ def test_criterion_2_hyperbolic_edge_verdict_equals_lp():
         else:
             infeasible_cases += 1
             assert isinstance(constructed, FeasibilityReport)
-            assert subset_slack(t, d, "T2", constructed.certificate).coeff <= 0
+            assert subset_slack(t, d, "T2", constructed.certificate) <= 0
             assert subset_slack(t, d, "T2", constructed.certificate) == constructed.slack
         agreements += 1
     announce(
@@ -110,7 +109,7 @@ def test_criterion_3_delaunay_reduction():
         t = random_triangulation(FACE_COUNTS[trial % 5], rng)
         dd = random_edge_values(t, rng, Fraction(-2), Fraction(2), InvariantKind.DELAUNAY)
         reduced = EdgeFunction(
-            {e: RatPi(1 - dd.value(e).coeff / 2) for e in range(t.n_edges)},
+            {e: 1 - dd.value(e) / 2 for e in range(t.n_edges)},
             InvariantKind.EDGE,
         )
         r3 = check_via_enumeration(t, dd, "T3")
@@ -170,22 +169,22 @@ def test_criterion_5_golden_tetrahedron_table():
     checks = []
 
     r = check_via_enumeration(t, const_fn(t, (7, 10)), "T1")
-    checks.append(r.verdict is Verdict.FEASIBLE and r.slack == RatPi(1, 5))
+    checks.append(r.verdict is Verdict.FEASIBLE and r.slack == Fraction(1, 5))
     r = check_via_enumeration(t, const_fn(t, (7, 10)), "T2")
     checks.append(
         r.verdict is Verdict.INFEASIBLE
         and r.certificate == frozenset()
-        and r.slack == RatPi(-1, 5)
+        and r.slack == Fraction(-1, 5)
     )
 
     r = check_via_enumeration(t, const_fn(t, (3, 5)), "T1")
     checks.append(
         r.verdict is Verdict.INFEASIBLE
         and r.certificate == frozenset(range(4))
-        and r.slack == RatPi(-2, 5)
+        and r.slack == Fraction(-2, 5)
     )
     r = check_via_enumeration(t, const_fn(t, (3, 5)), "T2")
-    checks.append(r.verdict is Verdict.FEASIBLE and r.slack == RatPi(2, 5))
+    checks.append(r.verdict is Verdict.FEASIBLE and r.slack == Fraction(2, 5))
     outcome = simplex_solve(build_construction_lp(t, const_fn(t, (3, 5)), GeometryClass.HYPERBOLIC))
     checks.append(isinstance(outcome, Optimal) and -outcome.value == Fraction(1, 10))
 
@@ -193,10 +192,10 @@ def test_criterion_5_golden_tetrahedron_table():
 
     r = check_via_enumeration(t, const_fn(t, (2, 3)), "T2")
     checks.append(
-        r.verdict is Verdict.INFEASIBLE and r.certificate == frozenset() and r.slack == RatPi(0)
+        r.verdict is Verdict.INFEASIBLE and r.certificate == frozenset() and r.slack == Fraction(0)
     )
     r = check_closure(t, const_fn(t, (2, 3)))
-    checks.append(r.verdict is Verdict.CLOSURE_ONLY and r.slack == RatPi(0))
+    checks.append(r.verdict is Verdict.CLOSURE_ONLY and r.slack == Fraction(0))
 
     announce(5, all(checks), f"golden tetrahedron table, {sum(checks)}/7 rows exact")
 
@@ -210,7 +209,7 @@ def test_criterion_6_euclidean_relation():
         d = edge_invariant(t, x)
         dd = delaunay_invariant(t, x)
         for e in range(t.n_edges):
-            if 2 * d.value(e) + dd.value(e) != RatPi(2):
+            if 2 * d.value(e) + dd.value(e) != Fraction(2):
                 bad_edges += 1
     announce(
         6,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -411,3 +412,37 @@ def test_dense_edge_numbering_in_any_order_checks_like_the_ordered_one(tmp_path,
             outputs.append(run(capsys, ["check", path, "--geometry", geometry, "--invariant", "edge"]))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] in (0, 1), outputs[0]
+
+
+# sha256 of the exit code, stdout and stderr of every command in the test
+# below; it pins every p/q that gen, invariants, verify, check and
+# --dump-lp print, as WITNESS_DIGEST in test_construct.py pins construct's
+COMMAND_DIGEST = "9e58fe39a9ef00054596a6b0fbcd59876437837b7432d451c16c9e1c17b0a8c7"
+
+
+def test_command_bytes_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+
+    def record(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}{captured.err}".encode())
+        return captured.out
+
+    for geometry in ("euclidean", "spherical", "hyperbolic"):
+        for n in (2, 4, 6, 10):
+            for seed in (1, 2):
+                gen = json.loads(record(["gen", "--faces", str(n), "--seed", str(seed), "--geometry", geometry]))
+                path = write_instance(tmp_path, gen)
+                invariants = json.loads(record(["invariants", path]))
+                record(["verify", path])
+                # T1-T4 by every method; an invariant outside a theorem's
+                # domain pins that error object instead
+                for kind in ("edge", "delaunay"):
+                    path = write_instance(tmp_path, {"faces": gen["faces"], "invariant": invariants[kind]}, "inv.json")
+                    for theorem_geometry in ("spherical", "hyperbolic"):
+                        argv = ["check", path, "--geometry", theorem_geometry, "--invariant", kind]
+                        record(argv + ["--method", "enumerate"])
+                        record(argv + ["--method", "flow"])
+                        record(argv + ["--method", "lp", "--dump-lp"])
+    assert digest.hexdigest() == COMMAND_DIGEST

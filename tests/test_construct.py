@@ -11,7 +11,6 @@ from anglestruct import (
     FeasibilityReport,
     GeometryClass,
     InvariantKind,
-    RatPi,
     Verdict,
     classify_structure,
     construct_structure,
@@ -42,13 +41,13 @@ def test_hyperbolic_construction_golden(tetra):
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.HYPERBOLIC
     d = edge_invariant(tetra, w)
-    assert all(d.value(e) == RatPi(3, 5) for e in range(6))
+    assert all(d.value(e) == Fraction(3, 5) for e in range(6))
 
     cert = construct_structure(tetra, const_fn(tetra, (7, 10)), GeometryClass.HYPERBOLIC)
     assert isinstance(cert, FeasibilityReport)
     assert cert.certificate == frozenset()
     assert cert.theorem == "T2"
-    assert cert.slack == RatPi(-1, 5)
+    assert cert.slack == Fraction(-1, 5)
 
 
 def test_hyperbolic_boundary_equality(tetra):
@@ -57,7 +56,7 @@ def test_hyperbolic_boundary_equality(tetra):
     cert = construct_structure(tetra, const_fn(tetra, (2, 3)), GeometryClass.HYPERBOLIC)
     assert isinstance(cert, FeasibilityReport)
     assert cert.certificate == frozenset()
-    assert cert.slack == RatPi(0)
+    assert cert.slack == Fraction(0)
 
 
 @pytest.mark.parametrize(
@@ -89,13 +88,13 @@ def test_spherical_construction_golden(tetra):
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.SPHERICAL
     d = edge_invariant(tetra, w)
-    assert all(d.value(e) == RatPi(7, 10) for e in range(6))
+    assert all(d.value(e) == Fraction(7, 10) for e in range(6))
 
     cert = construct_structure(tetra, const_fn(tetra, (3, 5)), GeometryClass.SPHERICAL)
     assert isinstance(cert, FeasibilityReport)
     assert cert.certificate == frozenset(range(4))
     assert cert.theorem == "T1"
-    assert cert.slack == RatPi(-2, 5)
+    assert cert.slack == Fraction(-2, 5)
 
 
 def test_construction_range_checks(tetra):
@@ -117,7 +116,7 @@ def test_delaunay_constructions(tetra):
     )
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.HYPERBOLIC
-    assert all(delaunay_invariant(tetra, w).value(e) == RatPi(3, 5) for e in range(6))
+    assert all(delaunay_invariant(tetra, w).value(e) == Fraction(3, 5) for e in range(6))
 
     cert = construct_structure(
         tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
@@ -126,21 +125,21 @@ def test_delaunay_constructions(tetra):
     assert cert.theorem == "T4"
     assert subset_slack(
         tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), "T4", cert.certificate
-    ).coeff <= 0
+    ) <= 0
 
     w = construct_structure(
         tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), GeometryClass.SPHERICAL
     )
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.SPHERICAL
-    assert all(delaunay_invariant(tetra, w).value(e) == RatPi(4, 5) for e in range(6))
+    assert all(delaunay_invariant(tetra, w).value(e) == Fraction(4, 5) for e in range(6))
 
 
 def test_self_glued_constructions(self_glued):
     d = const_fn(self_glued, (1, 2))
     w = construct_structure(self_glued, d, GeometryClass.HYPERBOLIC)
     assert isinstance(w, AngleStructure)
-    assert all(edge_invariant(self_glued, w).value(e) == RatPi(1, 2) for e in range(3))
+    assert all(edge_invariant(self_glued, w).value(e) == Fraction(1, 2) for e in range(3))
     w = construct_structure(self_glued, const_fn(self_glued, (3, 4)), GeometryClass.SPHERICAL)
     assert isinstance(w, AngleStructure)
     assert classify_structure(self_glued, w) is GeometryClass.SPHERICAL
@@ -194,7 +193,7 @@ def test_extract_certificate_spec_vector(tetra):
     assert min_cut(tetra, [Fraction(7, 10)] * 6) == (0, frozenset(), frozenset())
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset()
-    assert report.slack == RatPi(-1, 5)
+    assert report.slack == Fraction(-1, 5)
     assert _infeasible_certificate(tetra, d, "T2") == make_report(
         "T2", True, frozenset(), Fraction(-1, 5)
     )
@@ -240,12 +239,12 @@ def test_extract_certificate_needs_shifting(tetra):
     # weights violating only at X = {0}: neither the empty nor the full set
     from anglestruct import EdgeFunction
 
-    values = {e: (RatPi(1, 10) if e < 3 else RatPi(11, 10)) for e in range(6)}
+    values = {e: (Fraction(1, 10) if e < 3 else Fraction(11, 10)) for e in range(6)}
     d = EdgeFunction(values, InvariantKind.EDGE)
     assert check_via_enumeration(tetra, d, "T2").certificate == frozenset({0})
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset({0})
-    assert report.slack == RatPi(-3, 10) == subset_slack(tetra, d, "T2", frozenset({0}))
+    assert report.slack == Fraction(-3, 10) == subset_slack(tetra, d, "T2", frozenset({0}))
     cert = construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
     assert cert == make_report("T2", True, frozenset({0}), Fraction(-3, 10))
 
@@ -258,7 +257,7 @@ def test_extracted_certificates_always_verify(seed):
     d = random_edge_values(t, rng, Fraction(1), Fraction(2), InvariantKind.EDGE)
     result = construct_structure(t, d, GeometryClass.HYPERBOLIC)
     if isinstance(result, FeasibilityReport):
-        assert subset_slack(t, d, "T2", result.certificate).coeff <= 0
+        assert subset_slack(t, d, "T2", result.certificate) <= 0
         assert subset_slack(t, d, "T2", result.certificate) == result.slack
 
 
@@ -309,16 +308,16 @@ def test_equality_boundary_instances(seed):
     t = random_triangulation(rng.choice([2, 4, 6, 8]), rng)
     x = random_structure(t, GeometryClass.HYPERBOLIC, rng)
     d = edge_invariant(t, x)
-    total = sum((d.value(e).coeff for e in range(t.n_edges)), Fraction(0))
+    total = sum((d.value(e) for e in range(t.n_edges)), Fraction(0))
     scale = Fraction(t.n_faces) / total
-    values = {e: RatPi(d.value(e).coeff * scale) for e in range(t.n_edges)}
-    if any(not Fraction(0) < v.coeff < Fraction(2) for v in values.values()):
+    values = {e: d.value(e) * scale for e in range(t.n_edges)}
+    if any(not Fraction(0) < v < Fraction(2) for v in values.values()):
         return
     scaled = EdgeFunction(values, InvariantKind.EDGE)
     assert check_via_enumeration(t, scaled, "T2").verdict is Verdict.INFEASIBLE
     result = construct_structure(t, scaled, GeometryClass.HYPERBOLIC)
     assert isinstance(result, FeasibilityReport)
-    assert subset_slack(t, scaled, "T2", result.certificate).coeff <= 0
+    assert subset_slack(t, scaled, "T2", result.certificate) <= 0
 
 
 @settings(max_examples=25, deadline=None)

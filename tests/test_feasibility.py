@@ -9,7 +9,6 @@ from anglestruct import (
     EdgeFunction,
     GeometryClass,
     InvariantKind,
-    RatPi,
     Verdict,
     check_closure,
     check_via_enumeration,
@@ -57,8 +56,8 @@ def oracle_minimisers(t, weights, grow_form):
 
 def weights_of(fn, t, theorem):
     if theorem in ("T3", "T4"):
-        return [1 - fn.value(e).coeff / 2 for e in range(t.n_edges)]
-    return [fn.value(e).coeff for e in range(t.n_edges)]
+        return [1 - fn.value(e) / 2 for e in range(t.n_edges)]
+    return [fn.value(e) for e in range(t.n_edges)]
 
 
 def assert_scan_matches_oracle(t, fn, theorem):
@@ -72,7 +71,7 @@ def assert_scan_matches_oracle(t, fn, theorem):
     assert scanned[3] in attaining, theorem
     # the report: the meet, or the join at a T1/T4 tie with the empty set at 0
     r = check_via_enumeration(t, fn, theorem)
-    assert r.slack.coeff == slack, theorem
+    assert r.slack == slack, theorem
     if r.verdict is Verdict.INFEASIBLE:
         assert r.certificate == (join if grow_form and slack == 0 else meet), theorem
         assert r.certificate in attaining, theorem
@@ -86,39 +85,39 @@ def assert_scan_matches_oracle(t, fn, theorem):
 def test_t1_golden(tetra):
     r = check_via_enumeration(tetra, const_fn(tetra, (7, 10)), "T1")
     assert r.verdict is Verdict.FEASIBLE
-    assert r.slack == RatPi(1, 5)  # tightest subset is all four faces
+    assert r.slack == Fraction(1, 5)  # tightest subset is all four faces
     assert r.certificate is None
     assert r.quantifier_range is QuantifierRange.NONEMPTY_SUBSETS
 
     r = check_via_enumeration(tetra, const_fn(tetra, (3, 5)), "T1")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset(range(4))
-    assert r.slack == RatPi(-2, 5)
+    assert r.slack == Fraction(-2, 5)
 
 
 def test_t2_golden(tetra):
     r = check_via_enumeration(tetra, const_fn(tetra, (3, 5)), "T2")
     assert r.verdict is Verdict.FEASIBLE
-    assert r.slack == RatPi(2, 5)
+    assert r.slack == Fraction(2, 5)
     assert r.quantifier_range is QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
 
     r = check_via_enumeration(tetra, const_fn(tetra, (7, 10)), "T2")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset()
-    assert r.slack == RatPi(-1, 5)
+    assert r.slack == Fraction(-1, 5)
 
     # boundary: equality at the empty subset kills the open problem only
     r = check_via_enumeration(tetra, const_fn(tetra, (2, 3)), "T2")
     assert r.verdict is Verdict.INFEASIBLE
     assert r.certificate == frozenset()
-    assert r.slack == RatPi(0)
+    assert r.slack == Fraction(0)
 
 
 def test_closure_golden(tetra):
     assert check_closure(tetra, const_fn(tetra, (2, 3))).verdict is Verdict.CLOSURE_ONLY
-    assert check_closure(tetra, const_fn(tetra, (2, 3))).slack == RatPi(0)
+    assert check_closure(tetra, const_fn(tetra, (2, 3))).slack == Fraction(0)
     assert check_closure(tetra, const_fn(tetra, (3, 5))).verdict is Verdict.CLOSURE_ONLY
-    assert check_closure(tetra, const_fn(tetra, (3, 5))).slack == RatPi(2, 5)
+    assert check_closure(tetra, const_fn(tetra, (3, 5))).slack == Fraction(2, 5)
     assert check_closure(tetra, const_fn(tetra, (7, 10))).verdict is Verdict.INFEASIBLE
     # closed domain accepts boundary values
     assert check_closure(tetra, const_fn(tetra, 0)).verdict is Verdict.CLOSURE_ONLY
@@ -182,7 +181,7 @@ def test_scan_matches_oracle_with_mixed_denominators():
             values = {}
             for e in range(t.n_edges):
                 den = rng.choice((7, 9, 11, 240))
-                values[e] = RatPi(rng.randint(den // 3, den - 1), den)
+                values[e] = Fraction(rng.randint(den // 3, den - 1), den)
             assert_scan_matches_oracle(t, EdgeFunction(values, row.kind), theorem)
 
 
@@ -195,13 +194,13 @@ def test_scan_joins_t1_t4_zero_tie():
         ("T1", InvariantKind.EDGE, weights),
         ("T4", InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]),
     ):
-        fn = EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
+        fn = EdgeFunction(dict(enumerate(values)), kind)
         assert oracle_minimisers(t, weights, True) == (0, [frozenset({3}), frozenset(range(4))])
         slack, meet, join, _ = _scan(t, weights, True, t.n_faces)
         assert (slack, meet, join) == (0, frozenset({3}), frozenset(range(4)))
         r = check_via_enumeration(t, fn, theorem)
         assert r.verdict is Verdict.INFEASIBLE
-        assert (r.certificate, r.slack) == (frozenset(range(4)), RatPi(0))
+        assert (r.certificate, r.slack) == (frozenset(range(4)), Fraction(0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,7 +211,7 @@ def test_t1_t4_duality_under_substitution(seed, n):
     t = random_triangulation(n, rng)
     d = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
     dd = EdgeFunction(
-        {e: RatPi(2 - 2 * d.value(e).coeff) for e in range(t.n_edges)},
+        {e: 2 - 2 * d.value(e) for e in range(t.n_edges)},
         InvariantKind.DELAUNAY,
     )
     r1 = check_via_enumeration(t, d, "T1")
@@ -229,7 +228,7 @@ def test_t3_delegates_to_t2_verbatim(seed, n):
     t = random_triangulation(n, rng)
     dd = random_edge_values(t, rng, Fraction(-2), Fraction(2), InvariantKind.DELAUNAY)
     reduced = EdgeFunction(
-        {e: RatPi(1 - dd.value(e).coeff / 2) for e in range(t.n_edges)},
+        {e: 1 - dd.value(e) / 2 for e in range(t.n_edges)},
         InvariantKind.EDGE,
     )
     r3 = check_via_enumeration(t, dd, "T3")
@@ -248,12 +247,12 @@ def test_certificates_reverify(seed):
     d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
     r = check_via_enumeration(t, d, "T2")
     if r.certificate is not None:
-        assert subset_slack(t, d, "T2", r.certificate).coeff <= 0
+        assert subset_slack(t, d, "T2", r.certificate) <= 0
         assert subset_slack(t, d, "T2", r.certificate) == r.slack
     d1 = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
     r1 = check_via_enumeration(t, d1, "T1")
     if r1.certificate is not None:
-        assert subset_slack(t, d1, "T1", r1.certificate).coeff <= 0
+        assert subset_slack(t, d1, "T1", r1.certificate) <= 0
         assert subset_slack(t, d1, "T1", r1.certificate) == r1.slack
 
 
@@ -270,7 +269,7 @@ def test_monotonicity_in_single_edge(seed):
 
     before = check_via_enumeration(t, d, "T2").verdict
     raised = EdgeFunction(
-        {k: (RatPi(d.value(k).coeff + bump) if k == e else d.value(k)) for k in range(t.n_edges)},
+        {k: (d.value(k) + bump if k == e else d.value(k)) for k in range(t.n_edges)},
         InvariantKind.EDGE,
     )
     after = check_via_enumeration(t, raised, "T2").verdict
@@ -279,10 +278,10 @@ def test_monotonicity_in_single_edge(seed):
     before = check_via_enumeration(t, d, "T1").verdict
     lower = Fraction(rng.randint(1, 100), 1000)
     lowered = EdgeFunction(
-        {k: (RatPi(d.value(k).coeff - lower) if k == e else d.value(k)) for k in range(t.n_edges)},
+        {k: (d.value(k) - lower if k == e else d.value(k)) for k in range(t.n_edges)},
         InvariantKind.EDGE,
     )
-    if all(lowered.value(k).coeff > 0 for k in range(t.n_edges)):
+    if all(lowered.value(k) > 0 for k in range(t.n_edges)):
         after = check_via_enumeration(t, lowered, "T1").verdict
         assert not (before is Verdict.INFEASIBLE and after is Verdict.FEASIBLE)
 
@@ -312,14 +311,14 @@ def test_witness_backed_examples(tetra):
     from conftest import const_fn as _
     import anglestruct as a
 
-    x = a.AngleStructure({c: RatPi(7, 20) for c in tetra.corners()})
+    x = a.AngleStructure({c: Fraction(7, 20) for c in tetra.corners()})
     assert check_via_enumeration(tetra, edge_invariant(tetra, x), "T1").verdict is Verdict.FEASIBLE
-    x = a.AngleStructure({c: RatPi(3, 10) for c in tetra.corners()})
+    x = a.AngleStructure({c: Fraction(3, 10) for c in tetra.corners()})
     assert (
         check_via_enumeration(tetra, delaunay_invariant(tetra, x), "T4").verdict
         is Verdict.FEASIBLE
     )
-    x = a.AngleStructure({c: RatPi(2, 5) for c in tetra.corners()})
+    x = a.AngleStructure({c: Fraction(2, 5) for c in tetra.corners()})
     dd = delaunay_invariant(tetra, x)
-    assert all(dd.value(e) == RatPi(4, 5) for e in range(6))
+    assert all(dd.value(e) == Fraction(4, 5) for e in range(6))
     assert check_via_enumeration(tetra, dd, "T3").verdict is Verdict.FEASIBLE

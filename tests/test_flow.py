@@ -22,7 +22,6 @@ from anglestruct import (
     EdgeFunction,
     GeometryClass,
     InvariantKind,
-    RatPi,
     Verdict,
     check_via_enumeration,
     check_via_flow,
@@ -34,6 +33,7 @@ from anglestruct.cli import main
 from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
 from anglestruct.lp import check_via_lp
+from anglestruct.ratpi import render
 from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
 from conftest import SELF_GLUED_FACES, const_fn
 
@@ -62,7 +62,7 @@ def nudged_boundary_values(t, theorem, rng):
     for f in range(t.n_faces):
         p = [rng.randint(8, 12) for _ in range(3)]
         for k in range(3):
-            angles[Corner(f, k)] = RatPi(p[k], sum(p))
+            angles[Corner(f, k)] = Fraction(p[k], sum(p))
     base = edge_invariant(t, AngleStructure(angles))
     y = rng.sample(range(t.n_faces), rng.randint(1, t.n_faces))
     inside = {e for f in y for e in t.faces[f]}
@@ -71,14 +71,14 @@ def nudged_boundary_values(t, theorem, rng):
     hi = 1 if theorem in ("T1", "T4") else 2
     weights = []
     for e in range(t.n_edges):
-        w = base.value(e).coeff
+        w = base.value(e)
         shifted = w - step * n_out if e in inside else w + step * n_in
         if rng.random() < 1 / 4:
             shifted += Fraction(rng.randint(-4, 4), 96)
         weights.append(shifted if 0 < shifted < hi else w)
     kind = THEOREMS[theorem].kind
     values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
-    return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind)
+    return EdgeFunction(dict(enumerate(values)), kind)
 
 
 def planted_tie_values(t, theorem, rng):
@@ -115,7 +115,7 @@ def planted_tie_values(t, theorem, rng):
                 weights[e] = Fraction(p, sum(parts.values()))
         kind = THEOREMS[theorem].kind
         values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
-        return EdgeFunction({e: RatPi(v) for e, v in enumerate(values)}, kind), frozenset(pair)
+        return EdgeFunction(dict(enumerate(values)), kind), frozenset(pair)
     return None
 
 
@@ -159,18 +159,18 @@ def test_flow_boundary_instances_from_euclidean_structures(seed, n):
     x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
     d, dd = edge_invariant(t, x), delaunay_invariant(t, x)
     cases = [("T2", d), ("T3", dd), ("L7", d)]
-    if all(d.value(e) < RatPi(1) for e in range(t.n_edges)):
+    if all(d.value(e) < Fraction(1) for e in range(t.n_edges)):
         cases += [("T1", d), ("T4", dd)]
     for theorem, fn in cases:
         flow = assert_flow_matches_enumeration(t, fn, theorem)
         if theorem == "L7":
             assert flow.verdict is Verdict.CLOSURE_ONLY
             continue
-        assert flow.verdict is Verdict.INFEASIBLE and flow.slack == RatPi(0)
+        assert flow.verdict is Verdict.INFEASIBLE and flow.slack == Fraction(0)
         if theorem in ("T2", "T3"):
             assert flow.certificate == frozenset()
         else:
-            assert subset_slack(t, fn, theorem, frozenset(range(n))) == RatPi(0)
+            assert subset_slack(t, fn, theorem, frozenset(range(n))) == Fraction(0)
 
 
 def test_min_cut_minimisers_bracket_every_minimiser():
@@ -217,7 +217,7 @@ def test_cli_auto_above_limit_prints_the_flow_report(tmp_path, capsys):
             "faces": [list(row) for row in t.faces],
             "invariant": {
                 "kind": kind.value,
-                "values": {str(e): fn.value(e).render() for e in range(t.n_edges)},
+                "values": {str(e): render(fn.value(e)) for e in range(t.n_edges)},
             },
         }
         path = tmp_path / "fourteen.json"
@@ -246,7 +246,7 @@ def test_flow_rejects_out_of_domain_like_enumeration(tetra):
 def instance_payload(t, fn):
     return {
         "faces": [list(row) for row in t.faces],
-        "invariant": {"kind": fn.kind.value, "values": {str(e): fn.value(e).render() for e in range(t.n_edges)}},
+        "invariant": {"kind": fn.kind.value, "values": {str(e): render(fn.value(e)) for e in range(t.n_edges)}},
     }
 
 
@@ -302,7 +302,7 @@ def test_t1_zero_tie_prints_one_report(tmp_path, capsys):
     # face 3 and all four faces reach slack 0 under T1; every decider and
     # construct report the join of the two, all four faces
     t = validate([[0, 1, 1], [2, 3, 4], [2, 0, 3], [4, 5, 5]])
-    d = EdgeFunction({e: RatPi(1, 4) if e == 4 else RatPi(3, 4) for e in range(6)}, InvariantKind.EDGE)
+    d = EdgeFunction({e: Fraction(1, 4) if e == 4 else Fraction(3, 4) for e in range(6)}, InvariantKind.EDGE)
     path = tmp_path / "tie.json"
     path.write_text(json.dumps(instance_payload(t, d)))
     check = ["check", str(path), "--geometry", "spherical", "--invariant", "edge"]

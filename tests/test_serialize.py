@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from anglestruct import InvariantKind, RatPi, validate
+from anglestruct import InvariantKind, validate
 from anglestruct.errors import MissingCorner
 from anglestruct.serialize import (
     InvalidInstance,
@@ -26,7 +27,7 @@ def test_round_trip_edge_function(tetra):
         tetra, {"kind": "edge", "values": {str(e): "7/10" for e in range(6)}}
     )
     assert fn.kind is InvariantKind.EDGE
-    assert fn.value(3) == RatPi(7, 10)
+    assert fn.value(3) == Fraction(7, 10)
     assert edge_function_to_json(tetra, fn)["values"]["0"] == "7/10"
 
 
