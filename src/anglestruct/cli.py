@@ -5,9 +5,11 @@ JSON on stdout with fixed key order; exit codes are 0 for feasible or
 consistent, 1 for infeasible or mismatching, 2 for invalid input or an
 unreadable instance file and 3 for an internal self-check failure
 (``VerificationFailed``, a bug), the last two with one error object on
-stdout.  The enumeration cap comes from --cap, then the ANGLESTRUCT_CAP
-environment variable, then the default of 20; a value that is not an
-integer, from either source, is an InvalidSetting.
+stdout, and 141 when the reader closes stdout early (a broken pipe), with
+nothing more written and no traceback.  The enumeration cap comes from
+--cap, then the ANGLESTRUCT_CAP environment variable, then the default of
+20; a value that is not an integer, from either source, is an
+InvalidSetting.
 
 ``check --method auto`` enumerates at or below AUTO_ENUMERATE_LIMIT faces
 (and the cap) and decides by minimum cut above it; ``--cross-check`` runs
@@ -48,6 +50,8 @@ from .serialize import (
 from .surface import DEFAULT_ENUMERATION_CAP
 
 AUTO_ENUMERATE_LIMIT = 12
+# the status a shell reports for a process that SIGPIPE ends (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,18 +219,36 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.func(args)
     except AngleStructError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3 if isinstance(exc, VerificationFailed) else 2
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else "UnreadableFile"
         print(dumps({"error": {"type": kind, "message": str(exc)}}))
         return 2
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: write nothing more, and point stdout at
+        # the null device so that the exit-time flush of its buffer succeeds
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor behind it
+            return EXIT_BROKEN_PIPE
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -341,6 +341,21 @@ def _max_flow(arcs, n: int, source: int, sink: int):
     return flow, [lv >= 0 for lv in level], reaches_sink
 
 
+def _flow_value(arcs, flow, n: int) -> int:
+    """Value of `flow` on a network of n nodes whose last two are the
+    source and the sink, after checking that it respects every arc's
+    capacity and is conserved at every other node."""
+    net = [0] * n
+    for (u, v, c), x in zip(arcs, flow, strict=True):
+        if not 0 <= x <= c:
+            raise VerificationFailed(f"flow {x} on arc {u}->{v} outside [0, {c}]")
+        net[u] -= x
+        net[v] += x
+    if any(net[:-2]):
+        raise VerificationFailed("flow is not conserved")
+    return net[-1]
+
+
 def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> Fraction:
     """Prove that every subset in `subsets` minimises g; return the minimum.
 
@@ -351,22 +366,14 @@ def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> 
     Max-flow = min-cut then proves that X minimises g.
     """
     nf, ne = t.n_faces, t.n_edges
-    n = nf + ne + 2
     scaled = [c for _, _, c in arcs[len(arcs) - ne:]]
     if any(c * w.denominator != w.numerator * scale for c, w in zip(scaled, weights, strict=True)):
         raise VerificationFailed("an edge capacity differs from its scaled weight")
-    net = [0] * n
-    for (u, v, c), x in zip(arcs, flow, strict=True):
-        if not 0 <= x <= c:
-            raise VerificationFailed(f"flow {x} on arc {u}->{v} outside [0, {c}]")
-        net[u] -= x
-        net[v] += x
-    if any(net[:-2]):
-        raise VerificationFailed("flow is not conserved")
+    value = _flow_value(arcs, flow, nf + ne + 2)
     minimum = None
     for subset in subsets:
         minimum = sum(scaled[e] for e in edge_set(t, subset)) - len(subset) * scale
-        if nf * scale + minimum != net[-1]:
+        if nf * scale + minimum != value:
             raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
     return Fraction(minimum, scale)
 

@@ -27,6 +27,14 @@ quantifier (T4's Delaunay program for T1 and T4, T2's edge program for T2
 and T3) and, where the geometry is spherical, maps its witness back with
 the corner transform that belongs to that program.
 
+``construct_structure`` solves the Delaunay program by the simplex and
+the edge program by parametric maximum flow: at a fixed m the edge
+program is a transportation problem, and Newton steps on the violating
+cut reach the program's optimum in a few flows, each checked for
+capacities and conservation, the last cut re-evaluated exactly.
+``check_via_lp`` solves both programs by the simplex, so that a
+cross-check compares it with the other deciders.
+
 When the program shows that no witness exists, ``construct_structure``
 returns the ``FeasibilityReport`` of the minimum cut of
 ``feasibility.check_via_flow``; the cut must agree that the instance is
@@ -55,6 +63,8 @@ from .feasibility import (
     THEOREMS,
     FeasibilityReport,
     Verdict,
+    _flow_value,
+    _max_flow,
     _scaled,
     check_via_flow,
     make_report,
@@ -454,8 +464,9 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
 def build_construction_lp(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> LpProblem:
-    """The margin program that construct_structure solves, for either
-    invariant kind."""
+    """The margin program whose optimum construct_structure reaches, for
+    either invariant kind: by the simplex for a Delaunay program, by flow
+    for an edge program."""
     _, program, _ = _route(t, fn, geometry)
     return _margin_lp(t, program)
 
@@ -468,19 +479,94 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
     return all(recomputed.value(e) == fn.value(e) for e in range(t.n_edges))
 
 
-def _solve_margin(t: Triangulation, program: EdgeFunction) -> AngleStructure | None:
-    """Validated hyperbolic structure with the program's invariant, or None
-    when none exists."""
+# ---------------------------------------------------------------------------
+# edge programs by parametric maximum flow
+#
+# With the margin m fixed, the edge program is a transportation problem:
+# each edge e supplies exactly W(e) - 2m to its two facing corners and each
+# face absorbs at most 1 - 4m, which one maximum flow decides (Gale 1957).
+# The faces N(Y) facing a set Y of edges absorb all of Y's supply, so every
+# feasible m lies on or below the root of Y's Hall line
+# |N(Y)| - W(Y) - m*(4|N(Y)| - 2|Y|) >= 0.  A flow that falls short has a
+# minimum cut whose source-side edges Y violate that line at m, and m moves
+# to its root (Newton's method on the parametric cut, as in Dinkelbach
+# 1967).  Each root bounds the largest feasible m from above and no line is
+# violated twice, so the first m whose flow saturates every supply is the
+# program's optimum.
+
+
+def _hall_root(weights, cut, reached: int) -> Fraction | None:
+    """Root of the Hall line of the edge set `cut` facing `reached` faces,
+    or None unless its coefficient and its root are positive."""
+    coefficient = 4 * reached - 2 * len(cut)
+    if coefficient <= 0:
+        return None
+    root = (reached - sum((weights[e] for e in cut), ZERO)) / coefficient
+    return root if root > 0 else None
+
+
+def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
+    """Optimum m > 0 of the edge program with weights W and the values
+    a_i >= 0 of its corners there, indexed 3*face + slot; None when no
+    m > 0 is feasible.
+
+    The network has the edges, then the faces, then source and sink as
+    nodes, and arcs source -> e (W(e) - 2m), e -> each distinct face facing
+    it (more than the total supply) and face -> sink (1 - 4m), all scaled
+    to ints by the lcm of their denominators.  Every flow is checked for
+    capacities and conservation and, when it falls short, against the
+    capacity of its cut; the last cut's line is then re-evaluated from the
+    faces to show that the optimum is its root.  The optimum starts at
+    min(min W/2, 1/4), the bound of a >= 0 and of the face rows.
+    """
+    ne, nf = t.n_edges, t.n_faces
+    weights = [program.value(e) for e in range(ne)]
+    faces_of = [sorted({c.face for c in corners}) for corners in t.edge_corners]
+    n, source, sink = ne + nf + 2, ne + nf, ne + nf + 1
+    margin, cut = min(min(weights) / 2, ONE / 4), None
+    while True:
+        supply, scale = _scaled([w - 2 * margin for w in weights] + [1 - 4 * margin])
+        absorb = supply.pop()
+        total = sum(supply)
+        arcs = [(source, e, s) for e, s in enumerate(supply)]
+        arcs += [(e, ne + f, total + 1) for e in range(ne) for f in faces_of[e]]
+        arcs += [(ne + f, sink, absorb) for f in range(nf)]
+        flow, from_source, _ = _max_flow(arcs, n, source, sink)
+        value = _flow_value(arcs, flow, n)
+        if value == total:
+            break
+        cut = {e for e in range(ne) if from_source[e]}
+        reached = len({f for e in cut for f in faces_of[e]})
+        if total - sum(supply[e] for e in cut) + reached * absorb != value:
+            raise VerificationFailed("cut of the margin network differs from the flow value")
+        margin = _hall_root(weights, cut, reached)
+        if margin is None:
+            return None
+    if cut is not None:
+        reached = sum(1 for face in t.faces if not cut.isdisjoint(face))
+        if _hall_root(weights, cut, reached) != margin:
+            raise VerificationFailed("the last cut's line does not bound the margin")
+    a = [ZERO] * (3 * nf)
+    for (e, node, _), x in zip(arcs[ne:len(arcs) - nf], flow[ne:len(arcs) - nf]):
+        # a self-glued edge faces two corners of one face: split its flow
+        slots = [c.slot for c in t.edge_corners[e] if c.face == node - ne]
+        for slot in slots:
+            a[3 * (node - ne) + slot] = Fraction(x, scale * len(slots))
+    return margin, a
+
+
+def _simplex_margin(
+    t: Triangulation, program: EdgeFunction
+) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """Optimum m > 0 of the margin program and its point, whose first
+    3*|F| entries are the corner values a_i; None when no m > 0 is
+    feasible."""
     outcome = simplex_solve(_margin_lp(t, program))
     if isinstance(outcome, Unbounded):
         raise VerificationFailed("construction program cannot be unbounded")
     if isinstance(outcome, Infeasible) or outcome.value == 0:
         return None
-    x, margin = outcome.x, -outcome.value
-    witness = AngleStructure({c: x[3 * c.face + c.slot] + margin for c in t.corners()})
-    if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
-        raise VerificationFailed("margin witness failed validation")
-    return witness
+    return -outcome.value, outcome.x
 
 
 def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
@@ -494,6 +580,27 @@ def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
     return report
 
 
+def _construct(
+    t: Triangulation, fn: EdgeFunction, geometry: GeometryClass, by_flow: bool
+) -> AngleStructure | FeasibilityReport:
+    """construct_structure, solving an edge program by parametric flow when
+    by_flow is set and every other program by the simplex."""
+    theorem, program, transform = _route(t, fn, geometry)
+    by_flow = by_flow and program.kind is InvariantKind.EDGE
+    solved = _flow_margin(t, program) if by_flow else _simplex_margin(t, program)
+    if solved is None:
+        return _infeasible_certificate(t, fn, theorem)
+    margin, a = solved
+    witness = AngleStructure({c: a[3 * c.face + c.slot] + margin for c in t.corners()})
+    if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
+        raise VerificationFailed("margin witness failed validation")
+    if transform is not None:
+        witness = transform(t, witness)
+        if not _witness_ok(t, witness, fn, geometry):
+            raise VerificationFailed(f"transformed witness fails validation against {theorem}")
+    return witness
+
+
 def construct_structure(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> AngleStructure | FeasibilityReport:
@@ -501,19 +608,13 @@ def construct_structure(
     infeasible report of the theorem (T1-T4) for that pair, whose
     certificate is a face subset violating its inequality.
 
-    Solves the hyperbolic margin program of the theorem's route and maps
-    its witness back with the route's corner transform.  The returned
-    witness has been checked for range, class and recomputed invariant.
+    Solves the hyperbolic margin program of the theorem's route, T2's edge
+    program by parametric flow and T4's Delaunay program by the simplex,
+    and maps its witness back with the route's corner transform.  The
+    returned witness has been checked for range, class and recomputed
+    invariant.
     """
-    theorem, program, transform = _route(t, fn, geometry)
-    witness = _solve_margin(t, program)
-    if witness is None:
-        return _infeasible_certificate(t, fn, theorem)
-    if transform is not None:
-        witness = transform(t, witness)
-        if not _witness_ok(t, witness, fn, geometry):
-            raise VerificationFailed(f"transformed witness fails validation against {theorem}")
-    return witness
+    return _construct(t, fn, geometry, by_flow=True)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +623,8 @@ def construct_structure(
 
 def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) -> FeasibilityReport:
     """The report check_via_enumeration and check_via_flow give, decided by
-    construct_structure."""
-    result = construct_structure(t, fn, geometry)
+    the construction with every margin program solved by the simplex."""
+    result = _construct(t, fn, geometry, by_flow=False)
     if isinstance(result, FeasibilityReport):
         return result
     return make_report(theorem_for(geometry, fn.kind), False, None, None)

@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import anglestruct
 from anglestruct import feasibility, lp
-from anglestruct.cli import main
+from anglestruct.cli import EXIT_BROKEN_PIPE, main
 from anglestruct.feasibility import make_report
 from conftest import TETRA_FACES
 
@@ -446,3 +450,24 @@ def test_command_bytes_pinned(tmp_path, capsys):
                         record(argv + ["--method", "flow"])
                         record(argv + ["--method", "lp", "--dump-lp"])
     assert digest.hexdigest() == COMMAND_DIGEST
+
+
+@pytest.mark.parametrize("faces", [4, 400], ids=["flushed-at-exit", "raised-in-print"])
+def test_closed_stdout_exits_quietly(tmp_path, capsys, faces):
+    # the reader of the pipe is gone before anything is written: a short
+    # output fails when stdout is flushed, a long one inside print
+    assert main(["gen", "--faces", str(faces), "--seed", "1", "--geometry", "hyperbolic"]) == 0
+    path = tmp_path / "inst.json"
+    path.write_text(capsys.readouterr().out)
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anglestruct.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "anglestruct.cli", "invariants", str(path)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anglestruct import (
     AngleStructure,
+    EdgeFunction,
     FeasibilityReport,
     GeometryClass,
     InvariantKind,
@@ -23,7 +24,7 @@ from anglestruct import (
 )
 from anglestruct.errors import RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
-from anglestruct.feasibility import make_report
+from anglestruct.feasibility import THEOREMS, make_report, theorem_for
 from anglestruct.lp import _infeasible_certificate, check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
@@ -60,27 +61,53 @@ def test_hyperbolic_boundary_equality(tetra):
 
 
 @pytest.mark.parametrize(
-    "faces, value, geometry",
+    "faces, value, kind, geometry",
     [
-        (TETRA_FACES, (2, 3), GeometryClass.HYPERBOLIC),
-        (TETRA_FACES, (7, 10), GeometryClass.SPHERICAL),
-        (SELF_GLUED_FACES, (1, 2), GeometryClass.HYPERBOLIC),
+        (TETRA_FACES, (2, 3), InvariantKind.EDGE, GeometryClass.HYPERBOLIC),
+        (TETRA_FACES, (7, 10), InvariantKind.EDGE, GeometryClass.SPHERICAL),
+        (SELF_GLUED_FACES, (1, 2), InvariantKind.EDGE, GeometryClass.HYPERBOLIC),
+        (TETRA_FACES, (4, 5), InvariantKind.DELAUNAY, GeometryClass.SPHERICAL),
+        (TETRA_FACES, (3, 5), InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
     ],
-    ids=["tetra-boundary-hyperbolic", "tetra-spherical", "self-glued-hyperbolic"],
+    ids=[
+        "tetra-boundary-hyperbolic",
+        "tetra-spherical",
+        "self-glued-hyperbolic",
+        "tetra-delaunay-spherical",
+        "tetra-delaunay-hyperbolic",
+    ],
 )
-def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, geometry):
-    solved = []
-    solve = lp.simplex_solve
+def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kind, geometry):
+    # T1/T4 construct solves the dumped program by the simplex, once; T2/T3
+    # construct never calls the simplex, and its flow reaches the optimum of
+    # that same program (None where the optimum is 0: no witness)
+    solved, margins = [], []
+    solve, flow_margin = lp.simplex_solve, lp._flow_margin
 
     def recording(problem):
         solved.append(problem)
         return solve(problem)
 
+    def recording_flow(t, program):
+        result = flow_margin(t, program)
+        margins.append(None if result is None else result[0])
+        return result
+
     monkeypatch.setattr(lp, "simplex_solve", recording)
+    monkeypatch.setattr(lp, "_flow_margin", recording_flow)
     t = validate(faces)
-    fn = const_fn(t, value)
+    fn = const_fn(t, value, kind)
     construct_structure(t, fn, geometry)
-    assert solved == [lp.build_construction_lp(t, fn, geometry)]
+    problem = lp.build_construction_lp(t, fn, geometry)
+    if THEOREMS[theorem_for(geometry, kind)].nonempty:
+        assert solved == [problem] and margins == []
+    else:
+        optimum = solve(problem).value
+        assert solved == [] and margins == [-optimum if optimum else None]
+    # check --method lp solves the same program by the simplex for every theorem
+    solved.clear()
+    check_via_lp(t, fn, geometry)
+    assert solved == [problem]
 
 
 def test_spherical_construction_golden(tetra):
@@ -146,8 +173,9 @@ def test_self_glued_constructions(self_glued):
 
 
 # sha256 of the JSON bytes of the 16 witnesses below; a change that moves
-# the simplex to another vertex on purpose updates it and says so
-WITNESS_DIGEST = "f7df2fae05f10bbbd7c60de991ac42579a98e770173588e88f73b793a458e140"
+# the simplex (T1/T4) or the flow (T2/T3) to another optimal point on
+# purpose updates it and says so
+WITNESS_DIGEST = "9822b7c90b452634be4ac4e92154d4de54684c8894aa26454c0f1bb5c946d1d1"
 # sha256 of the exact optimal margins of the same 16 programs; the optimum
 # value is unique, so no choice of pivots may move it
 MARGIN_DIGEST = "e9b2291d2023d3f60a886d9d3a57707f33711ecadc09bc3e52becab0b2e70690"
@@ -346,3 +374,130 @@ def test_lp_check_agrees_with_enumeration(seed):
     assert check_via_lp(t, dd, GeometryClass.SPHERICAL).verdict == check_via_enumeration(t, dd, "T3").verdict
     dd4 = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
     assert check_via_lp(t, dd4, GeometryClass.HYPERBOLIC).verdict == check_via_enumeration(t, dd4, "T4").verdict
+
+
+# --- T2/T3 programs by parametric flow against the simplex
+
+
+def _edge_program_weights(t, rng, case):
+    """Weights W in (0, 2) of an edge program: feasible, at the Euclidean
+    boundary (optimum exactly 0), shrunk from it (feasible, several Newton
+    steps), pushed past it (infeasible) or random below 4/3, whose total
+    is near |F| on average, so that both outcomes occur."""
+    if case == "random":
+        d = random_edge_values(t, rng, Fraction(0), Fraction(4, 3), InvariantKind.EDGE)
+        return [d.value(e) for e in range(t.n_edges)]
+    geometry = GeometryClass.HYPERBOLIC if case == "feasible" else GeometryClass.EUCLIDEAN
+    d = edge_invariant(t, random_structure(t, geometry, rng))
+    factor = {
+        "feasible": Fraction(1),
+        "boundary": Fraction(1),
+        "shrunk": Fraction(rng.randint(80, 99), 100),
+        "pushed": Fraction(rng.randint(101, 120), 100),
+    }[case]
+    return [d.value(e) * factor if d.value(e) * factor < 2 else d.value(e) for e in range(t.n_edges)]
+
+
+def _edge_program_request(t, weights, theorem):
+    """T2 prescribes the weights as its edge invariant, T3 the Delaunay
+    invariant 2 - 2W whose weights 1 - Dd/2 they are."""
+    if theorem == "T2":
+        return EdgeFunction(dict(enumerate(weights)), InvariantKind.EDGE), GeometryClass.HYPERBOLIC
+    values = {e: 2 - 2 * w for e, w in enumerate(weights)}
+    return EdgeFunction(values, InvariantKind.DELAUNAY), GeometryClass.SPHERICAL
+
+
+def _flow_meets_simplex(t, fn, geometry):
+    """The flow's optimum is the simplex optimum of the dumped program, or
+    both find no witness; construct then gives a witness or the cut's
+    infeasible report.  Returns the optimum, None for no witness."""
+    theorem, program, _ = lp._route(t, fn, geometry)
+    solved = lp._flow_margin(t, program)
+    outcome = lp.simplex_solve(lp.build_construction_lp(t, fn, geometry))
+    optimum = None if isinstance(outcome, lp.Infeasible) or outcome.value == 0 else -outcome.value
+    assert (None if solved is None else solved[0]) == optimum
+    result = construct_structure(t, fn, geometry)
+    if optimum is None:
+        assert result == check_via_flow(t, fn, theorem)
+        assert result.verdict is Verdict.INFEASIBLE
+    else:
+        assert isinstance(result, AngleStructure)
+    return optimum
+
+
+CASES = ["feasible", "boundary", "shrunk", "pushed", "random"]
+
+
+def test_flow_margin_equals_simplex_optimum_seeded(monkeypatch):
+    flows = []
+    max_flow = lp._max_flow
+
+    def counting(*args):
+        flows[-1] += 1
+        return max_flow(*args)
+
+    monkeypatch.setattr(lp, "_max_flow", counting)
+    rng = random.Random(13)
+    gluings = [validate(SELF_GLUED_FACES)] + [random_triangulation(n, rng) for n in (2, 4, 6, 8, 12, 16)]
+    found = {}
+    for t in gluings:
+        for case in CASES:
+            for theorem in ("T2", "T3"):
+                fn, geometry = _edge_program_request(t, _edge_program_weights(t, rng, case), theorem)
+                flows.append(0)
+                optimum = _flow_meets_simplex(t, fn, geometry)
+                found.setdefault(case, set()).add(optimum is None)
+    assert found["feasible"] == found["shrunk"] == {False}
+    assert found["boundary"] == found["pushed"] == {True}
+    assert found["random"] == {False, True}
+    assert max(flows) > 1  # the Newton loop took more than one step
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from([0, 2, 4, 6, 8, 10]),
+    case=st.sampled_from(CASES),
+    theorem=st.sampled_from(["T2", "T3"]),
+)
+def test_flow_margin_equals_simplex_optimum(seed, n, case, theorem):
+    rng = random.Random(seed)
+    # n = 0 stands for the self-glued fixture
+    t = validate(SELF_GLUED_FACES) if n == 0 else random_triangulation(n, rng)
+    fn, geometry = _edge_program_request(t, _edge_program_weights(t, rng, case), theorem)
+    _flow_meets_simplex(t, fn, geometry)
+
+
+def test_margin_flows_are_checked(monkeypatch, tetra):
+    # T2 at 3/5: the flow at m = 1/4 falls short on the cut of every edge,
+    # whose root 1/10 is the optimum
+    d = const_fn(tetra, (3, 5))
+    max_flow, hall_root = lp._max_flow, lp._hall_root
+
+    def leaky(arcs, n, source, sink):
+        flow, from_source, to_sink = max_flow(arcs, n, source, sink)
+        into_sink = [i for i, (_, v, _) in enumerate(arcs) if v == sink and flow[i] > 0]
+        if into_sink:
+            flow[into_sink[0]] -= 1  # its face keeps a unit of flow
+        return flow, from_source, to_sink
+
+    def no_cut(arcs, n, source, sink):
+        flow, from_source, to_sink = max_flow(arcs, n, source, sink)
+        return flow, [False] * n, to_sink
+
+    roots = []
+
+    def low_root(weights, cut, reached):
+        roots.append(hall_root(weights, cut, reached))
+        return roots[-1] * Fraction(9, 10) if len(roots) == 1 else roots[-1]
+
+    assert lp._flow_margin(tetra, d)[0] == Fraction(1, 10)
+    for name, fake, match in (
+        ("_max_flow", leaky, "conserved"),
+        ("_max_flow", no_cut, "cut of the margin network"),
+        ("_hall_root", low_root, "does not bound"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(lp, name, fake)
+            with pytest.raises(VerificationFailed, match=match):
+                construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
