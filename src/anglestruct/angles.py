@@ -15,17 +15,23 @@ The corner transform y_i = (pi + x_i - x_j - x_k)/2 exchanges hyperbolic
 and spherical inequality systems; its inverse is x_i = pi - y_j - y_k.
 Transform outputs are candidates: they are not range-checked, validation
 back into (0, pi) is a separate explicit step.
+
+The class, the invariants and the transforms compute on ints over local
+denominators: each face's lcm, each edge's lcm of its two sides.  A common
+denominator of the whole structure, which grows without bound on many
+coprime denominators, is never formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import MissingCorner, OutOfRange
 from .ratpi import render
-from .surface import Corner, Triangulation, corners_facing, other_corners
+from .surface import Corner, Triangulation
 
 
 class GeometryClass(Enum):
@@ -57,10 +63,6 @@ class AngleStructure:
             if corner not in self.values:
                 raise MissingCorner(f"face {corner.face} slot {corner.slot}")
 
-    def is_range_valid(self, t: Triangulation) -> bool:
-        """True when every corner value lies strictly inside (0, pi)."""
-        return all(0 < self.angle(c) < 1 for c in t.corners())
-
 
 @dataclass(frozen=True)
 class EdgeFunction:
@@ -73,61 +75,82 @@ class EdgeFunction:
         return self.values[edge]
 
 
+def _over_lcm(values) -> tuple[list[int], int]:
+    """The values as ints over the lcm L of their denominators, and L."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _face_terms(t: Triangulation, x: AngleStructure) -> list[tuple[list[int], int]]:
+    """_over_lcm of each face's angles; MissingCorner names the first corner x lacks."""
+    angles = list(map(x.angle, t.corners()))
+    return [_over_lcm(angles[i:i + 3]) for i in range(0, len(angles), 3)]
+
+
 def classify_triangle(a: Fraction, b: Fraction, c: Fraction) -> GeometryClass:
     """Class of a positive angle triple per the angle-sum trichotomy.
 
     Spherical additionally needs all of b+c-a, a+c-b, a+b-c below pi;
     a triple with sum above pi failing that is NOT_GEOMETRIC.
     """
-    for v in (a, b, c):
-        if not 0 < v < 1:
-            raise OutOfRange(render(v))
-    total = a + b + c
-    if total == 1:
-        return GeometryClass.EUCLIDEAN
-    if total < 1:
-        return GeometryClass.HYPERBOLIC
-    if b + c - a < 1 and a + c - b < 1 and a + b - c < 1:
-        return GeometryClass.SPHERICAL
-    return GeometryClass.NOT_GEOMETRIC
+    return _classify_faces([_over_lcm((a, b, c))])
+
+
+def _classify_faces(faces: list[tuple[list[int], int]]) -> GeometryClass:
+    """Common class of the faces' angles nums/L, or NOT_GEOMETRIC at the
+    first face that is not geometric or disagrees, leaving the rest unchecked."""
+    result = None
+    for nums, den in faces:
+        for v in nums:
+            if not 0 < v < den:
+                raise OutOfRange(render(Fraction(v, den)))
+        a, b, c = nums
+        if a + b + c == den:
+            cls = GeometryClass.EUCLIDEAN
+        elif a + b + c < den:
+            cls = GeometryClass.HYPERBOLIC
+        elif b + c - a < den and a + c - b < den and a + b - c < den:
+            cls = GeometryClass.SPHERICAL
+        else:
+            return GeometryClass.NOT_GEOMETRIC
+        if result not in (None, cls):
+            return GeometryClass.NOT_GEOMETRIC
+        result = cls
+    return result
 
 
 def classify_structure(t: Triangulation, x: AngleStructure) -> GeometryClass:
     """Common class of all faces, or NOT_GEOMETRIC when they disagree."""
-    x.check_complete(t)
-    result = None
-    for f in range(t.n_faces):
-        cls = classify_triangle(*(x.angle(Corner(f, k)) for k in range(3)))
-        if cls is GeometryClass.NOT_GEOMETRIC:
-            return cls
-        if result is None:
-            result = cls
-        elif cls is not result:
-            return GeometryClass.NOT_GEOMETRIC
-    return result
+    return _classify_faces(_face_terms(t, x))
+
+
+def _invariant_terms(t: Triangulation, faces, kind: InvariantKind) -> list[tuple[int, int]]:
+    """Each edge's invariant as an int over the lcm of its two sides' face
+    denominators, and that lcm.  A side contributes its facing angle (edge
+    invariant) or its other two angles minus the facing one (Delaunay)."""
+    edge = kind is InvariantKind.EDGE
+    sides = [([v if edge else sum(nums) - 2 * v for v in nums], den) for nums, den in faces]
+    terms = []
+    for (f1, k1), (f2, k2) in t.edge_corners:
+        (s1, d1), (s2, d2) = sides[f1], sides[f2]
+        den = math.lcm(d1, d2)
+        terms.append((s1[k1] * (den // d1) + s2[k2] * (den // d2), den))
+    return terms
+
+
+def _invariant(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
+    terms = _invariant_terms(t, _face_terms(t, x), kind)
+    return EdgeFunction({e: Fraction(n, den) for e, (n, den) in enumerate(terms)}, kind)
 
 
 def edge_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     """Sum of the two facing angles, per edge."""
-    x.check_complete(t)
-    values = {}
-    for e in range(t.n_edges):
-        c1, c2 = corners_facing(t, e)
-        values[e] = x.angle(c1) + x.angle(c2)
-    return EdgeFunction(values, InvariantKind.EDGE)
+    return _invariant(t, x, InvariantKind.EDGE)
 
 
 def delaunay_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     """Non-facing angles of both sides minus the facing ones, per edge."""
-    x.check_complete(t)
-    values = {}
-    for e in range(t.n_edges):
-        total = 0
-        for facing in corners_facing(t, e):
-            j, k = other_corners(t, facing)
-            total = total + x.angle(j) + x.angle(k) - x.angle(facing)
-        values[e] = total
-    return EdgeFunction(values, InvariantKind.DELAUNAY)
+    return _invariant(t, x, InvariantKind.DELAUNAY)
 
 
 def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
@@ -135,24 +158,22 @@ def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> Ed
     return edge_invariant(t, x) if kind is InvariantKind.EDGE else delaunay_invariant(t, x)
 
 
+def _map_corners(t: Triangulation, x: AngleStructure, value) -> AngleStructure:
+    """value(v, total, L) at each corner, with v/L its angle and total/L its face's sum."""
+    faces = enumerate(_face_terms(t, x))
+    return AngleStructure(
+        {Corner(f, k): value(v, sum(nums), den) for f, (nums, den) in faces for k, v in enumerate(nums)}
+    )
+
+
 def corner_transform(t: Triangulation, x: AngleStructure) -> AngleStructure:
     """Candidate structure y_i = (pi + x_i - x_j - x_k)/2, unvalidated."""
-    x.check_complete(t)
-    values = {}
-    for corner in t.corners():
-        j, k = other_corners(t, corner)
-        values[corner] = (1 + x.angle(corner) - x.angle(j) - x.angle(k)) / 2
-    return AngleStructure(values)
+    return _map_corners(t, x, lambda v, total, den: Fraction(den + 2 * v - total, 2 * den))
 
 
 def corner_transform_inverse(t: Triangulation, y: AngleStructure) -> AngleStructure:
     """Candidate structure x_i = pi - y_j - y_k, unvalidated."""
-    y.check_complete(t)
-    values = {}
-    for corner in t.corners():
-        j, k = other_corners(t, corner)
-        values[corner] = 1 - y.angle(j) - y.angle(k)
-    return AngleStructure(values)
+    return _map_corners(t, y, lambda v, total, den: Fraction(den - total + v, den))
 
 
 def euclidean_relation_holds(t: Triangulation, x: AngleStructure) -> bool:

@@ -2,7 +2,9 @@
 
 The solver is a two-phase simplex over sparse integer rows: each tableau
 row is a dict of its nonzero int numerators over one positive row
-denominator, reduced by their gcd after every elimination, so a pivot
+denominator, in lowest terms.  An elimination with pivot d and row factor
+f first divides both by gcd(d, f), so the row is multiplied only by what d
+does not share with f, and then divides out the gcd of the result; a pivot
 touches only nonzeros and is exact without ``Fraction`` arithmetic.  The
 entering column has the most negative reduced cost (Dantzig's rule); after
 a fixed run of degenerate pivots Bland's rule takes over until the point
@@ -53,12 +55,13 @@ from .angles import (
     EdgeFunction,
     GeometryClass,
     InvariantKind,
-    classify_structure,
+    _classify_faces,
+    _face_terms,
+    _invariant_terms,
     corner_transform,
     corner_transform_inverse,
-    invariant_of,
 )
-from .errors import DimensionMismatch, VerificationFailed
+from .errors import DimensionMismatch, OutOfRange, VerificationFailed
 from .feasibility import (
     THEOREMS,
     FeasibilityReport,
@@ -179,8 +182,8 @@ _DEGENERATE_RUN = 10
 def _pivot(rows, dens, basis, r, col):
     """Make col basic in row r: normalise it to the denominator d = prow[col]
     > 0, then set every other row with a nonzero factor in col, the objective
-    row included, to (target * d - factor * prow) / (dens[i] * d), reduced.
-    Each pass visits the nonzeros only."""
+    row included, to (target * d' - factor' * prow) / (dens[i] * d'), reduced,
+    with d', factor' = d, factor over their gcd.  Each pass visits nonzeros."""
     prow = rows[r]
     g = math.gcd(*prow.values()) if prow[col] > 0 else -math.gcd(*prow.values())
     if g != 1:
@@ -190,17 +193,19 @@ def _pivot(rows, dens, basis, r, col):
     for i, target in enumerate(rows):
         factor = target.get(col)
         if factor and i != r:
-            if d != 1:
-                target = {j: v * d for j, v in target.items()}
+            h = math.gcd(d, factor)
+            scale, factor = d // h, factor // h
+            if scale != 1:
+                target = {j: v * scale for j, v in target.items()}
             for j, v in terms:
                 w = target.get(j, 0) - factor * v
                 if w:
                     target[j] = w
                 else:
                     del target[j]
-            g = math.gcd(*target.values(), dens[i] * d)
+            g = math.gcd(*target.values(), dens[i] * scale)
             rows[i] = {j: v // g for j, v in target.items()} if g != 1 else target
-            dens[i] = dens[i] * d // g
+            dens[i] = dens[i] * scale // g
     basis[r] = col
 
 
@@ -398,44 +403,39 @@ def render_problem(problem: LpProblem) -> str:
 # construction programs
 
 
-def _edge_row_pattern(t: Triangulation, e: int, kind: InvariantKind) -> dict[int, Fraction]:
-    """Corner-column coefficients of edge e's invariant equation."""
-    coeffs: dict[int, Fraction] = {}
+def _edge_row_pattern(t: Triangulation, e: int, kind: InvariantKind) -> dict[int, int]:
+    """Corner-column coefficients of edge e's invariant equation, zeros kept."""
+    delaunay = kind is InvariantKind.DELAUNAY
+    coeffs: dict[int, int] = {}
     for f, k in t.edge_corners[e]:
-        if kind is InvariantKind.EDGE:
-            terms = [(k, ONE)]
-        else:
-            terms = [(k, -ONE), ((k + 1) % 3, ONE), ((k + 2) % 3, ONE)]
-        for slot, delta in terms:
-            coeffs[3 * f + slot] = coeffs.get(3 * f + slot, ZERO) + delta
+        for slot in range(3) if delaunay else (k,):
+            col = 3 * f + slot
+            coeffs[col] = coeffs.get(col, 0) + (-1 if delaunay and slot == k else 1)
     return coeffs
 
 
 def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
     """min -m over a_i, s_f, m with face rows a_i+a_j+a_k + 4m + s_f = pi
-    and invariant rows pattern + 2m = value."""
-    nf, ne = t.n_faces, t.n_edges
-    n_cols = 3 * nf + nf + 1
-    margin_col = 4 * nf
-    a, b = [], []
-    for f in range(nf):
-        row = [ZERO] * n_cols
-        for k in range(3):
-            row[3 * f + k] = ONE
-        row[3 * nf + f] = ONE
-        row[margin_col] = Fraction(4)
-        a.append(row)
-        b.append(ONE)
-    for e in range(ne):
-        row = [ZERO] * n_cols
-        for col, coeff in _edge_row_pattern(t, e, program.kind).items():
-            row[col] = coeff
-        row[margin_col] = Fraction(2)
-        a.append(row)
-        b.append(program.value(e))
-    c = [ZERO] * n_cols
-    c[margin_col] = -ONE
-    return LpProblem(tuple(tuple(r) for r in a), tuple(b), tuple(c))
+    and invariant rows pattern + 2m = value.  The rows are built in the form
+    of LpProblem.row_terms (an edge row with value p/q is its integer
+    pattern times q, = p) and A is filled from them, never scanned back."""
+    nf, margin_col = t.n_faces, 4 * t.n_faces
+    view = [
+        (((3 * f, 1), (3 * f + 1, 1), (3 * f + 2, 1), (3 * nf + f, 1), (margin_col, 4)), 1, 1)
+        for f in range(nf)
+    ]
+    for e in range(t.n_edges):
+        q, pattern = program.value(e).denominator, _edge_row_pattern(t, e, program.kind)
+        terms = [(j, v * q) for j, v in sorted(pattern.items()) if v] + [(margin_col, 2 * q)]
+        view.append((tuple(terms), program.value(e).numerator, q))
+    a = [[ZERO] * (margin_col + 1) for _ in view]
+    for row, (terms, _, scale) in zip(a, view):
+        for j, v in terms:
+            row[j] = Fraction(v, scale)
+    b = tuple(Fraction(bv, scale) for _, bv, scale in view)
+    problem = LpProblem(tuple(map(tuple, a)), b, (ZERO,) * margin_col + (-ONE,))
+    vars(problem)["row_terms"] = tuple(view)  # where the cached_property keeps it
+    return problem
 
 
 def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
@@ -472,11 +472,16 @@ def build_construction_lp(
 
 
 def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry) -> bool:
-    """Angles in (0, pi), the geometry's class and invariant fn, recomputed."""
-    if not x.is_range_valid(t) or classify_structure(t, x) is not geometry:
+    """Angles in (0, pi), the geometry's class and invariant fn, on per-face ints: the class
+    pass range-checks every face unless it returns NOT_GEOMETRIC, and n/d == p/q as n*q == p*d."""
+    faces = _face_terms(t, x)
+    try:
+        if _classify_faces(faces) is not geometry:
+            return False
+    except OutOfRange:
         return False
-    recomputed = invariant_of(t, x, fn.kind)
-    return all(recomputed.value(e) == fn.value(e) for e in range(t.n_edges))
+    pairs = zip(_invariant_terms(t, faces, fn.kind), map(fn.value, range(t.n_edges)))
+    return all(n * v.denominator == v.numerator * den for (n, den), v in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -114,12 +114,6 @@ def corners_facing(t: Triangulation, edge: int) -> tuple[Corner, Corner]:
     return t.edge_corners[edge]
 
 
-def other_corners(t: Triangulation, corner: Corner) -> tuple[Corner, Corner]:
-    """The remaining two corners of the corner's face."""
-    f, k = corner
-    return Corner(f, (k + 1) % 3), Corner(f, (k + 2) % 3)
-
-
 def edge_set(t: Triangulation, subset: FaceSubset) -> frozenset[int]:
     """All edges belonging to at least one face of the subset (no multiplicity)."""
     out: set[int] = set()

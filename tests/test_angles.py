@@ -8,18 +8,23 @@ from hypothesis import strategies as st
 from anglestruct import (
     AngleStructure,
     Corner,
+    EdgeFunction,
     GeometryClass,
+    InvariantKind,
     classify_structure,
     classify_triangle,
     corner_transform,
     corner_transform_inverse,
     delaunay_invariant,
     edge_invariant,
+    validate,
 )
 from anglestruct.angles import euclidean_relation_holds
 from anglestruct.errors import MissingCorner, OutOfRange
+from anglestruct.lp import _witness_ok
+from anglestruct.ratpi import render
 from anglestruct.sampling import random_structure, random_triangulation
-from conftest import const_fn
+from conftest import OCTA_FACES, SELF_GLUED_FACES, TETRA_FACES, const_fn
 
 
 def uniform_structure(t, value) -> AngleStructure:
@@ -188,7 +193,7 @@ def test_transform_maps_hyperbolic_to_spherical(seed, n):
     t = random_triangulation(n, rng)
     x = random_structure(t, GeometryClass.HYPERBOLIC, rng)
     y = corner_transform(t, x)
-    assert y.is_range_valid(t)
+    assert all(0 < y.angle(c) < 1 for c in t.corners())
     assert classify_structure(t, y) is GeometryClass.SPHERICAL
     d_y = edge_invariant(t, y)
     dd_x = delaunay_invariant(t, x)
@@ -202,3 +207,236 @@ def test_non_euclidean_violates_relation_somewhere(tetra):
     d = edge_invariant(tetra, x)
     dd = delaunay_invariant(tetra, x)
     assert any(2 * d.value(e) + dd.value(e) != 2 for e in range(6))
+
+
+# A plain-Fraction reference of the angle functions, written as the
+# formulas read, with every corner looked up by name.  The package
+# computes on per-face ints; both must return the same values and raise the
+# same errors, with the same messages, in the same order.
+
+BIG = 10**300
+
+
+def ref_angle(x, corner):
+    if corner not in x.values:
+        raise MissingCorner(f"face {corner.face} slot {corner.slot}")
+    return x.values[corner]
+
+
+def ref_complete(t, x):
+    for c in t.corners():
+        ref_angle(x, c)
+
+
+def ref_others(c):
+    return Corner(c.face, (c.slot + 1) % 3), Corner(c.face, (c.slot + 2) % 3)
+
+
+def ref_classify_triangle(a, b, c):
+    for v in (a, b, c):
+        if not 0 < v < 1:
+            raise OutOfRange(render(v))
+    total = a + b + c
+    if total == 1:
+        return GeometryClass.EUCLIDEAN
+    if total < 1:
+        return GeometryClass.HYPERBOLIC
+    if b + c - a < 1 and a + c - b < 1 and a + b - c < 1:
+        return GeometryClass.SPHERICAL
+    return GeometryClass.NOT_GEOMETRIC
+
+
+def ref_classify_structure(t, x):
+    ref_complete(t, x)
+    result = None
+    for f in range(t.n_faces):
+        cls = ref_classify_triangle(*(x.values[Corner(f, k)] for k in range(3)))
+        if cls is GeometryClass.NOT_GEOMETRIC:
+            return cls
+        if result is None:
+            result = cls
+        elif cls is not result:
+            return GeometryClass.NOT_GEOMETRIC
+    return result
+
+
+def ref_edge_invariant(t, x):
+    ref_complete(t, x)
+    values = {e: x.values[c1] + x.values[c2] for e, (c1, c2) in enumerate(t.edge_corners)}
+    return EdgeFunction(values, InvariantKind.EDGE)
+
+
+def ref_delaunay_invariant(t, x):
+    ref_complete(t, x)
+    values = {}
+    for e, corners in enumerate(t.edge_corners):
+        total = Fraction(0)
+        for facing in corners:
+            j, k = ref_others(facing)
+            total = total + x.values[j] + x.values[k] - x.values[facing]
+        values[e] = total
+    return EdgeFunction(values, InvariantKind.DELAUNAY)
+
+
+def ref_corner_transform(t, x):
+    ref_complete(t, x)
+    values = {}
+    for c in t.corners():
+        j, k = ref_others(c)
+        values[c] = (1 + x.values[c] - x.values[j] - x.values[k]) / 2
+    return AngleStructure(values)
+
+
+def ref_corner_transform_inverse(t, y):
+    ref_complete(t, y)
+    values = {}
+    for c in t.corners():
+        j, k = ref_others(c)
+        values[c] = 1 - y.values[j] - y.values[k]
+    return AngleStructure(values)
+
+
+def ref_witness_ok(t, x, fn, geometry):
+    # an incomplete structure raises MissingCorner, whatever else is wrong
+    ref_complete(t, x)
+    if not all(0 < x.values[c] < 1 for c in t.corners()):
+        return False
+    if ref_classify_structure(t, x) is not geometry:
+        return False
+    if fn.kind is InvariantKind.EDGE:
+        return ref_edge_invariant(t, x) == fn
+    return ref_delaunay_invariant(t, x) == fn
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the angle error it raised."""
+    try:
+        return fn(*args)
+    except (MissingCorner, OutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+PAIRS = [
+    (classify_structure, ref_classify_structure),
+    (edge_invariant, ref_edge_invariant),
+    (delaunay_invariant, ref_delaunay_invariant),
+    (corner_transform, ref_corner_transform),
+    (corner_transform_inverse, ref_corner_transform_inverse),
+]
+
+
+def assert_matches_reference(t, x):
+    """Every angle function of x equals its reference, errors included, and
+    so does the construction's witness check, for both geometries against
+    the recomputed invariants and two nudged ones."""
+    for package, reference in PAIRS:
+        assert outcome(package, t, x) == outcome(reference, t, x), package.__name__
+    for f in range(t.n_faces):
+        triple = [x.values.get(Corner(f, k)) for k in range(3)]
+        if None not in triple:
+            assert outcome(classify_triangle, *triple) == outcome(ref_classify_triangle, *triple)
+    invariants = [outcome(ref_edge_invariant, t, x), outcome(ref_delaunay_invariant, t, x)]
+    if isinstance(invariants[0], EdgeFunction):
+        d = invariants[0]
+        for step in (Fraction(1, BIG), Fraction(-1, BIG)):
+            invariants.append(EdgeFunction({**d.values, 0: d.value(0) + step}, d.kind))
+    else:
+        invariants = [const_fn(t, (1, 2))]
+    for fn in invariants:
+        for geometry in (GeometryClass.HYPERBOLIC, GeometryClass.SPHERICAL):
+            args = (t, x, fn, geometry)
+            assert outcome(_witness_ok, *args) == outcome(ref_witness_ok, *args)
+
+
+FACE_KINDS = (
+    "euclidean", "hyperbolic", "spherical", "random", "mixed-denominators", "out-of-range"
+)
+
+
+def sample_face(rng, kind, big):
+    """Three angles of one face of the given kind, on a small or a 300-digit
+    denominator."""
+    den = rng.randint(BIG, 10 * BIG) if big else rng.randint(12, 60)
+    if kind == "euclidean":
+        a = rng.randint(1, den - 2)
+        b = rng.randint(1, den - a - 1)
+        nums = [a, b, den - a - b]
+    elif kind == "hyperbolic":  # a Euclidean triple over a larger denominator
+        a = rng.randint(1, den - 2)
+        b = rng.randint(1, den - a - 1)
+        nums, den = [a, b, den - a - b], den + rng.randint(1, den)
+    elif kind == "spherical":  # every angle in (pi/3, pi/2)
+        nums = [rng.randint(den // 3 + 1, (den - 1) // 2) for _ in range(3)]
+    elif kind == "random":  # any class, often not geometric
+        nums = [rng.randint(1, den - 1) for _ in range(3)]
+    elif kind == "mixed-denominators":
+        return [Fraction(rng.randint(1, d - 1), d) for d in (den, den + 1, 2 * den + 1)]
+    else:
+        triple = [Fraction(rng.randint(1, den - 1), den) for _ in range(3)]
+        bad = [Fraction(0), Fraction(1), Fraction(-1, den), 1 + Fraction(1, den), Fraction(den, 1)]
+        triple[rng.randrange(3)] = rng.choice(bad)
+        return triple
+    return [Fraction(n, den) for n in nums]
+
+
+def sample_structure(rng, t):
+    """Faces of one kind (so that a whole structure has a class) or of
+    mixed kinds, small or 300-digit denominators, sometimes a corner
+    missing."""
+    uniform = rng.choice(FACE_KINDS) if rng.random() < 0.5 else None
+    values = {}
+    for f in range(t.n_faces):
+        kind = uniform or rng.choice(FACE_KINDS)
+        triple = sample_face(rng, kind, big=rng.random() < 0.3)
+        values.update((Corner(f, k), v) for k, v in enumerate(triple))
+    if rng.random() < 0.15:
+        del values[rng.choice(list(values))]
+    return AngleStructure(values)
+
+
+def test_angle_functions_match_the_fraction_reference_seeded():
+    rng = random.Random(20240)
+    seen = set()
+    for _ in range(400):
+        faces = rng.choice([SELF_GLUED_FACES, TETRA_FACES, OCTA_FACES, None])
+        t = validate(faces) if faces else random_triangulation(rng.choice([2, 4, 6, 8]), rng)
+        x = sample_structure(rng, t)
+        assert_matches_reference(t, x)
+        result = outcome(ref_classify_structure, t, x)
+        if isinstance(result, GeometryClass):
+            seen.add(result)
+            seen.add(ref_witness_ok(t, x, ref_edge_invariant(t, x), GeometryClass.HYPERBOLIC))
+        else:
+            seen.add(result[0])
+        if any(v.denominator > BIG for v in x.values.values()):
+            seen.add("big")
+    assert seen >= set(GeometryClass) | {MissingCorner, OutOfRange, True, False, "big"}, seen
+
+
+def fractions_in(lo, hi):
+    small = st.fractions(min_value=lo, max_value=hi, max_denominator=60)
+    big = st.builds(
+        lambda n, d: lo + (hi - lo) * Fraction(n % d, d), st.integers(0), st.integers(BIG, 10 * BIG)
+    )
+    return small | big
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gluing=st.sampled_from([SELF_GLUED_FACES, TETRA_FACES]) | st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_angle_functions_match_the_fraction_reference(gluing, data):
+    if isinstance(gluing, int):
+        rng = random.Random(gluing)
+        t = random_triangulation(rng.choice([2, 4, 6]), rng)
+    else:
+        t = validate(gluing)
+    # mostly inside (0, pi), sometimes on or past its ends
+    n = 3 * t.n_faces
+    values = data.draw(st.lists(fractions_in(0, 1) | fractions_in(-1, 2), min_size=n, max_size=n))
+    x = dict(zip(t.corners(), values))
+    missing = data.draw(st.none() | st.sampled_from(list(x)))
+    if missing is not None:
+        del x[missing]
+    assert_matches_reference(t, AngleStructure(x))

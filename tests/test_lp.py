@@ -1,11 +1,12 @@
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from anglestruct import GeometryClass, InvariantKind, lp
-from anglestruct.errors import DimensionMismatch, VerificationFailed
+from anglestruct import GeometryClass, InvariantKind, lp, validate
+from anglestruct.errors import DimensionMismatch, RangeViolation, VerificationFailed
 from anglestruct.lp import (
     Infeasible,
     LpProblem,
@@ -20,7 +21,7 @@ from anglestruct.lp import (
     simplex_solve,
 )
 from anglestruct.sampling import random_edge_values, random_triangulation
-from conftest import const_fn
+from conftest import SELF_GLUED_FACES, const_fn
 
 
 def test_trivial_feasible():
@@ -235,6 +236,48 @@ def test_random_systems_verify_internally():
 def test_rational_systems_verify_internally():
     statuses = outcome_counts(random.Random(2718), random_rational_problem, 300)
     assert all(count > 10 for count in statuses.values()), statuses
+
+
+def test_pivots_keep_rows_canonical(monkeypatch):
+    # the elimination divides the pivot and each factor by their gcd before
+    # it multiplies; after every pivot of both sweeps above, every row must
+    # still be in lowest terms over a positive denominator, with its basic
+    # entry equal to that denominator (the unit column of B^-1 A)
+    pivot, pivots = lp._pivot, []
+
+    def checked(rows, dens, basis, r, col):
+        pivot(rows, dens, basis, r, col)
+        pivots.append(col)
+        for i, (row, den) in enumerate(zip(rows, dens, strict=True)):
+            assert den > 0
+            assert math.gcd(*row.values(), den) == 1
+            if i < len(basis):
+                assert row[basis[i]] == den
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    outcome_counts(random.Random(99), random_problem, 200)
+    outcome_counts(random.Random(2718), random_rational_problem, 300)
+    assert len(pivots) > 1000, len(pivots)
+
+
+def test_margin_program_row_view_equals_the_scanned_one():
+    # the margin program is built as its integer row view; scanning its A
+    # back, as for any other problem, must give the same view
+    # (a self-glued Delaunay row cancels a corner, which the view omits)
+    rng, built = random.Random(4711), 0
+    for _ in range(80):
+        faces = rng.choice([SELF_GLUED_FACES, None])
+        t = validate(faces) if faces else random_triangulation(rng.choice([2, 4, 6, 8]), rng)
+        kind = rng.choice(list(InvariantKind))
+        d = random_edge_values(t, rng, Fraction(0), Fraction(1), kind)
+        geometry = rng.choice([GeometryClass.HYPERBOLIC, GeometryClass.SPHERICAL])
+        try:
+            problem = build_construction_lp(t, d, geometry)
+        except RangeViolation:  # outside the theorem's domain
+            continue
+        assert problem.row_terms == LpProblem(problem.a, problem.b, problem.c).row_terms
+        built += 1
+    assert built > 50, built
 
 
 def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
