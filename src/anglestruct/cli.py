@@ -11,11 +11,11 @@ nothing more written and no traceback.  The enumeration cap comes from
 20; a value that is not an integer, from either source, is an
 InvalidSetting.
 
-``check --method auto`` enumerates at or below AUTO_ENUMERATE_LIMIT faces
-(and the cap) and decides by minimum cut above it; ``--cross-check`` runs
-enumeration, LP and cut and requires the same verdict and, when
-infeasible, the same report from all three.  The closure variant
-L7 has no subcommand; it is available through the library only.
+Every ``check`` method prints the same report, so ``--method auto`` is the
+minimum cut, which decides any size in polynomial time; ``--cross-check``
+runs enumeration, LP and cut and requires the same whole report from all
+three.  The closure variant L7 has no subcommand; it is available through
+the library only.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .serialize import (
 )
 from .surface import DEFAULT_ENUMERATION_CAP
 
-AUTO_ENUMERATE_LIMIT = 12
 # the status a shell reports for a process that SIGPIPE ends (128 + 13)
 EXIT_BROKEN_PIPE = 141
 
@@ -119,6 +118,13 @@ def _require_invariant(invariant, expected_kind=None):
     return invariant
 
 
+def _describe(report: FeasibilityReport) -> str:
+    """A report as one phrase, e.g. ``infeasible [0, 2] at slack -1/5``."""
+    certificate = "" if report.certificate is None else f" {sorted(report.certificate)}"
+    slack = "" if report.slack is None else f" at slack {render(report.slack)}"
+    return report.verdict.value + certificate + slack
+
+
 def cmd_check(args) -> int:
     t, invariant, _, _ = load_instance(args.path)
     kind = InvariantKind(args.invariant)
@@ -127,33 +133,22 @@ def cmd_check(args) -> int:
     cap = _resolve_cap(args)
 
     theorem = feasibility.theorem_for(geometry, kind)
-    method = args.method
-    if method == "auto":
-        method = "enumerate" if t.n_faces <= min(AUTO_ENUMERATE_LIMIT, cap) else "flow"
     if args.dump_lp:
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
-    if method == "enumerate" or args.cross_check:
+    if args.method == "enumerate" or args.cross_check:
         report = feasibility.check_via_enumeration(t, invariant, theorem, cap)
-    elif method == "lp":
+    elif args.method == "lp":
         report = lp.check_via_lp(t, invariant, geometry)
     else:
         report = feasibility.check_via_flow(t, invariant, theorem)
     if args.cross_check:
         lp_report = lp.check_via_lp(t, invariant, geometry)
         flow_report = feasibility.check_via_flow(t, invariant, theorem)
-        if {lp_report.verdict, flow_report.verdict} != {report.verdict}:
-            raise VerificationFailed(
-                f"cross-check disagreement: enumerate={report.verdict.value} "
-                f"lp={lp_report.verdict.value} flow={flow_report.verdict.value}"
-            )
-        # infeasible reports are exact minima under one certificate rule
         for name, other in (("lp", lp_report), ("flow", flow_report)):
-            if report.verdict is Verdict.INFEASIBLE and other != report:
-                raise VerificationFailed(
-                    f"cross-check disagreement: enumerate {sorted(report.certificate)} at slack "
-                    f"{render(report.slack)}, {name} {sorted(other.certificate)} at slack {render(other.slack)}"
-                )
+            if other != report:
+                detail = f"enumerate {_describe(report)}, {name} {_describe(other)}"
+                raise VerificationFailed(f"cross-check disagreement: {detail}")
     print(dumps(report_to_json(report)))
     return 0 if report.verdict is not Verdict.INFEASIBLE else 1
 

@@ -18,7 +18,9 @@ L7 and pi - Dd/2 for T3 and T4.  The minimisers of g are closed under
 union and intersection (Picard and Queyranne 1980), so every decider
 reports one certificate: the meet of the subsets attaining the minimum
 slack over the quantifier range or, for T1/T4 at slack exactly 0, where
-the excluded empty set attains 0 too, their join.
+the excluded empty set attains 0 too, their join.  Every decider also
+reports that minimum exactly when it is <= 0, which the cut always knows,
+so all of them give one report.
 
 ``check_via_enumeration`` walks subsets in Gray-code order, maintaining
 per-edge incidence counts so each step costs O(1) integer updates of the
@@ -110,7 +112,7 @@ class QuantifierRange(Enum):
 @dataclass(frozen=True)
 class FeasibilityReport:
     """A theorem's verdict, with the violating subset when infeasible and
-    the exact slack when the decider knows it."""
+    the exact minimum slack over the quantifier range when it is <= 0."""
 
     verdict: Verdict
     theorem: str
@@ -202,11 +204,14 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     return (Fraction(best, scale), *subsets)
 
 
-def make_report(
-    theorem: str, violated: bool, subset: FaceSubset | None, slack: Fraction | None
-) -> FeasibilityReport:
-    """Report for a theorem's verdict; the certificate is kept only when violated."""
+def make_report(theorem: str, slack: Fraction | None, subset: FaceSubset | None = None) -> FeasibilityReport:
+    """Report for a theorem whose minimum slack over the quantifier range
+    is `slack`, attained by `subset`, or is positive when `slack` is None.
+    Every decider knows a minimum <= 0, so the report keeps exactly such a
+    slack, and the certificate only when the slack violates the inequality."""
     row = THEOREMS[theorem]
+    slack = slack if slack is not None and slack <= 0 else None
+    violated = slack is not None and row.violated(slack)
     if violated:
         verdict = Verdict.INFEASIBLE
     else:
@@ -230,7 +235,7 @@ def check_via_enumeration(
     subset = row.certificate(slack, meet, join) if violated else first
     if subset_slack(t, fn, theorem, subset) != slack:
         raise VerificationFailed(f"scan slack {slack} differs from that of {sorted(subset)}")
-    return make_report(theorem, violated, subset, slack)
+    return make_report(theorem, slack, subset)
 
 
 def check_closure(
@@ -393,18 +398,16 @@ def min_cut(t: Triangulation, weights) -> tuple[Fraction, FaceSubset, FaceSubset
 
 
 def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> FeasibilityReport:
-    """Decide T1-T4 or L7 exactly with one minimum cut, at any size.
-
-    Infeasible reports carry the exact minimum slack and the certificate
-    that enumeration reports.  Feasible and closure-only reports carry no
-    slack: that minimum excludes a set the cut includes.
-    """
+    """Decide T1-T4 or L7 exactly with one minimum cut, at any size; the
+    report is the one check_via_enumeration gives."""
     row = THEOREMS[theorem]
     weights = theorem_weights(t, fn, theorem)
     minimum, smallest, largest = min_cut(t, weights)
-    # the excluded set (empty in grow form, F otherwise) has slack 0, so the
-    # global minimum is the range's unless that set is the only one attaining it
     slack = minimum + _offset(t, weights, row.nonempty)
     subset = row.certificate(slack, smallest, largest)
-    violated = row.violated(slack) and len(subset) != (0 if row.nonempty else t.n_faces)
-    return make_report(theorem, violated, subset, slack if violated else None)
+    # the excluded set (empty in grow form, F otherwise) has slack 0, so the
+    # cut's minimum is the range's unless that set is the only one attaining
+    # it, and then the range's minimum is positive
+    if len(subset) == (0 if row.nonempty else t.n_faces):
+        slack = None
+    return make_report(theorem, slack, subset)

@@ -632,4 +632,4 @@ def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) ->
     result = _construct(t, fn, geometry, by_flow=False)
     if isinstance(result, FeasibilityReport):
         return result
-    return make_report(theorem_for(geometry, fn.kind), False, None, None)
+    return make_report(theorem_for(geometry, fn.kind), None)

@@ -22,7 +22,7 @@ from anglestruct import (
     edge_invariant,
     validate,
 )
-from anglestruct.feasibility import subset_slack
+from anglestruct.feasibility import _scan, subset_slack
 from anglestruct.lp import (
     Infeasible,
     Optimal,
@@ -169,7 +169,11 @@ def test_criterion_5_golden_tetrahedron_table():
     checks = []
 
     r = check_via_enumeration(t, const_fn(t, (7, 10)), "T1")
-    checks.append(r.verdict is Verdict.FEASIBLE and r.slack == Fraction(1, 5))
+    checks.append(
+        r.verdict is Verdict.FEASIBLE
+        and r.slack is None
+        and _scan(t, [Fraction(7, 10)] * 6, True, 4)[0] == Fraction(1, 5)
+    )
     r = check_via_enumeration(t, const_fn(t, (7, 10)), "T2")
     checks.append(
         r.verdict is Verdict.INFEASIBLE
@@ -184,7 +188,11 @@ def test_criterion_5_golden_tetrahedron_table():
         and r.slack == Fraction(-2, 5)
     )
     r = check_via_enumeration(t, const_fn(t, (3, 5)), "T2")
-    checks.append(r.verdict is Verdict.FEASIBLE and r.slack == Fraction(2, 5))
+    checks.append(
+        r.verdict is Verdict.FEASIBLE
+        and r.slack is None
+        and _scan(t, [Fraction(3, 5)] * 6, False, 4)[0] == Fraction(2, 5)
+    )
     outcome = simplex_solve(build_construction_lp(t, const_fn(t, (3, 5)), GeometryClass.HYPERBOLIC))
     checks.append(isinstance(outcome, Optimal) and -outcome.value == Fraction(1, 10))
 

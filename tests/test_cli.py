@@ -11,7 +11,8 @@ import pytest
 import anglestruct
 from anglestruct import feasibility, lp
 from anglestruct.cli import EXIT_BROKEN_PIPE, main
-from anglestruct.feasibility import make_report
+from anglestruct.feasibility import _scan, make_report
+from anglestruct.surface import validate
 from conftest import TETRA_FACES
 
 
@@ -28,6 +29,12 @@ def tetra_payload(value="7/10"):
 CORNERS = [[f"{f}/{k}", "1/3"] for f in range(4) for k in range(3)]
 
 
+def tetra_minimum(value, grow_form):
+    """Minimum slack over the quantifier range on the tetrahedron with
+    every weight equal to value, straight from the subset scan."""
+    return _scan(validate(TETRA_FACES), [Fraction(value)] * 6, grow_form, 4)[0]
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -42,7 +49,9 @@ def test_check_spherical_feasible(tmp_path, capsys):
     assert report["verdict"] == "feasible"
     assert report["theorem"] == "T1"
     assert report["quantifier_range"] == "nonempty-subsets"
-    assert report["slack"] == "1/5"
+    # the minimum 1/5 is positive, so no method prints it
+    assert "slack" not in report
+    assert tetra_minimum("7/10", True) == Fraction(1, 5)
 
 
 def test_check_hyperbolic_infeasible_with_certificate(tmp_path, capsys):
@@ -62,10 +71,11 @@ def test_check_methods_agree(tmp_path, capsys):
     code_f, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--method", "flow"])
     code_x, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
     assert code_e == code_l == code_f == code_x == 0
-    # infeasible: all three agree and the flow slack equals the enumeration slack
+    # feasible T1 without a slack, then infeasible T2 with the same slack from all three
     path = write_instance(tmp_path, tetra_payload("7/10"), "infeasible.json")
     code_x, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge", "--cross-check"])
-    assert code_x == 0 and json.loads(out)["slack"] == "1/5"
+    assert code_x == 0 and "slack" not in json.loads(out)
+    assert tetra_minimum("7/10", True) == Fraction(1, 5)
     code_x, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
     assert code_x == 1 and json.loads(out)["slack"] == "-1/5"
 
@@ -246,7 +256,7 @@ def test_cap_flag_and_env(tmp_path, capsys, monkeypatch):
 
 
 def test_auto_method_uses_flow_above_limit(tmp_path, capsys, monkeypatch):
-    # cap below |F| forces auto onto the flow path; enumerate would refuse
+    # auto is the cut, so a cap below |F| does not stop it; enumerate would refuse
     path = write_instance(tmp_path, tetra_payload("7/10"))
     code, out = run(capsys, ["--cap", "2", "check", path, "--geometry", "hyperbolic", "--invariant", "edge"])
     assert code == 1
@@ -373,7 +383,7 @@ def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):
 def test_cross_check_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     # an LP decider that claims feasibility on an infeasible instance is a
     # bug, reported apart from invalid input
-    monkeypatch.setattr(lp, "check_via_lp", lambda t, fn, geometry: make_report("T2", False, None, None))
+    monkeypatch.setattr(lp, "check_via_lp", lambda t, fn, geometry: make_report("T2", None))
     path = write_instance(tmp_path, tetra_payload("7/10"))
     code, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
     assert code == 3
@@ -395,7 +405,24 @@ def test_cross_check_certificate_disagreement_exits_3(tmp_path, capsys, monkeypa
     error = json.loads(out)["error"]
     assert error == {
         "type": "VerificationFailed",
-        "message": "cross-check disagreement: enumerate [] at slack -1/5, flow [0] at slack -1/5",
+        "message": "cross-check disagreement: enumerate infeasible [] at slack -1/5, flow infeasible [0] at slack -1/5",
+    }
+
+
+def test_cross_check_feasible_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    # a feasible report that carries a slack differs from enumeration's
+    # whole report, and the message renders both sides
+    flow = feasibility.check_via_flow
+    monkeypatch.setattr(
+        feasibility, "check_via_flow", lambda *args: dataclasses.replace(flow(*args), slack=Fraction(1, 5))
+    )
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge", "--cross-check"])
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {
+        "type": "VerificationFailed",
+        "message": "cross-check disagreement: enumerate feasible, flow feasible at slack 1/5",
     }
 
 
@@ -421,7 +448,7 @@ def test_dense_edge_numbering_in_any_order_checks_like_the_ordered_one(tmp_path,
 # sha256 of the exit code, stdout and stderr of every command in the test
 # below; it pins every p/q that gen, invariants, verify, check and
 # --dump-lp print, as WITNESS_DIGEST in test_construct.py pins construct's
-COMMAND_DIGEST = "9e58fe39a9ef00054596a6b0fbcd59876437837b7432d451c16c9e1c17b0a8c7"
+COMMAND_DIGEST = "5f49f1ac75e34cec4186ed7a89cab6db76de9da421198d851fb381b3b2277897"
 
 
 def test_command_bytes_pinned(tmp_path, capsys):

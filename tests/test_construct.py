@@ -222,9 +222,7 @@ def test_extract_certificate_spec_vector(tetra):
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset()
     assert report.slack == Fraction(-1, 5)
-    assert _infeasible_certificate(tetra, d, "T2") == make_report(
-        "T2", True, frozenset(), Fraction(-1, 5)
-    )
+    assert _infeasible_certificate(tetra, d, "T2") == make_report("T2", Fraction(-1, 5), frozenset())
 
 
 def test_extract_certificate_rejects_zero_vector(tetra):
@@ -274,7 +272,7 @@ def test_extract_certificate_needs_shifting(tetra):
     assert report.certificate == frozenset({0})
     assert report.slack == Fraction(-3, 10) == subset_slack(tetra, d, "T2", frozenset({0}))
     cert = construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
-    assert cert == make_report("T2", True, frozenset({0}), Fraction(-3, 10))
+    assert cert == make_report("T2", Fraction(-3, 10), frozenset({0}))
 
 
 @settings(max_examples=25, deadline=None)

@@ -71,7 +71,7 @@ def assert_scan_matches_oracle(t, fn, theorem):
     assert scanned[3] in attaining, theorem
     # the report: the meet, or the join at a T1/T4 tie with the empty set at 0
     r = check_via_enumeration(t, fn, theorem)
-    assert r.slack == slack, theorem
+    assert r.slack == (slack if slack <= 0 else None), theorem
     if r.verdict is Verdict.INFEASIBLE:
         assert r.certificate == (join if grow_form and slack == 0 else meet), theorem
         assert r.certificate in attaining, theorem
@@ -85,7 +85,9 @@ def assert_scan_matches_oracle(t, fn, theorem):
 def test_t1_golden(tetra):
     r = check_via_enumeration(tetra, const_fn(tetra, (7, 10)), "T1")
     assert r.verdict is Verdict.FEASIBLE
-    assert r.slack == Fraction(1, 5)  # tightest subset is all four faces
+    assert r.slack is None
+    # tightest subset is all four faces
+    assert _scan(tetra, [Fraction(7, 10)] * 6, True, 4)[0] == Fraction(1, 5)
     assert r.certificate is None
     assert r.quantifier_range is QuantifierRange.NONEMPTY_SUBSETS
 
@@ -98,7 +100,8 @@ def test_t1_golden(tetra):
 def test_t2_golden(tetra):
     r = check_via_enumeration(tetra, const_fn(tetra, (3, 5)), "T2")
     assert r.verdict is Verdict.FEASIBLE
-    assert r.slack == Fraction(2, 5)
+    assert r.slack is None
+    assert _scan(tetra, [Fraction(3, 5)] * 6, False, 4)[0] == Fraction(2, 5)
     assert r.quantifier_range is QuantifierRange.PROPER_SUBSETS_INCL_EMPTY
 
     r = check_via_enumeration(tetra, const_fn(tetra, (7, 10)), "T2")
@@ -117,7 +120,8 @@ def test_closure_golden(tetra):
     assert check_closure(tetra, const_fn(tetra, (2, 3))).verdict is Verdict.CLOSURE_ONLY
     assert check_closure(tetra, const_fn(tetra, (2, 3))).slack == Fraction(0)
     assert check_closure(tetra, const_fn(tetra, (3, 5))).verdict is Verdict.CLOSURE_ONLY
-    assert check_closure(tetra, const_fn(tetra, (3, 5))).slack == Fraction(2, 5)
+    assert check_closure(tetra, const_fn(tetra, (3, 5))).slack is None
+    assert _scan(tetra, [Fraction(3, 5)] * 6, False, 4)[0] == Fraction(2, 5)
     assert check_closure(tetra, const_fn(tetra, (7, 10))).verdict is Verdict.INFEASIBLE
     # closed domain accepts boundary values
     assert check_closure(tetra, const_fn(tetra, 0)).verdict is Verdict.CLOSURE_ONLY

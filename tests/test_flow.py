@@ -1,9 +1,9 @@
 """The minimum-cut decider against exhaustive enumeration.
 
 Flow and enumeration both compute an exact minimum over the same
-quantifier range and report one certificate rule, so verdicts, slacks and
-certificates must be equal, and every command that prints an infeasible
-report prints the same bytes.
+quantifier range, report one certificate rule and print that minimum
+exactly when it is at most 0, so their reports must be equal, and every
+check method prints the same bytes.
 """
 
 import itertools
@@ -23,12 +23,14 @@ from anglestruct import (
     GeometryClass,
     InvariantKind,
     Verdict,
+    check_closure,
     check_via_enumeration,
     check_via_flow,
     delaunay_invariant,
     edge_invariant,
     validate,
 )
+from anglestruct import feasibility
 from anglestruct.cli import main
 from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
@@ -40,15 +42,9 @@ from conftest import SELF_GLUED_FACES, const_fn
 
 def assert_flow_matches_enumeration(t, fn, theorem):
     flow = check_via_flow(t, fn, theorem)
-    enum = check_via_enumeration(t, fn, theorem)
-    assert flow.verdict is enum.verdict, theorem
-    assert (flow.theorem, flow.quantifier_range) == (enum.theorem, enum.quantifier_range)
-    if flow.verdict is not Verdict.INFEASIBLE:
-        assert flow.certificate is None and flow.slack is None
-        return flow
-    assert flow.slack == enum.slack, theorem
-    assert subset_slack(t, fn, theorem, flow.certificate) == flow.slack
-    assert flow.certificate == enum.certificate, theorem
+    assert flow == check_via_enumeration(t, fn, theorem), theorem
+    if flow.verdict is Verdict.INFEASIBLE:
+        assert subset_slack(t, fn, theorem, flow.certificate) == flow.slack
     return flow
 
 
@@ -164,7 +160,8 @@ def test_flow_boundary_instances_from_euclidean_structures(seed, n):
     for theorem, fn in cases:
         flow = assert_flow_matches_enumeration(t, fn, theorem)
         if theorem == "L7":
-            assert flow.verdict is Verdict.CLOSURE_ONLY
+            assert flow == check_closure(t, fn)
+            assert flow.verdict is Verdict.CLOSURE_ONLY and flow.slack == Fraction(0)
             continue
         assert flow.verdict is Verdict.INFEASIBLE and flow.slack == Fraction(0)
         if theorem in ("T2", "T3"):
@@ -204,33 +201,25 @@ def test_two_hundred_faces_under_a_second():
             assert subset_slack(t, fn, theorem, report.certificate) == report.slack
 
 
-def test_cli_auto_above_limit_prints_the_flow_report(tmp_path, capsys):
+def test_cli_auto_is_the_cut_at_every_size(tmp_path, capsys, monkeypatch):
     rng = random.Random(14)
-    t = random_triangulation(14, rng)
-    for geometry, lo, hi, kind in (
-        ("hyperbolic", Fraction(0), Fraction(2), InvariantKind.EDGE),
-        ("spherical", Fraction(0), Fraction(1), InvariantKind.EDGE),
-        ("spherical", Fraction(-2), Fraction(2), InvariantKind.DELAUNAY),
-    ):
-        fn = random_edge_values(t, rng, lo, hi, kind)
-        payload = {
-            "faces": [list(row) for row in t.faces],
-            "invariant": {
-                "kind": kind.value,
-                "values": {str(e): render(fn.value(e)) for e in range(t.n_edges)},
-            },
-        }
-        path = tmp_path / "fourteen.json"
-        path.write_text(json.dumps(payload))
-        argv = ["check", str(path), "--geometry", geometry, "--invariant", kind.value]
-        outputs = []
-        for method in ("auto", "flow"):
-            code = main(argv + ["--method", method])
-            outputs.append((code, capsys.readouterr().out))
-        assert outputs[0] == outputs[1]
-        # auto really left enumeration: a feasible flow report has no slack
-        report = json.loads(outputs[0][1])
-        assert ("slack" in report) == (report["verdict"] == "infeasible")
+    instances = []
+    for n in (2, 14):
+        t = random_triangulation(n, rng)
+        for row in (THEOREMS["T2"], THEOREMS["T1"], THEOREMS["T3"]):
+            fn = random_edge_values(t, rng, row.lo, row.hi, row.kind)
+            path = tmp_path / f"{n}-{row.kind.value}-{row.geometry.value}.json"
+            path.write_text(json.dumps(instance_payload(t, fn)))
+            argv = ["check", str(path), "--geometry", row.geometry.value, "--invariant", row.kind.value]
+            instances.append((argv, main(argv + ["--method", "flow"]), capsys.readouterr().out))
+
+    def no_enumeration(*args):
+        raise AssertionError("auto enumerated")
+
+    monkeypatch.setattr(feasibility, "check_via_enumeration", no_enumeration)
+    for argv, code, out in instances:
+        assert main(argv + ["--method", "auto"]) == code
+        assert capsys.readouterr().out == out, argv
 
 
 def test_flow_rejects_out_of_domain_like_enumeration(tetra):
@@ -250,10 +239,19 @@ def instance_payload(t, fn):
     }
 
 
-def assert_one_infeasible_report(tmp_path, capsys, t, rng):
-    """On T1-T4, random, boundary and (T1/T4) planted-tie invariants: every
-    infeasible check prints the same bytes under enumerate and flow, and
-    construct prints that report too; a planted tie reports its join.
+def euclidean_boundary_values(t, row, rng):
+    """The invariant of the theorem's kind of a Euclidean structure, whose
+    minimum slack is exactly 0, or None when it is outside the domain."""
+    x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
+    fn = edge_invariant(t, x) if row.kind is InvariantKind.EDGE else delaunay_invariant(t, x)
+    return fn if all(row.lo < fn.value(e) < row.hi for e in range(t.n_edges)) else None
+
+
+def assert_one_report(tmp_path, capsys, t, rng):
+    """On T1-T4, random, nudged and Euclidean boundary and (T1/T4)
+    planted-tie invariants: every check prints the same bytes under
+    enumerate, flow, lp, auto and --cross-check, and construct prints that
+    report when it is infeasible; a planted tie reports its join.
     Returns the number of planted ties checked."""
     ties = 0
     for theorem, row in THEOREMS.items():
@@ -261,6 +259,8 @@ def assert_one_infeasible_report(tmp_path, capsys, t, rng):
             continue
         cases = [(random_edge_values(t, rng, row.lo, row.hi, row.kind), None)]
         cases.append((nudged_boundary_values(t, theorem, rng), None))
+        if boundary := euclidean_boundary_values(t, row, rng):
+            cases.append((boundary, None))
         if row.nonempty and (planted := planted_tie_values(t, theorem, rng)):
             cases.append(planted)
         for fn, join in cases:
@@ -268,34 +268,34 @@ def assert_one_infeasible_report(tmp_path, capsys, t, rng):
             path.write_text(json.dumps(instance_payload(t, fn)))
             check = ["check", str(path), "--geometry", row.geometry.value, "--invariant", row.kind.value]
             outputs = []
-            for argv in (check + ["--method", "enumerate"], check + ["--method", "flow"]):
-                outputs.append((main(argv), capsys.readouterr().out))
+            for extra in (["--method", m] for m in ("enumerate", "flow", "lp", "auto")):
+                outputs.append((main(check + extra), capsys.readouterr().out))
+            outputs.append((main(check + ["--cross-check"]), capsys.readouterr().out))
             if join is not None:
                 report = json.loads(outputs[0][1])
                 assert outputs[0][0] == 1 and report["slack"] == "0/1", theorem
                 assert report["certificate"] == sorted(join), theorem
                 ties += 1
-            if outputs[0][0] != 1:
-                continue
-            outputs.append((main(["construct", str(path), "--geometry", row.geometry.value]), capsys.readouterr().out))
-            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], theorem
+            if outputs[0][0] == 1:
+                outputs.append((main(["construct", str(path), "--geometry", row.geometry.value]), capsys.readouterr().out))
+            assert all(out == outputs[0] for out in outputs), theorem
     return ties
 
 
-def test_one_infeasible_report_seeded(tmp_path, capsys):
+def test_one_report_seeded(tmp_path, capsys):
     rng = random.Random(909)
     ties = 0
     for trial in range(25):
-        ties += assert_one_infeasible_report(tmp_path, capsys, random_triangulation(2 * (trial % 5 + 1), rng), rng)
-    assert_one_infeasible_report(tmp_path, capsys, validate(SELF_GLUED_FACES), rng)
+        ties += assert_one_report(tmp_path, capsys, random_triangulation(2 * (trial % 5 + 1), rng), rng)
+    assert_one_report(tmp_path, capsys, validate(SELF_GLUED_FACES), rng)
     assert ties >= 10, ties
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]))
-def test_one_infeasible_report_hypothesis(tmp_path, capsys, seed, n):
+def test_one_report_hypothesis(tmp_path, capsys, seed, n):
     rng = random.Random(seed)
-    assert_one_infeasible_report(tmp_path, capsys, random_triangulation(n, rng), rng)
+    assert_one_report(tmp_path, capsys, random_triangulation(n, rng), rng)
 
 
 def test_t1_zero_tie_prints_one_report(tmp_path, capsys):
