@@ -138,24 +138,20 @@ def _invariant_terms(t: Triangulation, faces, kind: InvariantKind) -> list[tuple
     return terms
 
 
-def _invariant(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
+def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
+    """The structure's edge or Delaunay invariant, as kind says."""
     terms = _invariant_terms(t, _face_terms(t, x), kind)
     return EdgeFunction({e: Fraction(n, den) for e, (n, den) in enumerate(terms)}, kind)
 
 
 def edge_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     """Sum of the two facing angles, per edge."""
-    return _invariant(t, x, InvariantKind.EDGE)
+    return invariant_of(t, x, InvariantKind.EDGE)
 
 
 def delaunay_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     """Non-facing angles of both sides minus the facing ones, per edge."""
-    return _invariant(t, x, InvariantKind.DELAUNAY)
-
-
-def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
-    """The structure's edge or Delaunay invariant, as kind says."""
-    return edge_invariant(t, x) if kind is InvariantKind.EDGE else delaunay_invariant(t, x)
+    return invariant_of(t, x, InvariantKind.DELAUNAY)
 
 
 def _map_corners(t: Triangulation, x: AngleStructure, value) -> AngleStructure:
@@ -177,7 +173,9 @@ def corner_transform_inverse(t: Triangulation, y: AngleStructure) -> AngleStruct
 
 
 def euclidean_relation_holds(t: Triangulation, x: AngleStructure) -> bool:
-    """True when 2*D(e) + Dd(e) = 2*pi on every edge."""
-    d = edge_invariant(t, x)
-    dd = delaunay_invariant(t, x)
-    return all(2 * d.value(e) + dd.value(e) == 2 for e in range(t.n_edges))
+    """True when 2*D(e) + Dd(e) = 2*pi on every edge; both invariants of an
+    edge come over the same lcm, from one pass over the faces."""
+    faces = _face_terms(t, x)
+    d = _invariant_terms(t, faces, InvariantKind.EDGE)
+    dd = _invariant_terms(t, faces, InvariantKind.DELAUNAY)
+    return all(2 * n + nn == 2 * den for (n, den), (nn, _) in zip(d, dd))

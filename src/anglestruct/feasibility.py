@@ -28,7 +28,10 @@ slack scaled by L, the lcm of the weight denominators; the slack of the
 subset it reports is re-evaluated exactly.  ``check_via_flow`` decides
 the same conditions in polynomial time: min g over all subsets is a
 maximum-closure problem (Picard 1976), solved by one maximum flow, whose
-smallest and largest minimisers are the meet and the join.
+smallest and largest minimisers are the meet and the join.  ``min_cut``
+builds that one face-edge network with a face capacity ``unit`` (1 here)
+and proves its cut against the flow; the LP construction solves the
+margin programs of T2 and T3 on it too, with unit 1 - 4m.
 
 ``THEOREMS`` states each condition once, as a row of data: geometry,
 invariant kind (which fixes the weight map), domain, quantifier and
@@ -39,12 +42,11 @@ and the command line read it too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .angles import EdgeFunction, GeometryClass, InvariantKind
+from .angles import EdgeFunction, GeometryClass, InvariantKind, _over_lcm
 from .errors import RangeViolation, TooLarge, VerificationFailed
 from .ratpi import render
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
@@ -145,12 +147,6 @@ def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fr
     return _weights(t, fn, row)
 
 
-def _scaled(weights: list[Fraction]) -> tuple[list[int], int]:
-    """The weights times L, the lcm of their denominators, as ints, and L."""
-    scale = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (scale // w.denominator) for w in weights], scale
-
-
 def _offset(t: Triangulation, weights: list[Fraction], grow_form: bool) -> Fraction:
     """c in slack(X) = g(X) + c: 0 in grow form, |F| - W(E) in shrink form."""
     return Fraction(0) if grow_form else t.n_faces - sum(weights, Fraction(0))
@@ -167,7 +163,7 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     n = t.n_faces
     if n > cap:
         raise TooLarge(f"{n} faces exceeds enumeration cap {cap}")
-    scaled, scale = _scaled(weights)
+    scaled, scale = _over_lcm(weights)
     faces = t.faces
     counts = [0] * t.n_edges
     full = (1 << n) - 1
@@ -262,21 +258,26 @@ def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceS
 # the minimum-cut decider
 
 
-def _closure_network(t: Triangulation, weights):
-    """Arcs (tail, head, capacity) of Picard's closure network, and the scale L.
+def _closure_network(t: Triangulation, weights, unit=1):
+    """Arcs (tail, head, capacity) of the face-edge network, and the scale L.
 
-    Nodes: faces 0..|F|-1, then edges, then source and sink.  Arcs run
-    source -> face (L), face -> each distinct edge of the face (more than
-    any cut), edge -> sink (W(e)*L); L is the lcm of the weight
-    denominators, so every capacity is an int.
+    Nodes: edges 0..|E|-1, then faces, then source and sink.  Arcs run
+    source -> edge (W(e)*L), edge -> each distinct face facing it, in face
+    order (more than all faces absorb), and face -> sink (unit*L); L is the
+    lcm of the denominators of the weights and of the unit, so every
+    capacity is an int.  This is Picard's closure network reversed: the cut
+    with the faces X and their edges E(X) on the sink side has capacity
+    L*(unit*|F| + W(E(X)) - unit*|X|), and no arc in between crosses it.
     """
-    nf, ne = t.n_faces, t.n_edges
-    scaled, scale = _scaled(weights)
-    source, sink = nf + ne, nf + ne + 1
-    unbounded = nf * scale + 1
-    arcs = [(source, f, scale) for f in range(nf)]
-    arcs += [(f, nf + e, unbounded) for f in range(nf) for e in sorted(set(t.faces[f]))]
-    arcs += [(nf + e, sink, scaled[e]) for e in range(ne)]
+    ne, nf = t.n_edges, t.n_faces
+    (*scaled, face), scale = _over_lcm([*weights, unit])
+    source, sink = ne + nf, ne + nf + 1
+    arcs = [(source, e, w) for e, w in enumerate(scaled)]
+    for e, ((f1, _), (f2, _)) in enumerate(t.edge_corners):  # validate lists f1 <= f2
+        arcs.append((e, ne + f1, nf * face + 1))
+        if f2 != f1:
+            arcs.append((e, ne + f2, nf * face + 1))
+    arcs += [(ne + f, sink, face) for f in range(nf)]
     return arcs, scale
 
 
@@ -361,40 +362,45 @@ def _flow_value(arcs, flow, n: int) -> int:
     return net[-1]
 
 
-def _certify_cut(t: Triangulation, weights, arcs, flow, scale: int, subsets) -> Fraction:
-    """Prove that every subset in `subsets` minimises g; return the minimum.
+def _certify_cut(t: Triangulation, weights, unit, arcs, flow, scale: int, subsets) -> Fraction:
+    """Prove that every subset in `subsets` minimises g(X) = W(E(X)) -
+    unit*|X|; return the minimum.
 
     `flow` must respect capacities and conservation, and its value must
-    equal the capacity L*(|F| + g(X)) of the cut keeping X and E(X) on the
-    source side.  g(X)*L is summed from the edge -> sink capacities, the
-    last |E| arcs, after checking that each equals W(e)*L exactly.
-    Max-flow = min-cut then proves that X minimises g.
+    equal the capacity L*(unit*|F| + g(X)) of the cut keeping X and E(X) on
+    the sink side.  g(X)*L is summed from the source -> edge capacities,
+    the first |E| arcs, and the face -> sink ones, the last |F|, after
+    checking that each equals W(e)*L or unit*L exactly.  Max-flow = min-cut
+    then proves that X minimises g.
     """
-    nf, ne = t.n_faces, t.n_edges
-    scaled = [c for _, _, c in arcs[len(arcs) - ne:]]
-    if any(c * w.denominator != w.numerator * scale for c, w in zip(scaled, weights, strict=True)):
-        raise VerificationFailed("an edge capacity differs from its scaled weight")
-    value = _flow_value(arcs, flow, nf + ne + 2)
+    ne, nf = t.n_edges, t.n_faces
+    caps = [c for _, _, c in arcs[:ne] + arcs[len(arcs) - nf:]]
+    expected = [*weights, *[unit] * nf]
+    if any(c * w.denominator != w.numerator * scale for c, w in zip(caps, expected, strict=True)):
+        raise VerificationFailed("a source or sink capacity differs from its scaled weight")
+    scaled, face = caps[:ne], caps[-1]
+    value = _flow_value(arcs, flow, ne + nf + 2)
     minimum = None
     for subset in subsets:
-        minimum = sum(scaled[e] for e in edge_set(t, subset)) - len(subset) * scale
-        if nf * scale + minimum != value:
+        minimum = sum(scaled[e] for e in edge_set(t, subset)) - len(subset) * face
+        if nf * face + minimum != value:
             raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
     return Fraction(minimum, scale)
 
 
-def min_cut(t: Triangulation, weights) -> tuple[Fraction, FaceSubset, FaceSubset]:
-    """Exact minimum of g(X) = W(E(X)) - |X| over all face subsets X, with
+def min_cut(t: Triangulation, weights, unit=1):
+    """Exact minimum of g(X) = W(E(X)) - unit*|X| over all face subsets X,
     its smallest and its largest minimiser, both proven minimal by the
-    cut = flow self-check.  Weights must be nonnegative.
+    cut = flow self-check, then the network's arcs, that flow and its scale
+    L.  The weights and the unit must be nonnegative.
     """
-    nf, ne = t.n_faces, t.n_edges
-    arcs, scale = _closure_network(t, weights)
-    flow, from_source, to_sink = _max_flow(arcs, nf + ne + 2, nf + ne, nf + ne + 1)
-    smallest = frozenset(f for f in range(nf) if from_source[f])
-    largest = frozenset(f for f in range(nf) if not to_sink[f])
-    minimum = _certify_cut(t, weights, arcs, flow, scale, (smallest, largest))
-    return minimum, smallest, largest
+    ne, nf = t.n_edges, t.n_faces
+    arcs, scale = _closure_network(t, weights, unit)
+    flow, from_source, to_sink = _max_flow(arcs, ne + nf + 2, ne + nf, ne + nf + 1)
+    smallest = frozenset(f for f in range(nf) if to_sink[ne + f])
+    largest = frozenset(f for f in range(nf) if not from_source[ne + f])
+    minimum = _certify_cut(t, weights, unit, arcs, flow, scale, (smallest, largest))
+    return minimum, smallest, largest, arcs, flow, scale
 
 
 def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> FeasibilityReport:
@@ -402,7 +408,7 @@ def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> Feasibil
     report is the one check_via_enumeration gives."""
     row = THEOREMS[theorem]
     weights = theorem_weights(t, fn, theorem)
-    minimum, smallest, largest = min_cut(t, weights)
+    minimum, smallest, largest, *_ = min_cut(t, weights)
     slack = minimum + _offset(t, weights, row.nonempty)
     subset = row.certificate(slack, smallest, largest)
     # the excluded set (empty in grow form, F otherwise) has slack 0, so the

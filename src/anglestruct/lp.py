@@ -30,10 +30,11 @@ and T3) and, where the geometry is spherical, maps its witness back with
 the corner transform that belongs to that program.
 
 ``construct_structure`` solves the Delaunay program by the simplex and
-the edge program by parametric maximum flow: at a fixed m the edge
-program is a transportation problem, and Newton steps on the violating
-cut reach the program's optimum in a few flows, each checked for
-capacities and conservation, the last cut re-evaluated exactly.
+the edge program by parametric minimum cut: at a fixed m the edge
+program is a transportation problem on the network of
+``feasibility.min_cut``, and Newton steps on its largest minimiser reach
+the program's optimum in a few cuts, each proven by that network's own
+check, the last minimiser re-evaluated exactly.
 ``check_via_lp`` solves both programs by the simplex, so that a
 cross-check compares it with the other deciders.
 
@@ -58,6 +59,7 @@ from .angles import (
     _classify_faces,
     _face_terms,
     _invariant_terms,
+    _over_lcm,
     corner_transform,
     corner_transform_inverse,
 )
@@ -66,17 +68,15 @@ from .feasibility import (
     THEOREMS,
     FeasibilityReport,
     Verdict,
-    _flow_value,
-    _max_flow,
-    _scaled,
     check_via_flow,
     make_report,
+    min_cut,
     subset_slack,
     theorem_for,
     theorem_weights,
 )
 from .ratpi import render
-from .surface import Triangulation
+from .surface import Triangulation, edge_set
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -108,10 +108,9 @@ class LpProblem:
         the nonzeros (j, L_i a_ij) as ints, L_i b_i and L_i."""
         view = []
         for row, bv in zip(self.a, self.b):
-            terms = [(j, v) for j, v in enumerate(row) if v]
-            scale = math.lcm(bv.denominator, *(v.denominator for _, v in terms))
-            terms = tuple((j, v.numerator * (scale // v.denominator)) for j, v in terms)
-            view.append((terms, bv.numerator * (scale // bv.denominator), scale))
+            cols = [j for j, v in enumerate(row) if v]
+            (scaled_b, *nums), scale = _over_lcm([bv, *(row[j] for j in cols)])
+            view.append((tuple(zip(cols, nums)), scaled_b, scale))
         return tuple(view)
 
     @cached_property
@@ -212,7 +211,7 @@ def _pivot(rows, dens, basis, r, col):
 def _price(rows, dens, basis, costs):
     """Set the objective row to the reduced costs of costs at basis, by
     pivoting again on each basic column that has a nonzero cost."""
-    nums, scale = _scaled(costs)
+    nums, scale = _over_lcm(costs)
     rows[len(basis):], dens[len(basis):] = [{j: v for j, v in enumerate(nums) if v}], [scale]
     for r, col in enumerate(basis):
         if col in rows[-1]:
@@ -353,7 +352,7 @@ def _dot(terms, values):
 def _dual_scaled(problem: LpProblem, y):
     """y_i / L_i as ints over a common denominator M, and M: the terms of
     column j then sum to M (A^t y)_j, and L_i b_i to M b^t y."""
-    return _scaled([yi / scale for yi, (_, _, scale) in zip(y, problem.row_terms, strict=True)])
+    return _over_lcm([yi / scale for yi, (_, _, scale) in zip(y, problem.row_terms, strict=True)])
 
 
 def _verify_farkas(problem: LpProblem, y):
@@ -365,23 +364,23 @@ def _verify_farkas(problem: LpProblem, y):
 
 
 def _verify_ray(problem: LpProblem, ray):
-    rs, _ = _scaled(ray)
+    rs, _ = _over_lcm(ray)
     if any(_dot(terms, rs) != 0 for terms, _, _ in problem.row_terms):
         raise VerificationFailed("unbounded ray leaves the constraint space")
     if any(v < 0 for v in ray):
         raise VerificationFailed("unbounded ray not nonnegative")
-    cs, _ = _scaled(problem.c)
+    cs, _ = _over_lcm(problem.c)
     if sum(c * v for c, v in zip(cs, rs, strict=True)) >= 0:
         raise VerificationFailed("ray does not improve the objective")
 
 
 def _verify_optimal(problem: LpProblem, x, value, y):
-    xs, lx = _scaled(x)
+    xs, lx = _over_lcm(x)
     if any(_dot(terms, xs) != bv * lx for terms, bv, _ in problem.row_terms):
         raise VerificationFailed("optimal point violates A x = b")
     if any(v < 0 for v in x):
         raise VerificationFailed("optimal point violates x >= 0")
-    cs, lc = _scaled(problem.c)
+    cs, lc = _over_lcm(problem.c)
     if sum(c * v for c, v in zip(cs, xs, strict=True)) != value * lc * lx:
         raise VerificationFailed("objective mismatch at optimum")
     ys, ly = _dual_scaled(problem, y)
@@ -485,29 +484,19 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 
 
 # ---------------------------------------------------------------------------
-# edge programs by parametric maximum flow
+# edge programs by parametric minimum cut
 #
 # With the margin m fixed, the edge program is a transportation problem:
 # each edge e supplies exactly W(e) - 2m to its two facing corners and each
-# face absorbs at most 1 - 4m, which one maximum flow decides (Gale 1957).
-# The faces N(Y) facing a set Y of edges absorb all of Y's supply, so every
-# feasible m lies on or below the root of Y's Hall line
-# |N(Y)| - W(Y) - m*(4|N(Y)| - 2|Y|) >= 0.  A flow that falls short has a
-# minimum cut whose source-side edges Y violate that line at m, and m moves
-# to its root (Newton's method on the parametric cut, as in Dinkelbach
-# 1967).  Each root bounds the largest feasible m from above and no line is
-# violated twice, so the first m whose flow saturates every supply is the
-# program's optimum.
-
-
-def _hall_root(weights, cut, reached: int) -> Fraction | None:
-    """Root of the Hall line of the edge set `cut` facing `reached` faces,
-    or None unless its coefficient and its root are positive."""
-    coefficient = 4 * reached - 2 * len(cut)
-    if coefficient <= 0:
-        return None
-    root = (reached - sum((weights[e] for e in cut), ZERO)) / coefficient
-    return root if root > 0 else None
+# face absorbs at most 1 - 4m (Gale 1957).  That is the network of
+# feasibility.min_cut with weights W_m = W - 2m and unit 1 - 4m, and every
+# supply is met exactly when F minimises g_m(X) = W_m(E(X)) - (1 - 4m)|X|.
+# Every feasible m keeps g_m(X) - g_m(F), a line in m, nonnegative for all
+# X.  When F is no minimiser, the largest minimiser X is negative on its
+# line at m, and m moves to the root (Newton's method on the parametric
+# cut, as in Dinkelbach 1967).  Each root bounds the largest feasible m
+# from above and no line is negative twice, so the first m at which F
+# minimises g_m is the program's optimum.
 
 
 def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
@@ -515,42 +504,30 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
     a_i >= 0 of its corners there, indexed 3*face + slot; None when no
     m > 0 is feasible.
 
-    The network has the edges, then the faces, then source and sink as
-    nodes, and arcs source -> e (W(e) - 2m), e -> each distinct face facing
-    it (more than the total supply) and face -> sink (1 - 4m), all scaled
-    to ints by the lcm of their denominators.  Every flow is checked for
-    capacities and conservation and, when it falls short, against the
-    capacity of its cut; the last cut's line is then re-evaluated from the
-    faces to show that the optimum is its root.  The optimum starts at
-    min(min W/2, 1/4), the bound of a >= 0 and of the face rows.
+    Each step's cut proves its minimum of g_m.  At the optimum the last
+    X is re-evaluated exactly and must reach that minimum, which shows
+    that m is its line's root; the corner values are then read from the
+    flow on the edge -> face arcs.  The optimum starts at min(min W/2, 1/4),
+    the bound of a >= 0 and of the face rows.
     """
     ne, nf = t.n_edges, t.n_faces
     weights = [program.value(e) for e in range(ne)]
-    faces_of = [sorted({c.face for c in corners}) for corners in t.edge_corners]
-    n, source, sink = ne + nf + 2, ne + nf, ne + nf + 1
-    margin, cut = min(min(weights) / 2, ONE / 4), None
+    margin, last = min(min(weights) / 2, ONE / 4), None
     while True:
-        supply, scale = _scaled([w - 2 * margin for w in weights] + [1 - 4 * margin])
-        absorb = supply.pop()
-        total = sum(supply)
-        arcs = [(source, e, s) for e, s in enumerate(supply)]
-        arcs += [(e, ne + f, total + 1) for e in range(ne) for f in faces_of[e]]
-        arcs += [(ne + f, sink, absorb) for f in range(nf)]
-        flow, from_source, _ = _max_flow(arcs, n, source, sink)
-        value = _flow_value(arcs, flow, n)
-        if value == total:
+        shifted, unit = [w - 2 * margin for w in weights], 1 - 4 * margin
+        minimum, _, largest, arcs, flow, scale = min_cut(t, shifted, unit)
+        if len(largest) == nf:
             break
-        cut = {e for e in range(ne) if from_source[e]}
-        reached = len({f for e in cut for f in faces_of[e]})
-        if total - sum(supply[e] for e in cut) + reached * absorb != value:
-            raise VerificationFailed("cut of the margin network differs from the flow value")
-        margin = _hall_root(weights, cut, reached)
-        if margin is None:
+        # g_m(X) - g_m(F) falls by 4|F - X| - 2|E - E(X)| >= |F - X| > 0 per
+        # unit of m: both corners of an edge outside E(X) lie in F - X
+        slope = 4 * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
+        margin += (minimum - sum(shifted, ZERO) + unit * nf) / slope
+        if margin <= 0:
             return None
-    if cut is not None:
-        reached = sum(1 for face in t.faces if not cut.isdisjoint(face))
-        if _hall_root(weights, cut, reached) != margin:
-            raise VerificationFailed("the last cut's line does not bound the margin")
+        last = largest
+    if last is not None:
+        if sum((shifted[e] for e in edge_set(t, last)), ZERO) - unit * len(last) != minimum:
+            raise VerificationFailed("the last line does not reach the cut's minimum")
     a = [ZERO] * (3 * nf)
     for (e, node, _), x in zip(arcs[ne:len(arcs) - nf], flow[ne:len(arcs) - nf]):
         # a self-glued edge faces two corners of one face: split its flow

@@ -19,6 +19,7 @@ from anglestruct import (
     edge_invariant,
     check_via_enumeration,
     check_via_flow,
+    feasibility,
     lp,
     validate,
 )
@@ -208,9 +209,10 @@ def test_witness_bytes_pinned():
 
 
 def _tetra_network(tetra, value):
+    # nodes: the 6 edges, the 4 faces, then source 10 and sink 11
     weights = [Fraction(*value)] * 6
     arcs, scale = _closure_network(tetra, weights)
-    flow, _, _ = _max_flow(arcs, 4 + 6 + 2, 10, 11)
+    flow, _, _ = _max_flow(arcs, 6 + 4 + 2, 10, 11)
     return weights, arcs, scale, flow
 
 
@@ -218,7 +220,7 @@ def test_extract_certificate_spec_vector(tetra):
     # T2 at 7/10: the empty set violates, slack 4 - 6 * 7/10 = -1/5, and it
     # is the only minimiser of g(X) = W(E(X)) - |X|
     d = const_fn(tetra, (7, 10))
-    assert min_cut(tetra, [Fraction(7, 10)] * 6) == (0, frozenset(), frozenset())
+    assert min_cut(tetra, [Fraction(7, 10)] * 6)[:3] == (0, frozenset(), frozenset())
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset()
     assert report.slack == Fraction(-1, 5)
@@ -228,9 +230,9 @@ def test_extract_certificate_spec_vector(tetra):
 def test_extract_certificate_rejects_zero_vector(tetra):
     # the zero flow is feasible, but its value 0 is no cut's capacity
     weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
-    assert _certify_cut(tetra, weights, arcs, flow, scale, [frozenset()]) == 0
+    assert _certify_cut(tetra, weights, 1, arcs, flow, scale, [frozenset()]) == 0
     with pytest.raises(VerificationFailed):
-        _certify_cut(tetra, weights, arcs, [0] * len(arcs), scale, [frozenset()])
+        _certify_cut(tetra, weights, 1, arcs, [0] * len(arcs), scale, [frozenset()])
 
 
 def test_extract_certificate_rejects_infeasible_dual(tetra):
@@ -238,15 +240,20 @@ def test_extract_certificate_rejects_infeasible_dual(tetra):
     over = list(flow)
     over[0] = arcs[0][2] + 1  # above the source arc's capacity
     with pytest.raises(VerificationFailed, match="outside"):
-        _certify_cut(tetra, weights, arcs, over, scale, [frozenset()])
+        _certify_cut(tetra, weights, 1, arcs, over, scale, [frozenset()])
     leaky = list(flow)
     into_sink = next(i for i, (_, v, _) in enumerate(arcs) if v == 11 and flow[i] > 0)
-    leaky[into_sink] -= 1  # its edge node keeps a unit of flow
+    leaky[into_sink] -= 1  # its face node keeps a unit of flow
     with pytest.raises(VerificationFailed, match="conserved"):
-        _certify_cut(tetra, weights, arcs, leaky, scale, [frozenset()])
+        _certify_cut(tetra, weights, 1, arcs, leaky, scale, [frozenset()])
     # a genuine maximum flow still fails against a set that is no minimiser
-    with pytest.raises(VerificationFailed, match="differs"):
-        _certify_cut(tetra, weights, arcs, flow, scale, [frozenset({0})])
+    with pytest.raises(VerificationFailed, match="differs from the flow value"):
+        _certify_cut(tetra, weights, 1, arcs, flow, scale, [frozenset({0})])
+    # the cut's value is summed from the source and sink capacities, so a
+    # network built for other weights or another face unit fails too
+    for other, unit in ((weights[:5] + [Fraction(3, 5)], 1), (weights, Fraction(1, 2))):
+        with pytest.raises(VerificationFailed, match="capacity differs"):
+            _certify_cut(tetra, other, unit, arcs, flow, scale, [frozenset()])
 
 
 def test_extract_certificate_rejects_nonpositive_objective(tetra):
@@ -299,7 +306,7 @@ def test_coverage_deficit_matches_enumeration_sign(seed, n):
         Fraction(rng.randint(1, 40), rng.randint(20, 40)) for _ in range(t.n_edges)
     ]
     # over all subsets, the empty one included: g(empty) = 0
-    value, smallest, largest = min_cut(t, weights)
+    value, smallest, largest, *_ = min_cut(t, weights)
     # exhaustive minimum over nonempty subsets
     best = None
     for mask in range(1, 1 << n):
@@ -428,13 +435,13 @@ CASES = ["feasible", "boundary", "shrunk", "pushed", "random"]
 
 def test_flow_margin_equals_simplex_optimum_seeded(monkeypatch):
     flows = []
-    max_flow = lp._max_flow
+    cut = lp.min_cut
 
     def counting(*args):
         flows[-1] += 1
-        return max_flow(*args)
+        return cut(*args)
 
-    monkeypatch.setattr(lp, "_max_flow", counting)
+    monkeypatch.setattr(lp, "min_cut", counting)
     rng = random.Random(13)
     gluings = [validate(SELF_GLUED_FACES)] + [random_triangulation(n, rng) for n in (2, 4, 6, 8, 12, 16)]
     found = {}
@@ -467,10 +474,10 @@ def test_flow_margin_equals_simplex_optimum(seed, n, case, theorem):
 
 
 def test_margin_flows_are_checked(monkeypatch, tetra):
-    # T2 at 3/5: the flow at m = 1/4 falls short on the cut of every edge,
-    # whose root 1/10 is the optimum
+    # T2 at 3/5: at m = 1/4 the empty set is the largest minimiser of g_m,
+    # and its line puts the optimum at 1/10
     d = const_fn(tetra, (3, 5))
-    max_flow, hall_root = lp._max_flow, lp._hall_root
+    max_flow, cut = feasibility._max_flow, lp.min_cut
 
     def leaky(arcs, n, source, sink):
         flow, from_source, to_sink = max_flow(arcs, n, source, sink)
@@ -479,23 +486,68 @@ def test_margin_flows_are_checked(monkeypatch, tetra):
             flow[into_sink[0]] -= 1  # its face keeps a unit of flow
         return flow, from_source, to_sink
 
-    def no_cut(arcs, n, source, sink):
+    def unreached(arcs, n, source, sink):
+        # every face on the sink side: the cut claims F, whose capacity is
+        # the total supply, which the short flow does not reach
         flow, from_source, to_sink = max_flow(arcs, n, source, sink)
         return flow, [False] * n, to_sink
 
-    roots = []
+    calls = []
 
-    def low_root(weights, cut, reached):
-        roots.append(hall_root(weights, cut, reached))
-        return roots[-1] * Fraction(9, 10) if len(roots) == 1 else roots[-1]
+    def low_root(t, weights, unit):
+        # the first step's minimum claimed lower: the Newton root falls
+        # below 1/10, where F minimises g_m but the empty set does not
+        minimum, *rest = cut(t, weights, unit)
+        calls.append(minimum)
+        return (minimum - Fraction(1, 25) if len(calls) == 1 else minimum, *rest)
 
     assert lp._flow_margin(tetra, d)[0] == Fraction(1, 10)
-    for name, fake, match in (
-        ("_max_flow", leaky, "conserved"),
-        ("_max_flow", no_cut, "cut of the margin network"),
-        ("_hall_root", low_root, "does not bound"),
+    for module, name, fake, match in (
+        (feasibility, "_max_flow", leaky, "conserved"),
+        (feasibility, "_max_flow", unreached, "differs from the flow value"),
+        (lp, "min_cut", low_root, "last line"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, fake)
+            with pytest.raises(VerificationFailed, match=match):
+                construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
+
+
+def test_newton_step_from_all_faces_but_one(self_glued):
+    # W = (1/5, 1/2, 9/10) on the self-glued pair, feasible for T2: at the
+    # start margin 1/10 the largest minimiser of g_m is face 0 alone, F
+    # minus one face (face 1 carries edge 2 twice, which it alone covers),
+    # so the flow falls short and one Newton step reaches the optimum 1/20
+    weights = [Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)]
+    shifted = [w - Fraction(1, 5) for w in weights]
+    assert min_cut(self_glued, shifted, Fraction(3, 5))[:3] == (Fraction(-3, 10), {0}, {0})
+    program = EdgeFunction(dict(enumerate(weights)), InvariantKind.EDGE)
+    margin, _ = lp._flow_margin(self_glued, program)
+    assert margin == Fraction(1, 20) == -lp.simplex_solve(lp._margin_lp(self_glued, program)).value
+    w = construct_structure(self_glued, program, GeometryClass.HYPERBOLIC)
+    assert isinstance(w, AngleStructure)
+    assert edge_invariant(self_glued, w) == program
+
+
+def test_construct_checks_what_it_returns(monkeypatch, tetra):
+    # a witness off its invariant, a transformed witness of the wrong
+    # class, and a cut report that is not infeasible or whose subset does
+    # not violate: each is caught before construct returns it
+    flow_margin = lp._flow_margin
+
+    def off(t, program):
+        margin, a = flow_margin(t, program)
+        return margin, [a[0] + Fraction(1, 100)] + a[1:]
+
+    feasible = make_report("T2", None)
+    wrong = make_report("T2", Fraction(-1, 5), frozenset({0}))
+    for name, fake, geometry, value, match in (
+        ("_flow_margin", off, GeometryClass.HYPERBOLIC, (3, 5), "margin witness"),
+        ("corner_transform", lambda t, x: x, GeometryClass.SPHERICAL, (7, 10), "transformed witness"),
+        ("check_via_flow", lambda t, fn, theorem: feasible, GeometryClass.HYPERBOLIC, (7, 10), "disagree"),
+        ("check_via_flow", lambda t, fn, theorem: wrong, GeometryClass.HYPERBOLIC, (7, 10), "does not violate"),
     ):
         with monkeypatch.context() as m:
             m.setattr(lp, name, fake)
             with pytest.raises(VerificationFailed, match=match):
-                construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
+                construct_structure(tetra, const_fn(tetra, value), geometry)

@@ -176,12 +176,14 @@ def test_min_cut_minimisers_bracket_every_minimiser():
         n = 2 * (trial % 4 + 1)
         t = random_triangulation(n, rng)
         weights = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(t.n_edges)]
-        minimum, smallest, largest = min_cut(t, weights)
+        # the face capacity of the margin programs' networks, 0 and 1 included
+        unit = Fraction(trial % 5, 4)
+        minimum, smallest, largest, *_ = min_cut(t, weights, unit)
         values = {}
         for mask in range(1 << n):
             subset = frozenset(f for f in range(n) if mask >> f & 1)
             covered = {e for f in subset for e in t.faces[f]}
-            values[subset] = sum((weights[e] for e in covered), Fraction(0)) - len(subset)
+            values[subset] = sum((weights[e] for e in covered), Fraction(0)) - unit * len(subset)
         assert minimum == min(values.values())
         minimisers = [s for s, v in values.items() if v == minimum]
         assert all(smallest <= s <= largest for s in minimisers)
