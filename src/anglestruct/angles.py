@@ -1,7 +1,9 @@
 """Angle structures, their geometry class, and the two edge invariants.
 
 An angle structure assigns every corner a value in (0, pi), held as its
-Fraction coefficient of pi (see ``ratpi``).  A face is
+Fraction coefficient of pi (see ``ratpi``), in one flat tuple with corner
+k of face f (facing the edge in slot k) at index 3*f + k; an edge
+function is a tuple indexed by dense edge index.  A face is
 Euclidean, hyperbolic or spherical according to its angle sum (with the
 extra pairwise condition for the spherical case), and the structure as a
 whole carries a class only when all faces agree.
@@ -19,7 +21,8 @@ back into (0, pi) is a separate explicit step.
 The class, the invariants and the transforms compute on ints over local
 denominators: each face's lcm, each edge's lcm of its two sides.  A common
 denominator of the whole structure, which grows without bound on many
-coprime denominators, is never formed.
+coprime denominators, is never formed.  A structure computes its faces'
+ints once, on first use, and every later function of it reads them.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import MissingCorner, OutOfRange
+from .errors import DimensionMismatch, MissingCorner, OutOfRange
 from .ratpi import render
-from .surface import Corner, Triangulation
+from .surface import Triangulation
 
 
 class GeometryClass(Enum):
@@ -46,45 +50,51 @@ class InvariantKind(Enum):
     DELAUNAY = "delaunay"
 
 
-@dataclass(frozen=True)
-class AngleStructure:
-    """One angle per corner; plain container, range checks live in validators."""
-
-    values: dict[Corner, Fraction]
-
-    def angle(self, corner: Corner) -> Fraction:
-        try:
-            return self.values[corner]
-        except KeyError:
-            raise MissingCorner(f"face {corner.face} slot {corner.slot}") from None
-
-    def check_complete(self, t: Triangulation) -> None:
-        for corner in t.corners():
-            if corner not in self.values:
-                raise MissingCorner(f"face {corner.face} slot {corner.slot}")
-
-
-@dataclass(frozen=True)
-class EdgeFunction:
-    """Values indexed by dense edge index, tagged edge or Delaunay."""
-
-    values: dict[int, Fraction]
-    kind: InvariantKind
-
-    def value(self, edge: int) -> Fraction:
-        return self.values[edge]
-
-
 def _over_lcm(values) -> tuple[list[int], int]:
     """The values as ints over the lcm L of their denominators, and L."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _face_terms(t: Triangulation, x: AngleStructure) -> list[tuple[list[int], int]]:
-    """_over_lcm of each face's angles; MissingCorner names the first corner x lacks."""
-    angles = list(map(x.angle, t.corners()))
-    return [_over_lcm(angles[i:i + 3]) for i in range(0, len(angles), 3)]
+@dataclass(frozen=True)
+class AngleStructure:
+    """One angle per corner, corner k of face f at index 3*f + k; a plain
+    container, range checks live in validators."""
+
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.values, tuple):
+            raise TypeError(f"AngleStructure values must be a tuple, not {type(self.values).__name__}")
+
+    @cached_property
+    def face_terms(self) -> tuple[tuple[list[int], int], ...]:
+        """_over_lcm of each face's three angles, in face order."""
+        v = self.values
+        return tuple(_over_lcm(v[i:i + 3]) for i in range(0, len(v), 3))
+
+
+@dataclass(frozen=True)
+class EdgeFunction:
+    """Values indexed by dense edge index, tagged edge or Delaunay."""
+
+    values: tuple[Fraction, ...]
+    kind: InvariantKind
+
+    def __post_init__(self):
+        if not isinstance(self.values, tuple):
+            raise TypeError(f"EdgeFunction values must be a tuple, not {type(self.values).__name__}")
+
+
+def _face_terms(t: Triangulation, x: AngleStructure) -> tuple[tuple[list[int], int], ...]:
+    """x.face_terms, after checking that x has one angle per corner of t:
+    MissingCorner names the first corner a short x lacks."""
+    n, corners = len(x.values), 3 * t.n_faces
+    if n < corners:
+        raise MissingCorner(f"face {n // 3} slot {n % 3}")
+    if n > corners:
+        raise DimensionMismatch(f"{n} angles for {corners} corners")
+    return x.face_terms
 
 
 def classify_triangle(a: Fraction, b: Fraction, c: Fraction) -> GeometryClass:
@@ -141,7 +151,7 @@ def _invariant_terms(t: Triangulation, faces, kind: InvariantKind) -> list[tuple
 def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> EdgeFunction:
     """The structure's edge or Delaunay invariant, as kind says."""
     terms = _invariant_terms(t, _face_terms(t, x), kind)
-    return EdgeFunction({e: Fraction(n, den) for e, (n, den) in enumerate(terms)}, kind)
+    return EdgeFunction(tuple(Fraction(n, den) for n, den in terms), kind)
 
 
 def edge_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
@@ -156,10 +166,8 @@ def delaunay_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
 
 def _map_corners(t: Triangulation, x: AngleStructure, value) -> AngleStructure:
     """value(v, total, L) at each corner, with v/L its angle and total/L its face's sum."""
-    faces = enumerate(_face_terms(t, x))
-    return AngleStructure(
-        {Corner(f, k): value(v, sum(nums), den) for f, (nums, den) in faces for k, v in enumerate(nums)}
-    )
+    faces = _face_terms(t, x)
+    return AngleStructure(tuple(value(v, sum(nums), den) for nums, den in faces for v in nums))
 
 
 def corner_transform(t: Triangulation, x: AngleStructure) -> AngleStructure:

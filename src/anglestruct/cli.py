@@ -203,9 +203,7 @@ def cmd_verify(args) -> int:
     if structure is None or invariant is None:
         raise InvalidInstance("verify needs both a structure and an invariant")
     recomputed = invariant_of(t, structure, invariant.kind)
-    mismatched = [
-        e for e in range(t.n_edges) if recomputed.value(e) != invariant.value(e)
-    ]
+    mismatched = [e for e, (v, w) in enumerate(zip(recomputed.values, invariant.values)) if v != w]
     class_ok = True
     if stated_class is not None:
         class_ok = classify_structure(t, structure) is stated_class

@@ -54,7 +54,8 @@ class InvalidSetting(AngleStructError):
 
 
 class DimensionMismatch(AngleStructError):
-    """Linear program data with inconsistent shapes."""
+    """Data of inconsistent lengths: linear program shapes, or an angle
+    structure or edge function not sized to its triangulation."""
 
 
 class VerificationFailed(AngleStructError):

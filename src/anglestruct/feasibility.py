@@ -47,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .angles import EdgeFunction, GeometryClass, InvariantKind, _over_lcm
-from .errors import RangeViolation, TooLarge, VerificationFailed
+from .errors import DimensionMismatch, RangeViolation, TooLarge, VerificationFailed
 from .ratpi import render
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
 
@@ -129,22 +129,26 @@ class FeasibilityReport:
 
 
 def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]:
+    """W per edge, after checking that fn has one value per edge of t."""
+    if len(fn.values) != t.n_edges:
+        raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
     if row.kind is InvariantKind.DELAUNAY:
-        return [1 - fn.value(e) / 2 for e in range(t.n_edges)]
-    return [fn.value(e) for e in range(t.n_edges)]
+        return [1 - v / 2 for v in fn.values]
+    return list(fn.values)
 
 
 def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
     """Edge weights W of the theorem's inequality, after checking that fn
-    has the theorem's invariant kind and lies in its domain."""
+    has the theorem's invariant kind, one value per edge and every value in
+    the theorem's domain."""
     row = THEOREMS[theorem]
     if fn.kind is not row.kind:
         raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
-    for e in range(t.n_edges):
-        v = fn.value(e)
+    weights = _weights(t, fn, row)
+    for e, v in enumerate(fn.values):
         if not (row.lo < v < row.hi if row.strict else row.lo <= v <= row.hi):
             raise RangeViolation(f"{theorem}: value {render(v)} at edge {e} outside domain")
-    return _weights(t, fn, row)
+    return weights
 
 
 def _offset(t: Triangulation, weights: list[Fraction], grow_form: bool) -> Fraction:

@@ -423,10 +423,10 @@ def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
         (((3 * f, 1), (3 * f + 1, 1), (3 * f + 2, 1), (3 * nf + f, 1), (margin_col, 4)), 1, 1)
         for f in range(nf)
     ]
-    for e in range(t.n_edges):
-        q, pattern = program.value(e).denominator, _edge_row_pattern(t, e, program.kind)
+    for e, value in enumerate(program.values):
+        q, pattern = value.denominator, _edge_row_pattern(t, e, program.kind)
         terms = [(j, v * q) for j, v in sorted(pattern.items()) if v] + [(margin_col, 2 * q)]
-        view.append((tuple(terms), program.value(e).numerator, q))
+        view.append((tuple(terms), value.numerator, q))
     a = [[ZERO] * (margin_col + 1) for _ in view]
     for row, (terms, _, scale) in zip(a, view):
         for j, v in terms:
@@ -456,7 +456,7 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
     if THEOREMS[theorem].nonempty:
         kind, weights = InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]
         transform = corner_transform
-    program = EdgeFunction(dict(enumerate(weights)), kind)
+    program = EdgeFunction(tuple(weights), kind)
     return theorem, program, transform if geometry is GeometryClass.SPHERICAL else None
 
 
@@ -479,7 +479,7 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
             return False
     except OutOfRange:
         return False
-    pairs = zip(_invariant_terms(t, faces, fn.kind), map(fn.value, range(t.n_edges)))
+    pairs = zip(_invariant_terms(t, faces, fn.kind), fn.values)
     return all(n * v.denominator == v.numerator * den for (n, den), v in pairs)
 
 
@@ -511,7 +511,7 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
     the bound of a >= 0 and of the face rows.
     """
     ne, nf = t.n_edges, t.n_faces
-    weights = [program.value(e) for e in range(ne)]
+    weights = program.values
     margin, last = min(min(weights) / 2, ONE / 4), None
     while True:
         shifted, unit = [w - 2 * margin for w in weights], 1 - 4 * margin
@@ -573,7 +573,7 @@ def _construct(
     if solved is None:
         return _infeasible_certificate(t, fn, theorem)
     margin, a = solved
-    witness = AngleStructure({c: a[3 * c.face + c.slot] + margin for c in t.corners()})
+    witness = AngleStructure(tuple(v + margin for v in a[:3 * t.n_faces]))
     if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
         raise VerificationFailed("margin witness failed validation")
     if transform is not None:

@@ -4,8 +4,9 @@ Gluings are sampled by shuffling the 3N face slots and pairing them
 consecutively, rejecting pairings that leave the surface disconnected; a
 pairing may glue two sides of one face.  Structures are sampled face by
 face and rescaled or rejected until the requested geometry class holds.
-Everything is driven by a caller-supplied ``random.Random`` so runs are
-reproducible.
+Structures and edge values come out as the package's flat tuples, one
+angle per corner at 3*face + slot and one value per edge.  Everything is
+driven by a caller-supplied ``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
 from .errors import Disconnected, OddFaceCount
-from .surface import Corner, Triangulation, validate
+from .surface import Triangulation, validate
 
 MAX_DENOMINATOR = 40
 
@@ -71,12 +72,7 @@ def random_structure(
         GeometryClass.SPHERICAL: _spherical_triple,
     }
     sampler = samplers[geometry]
-    values = {}
-    for f in range(t.n_faces):
-        triple = sampler(rng)
-        for k in range(3):
-            values[Corner(f, k)] = triple[k]
-    return AngleStructure(values)
+    return AngleStructure(tuple(v for _ in range(t.n_faces) for v in sampler(rng)))
 
 
 def random_hyperbolic_delaunay_domain(t: Triangulation, rng: random.Random) -> AngleStructure:
@@ -85,16 +81,14 @@ def random_hyperbolic_delaunay_domain(t: Triangulation, rng: random.Random) -> A
     Near-equilateral triples keep every x_j + x_k - x_i strictly positive,
     so each edge's invariant sums two positive terms.
     """
-    values = {}
-    for f in range(t.n_faces):
+    values = []
+    for _ in range(t.n_faces):
         p, q, r = (rng.randint(8, 12) for _ in range(3))
         scale_den = rng.randint(2, 40)
         scale = Fraction(rng.randint(1, scale_den - 1), scale_den)
         total = p + q + r
-        triple = [Fraction(p, total) * scale, Fraction(q, total) * scale, Fraction(r, total) * scale]
-        for k in range(3):
-            values[Corner(f, k)] = triple[k]
-    return AngleStructure(values)
+        values += [Fraction(p, total) * scale, Fraction(q, total) * scale, Fraction(r, total) * scale]
+    return AngleStructure(tuple(values))
 
 
 def random_spherical_edge_domain(t: Triangulation, rng: random.Random) -> AngleStructure:
@@ -103,11 +97,7 @@ def random_spherical_edge_domain(t: Triangulation, rng: random.Random) -> AngleS
     Angles in (pi/3, pi/2) force the face sum above pi, every pairwise
     deficit below pi, and every facing pair below pi.
     """
-    values = {}
-    for f in range(t.n_faces):
-        for k in range(3):
-            values[Corner(f, k)] = Fraction(rng.randint(41, 59), 120)
-    return AngleStructure(values)
+    return AngleStructure(tuple(Fraction(rng.randint(41, 59), 120) for _ in range(3 * t.n_faces)))
 
 
 def random_edge_values(
@@ -118,8 +108,8 @@ def random_edge_values(
     kind: InvariantKind,
 ) -> EdgeFunction:
     """Independent per-edge rationals strictly inside (lo, hi), in pi-units."""
-    values = {}
-    for e in range(t.n_edges):
+    values = []
+    for _ in range(t.n_edges):
         while True:
             den = rng.randint(1, MAX_DENOMINATOR)
             low = lo * den
@@ -131,6 +121,6 @@ def random_edge_values(
             num = rng.randint(num_min, num_max)
             value = Fraction(num, den)
             if lo < value < hi:
-                values[e] = value
+                values.append(value)
                 break
-    return EdgeFunction(values, kind)
+    return EdgeFunction(tuple(values), kind)

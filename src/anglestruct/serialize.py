@@ -2,7 +2,9 @@
 
 All rationals are canonical ``p/q`` strings in pi-units.  Key order is
 fixed so identical inputs always serialize to identical bytes; see
-docs/format.md for the bit-exact layout.
+docs/format.md for the bit-exact layout.  A corner "f/k" is read into
+index 3*f + k of a structure's flat tuple and edge "e" into index e of an
+edge function's; the readers require each exactly once.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import json
 from typing import Any
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
-from .errors import AngleStructError
+from .errors import AngleStructError, MissingCorner
 from .feasibility import FeasibilityReport
 from .ratpi import parse as parse_ratpi, render
-from .surface import Corner, Triangulation, validate
+from .surface import Triangulation, validate
 
 
 class InvalidInstance(AngleStructError):
@@ -31,7 +33,7 @@ def _unique_keys(pairs):
 def edge_function_to_json(t: Triangulation, fn: EdgeFunction) -> dict:
     return {
         "kind": fn.kind.value,
-        "values": {str(e): render(fn.value(e)) for e in range(t.n_edges)},
+        "values": {str(e): render(v) for e, v in enumerate(fn.values)},
     }
 
 
@@ -47,44 +49,41 @@ def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | No
         raise InvalidInstance("invariant values must be a map from edge index to rational")
     # only the canonical decimal form names an edge, so no two keys name one
     names = {str(e): e for e in range(t.n_edges)}
-    values = {}
+    values = [None] * t.n_edges
     for key, text in obj["values"].items():
         if key not in names:
             raise InvalidInstance(f"invariant key {key!r} is not the canonical decimal index of an edge")
         values[names[key]] = parse_ratpi(text)
-    missing = [e for e in range(t.n_edges) if e not in values]
+    missing = [e for e, v in enumerate(values) if v is None]
     if missing:
         raise InvalidInstance(f"invariant missing edges {missing}")
-    return EdgeFunction(values, kind)
+    return EdgeFunction(tuple(values), kind)
 
 
 def structure_to_json(t: Triangulation, x: AngleStructure) -> dict:
-    corners = []
-    for f in range(t.n_faces):
-        for k in range(3):
-            corners.append([f"{f}/{k}", render(x.angle(Corner(f, k)))])
-    return {"corners": corners}
+    return {"corners": [[f"{i // 3}/{i % 3}", render(v)] for i, v in enumerate(x.values)]}
 
 
 def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
     if not isinstance(obj, dict) or not isinstance(obj.get("corners"), list):
         raise InvalidInstance("structure must be an object with a 'corners' list")
     # as for edges, only the form structure_to_json writes names a corner
-    names = {f"{c.face}/{c.slot}": c for c in t.corners()}
-    values = {}
+    names = {f"{f}/{k}": 3 * f + k for f in range(t.n_faces) for k in range(3)}
+    values = [None] * len(names)
     for entry in obj["corners"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise InvalidInstance(f"bad corner entry {entry!r}")
         key, text = entry
-        corner = names.get(key) if isinstance(key, str) else None
-        if corner is None:
+        i = names.get(key) if isinstance(key, str) else None
+        if i is None:
             raise InvalidInstance(f"corner key {key!r} is not the canonical face/slot of a corner")
-        if corner in values:
+        if values[i] is not None:
             raise InvalidInstance(f"corner {key} given twice")
-        values[corner] = parse_ratpi(text)
-    structure = AngleStructure(values)
-    structure.check_complete(t)
-    return structure
+        values[i] = parse_ratpi(text)
+    for i, v in enumerate(values):
+        if v is None:
+            raise MissingCorner(f"face {i // 3} slot {i % 3}")
+    return AngleStructure(tuple(values))
 
 
 def report_to_json(report: FeasibilityReport) -> dict:

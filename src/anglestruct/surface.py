@@ -10,7 +10,7 @@ play no role in any feasibility condition handled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import Disconnected, EdgeDegree, EmptyTriangulation, UnknownEdge
 
@@ -45,11 +45,6 @@ class Triangulation:
     @property
     def n_edges(self) -> int:
         return len(self.edge_ids)
-
-    def corners(self) -> Iterator[Corner]:
-        for f in range(self.n_faces):
-            for k in range(3):
-                yield Corner(f, k)
 
 
 def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:

@@ -39,7 +39,7 @@ def self_glued():
 
 def const_fn(t, value, kind=InvariantKind.EDGE) -> EdgeFunction:
     coeff = Fraction(*value) if isinstance(value, tuple) else Fraction(value)
-    return EdgeFunction({e: coeff for e in range(t.n_edges)}, kind)
+    return EdgeFunction((coeff,) * t.n_edges, kind)
 
 
 def face_subsets(t, nonempty_proper=False):

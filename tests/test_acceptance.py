@@ -63,7 +63,7 @@ def test_criterion_1_spherical_edge_verdict_equals_construction():
         if built:
             assert classify_structure(t, constructed) is GeometryClass.SPHERICAL
             recomputed = edge_invariant(t, constructed)
-            assert all(recomputed.value(e) == d.value(e) for e in range(t.n_edges))
+            assert recomputed.values == d.values
         agreements += 1
     elapsed = time.time() - started
     announce(
@@ -86,7 +86,7 @@ def test_criterion_2_hyperbolic_edge_verdict_equals_lp():
         assert built == (enumerated.verdict is Verdict.FEASIBLE), f"trial {trial}"
         if built:
             recomputed = edge_invariant(t, constructed)
-            assert all(recomputed.value(e) == d.value(e) for e in range(t.n_edges))
+            assert recomputed.values == d.values
         else:
             infeasible_cases += 1
             assert isinstance(constructed, FeasibilityReport)
@@ -108,10 +108,7 @@ def test_criterion_3_delaunay_reduction():
     for trial in range(200):
         t = random_triangulation(FACE_COUNTS[trial % 5], rng)
         dd = random_edge_values(t, rng, Fraction(-2), Fraction(2), InvariantKind.DELAUNAY)
-        reduced = EdgeFunction(
-            {e: 1 - dd.value(e) / 2 for e in range(t.n_edges)},
-            InvariantKind.EDGE,
-        )
+        reduced = EdgeFunction(tuple(1 - v / 2 for v in dd.values), InvariantKind.EDGE)
         r3 = check_via_enumeration(t, dd, "T3")
         r2 = check_via_enumeration(t, reduced, "T2")
         assert r3.verdict == r2.verdict, f"trial {trial}"
@@ -123,7 +120,7 @@ def test_criterion_3_delaunay_reduction():
             assert isinstance(witness, AngleStructure)
             assert classify_structure(t, witness) is GeometryClass.SPHERICAL
             recomputed = delaunay_invariant(t, witness)
-            assert all(recomputed.value(e) == dd.value(e) for e in range(t.n_edges))
+            assert recomputed.values == dd.values
     announce(
         3,
         True,
@@ -216,8 +213,8 @@ def test_criterion_6_euclidean_relation():
         x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
         d = edge_invariant(t, x)
         dd = delaunay_invariant(t, x)
-        for e in range(t.n_edges):
-            if 2 * d.value(e) + dd.value(e) != Fraction(2):
+        for v, w in zip(d.values, dd.values, strict=True):
+            if 2 * v + w != Fraction(2):
                 bad_edges += 1
     announce(
         6,

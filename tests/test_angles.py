@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anglestruct import (
     AngleStructure,
-    Corner,
     EdgeFunction,
     GeometryClass,
     InvariantKind,
@@ -20,7 +19,7 @@ from anglestruct import (
     validate,
 )
 from anglestruct.angles import euclidean_relation_holds
-from anglestruct.errors import MissingCorner, OutOfRange
+from anglestruct.errors import DimensionMismatch, MissingCorner, OutOfRange
 from anglestruct.lp import _witness_ok
 from anglestruct.ratpi import render
 from anglestruct.sampling import random_structure, random_triangulation
@@ -29,7 +28,7 @@ from conftest import OCTA_FACES, SELF_GLUED_FACES, TETRA_FACES, const_fn
 
 def uniform_structure(t, value) -> AngleStructure:
     coeff = Fraction(*value) if isinstance(value, tuple) else Fraction(value)
-    return AngleStructure({c: coeff for c in t.corners()})
+    return AngleStructure((coeff,) * (3 * t.n_faces))
 
 
 def test_classify_triangle():
@@ -54,58 +53,56 @@ def test_classify_triangle():
 def test_classify_structure(tetra):
     assert classify_structure(tetra, uniform_structure(tetra, (7, 20))) is GeometryClass.SPHERICAL
     assert classify_structure(tetra, uniform_structure(tetra, (3, 10))) is GeometryClass.HYPERBOLIC
-    mixed = dict(uniform_structure(tetra, (1, 3)).values)
-    for k in range(3):
-        mixed[Corner(0, k)] = Fraction(3, 10)
+    mixed = (Fraction(3, 10),) * 3 + uniform_structure(tetra, (1, 3)).values[3:]
     assert classify_structure(tetra, AngleStructure(mixed)) is GeometryClass.NOT_GEOMETRIC
-    with pytest.raises(MissingCorner):
-        incomplete = dict(mixed)
-        del incomplete[Corner(1, 1)]
-        classify_structure(tetra, AngleStructure(incomplete))
+    with pytest.raises(MissingCorner, match="^face 1 slot 1$"):
+        classify_structure(tetra, AngleStructure(mixed[:4]))
+    with pytest.raises(DimensionMismatch):
+        classify_structure(tetra, AngleStructure(mixed + (Fraction(1, 3),)))
+
+
+def test_dict_values_are_rejected():
+    # a dict, the layout before the flat tuples, would be read as its keys
+    with pytest.raises(TypeError):
+        EdgeFunction({e: Fraction(7, 10) for e in range(6)}, InvariantKind.EDGE)
+    with pytest.raises(TypeError):
+        AngleStructure({(f, k): Fraction(1, 3) for f in range(4) for k in range(3)})
+    with pytest.raises(TypeError):
+        AngleStructure([Fraction(1, 3)] * 12)
 
 
 def test_edge_invariant_uniform(tetra):
     d = edge_invariant(tetra, uniform_structure(tetra, (7, 20)))
-    assert all(d.value(e) == Fraction(7, 10) for e in range(6))
+    assert d.values == (Fraction(7, 10),) * 6
     d = edge_invariant(tetra, uniform_structure(tetra, (1, 3)))
-    assert all(d.value(e) == Fraction(2, 3) for e in range(6))
+    assert d.values == (Fraction(2, 3),) * 6
 
 
 def test_edge_invariant_self_glued(self_glued):
     u, v, w = Fraction(1, 5), Fraction(1, 4), Fraction(3, 10)
-    x = AngleStructure(
-        {
-            Corner(0, 0): u,
-            Corner(0, 1): v,
-            Corner(0, 2): w,
-            Corner(1, 0): Fraction(1, 5),
-            Corner(1, 1): Fraction(1, 4),
-            Corner(1, 2): Fraction(1, 4),
-        }
-    )
+    x = AngleStructure((u, v, w, Fraction(1, 5), Fraction(1, 4), Fraction(1, 4)))
     d = edge_invariant(self_glued, x)
-    assert d.value(0) == u + v
+    assert d.values[0] == u + v
     dd = delaunay_invariant(self_glued, x)
     # both sides of the self-glued edge reuse the face's remaining corner
-    assert dd.value(0) == 2 * w
+    assert dd.values[0] == 2 * w
 
 
 def test_delaunay_invariant_uniform(tetra):
     dd = delaunay_invariant(tetra, uniform_structure(tetra, (7, 20)))
-    assert all(dd.value(e) == Fraction(7, 10) for e in range(6))
+    assert dd.values == (Fraction(7, 10),) * 6
     x = uniform_structure(tetra, (1, 3))
     dd = delaunay_invariant(tetra, x)
     d = edge_invariant(tetra, x)
-    assert all(dd.value(e) == Fraction(2, 3) for e in range(6))
-    assert all(2 * d.value(e) + dd.value(e) == 2 for e in range(6))
+    assert dd.values == (Fraction(2, 3),) * 6
+    assert all(2 * v + w == 2 for v, w in zip(d.values, dd.values, strict=True))
 
 
 def brute_force_delaunay(t, x, e):
     total = Fraction(0)
-    for facing in t.edge_corners[e]:
-        f = facing.face
-        others = [Corner(f, k) for k in range(3) if k != facing.slot]
-        total = total + x.angle(others[0]) + x.angle(others[1]) - x.angle(facing)
+    for f, slot in t.edge_corners[e]:
+        others = [x.values[3 * f + k] for k in range(3) if k != slot]
+        total = total + others[0] + others[1] - x.values[3 * f + slot]
     return total
 
 
@@ -120,7 +117,7 @@ def test_delaunay_matches_direct_recomputation_octahedron(seed):
     x = random_structure(octa, rng.choice(list(GeometryClass)[:3]), rng)
     dd = delaunay_invariant(octa, x)
     for e in range(octa.n_edges):
-        assert dd.value(e) == brute_force_delaunay(octa, x, e)
+        assert dd.values[e] == brute_force_delaunay(octa, x, e)
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,18 +132,19 @@ def test_invariant_identities(seed, n):
     d = edge_invariant(t, x)
     dd = delaunay_invariant(t, x)
     # every corner faces exactly one edge, so edge sums partition the corner sum
+    assert len(x.values) == 3 * t.n_faces and len(d.values) == t.n_edges
     corner_total = Fraction(0)
-    for c in t.corners():
-        corner_total = corner_total + x.angle(c)
+    for v in x.values:
+        corner_total = corner_total + v
     edge_total = Fraction(0)
-    for e in range(t.n_edges):
-        edge_total = edge_total + d.value(e)
+    for v in d.values:
+        edge_total = edge_total + v
     assert edge_total == corner_total
     # Dd(e) equals the two adjacent face sums minus twice the facing pair
     for e in range(t.n_edges):
         c1, c2 = t.edge_corners[e]
-        both = sum(x.angle(Corner(f, k)) for f in (c1.face, c2.face) for k in range(3))
-        assert dd.value(e) == both - 2 * d.value(e)
+        both = sum(x.values[3 * f + k] for f in (c1.face, c2.face) for k in range(3))
+        assert dd.values[e] == both - 2 * d.values[e]
 
 
 def test_euclidean_relation(tetra):
@@ -157,17 +155,12 @@ def test_euclidean_relation(tetra):
 def test_corner_transform_examples(tetra):
     hyp = uniform_structure(tetra, (3, 10))
     out = corner_transform(tetra, hyp)
-    assert all(out.angle(c) == Fraction(7, 20) for c in tetra.corners())
+    assert out.values == (Fraction(7, 20),) * 12
     assert classify_structure(tetra, out) is GeometryClass.SPHERICAL
     fixed = uniform_structure(tetra, (1, 3))
-    assert all(
-        corner_transform(tetra, fixed).angle(c) == Fraction(1, 3) for c in tetra.corners()
-    )
-    assert all(
-        corner_transform_inverse(tetra, uniform_structure(tetra, (7, 20))).angle(c)
-        == Fraction(3, 10)
-        for c in tetra.corners()
-    )
+    assert corner_transform(tetra, fixed).values == (Fraction(1, 3),) * 12
+    inverse = corner_transform_inverse(tetra, uniform_structure(tetra, (7, 20)))
+    assert inverse.values == (Fraction(3, 10),) * 12
 
 
 @settings(max_examples=30, deadline=None)
@@ -177,13 +170,13 @@ def test_transform_round_trip_identity(seed, n):
     t = random_triangulation(n, rng)
     # candidates need no range validity; any rational corner values round-trip
     x = AngleStructure(
-        {c: Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for c in t.corners()}
+        tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(3 * t.n_faces))
     )
     there = corner_transform(t, x)
     back = corner_transform_inverse(t, there)
-    assert all(back.angle(c) == x.angle(c) for c in t.corners())
+    assert back.values == x.values
     again = corner_transform(t, corner_transform_inverse(t, x))
-    assert all(again.angle(c) == x.angle(c) for c in t.corners())
+    assert again.values == x.values
 
 
 @settings(max_examples=30, deadline=None)
@@ -193,12 +186,12 @@ def test_transform_maps_hyperbolic_to_spherical(seed, n):
     t = random_triangulation(n, rng)
     x = random_structure(t, GeometryClass.HYPERBOLIC, rng)
     y = corner_transform(t, x)
-    assert all(0 < y.angle(c) < 1 for c in t.corners())
+    assert len(y.values) == 3 * t.n_faces and all(0 < v < 1 for v in y.values)
     assert classify_structure(t, y) is GeometryClass.SPHERICAL
     d_y = edge_invariant(t, y)
     dd_x = delaunay_invariant(t, x)
     for e in range(t.n_edges):
-        assert d_y.value(e) == 1 - dd_x.value(e) / 2
+        assert d_y.values[e] == 1 - dd_x.values[e] / 2
 
 
 def test_non_euclidean_violates_relation_somewhere(tetra):
@@ -206,30 +199,33 @@ def test_non_euclidean_violates_relation_somewhere(tetra):
     x = random_structure(tetra, GeometryClass.HYPERBOLIC, rng)
     d = edge_invariant(tetra, x)
     dd = delaunay_invariant(tetra, x)
-    assert any(2 * d.value(e) + dd.value(e) != 2 for e in range(6))
+    assert any(2 * v + w != 2 for v, w in zip(d.values, dd.values, strict=True))
 
 
 # A plain-Fraction reference of the angle functions, written as the
-# formulas read, with every corner looked up by name.  The package
+# formulas read, with every corner looked up by face and slot.  The package
 # computes on per-face ints; both must return the same values and raise the
 # same errors, with the same messages, in the same order.
 
 BIG = 10**300
 
 
-def ref_angle(x, corner):
-    if corner not in x.values:
-        raise MissingCorner(f"face {corner.face} slot {corner.slot}")
-    return x.values[corner]
+def ref_angle(x, f, k):
+    if 3 * f + k >= len(x.values):
+        raise MissingCorner(f"face {f} slot {k}")
+    return x.values[3 * f + k]
 
 
 def ref_complete(t, x):
-    for c in t.corners():
-        ref_angle(x, c)
+    for f in range(t.n_faces):
+        for k in range(3):
+            ref_angle(x, f, k)
+    if len(x.values) > 3 * t.n_faces:
+        raise DimensionMismatch(f"{len(x.values)} angles for {3 * t.n_faces} corners")
 
 
-def ref_others(c):
-    return Corner(c.face, (c.slot + 1) % 3), Corner(c.face, (c.slot + 2) % 3)
+def ref_others(f, k):
+    return (f, (k + 1) % 3), (f, (k + 2) % 3)
 
 
 def ref_classify_triangle(a, b, c):
@@ -250,7 +246,7 @@ def ref_classify_structure(t, x):
     ref_complete(t, x)
     result = None
     for f in range(t.n_faces):
-        cls = ref_classify_triangle(*(x.values[Corner(f, k)] for k in range(3)))
+        cls = ref_classify_triangle(*(ref_angle(x, f, k) for k in range(3)))
         if cls is GeometryClass.NOT_GEOMETRIC:
             return cls
         if result is None:
@@ -262,44 +258,46 @@ def ref_classify_structure(t, x):
 
 def ref_edge_invariant(t, x):
     ref_complete(t, x)
-    values = {e: x.values[c1] + x.values[c2] for e, (c1, c2) in enumerate(t.edge_corners)}
+    values = tuple(ref_angle(x, *c1) + ref_angle(x, *c2) for c1, c2 in t.edge_corners)
     return EdgeFunction(values, InvariantKind.EDGE)
 
 
 def ref_delaunay_invariant(t, x):
     ref_complete(t, x)
-    values = {}
-    for e, corners in enumerate(t.edge_corners):
+    values = []
+    for corners in t.edge_corners:
         total = Fraction(0)
         for facing in corners:
-            j, k = ref_others(facing)
-            total = total + x.values[j] + x.values[k] - x.values[facing]
-        values[e] = total
-    return EdgeFunction(values, InvariantKind.DELAUNAY)
+            j, k = ref_others(*facing)
+            total = total + ref_angle(x, *j) + ref_angle(x, *k) - ref_angle(x, *facing)
+        values.append(total)
+    return EdgeFunction(tuple(values), InvariantKind.DELAUNAY)
 
 
 def ref_corner_transform(t, x):
     ref_complete(t, x)
-    values = {}
-    for c in t.corners():
-        j, k = ref_others(c)
-        values[c] = (1 + x.values[c] - x.values[j] - x.values[k]) / 2
-    return AngleStructure(values)
+    values = []
+    for f in range(t.n_faces):
+        for c in range(3):
+            j, k = ref_others(f, c)
+            values.append((1 + ref_angle(x, f, c) - ref_angle(x, *j) - ref_angle(x, *k)) / 2)
+    return AngleStructure(tuple(values))
 
 
 def ref_corner_transform_inverse(t, y):
     ref_complete(t, y)
-    values = {}
-    for c in t.corners():
-        j, k = ref_others(c)
-        values[c] = 1 - y.values[j] - y.values[k]
-    return AngleStructure(values)
+    values = []
+    for f in range(t.n_faces):
+        for c in range(3):
+            j, k = ref_others(f, c)
+            values.append(1 - ref_angle(y, *j) - ref_angle(y, *k))
+    return AngleStructure(tuple(values))
 
 
 def ref_witness_ok(t, x, fn, geometry):
     # an incomplete structure raises MissingCorner, whatever else is wrong
     ref_complete(t, x)
-    if not all(0 < x.values[c] < 1 for c in t.corners()):
+    if not all(0 < v < 1 for v in x.values):
         return False
     if ref_classify_structure(t, x) is not geometry:
         return False
@@ -312,7 +310,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of the angle error it raised."""
     try:
         return fn(*args)
-    except (MissingCorner, OutOfRange) as exc:
+    except (MissingCorner, DimensionMismatch, OutOfRange) as exc:
         return type(exc), str(exc)
 
 
@@ -332,14 +330,14 @@ def assert_matches_reference(t, x):
     for package, reference in PAIRS:
         assert outcome(package, t, x) == outcome(reference, t, x), package.__name__
     for f in range(t.n_faces):
-        triple = [x.values.get(Corner(f, k)) for k in range(3)]
-        if None not in triple:
+        triple = x.values[3 * f:3 * f + 3]
+        if len(triple) == 3:
             assert outcome(classify_triangle, *triple) == outcome(ref_classify_triangle, *triple)
     invariants = [outcome(ref_edge_invariant, t, x), outcome(ref_delaunay_invariant, t, x)]
     if isinstance(invariants[0], EdgeFunction):
         d = invariants[0]
         for step in (Fraction(1, BIG), Fraction(-1, BIG)):
-            invariants.append(EdgeFunction({**d.values, 0: d.value(0) + step}, d.kind))
+            invariants.append(EdgeFunction((d.values[0] + step, *d.values[1:]), d.kind))
     else:
         invariants = [const_fn(t, (1, 2))]
     for fn in invariants:
@@ -381,17 +379,19 @@ def sample_face(rng, kind, big):
 
 def sample_structure(rng, t):
     """Faces of one kind (so that a whole structure has a class) or of
-    mixed kinds, small or 300-digit denominators, sometimes a corner
-    missing."""
+    mixed kinds, small or 300-digit denominators, sometimes cut short or
+    one angle too long."""
     uniform = rng.choice(FACE_KINDS) if rng.random() < 0.5 else None
-    values = {}
-    for f in range(t.n_faces):
+    values = []
+    for _ in range(t.n_faces):
         kind = uniform or rng.choice(FACE_KINDS)
-        triple = sample_face(rng, kind, big=rng.random() < 0.3)
-        values.update((Corner(f, k), v) for k, v in enumerate(triple))
-    if rng.random() < 0.15:
-        del values[rng.choice(list(values))]
-    return AngleStructure(values)
+        values += sample_face(rng, kind, big=rng.random() < 0.3)
+    odd = rng.random()
+    if odd < 0.15:
+        values = values[:rng.randrange(len(values))]
+    elif odd < 0.2:
+        values.append(Fraction(1, 3))
+    return AngleStructure(tuple(values))
 
 
 def test_angle_functions_match_the_fraction_reference_seeded():
@@ -408,9 +408,10 @@ def test_angle_functions_match_the_fraction_reference_seeded():
             seen.add(ref_witness_ok(t, x, ref_edge_invariant(t, x), GeometryClass.HYPERBOLIC))
         else:
             seen.add(result[0])
-        if any(v.denominator > BIG for v in x.values.values()):
+        if any(v.denominator > BIG for v in x.values):
             seen.add("big")
-    assert seen >= set(GeometryClass) | {MissingCorner, OutOfRange, True, False, "big"}, seen
+    expected = set(GeometryClass) | {MissingCorner, DimensionMismatch, OutOfRange, True, False, "big"}
+    assert seen >= expected, seen
 
 
 def fractions_in(lo, hi):
@@ -432,11 +433,9 @@ def test_angle_functions_match_the_fraction_reference(gluing, data):
         t = random_triangulation(rng.choice([2, 4, 6]), rng)
     else:
         t = validate(gluing)
-    # mostly inside (0, pi), sometimes on or past its ends
+    # mostly inside (0, pi), sometimes on or past its ends; sometimes cut
+    # short or one angle too long
     n = 3 * t.n_faces
-    values = data.draw(st.lists(fractions_in(0, 1) | fractions_in(-1, 2), min_size=n, max_size=n))
-    x = dict(zip(t.corners(), values))
-    missing = data.draw(st.none() | st.sampled_from(list(x)))
-    if missing is not None:
-        del x[missing]
-    assert_matches_reference(t, AngleStructure(x))
+    values = data.draw(st.lists(fractions_in(0, 1) | fractions_in(-1, 2), min_size=n, max_size=n + 1))
+    length = data.draw(st.sampled_from([n, len(values)]) | st.integers(0, n - 1))
+    assert_matches_reference(t, AngleStructure(tuple(values[:length])))

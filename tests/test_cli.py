@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import anglestruct
-from anglestruct import feasibility, lp
+from anglestruct import angles, feasibility, lp
 from anglestruct.cli import EXIT_BROKEN_PIPE, main
 from anglestruct.feasibility import _scan, make_report
 from anglestruct.surface import validate
@@ -231,6 +231,33 @@ def test_verify_missing_corner_exits_2(tmp_path, capsys):
     path = write_instance(tmp_path, payload)
     code, out = run(capsys, ["verify", path])
     assert code == 2
+    # the error names the first absent corner in face/slot order
+    payload["structure"] = {"corners": [c for c in CORNERS if c[0] != "1/1"]}
+    path = write_instance(tmp_path, payload)
+    for command in ("verify", "invariants"):
+        code, out = run(capsys, [command, path])
+        assert code == 2
+        assert json.loads(out) == {"error": {"type": "MissingCorner", "message": "face 1 slot 1"}}
+
+
+def test_face_terms_computed_once_per_structure(tmp_path, capsys, monkeypatch):
+    # invariants reads the class, both invariants and the Euclidean relation,
+    # and verify one invariant and the class, all from one pass over the faces
+    code, out = run(capsys, ["gen", "--faces", "8", "--seed", "3", "--geometry", "hyperbolic"])
+    path = write_instance(tmp_path, json.loads(out))
+    calls = []
+    over_lcm = angles._over_lcm
+
+    def counting(values):
+        calls.append(len(values))
+        return over_lcm(values)
+
+    monkeypatch.setattr(angles, "_over_lcm", counting)
+    for command in ("invariants", "verify"):
+        calls.clear()
+        code, _ = run(capsys, [command, path])
+        assert code == 0
+        assert calls == [3] * 8, command
 
 
 def test_byte_identical_reports(tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_hyperbolic_construction_golden(tetra):
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.HYPERBOLIC
     d = edge_invariant(tetra, w)
-    assert all(d.value(e) == Fraction(3, 5) for e in range(6))
+    assert d.values == (Fraction(3, 5),) * 6
 
     cert = construct_structure(tetra, const_fn(tetra, (7, 10)), GeometryClass.HYPERBOLIC)
     assert isinstance(cert, FeasibilityReport)
@@ -116,7 +116,7 @@ def test_spherical_construction_golden(tetra):
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.SPHERICAL
     d = edge_invariant(tetra, w)
-    assert all(d.value(e) == Fraction(7, 10) for e in range(6))
+    assert d.values == (Fraction(7, 10),) * 6
 
     cert = construct_structure(tetra, const_fn(tetra, (3, 5)), GeometryClass.SPHERICAL)
     assert isinstance(cert, FeasibilityReport)
@@ -144,7 +144,7 @@ def test_delaunay_constructions(tetra):
     )
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.HYPERBOLIC
-    assert all(delaunay_invariant(tetra, w).value(e) == Fraction(3, 5) for e in range(6))
+    assert delaunay_invariant(tetra, w).values == (Fraction(3, 5),) * 6
 
     cert = construct_structure(
         tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
@@ -160,14 +160,14 @@ def test_delaunay_constructions(tetra):
     )
     assert isinstance(w, AngleStructure)
     assert classify_structure(tetra, w) is GeometryClass.SPHERICAL
-    assert all(delaunay_invariant(tetra, w).value(e) == Fraction(4, 5) for e in range(6))
+    assert delaunay_invariant(tetra, w).values == (Fraction(4, 5),) * 6
 
 
 def test_self_glued_constructions(self_glued):
     d = const_fn(self_glued, (1, 2))
     w = construct_structure(self_glued, d, GeometryClass.HYPERBOLIC)
     assert isinstance(w, AngleStructure)
-    assert all(edge_invariant(self_glued, w).value(e) == Fraction(1, 2) for e in range(3))
+    assert edge_invariant(self_glued, w).values == (Fraction(1, 2),) * 3
     w = construct_structure(self_glued, const_fn(self_glued, (3, 4)), GeometryClass.SPHERICAL)
     assert isinstance(w, AngleStructure)
     assert classify_structure(self_glued, w) is GeometryClass.SPHERICAL
@@ -272,7 +272,7 @@ def test_extract_certificate_needs_shifting(tetra):
     # weights violating only at X = {0}: neither the empty nor the full set
     from anglestruct import EdgeFunction
 
-    values = {e: (Fraction(1, 10) if e < 3 else Fraction(11, 10)) for e in range(6)}
+    values = tuple(Fraction(1, 10) if e < 3 else Fraction(11, 10) for e in range(6))
     d = EdgeFunction(values, InvariantKind.EDGE)
     assert check_via_enumeration(tetra, d, "T2").certificate == frozenset({0})
     report = check_via_flow(tetra, d, "T2")
@@ -341,10 +341,10 @@ def test_equality_boundary_instances(seed):
     t = random_triangulation(rng.choice([2, 4, 6, 8]), rng)
     x = random_structure(t, GeometryClass.HYPERBOLIC, rng)
     d = edge_invariant(t, x)
-    total = sum((d.value(e) for e in range(t.n_edges)), Fraction(0))
+    total = sum(d.values, Fraction(0))
     scale = Fraction(t.n_faces) / total
-    values = {e: d.value(e) * scale for e in range(t.n_edges)}
-    if any(not Fraction(0) < v < Fraction(2) for v in values.values()):
+    values = tuple(v * scale for v in d.values)
+    if any(not Fraction(0) < v < Fraction(2) for v in values):
         return
     scaled = EdgeFunction(values, InvariantKind.EDGE)
     assert check_via_enumeration(t, scaled, "T2").verdict is Verdict.INFEASIBLE
@@ -363,7 +363,7 @@ def test_round_trip_hyperbolic(seed):
     w = construct_structure(t, d, GeometryClass.HYPERBOLIC)
     assert isinstance(w, AngleStructure)
     assert classify_structure(t, w) is GeometryClass.HYPERBOLIC
-    assert all(edge_invariant(t, w).value(e) == d.value(e) for e in range(t.n_edges))
+    assert edge_invariant(t, w).values == d.values
 
 
 @settings(max_examples=25, deadline=None)
@@ -391,7 +391,7 @@ def _edge_program_weights(t, rng, case):
     is near |F| on average, so that both outcomes occur."""
     if case == "random":
         d = random_edge_values(t, rng, Fraction(0), Fraction(4, 3), InvariantKind.EDGE)
-        return [d.value(e) for e in range(t.n_edges)]
+        return list(d.values)
     geometry = GeometryClass.HYPERBOLIC if case == "feasible" else GeometryClass.EUCLIDEAN
     d = edge_invariant(t, random_structure(t, geometry, rng))
     factor = {
@@ -400,15 +400,15 @@ def _edge_program_weights(t, rng, case):
         "shrunk": Fraction(rng.randint(80, 99), 100),
         "pushed": Fraction(rng.randint(101, 120), 100),
     }[case]
-    return [d.value(e) * factor if d.value(e) * factor < 2 else d.value(e) for e in range(t.n_edges)]
+    return [v * factor if v * factor < 2 else v for v in d.values]
 
 
 def _edge_program_request(t, weights, theorem):
     """T2 prescribes the weights as its edge invariant, T3 the Delaunay
     invariant 2 - 2W whose weights 1 - Dd/2 they are."""
     if theorem == "T2":
-        return EdgeFunction(dict(enumerate(weights)), InvariantKind.EDGE), GeometryClass.HYPERBOLIC
-    values = {e: 2 - 2 * w for e, w in enumerate(weights)}
+        return EdgeFunction(tuple(weights), InvariantKind.EDGE), GeometryClass.HYPERBOLIC
+    values = tuple(2 - 2 * w for w in weights)
     return EdgeFunction(values, InvariantKind.DELAUNAY), GeometryClass.SPHERICAL
 
 
@@ -521,7 +521,7 @@ def test_newton_step_from_all_faces_but_one(self_glued):
     weights = [Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)]
     shifted = [w - Fraction(1, 5) for w in weights]
     assert min_cut(self_glued, shifted, Fraction(3, 5))[:3] == (Fraction(-3, 10), {0}, {0})
-    program = EdgeFunction(dict(enumerate(weights)), InvariantKind.EDGE)
+    program = EdgeFunction(tuple(weights), InvariantKind.EDGE)
     margin, _ = lp._flow_margin(self_glued, program)
     assert margin == Fraction(1, 20) == -lp.simplex_solve(lp._margin_lp(self_glued, program)).value
     w = construct_structure(self_glued, program, GeometryClass.HYPERBOLIC)

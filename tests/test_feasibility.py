@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglestruct import (
+    AngleStructure,
     EdgeFunction,
     GeometryClass,
     InvariantKind,
     Verdict,
     check_closure,
     check_via_enumeration,
+    check_via_flow,
+    check_via_lp,
+    classify_structure,
+    construct_structure,
     delaunay_invariant,
     edge_invariant,
     validate,
 )
-from anglestruct.errors import RangeViolation, TooLarge
+from anglestruct.errors import DimensionMismatch, MissingCorner, RangeViolation, TooLarge
 from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, subset_slack
 from anglestruct.sampling import (
     random_edge_values,
@@ -56,8 +61,8 @@ def oracle_minimisers(t, weights, grow_form):
 
 def weights_of(fn, t, theorem):
     if theorem in ("T3", "T4"):
-        return [1 - fn.value(e) / 2 for e in range(t.n_edges)]
-    return [fn.value(e) for e in range(t.n_edges)]
+        return [1 - v / 2 for v in fn.values]
+    return list(fn.values)
 
 
 def assert_scan_matches_oracle(t, fn, theorem):
@@ -157,6 +162,28 @@ def test_range_violations(tetra):
         check_via_enumeration(tetra, const_fn(tetra, (1, 2), InvariantKind.DELAUNAY), "T1")
 
 
+def test_wrong_lengths_raise_library_errors(tetra):
+    # every decider, construct and subset_slack compare fn's length with
+    # tetra's edge count, and every angle function x's with its corners
+    for n in (5, 7):
+        fn = EdgeFunction((Fraction(7, 10),) * n, InvariantKind.EDGE)
+        for decide in (check_via_enumeration, check_via_flow):
+            with pytest.raises(DimensionMismatch):
+                decide(tetra, fn, "T2")
+        with pytest.raises(DimensionMismatch):
+            subset_slack(tetra, fn, "T2", frozenset({3}))
+        for geometry in (GeometryClass.HYPERBOLIC, GeometryClass.SPHERICAL):
+            for build in (construct_structure, check_via_lp):
+                with pytest.raises(DimensionMismatch):
+                    build(tetra, fn, geometry)
+    third = Fraction(1, 3)
+    with pytest.raises(MissingCorner, match="^face 3 slot 2$"):
+        classify_structure(tetra, AngleStructure((third,) * 11))
+    for function in (classify_structure, edge_invariant, delaunay_invariant):
+        with pytest.raises(DimensionMismatch):
+            function(tetra, AngleStructure((third,) * 13))
+
+
 def test_enumeration_cap(tetra):
     with pytest.raises(TooLarge):
         check_via_enumeration(tetra, const_fn(tetra, (1, 2)), "T1", cap=2)
@@ -182,11 +209,11 @@ def test_scan_matches_oracle_with_mixed_denominators():
         n = 2 * (trial % 4 + 1)
         t = random_triangulation(n, rng)
         for theorem, row in THEOREMS.items():
-            values = {}
-            for e in range(t.n_edges):
+            values = []
+            for _ in range(t.n_edges):
                 den = rng.choice((7, 9, 11, 240))
-                values[e] = Fraction(rng.randint(den // 3, den - 1), den)
-            assert_scan_matches_oracle(t, EdgeFunction(values, row.kind), theorem)
+                values.append(Fraction(rng.randint(den // 3, den - 1), den))
+            assert_scan_matches_oracle(t, EdgeFunction(tuple(values), row.kind), theorem)
 
 
 def test_scan_joins_t1_t4_zero_tie():
@@ -198,7 +225,7 @@ def test_scan_joins_t1_t4_zero_tie():
         ("T1", InvariantKind.EDGE, weights),
         ("T4", InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]),
     ):
-        fn = EdgeFunction(dict(enumerate(values)), kind)
+        fn = EdgeFunction(tuple(values), kind)
         assert oracle_minimisers(t, weights, True) == (0, [frozenset({3}), frozenset(range(4))])
         slack, meet, join, _ = _scan(t, weights, True, t.n_faces)
         assert (slack, meet, join) == (0, frozenset({3}), frozenset(range(4)))
@@ -214,10 +241,7 @@ def test_t1_t4_duality_under_substitution(seed, n):
     rng = random.Random(seed)
     t = random_triangulation(n, rng)
     d = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
-    dd = EdgeFunction(
-        {e: 2 - 2 * d.value(e) for e in range(t.n_edges)},
-        InvariantKind.DELAUNAY,
-    )
+    dd = EdgeFunction(tuple(2 - 2 * v for v in d.values), InvariantKind.DELAUNAY)
     r1 = check_via_enumeration(t, d, "T1")
     r4 = check_via_enumeration(t, dd, "T4")
     assert r1.verdict == r4.verdict
@@ -231,10 +255,7 @@ def test_t3_delegates_to_t2_verbatim(seed, n):
     rng = random.Random(seed)
     t = random_triangulation(n, rng)
     dd = random_edge_values(t, rng, Fraction(-2), Fraction(2), InvariantKind.DELAUNAY)
-    reduced = EdgeFunction(
-        {e: 1 - dd.value(e) / 2 for e in range(t.n_edges)},
-        InvariantKind.EDGE,
-    )
+    reduced = EdgeFunction(tuple(1 - v / 2 for v in dd.values), InvariantKind.EDGE)
     r3 = check_via_enumeration(t, dd, "T3")
     r2 = check_via_enumeration(t, reduced, "T2")
     assert r3.verdict == r2.verdict
@@ -273,8 +294,7 @@ def test_monotonicity_in_single_edge(seed):
 
     before = check_via_enumeration(t, d, "T2").verdict
     raised = EdgeFunction(
-        {k: (d.value(k) + bump if k == e else d.value(k)) for k in range(t.n_edges)},
-        InvariantKind.EDGE,
+        tuple(v + bump if k == e else v for k, v in enumerate(d.values)), InvariantKind.EDGE
     )
     after = check_via_enumeration(t, raised, "T2").verdict
     assert not (before is Verdict.INFEASIBLE and after is Verdict.FEASIBLE)
@@ -282,10 +302,9 @@ def test_monotonicity_in_single_edge(seed):
     before = check_via_enumeration(t, d, "T1").verdict
     lower = Fraction(rng.randint(1, 100), 1000)
     lowered = EdgeFunction(
-        {k: (d.value(k) - lower if k == e else d.value(k)) for k in range(t.n_edges)},
-        InvariantKind.EDGE,
+        tuple(v - lower if k == e else v for k, v in enumerate(d.values)), InvariantKind.EDGE
     )
-    if all(lowered.value(k) > 0 for k in range(t.n_edges)):
+    if all(v > 0 for v in lowered.values):
         after = check_via_enumeration(t, lowered, "T1").verdict
         assert not (before is Verdict.INFEASIBLE and after is Verdict.FEASIBLE)
 
@@ -315,14 +334,14 @@ def test_witness_backed_examples(tetra):
     from conftest import const_fn as _
     import anglestruct as a
 
-    x = a.AngleStructure({c: Fraction(7, 20) for c in tetra.corners()})
+    x = a.AngleStructure((Fraction(7, 20),) * 12)
     assert check_via_enumeration(tetra, edge_invariant(tetra, x), "T1").verdict is Verdict.FEASIBLE
-    x = a.AngleStructure({c: Fraction(3, 10) for c in tetra.corners()})
+    x = a.AngleStructure((Fraction(3, 10),) * 12)
     assert (
         check_via_enumeration(tetra, delaunay_invariant(tetra, x), "T4").verdict
         is Verdict.FEASIBLE
     )
-    x = a.AngleStructure({c: Fraction(2, 5) for c in tetra.corners()})
+    x = a.AngleStructure((Fraction(2, 5),) * 12)
     dd = delaunay_invariant(tetra, x)
-    assert all(dd.value(e) == Fraction(4, 5) for e in range(6))
+    assert dd.values == (Fraction(4, 5),) * 6
     assert check_via_enumeration(tetra, dd, "T3").verdict is Verdict.FEASIBLE

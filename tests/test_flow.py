@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from anglestruct import (
     AngleStructure,
-    Corner,
     EdgeFunction,
     GeometryClass,
     InvariantKind,
@@ -54,27 +53,25 @@ def nudged_boundary_values(t, theorem, rng):
     at the empty and the full set), then shift weight between the edges of
     a random face set Y and the rest, keeping W(E), and nudge a few edges:
     minimisers then fall on Y and on other sets between empty and full."""
-    angles = {}
-    for f in range(t.n_faces):
+    angles = []
+    for _ in range(t.n_faces):
         p = [rng.randint(8, 12) for _ in range(3)]
-        for k in range(3):
-            angles[Corner(f, k)] = Fraction(p[k], sum(p))
-    base = edge_invariant(t, AngleStructure(angles))
+        angles += [Fraction(v, sum(p)) for v in p]
+    base = edge_invariant(t, AngleStructure(tuple(angles)))
     y = rng.sample(range(t.n_faces), rng.randint(1, t.n_faces))
     inside = {e for f in y for e in t.faces[f]}
     n_in, n_out = len(inside), t.n_edges - len(inside)
     step = Fraction(rng.randint(-8, 48), 96 * max(n_in, n_out))
     hi = 1 if theorem in ("T1", "T4") else 2
     weights = []
-    for e in range(t.n_edges):
-        w = base.value(e)
+    for e, w in enumerate(base.values):
         shifted = w - step * n_out if e in inside else w + step * n_in
         if rng.random() < 1 / 4:
             shifted += Fraction(rng.randint(-4, 4), 96)
         weights.append(shifted if 0 < shifted < hi else w)
     kind = THEOREMS[theorem].kind
     values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
-    return EdgeFunction(dict(enumerate(values)), kind)
+    return EdgeFunction(tuple(values), kind)
 
 
 def planted_tie_values(t, theorem, rng):
@@ -111,7 +108,7 @@ def planted_tie_values(t, theorem, rng):
                 weights[e] = Fraction(p, sum(parts.values()))
         kind = THEOREMS[theorem].kind
         values = weights if kind is InvariantKind.EDGE else [2 - 2 * w for w in weights]
-        return EdgeFunction(dict(enumerate(values)), kind), frozenset(pair)
+        return EdgeFunction(tuple(values), kind), frozenset(pair)
     return None
 
 
@@ -155,7 +152,7 @@ def test_flow_boundary_instances_from_euclidean_structures(seed, n):
     x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
     d, dd = edge_invariant(t, x), delaunay_invariant(t, x)
     cases = [("T2", d), ("T3", dd), ("L7", d)]
-    if all(d.value(e) < Fraction(1) for e in range(t.n_edges)):
+    if all(v < Fraction(1) for v in d.values):
         cases += [("T1", d), ("T4", dd)]
     for theorem, fn in cases:
         flow = assert_flow_matches_enumeration(t, fn, theorem)
@@ -237,7 +234,7 @@ def test_flow_rejects_out_of_domain_like_enumeration(tetra):
 def instance_payload(t, fn):
     return {
         "faces": [list(row) for row in t.faces],
-        "invariant": {"kind": fn.kind.value, "values": {str(e): render(fn.value(e)) for e in range(t.n_edges)}},
+        "invariant": {"kind": fn.kind.value, "values": {str(e): render(v) for e, v in enumerate(fn.values)}},
     }
 
 
@@ -246,7 +243,7 @@ def euclidean_boundary_values(t, row, rng):
     minimum slack is exactly 0, or None when it is outside the domain."""
     x = random_structure(t, GeometryClass.EUCLIDEAN, rng)
     fn = edge_invariant(t, x) if row.kind is InvariantKind.EDGE else delaunay_invariant(t, x)
-    return fn if all(row.lo < fn.value(e) < row.hi for e in range(t.n_edges)) else None
+    return fn if all(row.lo < v < row.hi for v in fn.values) else None
 
 
 def assert_one_report(tmp_path, capsys, t, rng):
@@ -304,7 +301,7 @@ def test_t1_zero_tie_prints_one_report(tmp_path, capsys):
     # face 3 and all four faces reach slack 0 under T1; every decider and
     # construct report the join of the two, all four faces
     t = validate([[0, 1, 1], [2, 3, 4], [2, 0, 3], [4, 5, 5]])
-    d = EdgeFunction({e: Fraction(1, 4) if e == 4 else Fraction(3, 4) for e in range(6)}, InvariantKind.EDGE)
+    d = EdgeFunction(tuple(Fraction(1, 4) if e == 4 else Fraction(3, 4) for e in range(6)), InvariantKind.EDGE)
     path = tmp_path / "tie.json"
     path.write_text(json.dumps(instance_payload(t, d)))
     check = ["check", str(path), "--geometry", "spherical", "--invariant", "edge"]

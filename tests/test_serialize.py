@@ -27,7 +27,7 @@ def test_round_trip_edge_function(tetra):
         tetra, {"kind": "edge", "values": {str(e): "7/10" for e in range(6)}}
     )
     assert fn.kind is InvariantKind.EDGE
-    assert fn.value(3) == Fraction(7, 10)
+    assert fn.values == (Fraction(7, 10),) * 6
     assert edge_function_to_json(tetra, fn)["values"]["0"] == "7/10"
 
 
@@ -44,10 +44,18 @@ def test_edge_function_requires_all_edges(tetra):
         )
 
 
+CORNERS = [[f"{f}/{k}", "1/3"] for f in range(4) for k in range(3)]
+
+
 def test_structure_round_trip(tetra):
-    obj = {"corners": [[f"{f}/{k}", "1/3"] for f in range(4) for k in range(3)]}
+    obj = {"corners": CORNERS}
     x = structure_from_json(tetra, obj)
+    assert x.values == (Fraction(1, 3),) * 12
     assert structure_to_json(tetra, x) == obj
+    # corners may come in any order; each is read into 3*face + slot
+    shuffled = [[key, f"{i}/13"] for i, (key, _) in enumerate(CORNERS)][::-1]
+    expected = tuple(Fraction(i, 13) for i in range(12))
+    assert structure_from_json(tetra, {"corners": shuffled}).values == expected
 
 
 def test_structure_errors(tetra):
@@ -55,8 +63,14 @@ def test_structure_errors(tetra):
         structure_from_json(tetra, {"corners": [["9/0", "1/3"]]})
     with pytest.raises(InvalidInstance):
         structure_from_json(tetra, {"corners": [["zero", "1/3"]]})
-    with pytest.raises(MissingCorner):
+    with pytest.raises(MissingCorner, match="^face 0 slot 1$"):
         structure_from_json(tetra, {"corners": [["0/0", "1/3"]]})
+    # the first absent corner in face/slot order, wherever the gaps are
+    lacking = [entry for entry in reversed(CORNERS) if entry[0] not in ("1/1", "3/2")]
+    with pytest.raises(MissingCorner, match="^face 1 slot 1$"):
+        structure_from_json(tetra, {"corners": lacking})
+    with pytest.raises(InvalidInstance, match="given twice"):
+        structure_from_json(tetra, {"corners": CORNERS + CORNERS[:1]})
 
 
 def test_load_instance_rejects_both_invariant_forms(tmp_path):
