@@ -180,10 +180,7 @@ def corner_transform_inverse(t: Triangulation, y: AngleStructure) -> AngleStruct
     return _map_corners(t, y, lambda v, total, den: Fraction(den - total + v, den))
 
 
-def euclidean_relation_holds(t: Triangulation, x: AngleStructure) -> bool:
-    """True when 2*D(e) + Dd(e) = 2*pi on every edge; both invariants of an
-    edge come over the same lcm, from one pass over the faces."""
-    faces = _face_terms(t, x)
-    d = _invariant_terms(t, faces, InvariantKind.EDGE)
-    dd = _invariant_terms(t, faces, InvariantKind.DELAUNAY)
-    return all(2 * n + nn == 2 * den for (n, den), (nn, _) in zip(d, dd))
+def euclidean_relation_holds(d: EdgeFunction, dd: EdgeFunction) -> bool:
+    """True when 2*D(e) + Dd(e) = 2*pi on every edge, for the edge invariant
+    d and the Delaunay invariant dd of one structure."""
+    return all(2 * v + w == 2 for v, w in zip(d.values, dd.values, strict=True))

@@ -174,11 +174,12 @@ def cmd_invariants(args) -> int:
     if structure is None:
         raise InvalidInstance("instance carries no structure payload")
     cls = classify_structure(t, structure)
+    d, dd = edge_invariant(t, structure), delaunay_invariant(t, structure)
     out = {
         "class": cls.value,
-        "edge": edge_function_to_json(t, edge_invariant(t, structure)),
-        "delaunay": edge_function_to_json(t, delaunay_invariant(t, structure)),
-        "euclidean_relation": euclidean_relation_holds(t, structure),
+        "edge": edge_function_to_json(t, d),
+        "delaunay": edge_function_to_json(t, dd),
+        "euclidean_relation": euclidean_relation_holds(d, dd),
     }
     print(dumps(out))
     return 0

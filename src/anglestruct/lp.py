@@ -9,12 +9,13 @@ touches only nonzeros and is exact without ``Fraction`` arithmetic.  The
 entering column has the most negative reduced cost (Dantzig's rule); after
 a fixed run of degenerate pivots Bland's rule takes over until the point
 moves, so the run ends even on the highly degenerate symmetric instances
-this domain produces.  The point, value and multipliers become
-``Fraction``s only when read out and checked, against the problem's own
-data through its nonzero view of A by rows and by columns.  At an optimum
-the dual multipliers are read off the reduced costs of each row's initial
-unit column; when phase 1 ends positive the same read yields a Farkas
-vector (A^t y <= 0, b^t y > 0).
+this domain produces.  A problem is stored only as its integer rows
+(``LpProblem.row_terms``); ``make_problem`` converts dense data.  The
+point, value and multipliers become ``Fraction``s only when read out and
+checked, against those rows and the column view built from them.  At an
+optimum the dual multipliers are read off the reduced costs of each row's
+initial unit column; when phase 1 ends positive the same read yields a
+Farkas vector (A^t y <= 0, b^t y > 0).
 
 Construction solves one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
@@ -88,30 +89,21 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min c.x  subject to  A x = b, x >= 0, all data rational."""
+    """min c.x  subject to  A x = b, x >= 0, all data rational, stored only
+    as A's rows scaled to integers: row i is the nonzeros (j, L_i a_ij),
+    then L_i b_i and L_i > 0, with L_i the lcm of the row's denominators
+    (make_problem builds this from dense data)."""
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
+    row_terms: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
         n = len(self.c)
-        if len(self.a) != len(self.b):
-            raise DimensionMismatch("row count of A differs from b")
-        for row in self.a:
-            if len(row) != n:
-                raise DimensionMismatch("row width of A differs from c")
-
-    @cached_property
-    def row_terms(self) -> tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]:
-        """Each equation a_i x = b_i times L_i, the lcm of its denominators:
-        the nonzeros (j, L_i a_ij) as ints, L_i b_i and L_i."""
-        view = []
-        for row, bv in zip(self.a, self.b):
-            cols = [j for j, v in enumerate(row) if v]
-            (scaled_b, *nums), scale = _over_lcm([bv, *(row[j] for j in cols)])
-            view.append((tuple(zip(cols, nums)), scaled_b, scale))
-        return tuple(view)
+        for terms, _, scale in self.row_terms:
+            if scale <= 0:
+                raise DimensionMismatch("row scale is not positive")
+            if any(not 0 <= j < n for j, _ in terms):
+                raise DimensionMismatch("row names a column outside c")
 
     @cached_property
     def col_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -125,7 +117,7 @@ class LpProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.a)
+        return len(self.row_terms)
 
     @property
     def n_cols(self) -> int:
@@ -133,12 +125,19 @@ class LpProblem:
 
 
 def make_problem(a, b, c) -> LpProblem:
-    """Coerce nested int/Fraction data into a canonical LpProblem."""
-    return LpProblem(
-        tuple(tuple(Fraction(v) for v in row) for row in a),
-        tuple(Fraction(v) for v in b),
-        tuple(Fraction(v) for v in c),
-    )
+    """The LpProblem of dense int/Fraction data A, b and c: each equation
+    a_i x = b_i times the lcm of its denominators, its zeros dropped."""
+    c = tuple(Fraction(v) for v in c)
+    if len(a) != len(b):
+        raise DimensionMismatch("row count of A differs from b")
+    view = []
+    for row, bv in zip(a, b):
+        if len(row) != len(c):
+            raise DimensionMismatch("row width of A differs from c")
+        cols = [j for j, v in enumerate(row) if v]
+        (scaled_b, *nums), scale = _over_lcm([Fraction(bv), *(Fraction(row[j]) for j in cols)])
+        view.append((tuple(zip(cols, nums)), scaled_b, scale))
+    return LpProblem(tuple(view), c)
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
         if _run(rows, dens, basis, n) is not None:
             raise VerificationFailed("phase 1 unbounded")
         if rows[-1].get(_RHS, 0) < 0:  # the artificials sum to more than 0
-            y = _read_dual(rows, dens, reader, orig, phase1_cost, problem.b)
+            y = _read_dual(rows, dens, reader, orig, phase1_cost, problem.row_terms)
             _verify_farkas(problem, y)
             return Infeasible(tuple(y))
         _expel_artificials(rows, dens, basis, reader, orig, n)
@@ -306,7 +305,7 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
         if col < n:
             x[col] = Fraction(row.get(_RHS, 0), den)
     value = Fraction(-rows[-1].get(_RHS, 0), dens[-1])
-    y = _read_dual(rows, dens, reader, orig, phase2_cost, problem.b)
+    y = _read_dual(rows, dens, reader, orig, phase2_cost, problem.row_terms)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
@@ -328,20 +327,20 @@ def _expel_artificials(rows, dens, basis, reader, orig, n):
         i += 1
 
 
-def _read_dual(rows, dens, reader, orig, costs, b):
+def _read_dual(rows, dens, reader, orig, costs, row_terms):
     """Row multipliers via y_i = c_u - r_u at each row's initial unit column,
-    negated for a row that was negated to make b_i >= 0."""
+    negated for a row that was negated to make L_i b_i >= 0."""
     obj, den = rows[-1], dens[-1]
-    y = [ZERO] * len(b)
+    y = [ZERO] * len(row_terms)
     for col, i in zip(reader, orig):
         yi = costs[col] - Fraction(obj.get(col, 0), den)
-        y[i] = yi if b[i] >= 0 else -yi
+        y[i] = yi if row_terms[i][1] >= 0 else -yi
     return y
 
 
 # The checks read the problem's own data, never the tableau, in exact
-# integers: x, y and c scaled by the lcm of their denominators, against the
-# row-scaled nonzero view of A by rows or by columns.
+# integers: x, y and c scaled by the lcm of their denominators, against
+# row_terms or col_terms.
 
 
 def _dot(terms, values):
@@ -393,8 +392,11 @@ def _verify_optimal(problem: LpProblem, x, value, y):
 def render_problem(problem: LpProblem) -> str:
     """Plain-text dump, every entry as p/q, for --dump-lp auditing."""
     lines = [f"min {' '.join(render(v) for v in problem.c)}"]
-    for row, bv in zip(problem.a, problem.b):
-        lines.append(f"{' '.join(render(v) for v in row)} = {render(bv)}")
+    for terms, bv, scale in problem.row_terms:
+        row = [ZERO] * problem.n_cols
+        for j, v in terms:
+            row[j] = Fraction(v, scale)
+        lines.append(f"{' '.join(render(v) for v in row)} = {render(Fraction(bv, scale))}")
     return "\n".join(lines)
 
 
@@ -415,9 +417,8 @@ def _edge_row_pattern(t: Triangulation, e: int, kind: InvariantKind) -> dict[int
 
 def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
     """min -m over a_i, s_f, m with face rows a_i+a_j+a_k + 4m + s_f = pi
-    and invariant rows pattern + 2m = value.  The rows are built in the form
-    of LpProblem.row_terms (an edge row with value p/q is its integer
-    pattern times q, = p) and A is filled from them, never scanned back."""
+    and invariant rows pattern + 2m = value, built as LpProblem.row_terms:
+    an edge row with value p/q is its integer pattern times q, = p."""
     nf, margin_col = t.n_faces, 4 * t.n_faces
     view = [
         (((3 * f, 1), (3 * f + 1, 1), (3 * f + 2, 1), (3 * nf + f, 1), (margin_col, 4)), 1, 1)
@@ -427,14 +428,7 @@ def _margin_lp(t: Triangulation, program: EdgeFunction) -> LpProblem:
         q, pattern = value.denominator, _edge_row_pattern(t, e, program.kind)
         terms = [(j, v * q) for j, v in sorted(pattern.items()) if v] + [(margin_col, 2 * q)]
         view.append((tuple(terms), value.numerator, q))
-    a = [[ZERO] * (margin_col + 1) for _ in view]
-    for row, (terms, _, scale) in zip(a, view):
-        for j, v in terms:
-            row[j] = Fraction(v, scale)
-    b = tuple(Fraction(bv, scale) for _, bv, scale in view)
-    problem = LpProblem(tuple(map(tuple, a)), b, (ZERO,) * margin_col + (-ONE,))
-    vars(problem)["row_terms"] = tuple(view)  # where the cached_property keeps it
-    return problem
+    return LpProblem(tuple(view), (ZERO,) * margin_col + (-ONE,))
 
 
 def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):

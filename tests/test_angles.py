@@ -148,8 +148,9 @@ def test_invariant_identities(seed, n):
 
 
 def test_euclidean_relation(tetra):
-    assert euclidean_relation_holds(tetra, uniform_structure(tetra, (1, 3)))
-    assert not euclidean_relation_holds(tetra, uniform_structure(tetra, (3, 10)))
+    x, y = uniform_structure(tetra, (1, 3)), uniform_structure(tetra, (3, 10))
+    assert euclidean_relation_holds(edge_invariant(tetra, x), delaunay_invariant(tetra, x))
+    assert not euclidean_relation_holds(edge_invariant(tetra, y), delaunay_invariant(tetra, y))
 
 
 def test_corner_transform_examples(tetra):

@@ -242,22 +242,31 @@ def test_verify_missing_corner_exits_2(tmp_path, capsys):
 
 def test_face_terms_computed_once_per_structure(tmp_path, capsys, monkeypatch):
     # invariants reads the class, both invariants and the Euclidean relation,
-    # and verify one invariant and the class, all from one pass over the faces
+    # and verify one invariant and the class, all from one pass over the
+    # faces; each invariant is one pass over the edges, and the relation is
+    # read off the two invariants already computed
     code, out = run(capsys, ["gen", "--faces", "8", "--seed", "3", "--geometry", "hyperbolic"])
     path = write_instance(tmp_path, json.loads(out))
-    calls = []
-    over_lcm = angles._over_lcm
+    calls, kinds = [], []
+    over_lcm, invariant_terms = angles._over_lcm, angles._invariant_terms
 
     def counting(values):
         calls.append(len(values))
         return over_lcm(values)
 
+    def counting_terms(t, faces, kind):
+        kinds.append(kind)
+        return invariant_terms(t, faces, kind)
+
     monkeypatch.setattr(angles, "_over_lcm", counting)
-    for command in ("invariants", "verify"):
+    monkeypatch.setattr(angles, "_invariant_terms", counting_terms)
+    for command, passes in (("invariants", 2), ("verify", 1)):
         calls.clear()
+        kinds.clear()
         code, _ = run(capsys, [command, path])
         assert code == 0
         assert calls == [3] * 8, command
+        assert len(kinds) == passes, (command, kinds)
 
 
 def test_byte_identical_reports(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -47,10 +48,18 @@ def test_trivial_unbounded_ray():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        LpProblem(((Fraction(1),),), (Fraction(1), Fraction(2)), (Fraction(0),))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="row count"):
+        make_problem([[1]], [1, 2], [0])
+    with pytest.raises(DimensionMismatch, match="row width"):
         make_problem([[1, 2]], [1], [0])
+    # the stored rows are checked too: a column outside c, a scale that is not positive
+    LpProblem(((((1, 1),), 1, 1),), fractions(0, 0))
+    with pytest.raises(DimensionMismatch, match="outside c"):
+        LpProblem(((((2, 1),), 1, 1),), fractions(0, 0))
+    with pytest.raises(DimensionMismatch, match="outside c"):
+        LpProblem(((((-1, 1),), 1, 1),), fractions(0, 0))
+    with pytest.raises(DimensionMismatch, match="scale"):
+        LpProblem(((((1, 1),), 1, 0),), fractions(0, 0))
 
 
 def test_degenerate_cycling_guard():
@@ -200,21 +209,22 @@ def test_verifiers_reject_tampered_answers():
 
 
 def random_problem(rng, m, n):
+    """Dense A, b and c with small integer entries."""
     a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)]
     b = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
     c = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-    return make_problem(a, b, c)
+    return a, b, c
 
 
 def random_rational_problem(rng, m, n):
-    """Entries p/q with q up to 6 and either sign, so rows mix denominators
-    and b has negative entries."""
+    """Dense A, b and c with entries p/q, q up to 6 and either sign, so rows
+    mix denominators and b has negative entries."""
 
     def draw():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
     a = [[draw() for _ in range(n)] for _ in range(m)]
-    return make_problem(a, [draw() for _ in range(m)], [draw() for _ in range(n)])
+    return a, [draw() for _ in range(m)], [draw() for _ in range(n)]
 
 
 def outcome_counts(rng, draw, trials):
@@ -223,7 +233,7 @@ def outcome_counts(rng, draw, trials):
     validity on every solve, so the sweep exercises every path."""
     statuses = {"Optimal": 0, "Infeasible": 0, "Unbounded": 0}
     for _ in range(trials):
-        out = simplex_solve(draw(rng, rng.randint(1, 6), rng.randint(1, 8)))
+        out = simplex_solve(make_problem(*draw(rng, rng.randint(1, 6), rng.randint(1, 8))))
         statuses[type(out).__name__] += 1
     return statuses
 
@@ -260,10 +270,38 @@ def test_pivots_keep_rows_canonical(monkeypatch):
     assert len(pivots) > 1000, len(pivots)
 
 
-def test_margin_program_row_view_equals_the_scanned_one():
-    # the margin program is built as its integer row view; scanning its A
-    # back, as for any other problem, must give the same view
-    # (a self-glued Delaunay row cancels a corner, which the view omits)
+def dense_margin_program(t, program):
+    """The margin program written out densely from its formula: columns a_i
+    (3*face + slot), then s_f, then m; face rows a_i+a_j+a_k + 4m + s_f = 1;
+    edge rows + 2m = value over the facing corner (edge invariant) or the
+    two other corners minus the facing one (Delaunay), for each side."""
+    nf, margin = t.n_faces, 4 * t.n_faces
+    a, b = [], []
+    for f in range(nf):
+        row = [0] * (margin + 1)
+        row[3 * f] = row[3 * f + 1] = row[3 * f + 2] = 1
+        row[3 * nf + f], row[margin] = 1, 4
+        a.append(row)
+        b.append(1)
+    for corners, value in zip(t.edge_corners, program.values, strict=True):
+        row = [0] * (margin + 1)
+        for corner in corners:
+            for slot in range(3):
+                if slot == corner.slot:
+                    row[3 * corner.face + slot] += 1 if program.kind is InvariantKind.EDGE else -1
+                elif program.kind is InvariantKind.DELAUNAY:
+                    row[3 * corner.face + slot] += 1
+        row[margin] = 2
+        a.append(row)
+        b.append(value)
+    return make_problem(a, b, [0] * margin + [-1])
+
+
+def test_margin_program_equals_the_dense_reference():
+    # the margin program is built directly as integer rows; written out
+    # densely from its formula and converted by make_problem, it must be the
+    # same problem (a self-glued Delaunay row cancels a corner, which the
+    # rows omit)
     rng, built = random.Random(4711), 0
     for _ in range(80):
         faces = rng.choice([SELF_GLUED_FACES, None])
@@ -275,9 +313,25 @@ def test_margin_program_row_view_equals_the_scanned_one():
             problem = build_construction_lp(t, d, geometry)
         except RangeViolation:  # outside the theorem's domain
             continue
-        assert problem.row_terms == LpProblem(problem.a, problem.b, problem.c).row_terms
+        _, program, _ = lp._route(t, d, geometry)
+        assert problem == dense_margin_program(t, program)
         built += 1
     assert built > 50, built
+
+
+def test_margin_program_at_480_faces_stays_small():
+    # the program is held as its nonzeros alone, not as a dense 1200 x 1921 A
+    rng = random.Random(0)
+    t = random_triangulation(480, rng)
+    d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
+    tracemalloc.start()
+    try:
+        problem = build_construction_lp(t, d, GeometryClass.HYPERBOLIC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (problem.n_rows, problem.n_cols) == (1200, 1921)
+    assert peak <= 4 * 2**20, peak
 
 
 def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
@@ -289,17 +343,17 @@ def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
     rng = random.Random(1618)
     unique = 0
     for _ in range(400):
-        problem = random_rational_problem(rng, rng.randint(1, 4), rng.randint(2, 7))
-        out = simplex_solve(problem)
+        a, b, c = random_rational_problem(rng, rng.randint(1, 4), rng.randint(2, 7))
+        out = simplex_solve(make_problem(a, b, c))
         if not isinstance(out, Optimal):
             continue
-        i, q = rng.randrange(problem.n_rows), Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        a = [[q * v for v in row] if k == i else row for k, row in enumerate(problem.a)]
-        b = [q * v if k == i else v for k, v in enumerate(problem.b)]
-        scaled = simplex_solve(make_problem(a, b, problem.c))
+        i, q = rng.randrange(len(a)), Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled_a = [[q * v for v in row] if k == i else row for k, row in enumerate(a)]
+        scaled_b = [q * v if k == i else v for k, v in enumerate(b)]
+        scaled = simplex_solve(make_problem(scaled_a, scaled_b, c))
         assert isinstance(scaled, Optimal) and scaled.value == out.value
-        reduced = [cj - sum(row[j] * yk for row, yk in zip(problem.a, out.dual)) for j, cj in enumerate(problem.c)]
-        if sum(v > 0 for v in out.x) == problem.n_rows and all(
+        reduced = [cj - sum(row[j] * yk for row, yk in zip(a, out.dual)) for j, cj in enumerate(c)]
+        if sum(v > 0 for v in out.x) == len(a) and all(
             r > 0 for r, v in zip(reduced, out.x) if v == 0
         ):
             unique += 1
@@ -308,24 +362,25 @@ def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
     assert unique > 10, unique
 
 
-def dual_cone_max_is_zero(problem) -> bool:
-    """Independently decide sign(max b.y : A^t y <= 0) via a second LP.
+def dual_cone_max_is_zero(a, b, n) -> bool:
+    """Independently decide sign(max b.y : A^t y <= 0) via a second LP, for
+    a dense A with n columns.
 
     The cone always contains y = 0, so the maximum is 0 (bounded) or
     +infinity; returns True when it is 0.
     """
-    m, n = problem.n_rows, problem.n_cols
+    m = len(a)
     a2 = []
     for j in range(n):
         row = []
         for i in range(m):
-            row.append(problem.a[i][j])
+            row.append(a[i][j])
         for i in range(m):
-            row.append(-problem.a[i][j])
+            row.append(-a[i][j])
         row.extend(Fraction(1) if k == j else Fraction(0) for k in range(n))
         a2.append(row)
     b2 = [Fraction(0)] * n
-    c2 = [-problem.b[i] for i in range(m)] + [problem.b[i] for i in range(m)] + [Fraction(0)] * n
+    c2 = [-b[i] for i in range(m)] + [b[i] for i in range(m)] + [Fraction(0)] * n
     out = simplex_solve(make_problem(a2, b2, c2))
     if isinstance(out, Optimal):
         assert out.value == 0
@@ -340,18 +395,17 @@ def test_feasibility_equals_dual_cone_sign():
     rng = random.Random(4242)
     agree = 0
     for _ in range(120):
-        problem = random_problem(rng, rng.randint(1, 6), rng.randint(1, 8))
-        primal = simplex_solve(
-            make_problem(problem.a, problem.b, [Fraction(0)] * problem.n_cols)
-        )
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        a, b, _ = random_problem(rng, m, n)
+        primal = simplex_solve(make_problem(a, b, [Fraction(0)] * n))
         primal_feasible = isinstance(primal, Optimal)
-        dual_bounded = dual_cone_max_is_zero(problem)
+        dual_bounded = dual_cone_max_is_zero(a, b, n)
         assert primal_feasible == dual_bounded
         if isinstance(primal, Infeasible):
             y = primal.certificate
-            for j in range(problem.n_cols):
-                assert sum(problem.a[i][j] * y[i] for i in range(problem.n_rows)) <= 0
-            assert sum(problem.b[i] * y[i] for i in range(problem.n_rows)) > 0
+            for j in range(n):
+                assert sum(a[i][j] * y[i] for i in range(m)) <= 0
+            assert sum(b[i] * y[i] for i in range(m)) > 0
         agree += 1
     assert agree == 120
 
@@ -392,7 +446,8 @@ def test_strong_duality_on_construction_programs():
         out = simplex_solve(problem)
         if isinstance(out, Optimal):
             primal = sum(problem.c[j] * out.x[j] for j in range(problem.n_cols))
-            dual = sum(problem.b[i] * out.dual[i] for i in range(problem.n_rows))
+            # b_i is L_i b_i over L_i in the stored rows
+            dual = sum(Fraction(bv, scale) * y for (_, bv, scale), y in zip(problem.row_terms, out.dual))
             assert primal == dual == out.value
 
 
