@@ -22,10 +22,10 @@ the excluded empty set attains 0 too, their join.  Every decider also
 reports that minimum exactly when it is <= 0, which the cut always knows,
 so all of them give one report.
 
-``check_via_enumeration`` walks subsets in Gray-code order, maintaining
-per-edge incidence counts so each step costs O(1) integer updates of the
-slack scaled by L, the lcm of the weight denominators; the slack of the
-subset it reports is re-evaluated exactly.  ``check_via_flow`` decides
+``check_via_enumeration`` scans every subset in integer slacks scaled by
+L, the lcm of the weight denominators, walking a small block of faces once
+per state of the faces around it (``_scan``); the slack of the subset it
+reports is re-evaluated exactly.  ``check_via_flow`` decides
 the same conditions in polynomial time: min g over all subsets is a
 maximum-closure problem (Picard 1976), solved by one maximum flow, whose
 smallest and largest minimisers are the meet and the join.  ``min_cut``
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 from .angles import EdgeFunction, GeometryClass, InvariantKind, _over_lcm
 from .errors import DimensionMismatch, RangeViolation, TooLarge, VerificationFailed
@@ -156,50 +157,88 @@ def _offset(t: Triangulation, weights: list[Fraction], grow_form: bool) -> Fract
     return Fraction(0) if grow_form else t.n_faces - sum(weights, Fraction(0))
 
 
-def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
-    """Minimum slack over nonempty X in grow form (T1/T4), proper X else,
-    with the meet, the join and the first found of the subsets attaining it.
+def _toggles(t: Triangulation, scaled: list[int], scale: int):
+    """Per face f, the mask of the other faces across its edges, and the
+    scaled slack change on adding f keyed by which of those are in the
+    subset: -L, plus W(e)*L for each edge of f that none of them covers.
+    A self-glued edge faces f itself, so adding f always covers it anew."""
+    across, tables = [], []
+    for f, row in enumerate(t.faces):
+        other = {e: sum(c.face for c in t.edge_corners[e]) - f for e in set(row)}
+        near = {1 << g for g in other.values() if g != f}
+        states = {sum(picked) for picked in product(*((0, bit) for bit in near))}
+        tables.append({s: sum(scaled[e] for e, g in other.items() if not s >> g & 1) - scale for s in states})
+        across.append(sum(near))
+    return across, tables
 
-    The walk runs on integers scaled by L, the lcm of the weight
-    denominators: adding a face lowers the scaled slack by L and raises it
-    by W(e)*L for each edge it newly covers.
+
+def _gray(faces: list[int], across, tables):
+    """(bit, table, faces across) of each face that a Gray-code walk over
+    the subsets of `faces` toggles, after a step that toggles none."""
+    steps = []
+    for f in faces:
+        steps += [(1 << f, tables[f], across[f])] + steps
+    return [(0, {0: 0}, 0)] + steps
+
+
+def _block_walk(steps, state: int, skip: int):
+    """Least scaled slack(H | Lo) - slack(H) over the subsets Lo of the block
+    with state | Lo != skip, where `state` is H's rim; with the meet, the
+    join and one of the state | Lo attaining it."""
+    mask, off = state, 0
+    least, meet, join, first = float("inf"), 0, 0, 0
+    for bit, table, near in steps:
+        mask ^= bit
+        off += table[mask & near] if mask & bit else -table[mask & near]
+        if off <= least and mask != skip:
+            if off < least:
+                least, meet, join, first = off, -1, 0, mask
+            meet &= mask
+            join |= mask
+    return least, meet, join, first
+
+
+def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
+    """Minimum slack over nonempty X in grow form (T1/T4), proper X else, the
+    meet and join of its minimisers and one of them, not the first in Gray order.
+
+    Slacks are ints scaled by L, the lcm of the weight denominators.  A
+    connected block B of |F|//3 faces (at least one), grown breadth-first
+    from face 0, splits X into H outside B and Lo inside.  slack(H | Lo) -
+    slack(H) depends on H only through its rim, the faces outside B across
+    an edge of B, so a Gray-code walk over H takes the least of it over Lo
+    from one walk over B per rim state, memoised for this call; the H of
+    the excluded subset (empty in grow form, F else) gets its own walk.
     """
     n = t.n_faces
     if n > cap:
         raise TooLarge(f"{n} faces exceeds enumeration cap {cap}")
     scaled, scale = _over_lcm(weights)
-    faces = t.faces
-    counts = [0] * t.n_edges
-    full = (1 << n) - 1
-    mask = 0
-    slack = int(_offset(t, weights, grow_form) * scale)
-    # the walk leaves the empty set for good; start from F in grow form
-    # (the walk visits it again as a tie), the empty set in shrink form
-    first, best = (full, slack + sum(scaled) - n * scale) if grow_form else (0, slack)
-    meet = join = first
-    excluded = full ^ first
-    for k in range(1, 1 << n):
-        face = (k & -k).bit_length() - 1
-        bit = 1 << face
-        mask ^= bit
-        if mask & bit:
-            slack -= scale
-            for e in faces[face]:
-                if not counts[e]:
-                    slack += scaled[e]
-                counts[e] += 1
-        else:
-            slack += scale
-            for e in faces[face]:
-                counts[e] -= 1
-                if not counts[e]:
-                    slack -= scaled[e]
-        if slack <= best and mask != excluded:
-            if slack < best:
-                best, meet, join, first = slack, mask, mask, mask
-            else:
-                meet &= mask
-                join |= mask
+    across, tables = _toggles(t, scaled, scale)
+    block = [0]
+    for f in block:
+        grown = [g for g in range(n) if across[f] >> g & 1 and g not in block]
+        block += grown[:max(1, n // 3) - len(block)]
+    inside = sum(1 << f for f in block)
+    around = {g for f in block for g in range(n) if across[f] >> g & 1 and not inside >> g & 1}
+    inner = _gray(block, across, tables)
+    walks = {sum(p): _block_walk(inner, sum(p), -1) for p in product(*((0, 1 << g) for g in around))}
+    rim = sum(1 << g for g in around)
+    outer = [f for f in range(n) if not inside >> f & 1]
+    excluded = 0 if grow_form else sum(1 << f for f in outer)
+    own = _block_walk(inner, excluded & rim, 0 if grow_form else rim | inside)
+    h, slack = 0, int(_offset(t, weights, grow_form) * scale)
+    best, meet, join, first = float("inf"), 0, 0, 0
+    for bit, table, near in _gray(outer, across, tables):
+        h ^= bit
+        slack += table[h & near] if h & bit else -table[h & near]
+        least, lo_meet, lo_join, lo_first = own if h == excluded else walks[h & rim]
+        least += slack
+        if least <= best:
+            if least < best:
+                best, meet, join, first = least, -1, 0, h | lo_first
+            meet &= h | lo_meet
+            join |= h | lo_join
     subsets = (frozenset(f for f in range(n) if m >> f & 1) for m in (meet, join, first))
     return (Fraction(best, scale), *subsets)
 
@@ -232,6 +271,7 @@ def check_via_enumeration(
     row = THEOREMS[theorem]
     slack, meet, join, first = _scan(t, theorem_weights(t, fn, theorem), row.nonempty, cap)
     violated = row.violated(slack)
+    # first is one subset attaining the minimum, whichever the scan kept
     subset = row.certificate(slack, meet, join) if violated else first
     if subset_slack(t, fn, theorem, subset) != slack:
         raise VerificationFailed(f"scan slack {slack} differs from that of {sorted(subset)}")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from anglestruct import (
     edge_invariant,
     validate,
 )
+from anglestruct import feasibility
 from anglestruct.errors import DimensionMismatch, MissingCorner, RangeViolation, TooLarge
 from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, subset_slack
 from anglestruct.sampling import (
@@ -232,6 +234,90 @@ def test_scan_joins_t1_t4_zero_tie():
         r = check_via_enumeration(t, fn, theorem)
         assert r.verdict is Verdict.INFEASIBLE
         assert (r.certificate, r.slack) == (frozenset(range(4)), Fraction(0))
+
+
+def scaled_oracle_minimisers(t, weights, grow_form):
+    """oracle_minimisers on ints scaled by the lcm of the weight
+    denominators, still a plain loop over masks: the edges a mask covers
+    are those of the mask without its highest face, plus that face's."""
+    n, den = t.n_faces, math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    face_edges = [sum(1 << e for e in set(row)) for row in t.faces]
+    covered = [0] * (1 << n)
+    slacks = {}
+    for mask in range(1 << n):
+        if mask:
+            top = mask.bit_length() - 1
+            covered[mask] = covered[mask ^ 1 << top] | face_edges[top]
+        if mask == (0 if grow_form else (1 << n) - 1):
+            continue
+        cov = sum(w for e, w in enumerate(scaled) if covered[mask] >> e & 1)
+        size = bin(mask).count("1")
+        slacks[mask] = cov - size * den if grow_form else (n - size) * den - (sum(scaled) - cov)
+    best = min(slacks.values())
+    attaining = [frozenset(f for f in range(n) if m >> f & 1) for m, v in slacks.items() if v == best]
+    return Fraction(best, den), attaining
+
+
+# values in these sub-domains give every subset but the excluded one a
+# positive slack (|E(X)| >= 3|X|/2), so the excluded subset is the only
+# minimiser of g: W > 2/3 in grow form, W(e) < 2/3 in shrink form
+EXCLUDED_ONLY = {
+    "T1": (Fraction(3, 4), Fraction(1)),
+    "T2": (Fraction(0), Fraction(1, 2)),
+    "T3": (Fraction(1), Fraction(2)),
+    "T4": (Fraction(0), Fraction(1, 2)),
+    "L7": (Fraction(0), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_scan_matches_oracle_where_block_walks_are_shared(n):
+    # at 10 and 12 faces the scan walks a block of 3 or 4 faces once per
+    # rim state and shares those walks across the 2^7 or 2^8 outer subsets;
+    # every other gluing glues some face to itself, and each theorem meets
+    # values over its whole domain and values whose only minimiser of g is
+    # the excluded subset (empty in grow form, F in shrink form)
+    rng = random.Random(n)
+    for trial in range(4):
+        t = random_triangulation(n, rng)
+        while trial % 2 and all(len(set(row)) == 3 for row in t.faces):
+            t = random_triangulation(n, rng)
+        for theorem, row in THEOREMS.items():
+            for lo, hi in ((row.lo, row.hi), EXCLUDED_ONLY[theorem]):
+                fn = random_edge_values(t, rng, lo, hi, row.kind)
+                weights = weights_of(fn, t, theorem)
+                slack, attaining = scaled_oracle_minimisers(t, weights, row.nonempty)
+                if (lo, hi) != (row.lo, row.hi):
+                    assert slack > 0, theorem
+                scanned = _scan(t, weights, row.nonempty, n)
+                meet, join = frozenset.intersection(*attaining), frozenset.union(*attaining)
+                assert scanned[:3] == (slack, meet, join), theorem
+                assert scanned[3] in attaining, theorem
+                assert subset_slack(t, fn, theorem, scanned[3]) == slack, theorem
+
+
+def test_scan_walks_its_block_once_per_rim_state(monkeypatch):
+    # a connected block of b faces has at most b + 2 faces on its rim, so
+    # the scan makes at most 2^(b+2) walks over it, plus one for the
+    # excluded subset; one walk per outer subset, or a block whose faces
+    # are not connected, makes more
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return block_walk(*args)
+
+    block_walk = feasibility._block_walk
+    monkeypatch.setattr(feasibility, "_block_walk", counted)
+    rng = random.Random(12)
+    for n in (10, 12, 14):
+        for _ in range(4):
+            t = random_triangulation(n, rng)
+            for grow_form in (True, False):
+                walks.clear()
+                _scan(t, [Fraction(2, 3)] * t.n_edges, grow_form, n)
+                assert 1 < len(walks) <= 2 ** (n // 3 + 2) + 1, (n, grow_form)
 
 
 @settings(max_examples=30, deadline=None)
