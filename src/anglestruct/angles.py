@@ -107,26 +107,23 @@ def classify_triangle(a: Fraction, b: Fraction, c: Fraction) -> GeometryClass:
 
 
 def _classify_faces(faces: list[tuple[list[int], int]]) -> GeometryClass:
-    """Common class of the faces' angles nums/L, or NOT_GEOMETRIC at the
-    first face that is not geometric or disagrees, leaving the rest unchecked."""
-    result = None
+    """Common class of the faces' angles nums/L, or NOT_GEOMETRIC when a face
+    is not geometric or two disagree; every face is range-checked first."""
+    classes = set()
     for nums, den in faces:
         for v in nums:
             if not 0 < v < den:
                 raise OutOfRange(render(Fraction(v, den)))
         a, b, c = nums
         if a + b + c == den:
-            cls = GeometryClass.EUCLIDEAN
+            classes.add(GeometryClass.EUCLIDEAN)
         elif a + b + c < den:
-            cls = GeometryClass.HYPERBOLIC
+            classes.add(GeometryClass.HYPERBOLIC)
         elif b + c - a < den and a + c - b < den and a + b - c < den:
-            cls = GeometryClass.SPHERICAL
+            classes.add(GeometryClass.SPHERICAL)
         else:
-            return GeometryClass.NOT_GEOMETRIC
-        if result not in (None, cls):
-            return GeometryClass.NOT_GEOMETRIC
-        result = cls
-    return result
+            classes.add(GeometryClass.NOT_GEOMETRIC)
+    return classes.pop() if len(classes) == 1 else GeometryClass.NOT_GEOMETRIC
 
 
 def classify_structure(t: Triangulation, x: AngleStructure) -> GeometryClass:
@@ -152,6 +149,17 @@ def invariant_of(t: Triangulation, x: AngleStructure, kind: InvariantKind) -> Ed
     """The structure's edge or Delaunay invariant, as kind says."""
     terms = _invariant_terms(t, _face_terms(t, x), kind)
     return EdgeFunction(tuple(Fraction(n, den) for n, den in terms), kind)
+
+
+def mismatched_edges(t: Triangulation, x: AngleStructure, fn: EdgeFunction) -> list[int]:
+    """The edges at which x's invariant of fn's kind differs from fn, each
+    n/d == p/q compared as n*q == p*d; DimensionMismatch when fn does not
+    hold one value per edge of t."""
+    faces = _face_terms(t, x)
+    if len(fn.values) != t.n_edges:
+        raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
+    pairs = enumerate(zip(_invariant_terms(t, faces, fn.kind), fn.values))
+    return [e for e, ((n, den), v) in pairs if n * v.denominator != v.numerator * den]
 
 
 def edge_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:

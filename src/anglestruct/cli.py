@@ -33,7 +33,7 @@ from .angles import (
     delaunay_invariant,
     edge_invariant,
     euclidean_relation_holds,
-    invariant_of,
+    mismatched_edges,
 )
 from .errors import AngleStructError, InvalidSetting, VerificationFailed
 from .feasibility import FeasibilityReport, Verdict
@@ -203,11 +203,10 @@ def cmd_verify(args) -> int:
     t, invariant, structure, stated_class = load_instance(args.path)
     if structure is None or invariant is None:
         raise InvalidInstance("verify needs both a structure and an invariant")
-    recomputed = invariant_of(t, structure, invariant.kind)
-    mismatched = [e for e, (v, w) in enumerate(zip(recomputed.values, invariant.values)) if v != w]
-    class_ok = True
-    if stated_class is not None:
-        class_ok = classify_structure(t, structure) is stated_class
+    # classified first, so that every angle is range-checked, also when no
+    # class is stated
+    class_ok = classify_structure(t, structure) is stated_class or stated_class is None
+    mismatched = mismatched_edges(t, structure, invariant)
     ok = not mismatched and class_ok
     print(dumps({"ok": ok, "mismatched_edges": mismatched, "class_ok": class_ok}))
     return 0 if ok else 1

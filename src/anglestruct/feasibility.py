@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .angles import EdgeFunction, GeometryClass, InvariantKind, _over_lcm
 from .errors import DimensionMismatch, RangeViolation, TooLarge, VerificationFailed
@@ -206,9 +206,9 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     connected block B of |F|//3 faces (at least one), grown breadth-first
     from face 0, splits X into H outside B and Lo inside.  slack(H | Lo) -
     slack(H) depends on H only through its rim, the faces outside B across
-    an edge of B, so a Gray-code walk over H takes the least of it over Lo
-    from one walk over B per rim state, memoised for this call; the H of
-    the excluded subset (empty in grow form, F else) gets its own walk.
+    an edge of B, so a walk over H takes the least of it over Lo from one
+    walk over B per rim state, memoised for this call; the H of the
+    excluded subset (empty in grow form, F else) gets its own walk.
     """
     n = t.n_faces
     if n > cap:
@@ -227,9 +227,13 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     outer = [f for f in range(n) if not inside >> f & 1]
     excluded = 0 if grow_form else sum(1 << f for f in outer)
     own = _block_walk(inner, excluded & rim, 0 if grow_form else rim | inside)
+    # H walks the high outer faces and, after each step, replays the low
+    # ones' toggles, visiting every low subset once: no 2^|outer| step list
+    half = len(outer) // 2
+    low, high = _gray(outer[:half], across, tables)[1:], _gray(outer[half:], across, tables)
     h, slack = 0, int(_offset(t, weights, grow_form) * scale)
     best, meet, join, first = float("inf"), 0, 0, 0
-    for bit, table, near in _gray(outer, across, tables):
+    for bit, table, near in chain.from_iterable(chain((step,), low) for step in high):
         h ^= bit
         slack += table[h & near] if h & bit else -table[h & near]
         least, lo_meet, lo_join, lo_first = own if h == excluded else walks[h & rim]

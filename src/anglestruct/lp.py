@@ -36,8 +36,8 @@ program is a transportation problem on the network of
 ``feasibility.min_cut``, and Newton steps on its largest minimiser reach
 the program's optimum in a few cuts, each proven by that network's own
 check, the last minimiser re-evaluated exactly.
-``check_via_lp`` solves both programs by the simplex, so that a
-cross-check compares it with the other deciders.
+``check_via_lp`` reports ``construct_structure``'s answer: feasible
+exactly when it returns a witness.
 
 When the program shows that no witness exists, ``construct_structure``
 returns the ``FeasibilityReport`` of the minimum cut of
@@ -57,12 +57,11 @@ from .angles import (
     EdgeFunction,
     GeometryClass,
     InvariantKind,
-    _classify_faces,
-    _face_terms,
-    _invariant_terms,
     _over_lcm,
+    classify_structure,
     corner_transform,
     corner_transform_inverse,
+    mismatched_edges,
 )
 from .errors import DimensionMismatch, OutOfRange, VerificationFailed
 from .feasibility import (
@@ -465,16 +464,13 @@ def build_construction_lp(
 
 
 def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry) -> bool:
-    """Angles in (0, pi), the geometry's class and invariant fn, on per-face ints: the class
-    pass range-checks every face unless it returns NOT_GEOMETRIC, and n/d == p/q as n*q == p*d."""
-    faces = _face_terms(t, x)
+    """x is an angle structure of the geometry's class with invariant fn:
+    classify_structure range-checks every angle, an OutOfRange read as
+    False, and mismatched_edges compares the invariant exactly."""
     try:
-        if _classify_faces(faces) is not geometry:
-            return False
+        return classify_structure(t, x) is geometry and not mismatched_edges(t, x, fn)
     except OutOfRange:
         return False
-    pairs = zip(_invariant_terms(t, faces, fn.kind), fn.values)
-    return all(n * v.denominator == v.numerator * den for (n, den), v in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -556,27 +552,6 @@ def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
     return report
 
 
-def _construct(
-    t: Triangulation, fn: EdgeFunction, geometry: GeometryClass, by_flow: bool
-) -> AngleStructure | FeasibilityReport:
-    """construct_structure, solving an edge program by parametric flow when
-    by_flow is set and every other program by the simplex."""
-    theorem, program, transform = _route(t, fn, geometry)
-    by_flow = by_flow and program.kind is InvariantKind.EDGE
-    solved = _flow_margin(t, program) if by_flow else _simplex_margin(t, program)
-    if solved is None:
-        return _infeasible_certificate(t, fn, theorem)
-    margin, a = solved
-    witness = AngleStructure(tuple(v + margin for v in a[:3 * t.n_faces]))
-    if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
-        raise VerificationFailed("margin witness failed validation")
-    if transform is not None:
-        witness = transform(t, witness)
-        if not _witness_ok(t, witness, fn, geometry):
-            raise VerificationFailed(f"transformed witness fails validation against {theorem}")
-    return witness
-
-
 def construct_structure(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> AngleStructure | FeasibilityReport:
@@ -590,7 +565,20 @@ def construct_structure(
     returned witness has been checked for range, class and recomputed
     invariant.
     """
-    return _construct(t, fn, geometry, by_flow=True)
+    theorem, program, transform = _route(t, fn, geometry)
+    solve = _flow_margin if program.kind is InvariantKind.EDGE else _simplex_margin
+    solved = solve(t, program)
+    if solved is None:
+        return _infeasible_certificate(t, fn, theorem)
+    margin, a = solved
+    witness = AngleStructure(tuple(v + margin for v in a[:3 * t.n_faces]))
+    if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
+        raise VerificationFailed("margin witness failed validation")
+    if transform is not None:
+        witness = transform(t, witness)
+        if not _witness_ok(t, witness, fn, geometry):
+            raise VerificationFailed(f"transformed witness fails validation against {theorem}")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +587,8 @@ def construct_structure(
 
 def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) -> FeasibilityReport:
     """The report check_via_enumeration and check_via_flow give, decided by
-    the construction with every margin program solved by the simplex."""
-    result = _construct(t, fn, geometry, by_flow=False)
+    construct_structure: feasible exactly when it returns a witness."""
+    result = construct_structure(t, fn, geometry)
     if isinstance(result, FeasibilityReport):
         return result
     return make_report(theorem_for(geometry, fn.kind), None)

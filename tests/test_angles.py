@@ -18,7 +18,7 @@ from anglestruct import (
     edge_invariant,
     validate,
 )
-from anglestruct.angles import euclidean_relation_holds
+from anglestruct.angles import euclidean_relation_holds, mismatched_edges
 from anglestruct.errors import DimensionMismatch, MissingCorner, OutOfRange
 from anglestruct.lp import _witness_ok
 from anglestruct.ratpi import render
@@ -59,6 +59,10 @@ def test_classify_structure(tetra):
         classify_structure(tetra, AngleStructure(mixed[:4]))
     with pytest.raises(DimensionMismatch):
         classify_structure(tetra, AngleStructure(mixed + (Fraction(1, 3),)))
+    # a face that is not geometric does not hide a later angle out of range
+    bad = (Fraction(1, 2),) * 3 + (Fraction(0), Fraction(1, 3), Fraction(1, 3)) + mixed[6:]
+    with pytest.raises(OutOfRange, match="^0/1$"):
+        classify_structure(tetra, AngleStructure(bad))
 
 
 def test_dict_values_are_rejected():
@@ -244,17 +248,12 @@ def ref_classify_triangle(a, b, c):
 
 
 def ref_classify_structure(t, x):
+    # every face is range-checked, also after one that is not geometric
     ref_complete(t, x)
-    result = None
-    for f in range(t.n_faces):
-        cls = ref_classify_triangle(*(ref_angle(x, f, k) for k in range(3)))
-        if cls is GeometryClass.NOT_GEOMETRIC:
-            return cls
-        if result is None:
-            result = cls
-        elif cls is not result:
-            return GeometryClass.NOT_GEOMETRIC
-    return result
+    classes = [ref_classify_triangle(*(ref_angle(x, f, k) for k in range(3))) for f in range(t.n_faces)]
+    if all(cls is classes[0] for cls in classes):
+        return classes[0]
+    return GeometryClass.NOT_GEOMETRIC
 
 
 def ref_edge_invariant(t, x):
@@ -295,6 +294,13 @@ def ref_corner_transform_inverse(t, y):
     return AngleStructure(tuple(values))
 
 
+def ref_mismatched_edges(t, x, fn):
+    recomputed = ref_edge_invariant(t, x) if fn.kind is InvariantKind.EDGE else ref_delaunay_invariant(t, x)
+    if len(fn.values) != t.n_edges:
+        raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
+    return [e for e, (v, w) in enumerate(zip(recomputed.values, fn.values)) if v != w]
+
+
 def ref_witness_ok(t, x, fn, geometry):
     # an incomplete structure raises MissingCorner, whatever else is wrong
     ref_complete(t, x)
@@ -326,8 +332,9 @@ PAIRS = [
 
 def assert_matches_reference(t, x):
     """Every angle function of x equals its reference, errors included, and
-    so does the construction's witness check, for both geometries against
-    the recomputed invariants and two nudged ones."""
+    so do mismatched_edges and the construction's witness check, for both
+    geometries, against the two recomputed invariants and each nudged at
+    edge 0 both ways."""
     for package, reference in PAIRS:
         assert outcome(package, t, x) == outcome(reference, t, x), package.__name__
     for f in range(t.n_faces):
@@ -336,12 +343,13 @@ def assert_matches_reference(t, x):
             assert outcome(classify_triangle, *triple) == outcome(ref_classify_triangle, *triple)
     invariants = [outcome(ref_edge_invariant, t, x), outcome(ref_delaunay_invariant, t, x)]
     if isinstance(invariants[0], EdgeFunction):
-        d = invariants[0]
-        for step in (Fraction(1, BIG), Fraction(-1, BIG)):
-            invariants.append(EdgeFunction((d.values[0] + step, *d.values[1:]), d.kind))
+        for d in invariants[:2]:
+            for step in (Fraction(1, BIG), Fraction(-1, BIG)):
+                invariants.append(EdgeFunction((d.values[0] + step, *d.values[1:]), d.kind))
     else:
-        invariants = [const_fn(t, (1, 2))]
+        invariants = [const_fn(t, (1, 2)), const_fn(t, (1, 2), InvariantKind.DELAUNAY)]
     for fn in invariants:
+        assert outcome(mismatched_edges, t, x, fn) == outcome(ref_mismatched_edges, t, x, fn)
         for geometry in (GeometryClass.HYPERBOLIC, GeometryClass.SPHERICAL):
             args = (t, x, fn, geometry)
             assert outcome(_witness_ok, *args) == outcome(ref_witness_ok, *args)

@@ -223,6 +223,12 @@ def test_verify_detects_perturbation(tmp_path, capsys):
     code, out = run(capsys, ["verify", str(path)])
     assert code == 1
     assert json.loads(out)["ok"] is False
+    # the stated class is compared too
+    code, out = run(capsys, ["gen", "--faces", "4", "--seed", "3", "--geometry", "hyperbolic"])
+    data = dict(json.loads(out), **{"class": "spherical"})
+    code, out = run(capsys, ["verify", write_instance(tmp_path, data, "misclassed.json")])
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "mismatched_edges": [], "class_ok": False}
 
 
 def test_verify_missing_corner_exits_2(tmp_path, capsys):
@@ -238,6 +244,29 @@ def test_verify_missing_corner_exits_2(tmp_path, capsys):
         code, out = run(capsys, [command, path])
         assert code == 2
         assert json.loads(out) == {"error": {"type": "MissingCorner", "message": "face 1 slot 1"}}
+
+
+def test_invariants_range_checks_every_face(tmp_path, capsys):
+    # face 1 disagrees with face 0 and face 2 holds an angle 0: the class
+    # would be not-geometric, but no angle outside (0, pi) passes unnoticed
+    angles = [["1/6"] * 3, ["1/2"] * 3, ["0/1", "1/3", "1/3"], ["1/3"] * 3]
+    corners = [[f"{f}/{k}", v] for f, face in enumerate(angles) for k, v in enumerate(face)]
+    path = write_instance(tmp_path, {"faces": TETRA_FACES, "structure": {"corners": corners}})
+    code, out = run(capsys, ["invariants", path])
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "OutOfRange", "message": "0/1"}}
+
+
+@pytest.mark.parametrize("angle, value", [("-1/3", "-2/3"), ("0/1", "0/1")])
+def test_verify_out_of_range_angle_exits_2(tmp_path, capsys, angle, value):
+    # no class is stated, and the stated invariant is the structure's own
+    payload = tetra_payload(value)
+    payload["structure"] = {"corners": [[f"{f}/{k}", angle] for f in range(4) for k in range(3)]}
+    path = write_instance(tmp_path, payload)
+    for command in ("verify", "invariants"):
+        code, out = run(capsys, [command, path])
+        assert code == 2, command
+        assert json.loads(out) == {"error": {"type": "OutOfRange", "message": angle}}
 
 
 def test_face_terms_computed_once_per_structure(tmp_path, capsys, monkeypatch):

@@ -81,7 +81,8 @@ def test_hyperbolic_boundary_equality(tetra):
 def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kind, geometry):
     # T1/T4 construct solves the dumped program by the simplex, once; T2/T3
     # construct never calls the simplex, and its flow reaches the optimum of
-    # that same program (None where the optimum is 0: no witness)
+    # that same program (None where the optimum is 0: no witness); check
+    # --method lp makes exactly construct's solver calls
     solved, margins = [], []
     solve, flow_margin = lp.simplex_solve, lp._flow_margin
 
@@ -98,17 +99,17 @@ def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kin
     monkeypatch.setattr(lp, "_flow_margin", recording_flow)
     t = validate(faces)
     fn = const_fn(t, value, kind)
-    construct_structure(t, fn, geometry)
     problem = lp.build_construction_lp(t, fn, geometry)
     if THEOREMS[theorem_for(geometry, kind)].nonempty:
-        assert solved == [problem] and margins == []
+        expected = [problem], []
     else:
         optimum = solve(problem).value
-        assert solved == [] and margins == [-optimum if optimum else None]
-    # check --method lp solves the same program by the simplex for every theorem
-    solved.clear()
-    check_via_lp(t, fn, geometry)
-    assert solved == [problem]
+        expected = [], [-optimum if optimum else None]
+    for decide in (construct_structure, check_via_lp):
+        solved.clear()
+        margins.clear()
+        decide(t, fn, geometry)
+        assert (solved, margins) == expected, decide.__name__
 
 
 def test_spherical_construction_golden(tetra):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from anglestruct import (
     validate,
 )
 from anglestruct import feasibility
+from anglestruct.angles import mismatched_edges
 from anglestruct.errors import DimensionMismatch, MissingCorner, RangeViolation, TooLarge
 from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, subset_slack
 from anglestruct.sampling import (
@@ -165,10 +167,14 @@ def test_range_violations(tetra):
 
 
 def test_wrong_lengths_raise_library_errors(tetra):
-    # every decider, construct and subset_slack compare fn's length with
-    # tetra's edge count, and every angle function x's with its corners
+    # every decider, construct, subset_slack and mismatched_edges compare
+    # fn's length with tetra's edge count, and every angle function x's with
+    # its corners
+    third = Fraction(1, 3)
     for n in (5, 7):
         fn = EdgeFunction((Fraction(7, 10),) * n, InvariantKind.EDGE)
+        with pytest.raises(DimensionMismatch, match=f"^{n} invariant values for 6 edges$"):
+            mismatched_edges(tetra, AngleStructure((third,) * 12), fn)
         for decide in (check_via_enumeration, check_via_flow):
             with pytest.raises(DimensionMismatch):
                 decide(tetra, fn, "T2")
@@ -178,7 +184,6 @@ def test_wrong_lengths_raise_library_errors(tetra):
             for build in (construct_structure, check_via_lp):
                 with pytest.raises(DimensionMismatch):
                     build(tetra, fn, geometry)
-    third = Fraction(1, 3)
     with pytest.raises(MissingCorner, match="^face 3 slot 2$"):
         classify_structure(tetra, AngleStructure((third,) * 11))
     for function in (classify_structure, edge_invariant, delaunay_invariant):
@@ -318,6 +323,22 @@ def test_scan_walks_its_block_once_per_rim_state(monkeypatch):
                 walks.clear()
                 _scan(t, [Fraction(2, 3)] * t.n_edges, grow_form, n)
                 assert 1 < len(walks) <= 2 ** (n // 3 + 2) + 1, (n, grow_form)
+
+
+def test_scan_at_24_faces_stays_small():
+    # the walk over the faces outside the block keeps two step lists of
+    # about 2^8 entries at 24 faces, not one of 2^16 (1.1 MB)
+    rng = random.Random(5)
+    t = random_triangulation(24, rng)
+    fn = random_edge_values(t, rng, THEOREMS["T2"].lo, THEOREMS["T2"].hi, InvariantKind.EDGE)
+    tracemalloc.start()
+    try:
+        slack = _scan(t, weights_of(fn, t, "T2"), False, 24)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slack == Fraction(-6551605552721, 622429107300)
+    assert peak <= 250_000, peak
 
 
 @settings(max_examples=30, deadline=None)
