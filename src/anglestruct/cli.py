@@ -8,8 +8,8 @@ unreadable instance file and 3 for an internal self-check failure
 stdout, and 141 when the reader closes stdout early (a broken pipe), with
 nothing more written and no traceback.  The enumeration cap comes from
 --cap, then the ANGLESTRUCT_CAP environment variable, then the default of
-20; a value that is not an integer, from either source, is an
-InvalidSetting.
+20; a value that is not an integer, or is negative, from either source,
+is an InvalidSetting.
 
 Every ``check`` method prints the same report, so ``--method auto`` is the
 minimum cut, which decides any size in polynomial time; ``--cross-check``
@@ -103,9 +103,12 @@ def _resolve_cap(args) -> int:
         if value is None:
             return DEFAULT_ENUMERATION_CAP
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise InvalidSetting(f"{name}={value!r} is not an integer") from None
+    if cap < 0:
+        raise InvalidSetting(f"{name}={value!r} is negative")
+    return cap
 
 
 def _require_invariant(invariant, expected_kind=None):

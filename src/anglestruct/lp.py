@@ -15,7 +15,9 @@ point, value and multipliers become ``Fraction``s only when read out and
 checked, against those rows and the column view built from them.  At an
 optimum the dual multipliers are read off the reduced costs of each row's
 initial unit column; when phase 1 ends positive the same read yields a
-Farkas vector (A^t y <= 0, b^t y > 0).
+Farkas vector (A^t y <= 0, b^t y > 0).  The program must be bounded, as
+every margin program below is (its face rows, all coefficients >= 0 and
+right-hand side 1, hold every column): an unbounded phase raises.
 
 Construction solves one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
@@ -151,12 +153,7 @@ class Infeasible:
     certificate: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[Fraction, ...]
-
-
-LpOutcome = Optimal | Infeasible | Unbounded
+LpOutcome = Optimal | Infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,9 @@ def _run(rows, dens, basis, n):
 
 
 def simplex_solve(problem: LpProblem) -> LpOutcome:
-    """Exact two-phase simplex with dual multipliers and Farkas certificates."""
+    """Exact two-phase simplex with dual multipliers and Farkas certificates,
+    for a bounded problem: a phase whose entering column no row bounds
+    raises VerificationFailed."""
     m, n = problem.n_rows, problem.n_cols
     rows, dens = [], []
     for terms, bv, scale in problem.row_terms:
@@ -289,15 +288,8 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
 
     phase2_cost = list(problem.c) + [ZERO] * n_art
     _price(rows, dens, basis, phase2_cost)
-    enter = _run(rows, dens, basis, n)
-    if enter is not None:
-        ray = [ZERO] * n
-        ray[enter] = ONE
-        for row, den, col in zip(rows, dens, basis):
-            if col < n:
-                ray[col] = Fraction(-row.get(enter, 0), den)
-        _verify_ray(problem, ray)
-        return Unbounded(tuple(ray))
+    if _run(rows, dens, basis, n) is not None:
+        raise VerificationFailed("phase 2 unbounded")
 
     x = [ZERO] * n
     for row, den, col in zip(rows, dens, basis):
@@ -359,17 +351,6 @@ def _verify_farkas(problem: LpProblem, y):
         raise VerificationFailed("Farkas vector fails A^t y <= 0")
     if sum(bv * v for (_, bv, _), v in zip(problem.row_terms, ys)) <= 0:
         raise VerificationFailed("Farkas vector fails b^t y > 0")
-
-
-def _verify_ray(problem: LpProblem, ray):
-    rs, _ = _over_lcm(ray)
-    if any(_dot(terms, rs) != 0 for terms, _, _ in problem.row_terms):
-        raise VerificationFailed("unbounded ray leaves the constraint space")
-    if any(v < 0 for v in ray):
-        raise VerificationFailed("unbounded ray not nonnegative")
-    cs, _ = _over_lcm(problem.c)
-    if sum(c * v for c, v in zip(cs, rs, strict=True)) >= 0:
-        raise VerificationFailed("ray does not improve the objective")
 
 
 def _verify_optimal(problem: LpProblem, x, value, y):
@@ -534,8 +515,6 @@ def _simplex_margin(
     3*|F| entries are the corner values a_i; None when no m > 0 is
     feasible."""
     outcome = simplex_solve(_margin_lp(t, program))
-    if isinstance(outcome, Unbounded):
-        raise VerificationFailed("construction program cannot be unbounded")
     if isinstance(outcome, Infeasible) or outcome.value == 0:
         return None
     return -outcome.value, outcome.x

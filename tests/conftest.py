@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import EdgeFunction, InvariantKind, validate
+from anglestruct.lp import Optimal, make_problem, simplex_solve
 
 TETRA_FACES = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
 
@@ -48,3 +49,23 @@ def face_subsets(t, nonempty_proper=False):
     masks = range(1, (1 << n) - 1) if nonempty_proper else range(1 << n)
     return [frozenset(f for f in range(n) if m >> f & 1) for m in masks]
 
+
+def dual_cone_max_is_zero(a, b, n) -> bool:
+    """Decide by its own solver run whether max b.y over the cone A^t y <= 0
+    is 0, for a dense A with n columns; it is +infinity otherwise.
+
+    The program splits y = y+ - y- over the rows A^t (y+ - y-) + t = 0 and
+    adds the box row sum(y+ + y-) + s = 1, which bounds it and keeps the
+    sign of its maximum: 0 exactly when the cone's is 0, positive
+    otherwise.
+    """
+    m = len(a)
+    rows = []
+    for j in range(n):
+        column = [a[i][j] for i in range(m)]
+        rows.append(column + [-v for v in column] + [int(k == j) for k in range(n)] + [0])
+    rows.append([1] * (2 * m) + [0] * n + [1])
+    costs = [-v for v in b] + list(b) + [0] * (n + 1)
+    out = simplex_solve(make_problem(rows, [0] * n + [1], costs))
+    assert isinstance(out, Optimal) and out.value <= 0
+    return out.value == 0

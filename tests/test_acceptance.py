@@ -26,7 +26,6 @@ from anglestruct.feasibility import _scan, subset_slack
 from anglestruct.lp import (
     Infeasible,
     Optimal,
-    Unbounded,
     build_construction_lp,
     make_problem,
     simplex_solve,
@@ -39,7 +38,7 @@ from anglestruct.sampling import (
     random_triangulation,
 )
 from anglestruct.surface import edge_set
-from conftest import TETRA_FACES, const_fn, face_subsets
+from conftest import TETRA_FACES, const_fn, dual_cone_max_is_zero, face_subsets
 
 FACE_COUNTS = [2, 4, 6, 8, 10]
 
@@ -250,21 +249,7 @@ def test_criterion_8_duality_oracle_equivalence():
         primal_feasible = isinstance(primal, Optimal)
 
         # independent side: maximize b.y over the cone A^t y <= 0
-        a2 = []
-        for j in range(n):
-            row = [a[i][j] for i in range(m)]
-            row += [-a[i][j] for i in range(m)]
-            row += [Fraction(int(k == j)) for k in range(n)]
-            a2.append(row)
-        c2 = [-b[i] for i in range(m)] + [b[i] for i in range(m)] + [Fraction(0)] * n
-        dual_side = simplex_solve(make_problem(a2, [Fraction(0)] * n, c2))
-        if isinstance(dual_side, Optimal):
-            dual_max_nonpositive = True
-            assert dual_side.value == 0
-        else:
-            assert isinstance(dual_side, Unbounded)
-            dual_max_nonpositive = False
-        assert primal_feasible == dual_max_nonpositive, f"trial {trial}"
+        assert primal_feasible == dual_cone_max_is_zero(a, b, n), f"trial {trial}"
 
         if isinstance(primal, Infeasible):
             farkas_checked += 1

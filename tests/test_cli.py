@@ -411,20 +411,27 @@ def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
 
 
 def test_bad_cap_environment_exits_2(tmp_path, capsys, monkeypatch):
+    # a negative cap is no enumeration limit, so it is refused like a non-integer
     path = write_instance(tmp_path, tetra_payload("7/10"))
-    monkeypatch.setenv("ANGLESTRUCT_CAP", "abc")
-    code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "InvalidSetting"
+    for value, reason in [("abc", "is not an integer"), ("-1", "is negative")]:
+        monkeypatch.setenv("ANGLESTRUCT_CAP", value)
+        code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InvalidSetting", "message": f"ANGLESTRUCT_CAP={value!r} {reason}"
+        }
 
 
 def test_bad_cap_flag_exits_2_like_environment(tmp_path, capsys):
     path = write_instance(tmp_path, tetra_payload("7/10"))
-    code = main(["--cap", "abc", "check", path, "--geometry", "spherical", "--invariant", "edge"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert json.loads(captured.out)["error"]["type"] == "InvalidSetting"
-    assert captured.err == ""
+    for value, reason in [("abc", "is not an integer"), ("-1", "is negative")]:
+        code = main(["--cap", value, "check", path, "--geometry", "spherical", "--invariant", "edge"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == {
+            "type": "InvalidSetting", "message": f"--cap={value!r} {reason}"
+        }
+        assert captured.err == ""
 
 
 def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):

@@ -12,17 +12,15 @@ from anglestruct.lp import (
     Infeasible,
     LpProblem,
     Optimal,
-    Unbounded,
     _verify_farkas,
     _verify_optimal,
-    _verify_ray,
     build_construction_lp,
     make_problem,
     render_problem,
     simplex_solve,
 )
 from anglestruct.sampling import random_edge_values, random_triangulation
-from conftest import SELF_GLUED_FACES, const_fn
+from conftest import SELF_GLUED_FACES, const_fn, dual_cone_max_is_zero
 
 
 def test_trivial_feasible():
@@ -41,10 +39,10 @@ def test_trivial_infeasible_farkas_by_inspection():
     assert out.certificate == (Fraction(-1),)
 
 
-def test_trivial_unbounded_ray():
-    out = simplex_solve(make_problem([[1, -1]], [0], [-1, 0]))
-    assert isinstance(out, Unbounded)
-    assert out.ray == (Fraction(1), Fraction(1))
+def test_trivial_unbounded_raises():
+    # the solver takes bounded programs only; x = (t, t) improves without end
+    with pytest.raises(VerificationFailed, match="phase 2 unbounded"):
+        simplex_solve(make_problem([[1, -1]], [0], [-1, 0]))
 
 
 def test_dimension_mismatch():
@@ -134,8 +132,8 @@ def test_redundant_equality_rows():
     assert out == Optimal(fractions(0, 1, 0), Fraction(-1), fractions(-1, 0, 0))
     out = simplex_solve(make_problem([[1, 1], [2, 2], [1, 1]], [1, 2, 3], [0, 0]))
     assert out == Infeasible(fractions(-3, 1, 1))
-    out = simplex_solve(make_problem([[1, -1], [-2, 2]], [0, 0], [-1, 0]))
-    assert out == Unbounded(fractions(1, 1))
+    with pytest.raises(VerificationFailed, match="phase 2 unbounded"):
+        simplex_solve(make_problem([[1, -1], [-2, 2]], [0, 0], [-1, 0]))
 
 
 def test_empty_rows_and_columns():
@@ -148,12 +146,13 @@ def test_empty_rows_and_columns():
         out = simplex_solve(make_problem([[1, 1], [0, 0]], [1, bv], [0, 0]))
         assert out == Infeasible(fractions(0, y))
     # an all-zero column enters on a negative cost and no row stops it
-    out = simplex_solve(make_problem([[1, 0, 1], [1, 0, 0]], [1, 1], [1, -1, 0]))
-    assert out == Unbounded(fractions(0, 1, 0))
+    with pytest.raises(VerificationFailed, match="phase 2 unbounded"):
+        simplex_solve(make_problem([[1, 0, 1], [1, 0, 0]], [1, 1], [1, -1, 0]))
     out = simplex_solve(make_problem([[1, 0, 1], [1, 0, 0]], [1, 1], [1, 1, 0]))
     assert out == Optimal(fractions(1, 0, 0), Fraction(1), fractions(0, 1))
     # no rows at all: every column is empty
-    assert simplex_solve(make_problem([], [], [-1, 0])) == Unbounded(fractions(1, 0))
+    with pytest.raises(VerificationFailed, match="phase 2 unbounded"):
+        simplex_solve(make_problem([], [], [-1, 0]))
     assert simplex_solve(make_problem([], [], [1, 0])) == Optimal(fractions(0, 0), Fraction(0), ())
 
 
@@ -191,21 +190,9 @@ def test_verifiers_reject_tampered_answers():
         with pytest.raises(VerificationFailed, match=re.escape(message)):
             _verify_farkas(problem, fractions(y))
 
-    problem = make_problem([[1, -1]], [0], [-1, 0])
-    _verify_ray(problem, fractions(1, 1))
-    for ray, message in [((1, 0), "constraint space"), ((-1, -1), "not nonnegative")]:
-        with pytest.raises(VerificationFailed, match=message):
-            _verify_ray(problem, fractions(*ray))
-    with pytest.raises(VerificationFailed, match="does not improve"):
-        _verify_ray(make_problem([[1, -1]], [0], [1, 0]), fractions(1, 1))
-    # with no rows every ray stays in the constraint space, and b^t y = 0
-    problem = make_problem([], [], [-1, 0])
-    _verify_ray(problem, fractions(1, 0))
-    for ray, message in [((-1, 0), "not nonnegative"), ((0, 1), "does not improve")]:
-        with pytest.raises(VerificationFailed, match=message):
-            _verify_ray(problem, fractions(*ray))
+    # with no rows b^t y = 0, so no Farkas vector exists
     with pytest.raises(VerificationFailed, match=re.escape("b^t y > 0")):
-        _verify_farkas(problem, ())
+        _verify_farkas(make_problem([], [], [-1, 0]), ())
 
 
 def random_problem(rng, m, n):
@@ -227,13 +214,23 @@ def random_rational_problem(rng, m, n):
     return a, [draw() for _ in range(m)], [draw() for _ in range(n)]
 
 
+def bounded(rng, draw, m, n):
+    """draw's A, b and c for m rows and n columns with the row
+    sum_j x_j + s = K appended, s a new column and K drawn in 1..9: the
+    shape of a margin program's face row, which bounds every column."""
+    a, b, c = draw(rng, m, n)
+    a = [row + [0] for row in a] + [[1] * (n + 1)]
+    return a, b + [rng.randint(1, 9)], c + [0]
+
+
 def outcome_counts(rng, draw, trials):
-    """Outcome kinds over random systems of 1-6 rows and 1-8 columns; the
-    solver checks Ax=b, strong duality, dual feasibility and Farkas
-    validity on every solve, so the sweep exercises every path."""
-    statuses = {"Optimal": 0, "Infeasible": 0, "Unbounded": 0}
+    """Outcome kinds over random bounded systems of 1-6 rows and 1-8
+    columns before the bounding row; the solver checks Ax=b, strong
+    duality, dual feasibility and Farkas validity on every solve, so the
+    sweep exercises every path."""
+    statuses = {"Optimal": 0, "Infeasible": 0}
     for _ in range(trials):
-        out = simplex_solve(make_problem(*draw(rng, rng.randint(1, 6), rng.randint(1, 8))))
+        out = simplex_solve(make_problem(*bounded(rng, draw, rng.randint(1, 6), rng.randint(1, 8))))
         statuses[type(out).__name__] += 1
     return statuses
 
@@ -319,6 +316,36 @@ def test_margin_program_equals_the_dense_reference():
     assert built > 50, built
 
 
+def test_every_margin_program_column_is_bounded():
+    # the simplex takes bounded programs only; a margin program is one
+    # because every column has a positive coefficient in a row whose
+    # coefficients are all >= 0 and whose right-hand side is > 0
+    rng, reached = random.Random(2024), set()
+    for _ in range(120):
+        faces = rng.choice([SELF_GLUED_FACES, None])
+        t = validate(faces) if faces else random_triangulation(rng.choice([2, 4, 6, 8]), rng)
+        kind = rng.choice(list(InvariantKind))
+        d = random_edge_values(t, rng, Fraction(0), Fraction(rng.choice([1, 2])), kind)
+        geometry = rng.choice([GeometryClass.HYPERBOLIC, GeometryClass.SPHERICAL])
+        try:
+            problem = build_construction_lp(t, d, geometry)
+        except RangeViolation:  # outside the theorem's domain
+            continue
+        theorem, _, _ = lp._route(t, d, geometry)
+        bounded_cols = {
+            j
+            for terms, bv, _ in problem.row_terms
+            if bv > 0 and all(v >= 0 for _, v in terms)
+            for j, v in terms
+            if v > 0
+        }
+        assert bounded_cols == set(range(problem.n_cols)), (theorem, faces)
+        reached.add((theorem, faces is not None))
+    # T1 and T4 build the Delaunay program, T2 and T3 the edge program, each
+    # on a random and on the self-glued surface
+    assert reached == {(theorem, glued) for theorem in ("T1", "T2", "T3", "T4") for glued in (True, False)}
+
+
 def test_margin_program_at_480_faces_stays_small():
     # the program is held as its nonzeros alone, not as a dense 1200 x 1921 A
     rng = random.Random(0)
@@ -343,7 +370,7 @@ def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
     rng = random.Random(1618)
     unique = 0
     for _ in range(400):
-        a, b, c = random_rational_problem(rng, rng.randint(1, 4), rng.randint(2, 7))
+        a, b, c = bounded(rng, random_rational_problem, rng.randint(1, 4), rng.randint(2, 7))
         out = simplex_solve(make_problem(a, b, c))
         if not isinstance(out, Optimal):
             continue
@@ -360,33 +387,6 @@ def test_row_scaling_keeps_the_optimum_and_divides_its_multiplier():
             assert scaled.x == out.x
             assert scaled.dual == tuple(y / q if k == i else y for k, y in enumerate(out.dual))
     assert unique > 10, unique
-
-
-def dual_cone_max_is_zero(a, b, n) -> bool:
-    """Independently decide sign(max b.y : A^t y <= 0) via a second LP, for
-    a dense A with n columns.
-
-    The cone always contains y = 0, so the maximum is 0 (bounded) or
-    +infinity; returns True when it is 0.
-    """
-    m = len(a)
-    a2 = []
-    for j in range(n):
-        row = []
-        for i in range(m):
-            row.append(a[i][j])
-        for i in range(m):
-            row.append(-a[i][j])
-        row.extend(Fraction(1) if k == j else Fraction(0) for k in range(n))
-        a2.append(row)
-    b2 = [Fraction(0)] * n
-    c2 = [-b[i] for i in range(m)] + [b[i] for i in range(m)] + [Fraction(0)] * n
-    out = simplex_solve(make_problem(a2, b2, c2))
-    if isinstance(out, Optimal):
-        assert out.value == 0
-        return True
-    assert isinstance(out, Unbounded)
-    return False
 
 
 def test_feasibility_equals_dual_cone_sign():
