@@ -29,9 +29,10 @@ reports is re-evaluated exactly.  ``check_via_flow`` decides
 the same conditions in polynomial time: min g over all subsets is a
 maximum-closure problem (Picard 1976), solved by one maximum flow, whose
 smallest and largest minimisers are the meet and the join.  ``min_cut``
-builds that one face-edge network with a face capacity ``unit`` (1 here)
-and proves its cut against the flow; the LP construction solves the
-margin programs of T2 and T3 on it too, with unit 1 - 4m.
+builds that one network on the dual graph, a node per face, with a face
+capacity ``unit`` (1 here), and proves its cut against the flow; the LP
+construction solves the margin programs of T2 and T3 on it too, with unit
+1 - 4m.
 
 ``THEOREMS`` states each condition once, as a row of data: geometry,
 invariant kind (which fixes the weight map), domain, quantifier and
@@ -133,8 +134,8 @@ def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]
     """W per edge, after checking that fn has one value per edge of t."""
     if len(fn.values) != t.n_edges:
         raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
-    if row.kind is InvariantKind.DELAUNAY:
-        return [1 - v / 2 for v in fn.values]
+    if row.kind is InvariantKind.DELAUNAY:  # 1 - v/2, without Fraction arithmetic
+        return [Fraction(2 * v.denominator - v.numerator, 2 * v.denominator) for v in fn.values]
     return list(fn.values)
 
 
@@ -146,29 +147,42 @@ def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fr
     if fn.kind is not row.kind:
         raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
     weights = _weights(t, fn, row)
+    (lo_n, lo_d), (hi_n, hi_d) = row.lo.as_integer_ratio(), row.hi.as_integer_ratio()
     for e, v in enumerate(fn.values):
-        if not (row.lo < v < row.hi if row.strict else row.lo <= v <= row.hi):
+        # the signs of v - lo and hi - v, by integer cross-multiplication
+        above, below = v.numerator * lo_d - lo_n * v.denominator, hi_n * v.denominator - v.numerator * hi_d
+        if not (above > 0 < below if row.strict else above >= 0 <= below):
             raise RangeViolation(f"{theorem}: value {render(v)} at edge {e} outside domain")
     return weights
 
 
 def _offset(t: Triangulation, weights: list[Fraction], grow_form: bool) -> Fraction:
     """c in slack(X) = g(X) + c: 0 in grow form, |F| - W(E) in shrink form."""
-    return Fraction(0) if grow_form else t.n_faces - sum(weights, Fraction(0))
+    if grow_form:
+        return Fraction(0)
+    scaled, scale = _over_lcm(weights)
+    return t.n_faces - Fraction(sum(scaled), scale)
 
 
 def _toggles(t: Triangulation, scaled: list[int], scale: int):
     """Per face f, the mask of the other faces across its edges, and the
     scaled slack change on adding f keyed by which of those are in the
     subset: -L, plus W(e)*L for each edge of f that none of them covers.
-    A self-glued edge faces f itself, so adding f always covers it anew."""
+    A self-glued edge faces f itself, so adding f always covers it anew.
+    Each table is built by doubling: adding a face g across f to a state
+    takes away the weight of the edges that f and g share."""
     across, tables = [], []
     for f, row in enumerate(t.faces):
-        other = {e: sum(c.face for c in t.edge_corners[e]) - f for e in set(row)}
-        near = {1 << g for g in other.values() if g != f}
-        states = {sum(picked) for picked in product(*((0, bit) for bit in near))}
-        tables.append({s: sum(scaled[e] for e, g in other.items() if not s >> g & 1) - scale for s in states})
-        across.append(sum(near))
+        shared: dict[int, int] = {}
+        for e in set(row):
+            g = sum(c.face for c in t.edge_corners[e]) - f
+            shared[g] = shared.get(g, 0) + scaled[e]
+        table = {0: sum(shared.values()) - scale}
+        shared.pop(f, None)
+        for g, w in shared.items():
+            table.update([(s | 1 << g, v - w) for s, v in table.items()])
+        tables.append(table)
+        across.append(sum(1 << g for g in shared))
     return across, tables
 
 
@@ -307,25 +321,30 @@ def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceS
 
 
 def _closure_network(t: Triangulation, weights, unit=1):
-    """Arcs (tail, head, capacity) of the face-edge network, and the scale L.
+    """Arcs (tail, head, capacity) of the closure network on the dual graph,
+    and the scale L.
 
-    Nodes: edges 0..|E|-1, then faces, then source and sink.  Arcs run
-    source -> edge (W(e)*L), edge -> each distinct face facing it, in face
-    order (more than all faces absorb), and face -> sink (unit*L); L is the
-    lcm of the denominators of the weights and of the unit, so every
-    capacity is an int.  This is Picard's closure network reversed: the cut
-    with the faces X and their edges E(X) on the sink side has capacity
-    L*(unit*|F| + W(E(X)) - unit*|X|), and no arc in between crosses it.
+    Nodes: faces 0..|F|-1, then source and sink.  Each edge's weight goes
+    to its first face f1, so face f holds pre(f), the weight of the edges
+    it comes first on.  Each edge whose second face f2 is not f1 gives an
+    arc f1 -> f2 (W(e)*L), in edge order: flow on it moves weight to f2.
+    Then, in face order, a face whose excess pre(f) - unit is positive gets
+    an arc from the source and one whose excess is negative an arc to the
+    sink, of capacity |excess|*L.  L is the lcm of the denominators of the
+    weights and of the unit, so every capacity is an int.  The cut with X
+    on the sink side has capacity L*(g(X) + the sum over f of max(0, unit -
+    pre(f))).  This is Picard and Queyranne's closure network on the dual
+    cubic graph.
     """
-    ne, nf = t.n_edges, t.n_faces
+    nf = t.n_faces
     (*scaled, face), scale = _over_lcm([*weights, unit])
-    source, sink = ne + nf, ne + nf + 1
-    arcs = [(source, e, w) for e, w in enumerate(scaled)]
-    for e, ((f1, _), (f2, _)) in enumerate(t.edge_corners):  # validate lists f1 <= f2
-        arcs.append((e, ne + f1, nf * face + 1))
+    excess = [-face] * nf
+    arcs = []
+    for e, ((f1, _), (f2, _)) in enumerate(t.edge_corners):
+        excess[f1] += scaled[e]
         if f2 != f1:
-            arcs.append((e, ne + f2, nf * face + 1))
-    arcs += [(ne + f, sink, face) for f in range(nf)]
+            arcs.append((f1, f2, scaled[e]))
+    arcs += [(nf, f, x) if x > 0 else (f, nf + 1, -x) for f, x in enumerate(excess) if x]
     return arcs, scale
 
 
@@ -351,6 +370,8 @@ def _max_flow(arcs, n: int, source: int, sink: int):
         level[source] = 0
         queue = [source]
         for u in queue:
+            if 0 <= level[sink] <= level[u]:
+                break  # no shortest path to the sink runs through u
             for a in out[u]:
                 if cap[a] and level[head[a]] < 0:
                     level[head[a]] = level[u] + 1
@@ -414,24 +435,23 @@ def _certify_cut(t: Triangulation, weights, unit, arcs, flow, scale: int, subset
     """Prove that every subset in `subsets` minimises g(X) = W(E(X)) -
     unit*|X|; return the minimum.
 
-    `flow` must respect capacities and conservation, and its value must
-    equal the capacity L*(unit*|F| + g(X)) of the cut keeping X and E(X) on
-    the sink side.  g(X)*L is summed from the source -> edge capacities,
-    the first |E| arcs, and the face -> sink ones, the last |F|, after
-    checking that each equals W(e)*L or unit*L exactly.  Max-flow = min-cut
-    then proves that X minimises g.
+    The network must be, arc for arc, the closure network that the weights
+    and the unit give, at scale L.  `flow` must respect its capacities and
+    conservation, and its value must equal the capacity L*(g(X) + base) of
+    the cut with X on the sink side, where g(X)*L is summed from the weights
+    and base*L is the total sink capacity.  Max-flow = min-cut then proves
+    that X minimises g.
     """
-    ne, nf = t.n_edges, t.n_faces
-    caps = [c for _, _, c in arcs[:ne] + arcs[len(arcs) - nf:]]
-    expected = [*weights, *[unit] * nf]
-    if any(c * w.denominator != w.numerator * scale for c, w in zip(caps, expected, strict=True)):
-        raise VerificationFailed("a source or sink capacity differs from its scaled weight")
-    scaled, face = caps[:ne], caps[-1]
-    value = _flow_value(arcs, flow, ne + nf + 2)
+    if (arcs, scale) != _closure_network(t, weights, unit):
+        raise VerificationFailed("the network differs from the one the weights and the unit give")
+    nf = t.n_faces
+    value = _flow_value(arcs, flow, nf + 2)
+    base = sum(c for _, v, c in arcs if v == nf + 1)
+    *scaled, face = (w.numerator * (scale // w.denominator) for w in (*weights, unit))
     minimum = None
     for subset in subsets:
         minimum = sum(scaled[e] for e in edge_set(t, subset)) - len(subset) * face
-        if nf * face + minimum != value:
+        if base + minimum != value:
             raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
     return Fraction(minimum, scale)
 
@@ -440,13 +460,14 @@ def min_cut(t: Triangulation, weights, unit=1):
     """Exact minimum of g(X) = W(E(X)) - unit*|X| over all face subsets X,
     its smallest and its largest minimiser, both proven minimal by the
     cut = flow self-check, then the network's arcs, that flow and its scale
-    L.  The weights and the unit must be nonnegative.
+    L.  The weights and the unit must be nonnegative; face f is node f, the
+    source node |F| and the sink |F|+1.
     """
-    ne, nf = t.n_edges, t.n_faces
+    nf = t.n_faces
     arcs, scale = _closure_network(t, weights, unit)
-    flow, from_source, to_sink = _max_flow(arcs, ne + nf + 2, ne + nf, ne + nf + 1)
-    smallest = frozenset(f for f in range(nf) if to_sink[ne + f])
-    largest = frozenset(f for f in range(nf) if not from_source[ne + f])
+    flow, from_source, to_sink = _max_flow(arcs, nf + 2, nf, nf + 1)
+    smallest = frozenset(f for f in range(nf) if to_sink[f])
+    largest = frozenset(f for f in range(nf) if not from_source[f])
     minimum = _certify_cut(t, weights, unit, arcs, flow, scale, (smallest, largest))
     return minimum, smallest, largest, arcs, flow, scale
 

@@ -34,7 +34,7 @@ the corner transform that belongs to that program.
 
 ``construct_structure`` solves the Delaunay program by the simplex and
 the edge program by parametric minimum cut: at a fixed m the edge
-program is a transportation problem on the network of
+program is a transportation problem on the dual-graph network of
 ``feasibility.min_cut``, and Newton steps on its largest minimiser reach
 the program's optimum in a few cuts, each proven by that network's own
 check, the last minimiser re-evaluated exactly.
@@ -460,8 +460,11 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 # With the margin m fixed, the edge program is a transportation problem:
 # each edge e supplies exactly W(e) - 2m to its two facing corners and each
 # face absorbs at most 1 - 4m (Gale 1957).  That is the network of
-# feasibility.min_cut with weights W_m = W - 2m and unit 1 - 4m, and every
-# supply is met exactly when F minimises g_m(X) = W_m(E(X)) - (1 - 4m)|X|.
+# feasibility.min_cut with weights W_m = W - 2m and unit 1 - 4m: it hands
+# each edge's supply to its first face f1, and the flow on the arc f1 -> f2
+# is the share that goes on to f2.  Every face then absorbs at most 1 - 4m
+# exactly when every source arc is saturated, which is when F minimises
+# g_m(X) = W_m(E(X)) - (1 - 4m)|X|.
 # Every feasible m keeps g_m(X) - g_m(F), a line in m, nonnegative for all
 # X.  When F is no minimiser, the largest minimiser X is negative on its
 # line at m, and m moves to the root (Newton's method on the parametric
@@ -478,8 +481,9 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
     Each step's cut proves its minimum of g_m.  At the optimum the last
     X is re-evaluated exactly and must reach that minimum, which shows
     that m is its line's root; the corner values are then read from the
-    flow on the edge -> face arcs.  The optimum starts at min(min W/2, 1/4),
-    the bound of a >= 0 and of the face rows.
+    flow on the dual arcs, and a self-glued edge splits W(e) - 2m between
+    its two corners.  The optimum starts at min(min W/2, 1/4), the bound
+    of a >= 0 and of the face rows.
     """
     ne, nf = t.n_edges, t.n_faces
     weights = program.values
@@ -500,11 +504,13 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
         if sum((shifted[e] for e in edge_set(t, last)), ZERO) - unit * len(last) != minimum:
             raise VerificationFailed("the last line does not reach the cut's minimum")
     a = [ZERO] * (3 * nf)
-    for (e, node, _), x in zip(arcs[ne:len(arcs) - nf], flow[ne:len(arcs) - nf]):
-        # a self-glued edge faces two corners of one face: split its flow
-        slots = [c.slot for c in t.edge_corners[e] if c.face == node - ne]
-        for slot in slots:
-            a[3 * (node - ne) + slot] = Fraction(x, scale * len(slots))
+    dual = zip(arcs, flow)  # the first arcs, one per edge that is not self-glued
+    for e, ((f1, s1), (f2, s2)) in enumerate(t.edge_corners):
+        if f1 == f2:  # a self-glued edge faces two corners of one face
+            a[3 * f1 + s1] = a[3 * f2 + s2] = shifted[e] / 2
+            continue
+        (_, _, c), x = next(dual)
+        a[3 * f1 + s1], a[3 * f2 + s2] = Fraction(c - x, scale), Fraction(x, scale)
     return margin, a
 
 

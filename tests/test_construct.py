@@ -177,7 +177,7 @@ def test_self_glued_constructions(self_glued):
 # sha256 of the JSON bytes of the 16 witnesses below; a change that moves
 # the simplex (T1/T4) or the flow (T2/T3) to another optimal point on
 # purpose updates it and says so
-WITNESS_DIGEST = "9822b7c90b452634be4ac4e92154d4de54684c8894aa26454c0f1bb5c946d1d1"
+WITNESS_DIGEST = "c066ad38546508467fa305ee1c17be6f5821e8bfac23e10ab72e545c5f5a6a37"
 # sha256 of the exact optimal margins of the same 16 programs; the optimum
 # value is unique, so no choice of pivots may move it
 MARGIN_DIGEST = "e9b2291d2023d3f60a886d9d3a57707f33711ecadc09bc3e52becab0b2e70690"
@@ -210,11 +210,27 @@ def test_witness_bytes_pinned():
 
 
 def _tetra_network(tetra, value):
-    # nodes: the 6 edges, the 4 faces, then source 10 and sink 11
+    # nodes: the 4 faces, then source 4 and sink 5
     weights = [Fraction(*value)] * 6
     arcs, scale = _closure_network(tetra, weights)
-    flow, _, _ = _max_flow(arcs, 6 + 4 + 2, 10, 11)
+    flow, _, _ = _max_flow(arcs, 4 + 2, 4, 5)
     return weights, arcs, scale, flow
+
+
+def test_closure_network_on_the_dual_graph(tetra, self_glued):
+    # W = 7/10, L = 10: each edge's weight goes to its first face, so the
+    # faces hold 21, 14, 7 and 0 against a unit of 10; one arc per edge
+    # from its first face to its second, then each face's terminal arc
+    weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
+    assert scale == 10
+    assert arcs == [
+        (0, 1, 7), (0, 2, 7), (0, 3, 7), (1, 2, 7), (1, 3, 7), (2, 3, 7),
+        (4, 0, 11), (4, 1, 4), (2, 5, 3), (3, 5, 10),
+    ]
+    # the flow's value is L * (min g + the sink capacities 3 + 10)
+    assert sum(x for (_, v, _), x in zip(arcs, flow) if v == 5) == 13
+    # the self-glued edges 0 and 2 give no arc: their faces hold them whole
+    assert _closure_network(self_glued, [Fraction(1, 2)] * 3) == ([(0, 1, 1), (1, 3, 1)], 2)
 
 
 def test_extract_certificate_spec_vector(tetra):
@@ -229,32 +245,78 @@ def test_extract_certificate_spec_vector(tetra):
 
 
 def test_extract_certificate_rejects_zero_vector(tetra):
-    # the zero flow is feasible, but its value 0 is no cut's capacity
+    # the zero flow is feasible, but its value 0 is no cut's capacity: the
+    # cut keeping the empty set off the sink side has capacity 13
     weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
     assert _certify_cut(tetra, weights, 1, arcs, flow, scale, [frozenset()]) == 0
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed, match="differs from the flow value"):
         _certify_cut(tetra, weights, 1, arcs, [0] * len(arcs), scale, [frozenset()])
 
 
 def test_extract_certificate_rejects_infeasible_dual(tetra):
     weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
-    over = list(flow)
-    over[0] = arcs[0][2] + 1  # above the source arc's capacity
-    with pytest.raises(VerificationFailed, match="outside"):
-        _certify_cut(tetra, weights, 1, arcs, over, scale, [frozenset()])
+    source_arc = arcs.index((4, 0, 11))
+    for i in (0, source_arc):  # a dual arc and a source arc
+        over = list(flow)
+        over[i] = arcs[i][2] + 1
+        with pytest.raises(VerificationFailed, match="outside"):
+            _certify_cut(tetra, weights, 1, arcs, over, scale, [frozenset()])
     leaky = list(flow)
-    into_sink = next(i for i, (_, v, _) in enumerate(arcs) if v == 11 and flow[i] > 0)
+    into_sink = next(i for i, (_, v, _) in enumerate(arcs) if v == 5 and flow[i] > 0)
     leaky[into_sink] -= 1  # its face node keeps a unit of flow
     with pytest.raises(VerificationFailed, match="conserved"):
         _certify_cut(tetra, weights, 1, arcs, leaky, scale, [frozenset()])
     # a genuine maximum flow still fails against a set that is no minimiser
     with pytest.raises(VerificationFailed, match="differs from the flow value"):
         _certify_cut(tetra, weights, 1, arcs, flow, scale, [frozenset({0})])
-    # the cut's value is summed from the source and sink capacities, so a
-    # network built for other weights or another face unit fails too
-    for other, unit in ((weights[:5] + [Fraction(3, 5)], 1), (weights, Fraction(1, 2))):
-        with pytest.raises(VerificationFailed, match="capacity differs"):
-            _certify_cut(tetra, other, unit, arcs, flow, scale, [frozenset()])
+    # the network is recomputed from the weights and the unit, so one built
+    # for other weights, another face unit or another scale fails too
+    for other, unit, at in ((weights[:5] + [Fraction(3, 5)], 1, scale), (weights, Fraction(1, 2), scale),
+                            (weights, 1, 2 * scale)):
+        with pytest.raises(VerificationFailed, match="network differs"):
+            _certify_cut(tetra, other, unit, arcs, flow, at, [frozenset()])
+
+
+def _replace(old, new):
+    return lambda arcs: [new if arc == old else arc for arc in arcs]
+
+
+# the tetrahedron's network at W = unit = 7/10, L = 10: the faces hold 21,
+# 14, 7 and 0, so face 2 holds exactly its unit and gets no terminal arc
+TETRA_AT_UNIT = [
+    (0, 1, 7), (0, 2, 7), (0, 3, 7), (1, 2, 7), (1, 3, 7), (2, 3, 7),
+    (4, 0, 14), (4, 1, 7), (3, 5, 7),
+]
+
+
+@pytest.mark.parametrize("faces, edit", [
+    pytest.param(TETRA_FACES, _replace((1, 2, 7), (1, 2, 8)), id="dual capacity"),
+    pytest.param(TETRA_FACES, _replace((4, 0, 14), (4, 0, 15)), id="source +1"),
+    pytest.param(TETRA_FACES, _replace((4, 0, 14), (4, 0, 13)), id="source -1"),
+    pytest.param(TETRA_FACES, _replace((3, 5, 7), (3, 5, 8)), id="sink +1"),
+    pytest.param(TETRA_FACES, _replace((3, 5, 7), (3, 5, 6)), id="sink -1"),
+    pytest.param(TETRA_FACES, lambda arcs: arcs[:8] + [(4, 2, 0)] + arcs[8:], id="source arc at unit"),
+    pytest.param(TETRA_FACES, lambda arcs: arcs[:8] + [(2, 5, 0)] + arcs[8:], id="sink arc at unit"),
+    pytest.param(TETRA_FACES, lambda arcs: arcs[:7] + arcs[8:], id="missing terminal"),
+    # W = 1/2, unit 1, L = 2: edges 0 and 2 are self-glued, edge 1 joins
+    # faces 0 and 1, which hold 2 and 1 against the unit 2
+    pytest.param(SELF_GLUED_FACES, lambda arcs: [(0, 0, 1)] + arcs, id="self-glued arc"),
+])
+def test_certify_cut_rejects_a_network_off_its_weights(faces, edit):
+    # each network differs from the one the weights give in one arc; the
+    # flow is a maximum flow of that network and the subset one of its
+    # minimum cuts, so the arc-by-arc comparison must catch it
+    t = validate(faces)
+    nf = t.n_faces
+    weights, unit = ([Fraction(7, 10)] * 6, Fraction(7, 10)) if nf == 4 else ([Fraction(1, 2)] * 3, 1)
+    arcs, scale = _closure_network(t, weights, unit)
+    assert arcs == (TETRA_AT_UNIT if nf == 4 else [(0, 1, 1), (1, 3, 1)])
+    changed = edit(arcs)
+    assert changed != arcs
+    flow, _, to_sink = _max_flow(changed, nf + 2, nf, nf + 1)
+    smallest = frozenset(f for f in range(nf) if to_sink[f])
+    with pytest.raises(VerificationFailed, match="network differs"):
+        _certify_cut(t, weights, unit, changed, flow, scale, [smallest])
 
 
 def test_extract_certificate_rejects_nonpositive_objective(tetra):

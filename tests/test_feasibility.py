@@ -26,7 +26,8 @@ from anglestruct import (
 from anglestruct import feasibility
 from anglestruct.angles import mismatched_edges
 from anglestruct.errors import DimensionMismatch, MissingCorner, RangeViolation, TooLarge
-from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, subset_slack
+from anglestruct.angles import _over_lcm
+from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, _toggles, subset_slack
 from anglestruct.sampling import (
     random_edge_values,
     random_hyperbolic_delaunay_domain,
@@ -34,7 +35,7 @@ from anglestruct.sampling import (
     random_structure,
     random_triangulation,
 )
-from conftest import const_fn
+from conftest import SELF_GLUED_FACES, const_fn
 
 
 # --- independent oracle: plain loops over masks, no Gray-code, no incremental sums
@@ -300,6 +301,31 @@ def test_scan_matches_oracle_where_block_walks_are_shared(n):
                 assert scanned[:3] == (slack, meet, join), theorem
                 assert scanned[3] in attaining, theorem
                 assert subset_slack(t, fn, theorem, scanned[3]) == slack, theorem
+
+
+def test_toggle_tables_match_brute_force():
+    # each face's table against the scaled change of W(E(X)) - |X| on
+    # adding the face to every subset X of the other faces; about half the
+    # gluings glue some face to itself, and adding that face always covers
+    # its self-glued edge anew
+    rng = random.Random(16)
+    gluings = [validate(SELF_GLUED_FACES)] + [random_triangulation(rng.choice([2, 4, 6, 8]), rng) for _ in range(30)]
+    assert sum(any(len(set(row)) < 3 for row in t.faces) for t in gluings) >= 10
+    for t in gluings:
+        n = t.n_faces
+        weights = [Fraction(rng.randint(0, 20), rng.randint(1, 9)) for _ in range(t.n_edges)]
+        scaled, scale = _over_lcm(weights)
+        across, tables = _toggles(t, scaled, scale)
+        for f in range(n):
+            near = {g for e in t.faces[f] for g, _ in t.edge_corners[e] if g != f}
+            assert across[f] == sum(1 << g for g in near)
+            assert sorted(tables[f]) == [s for s in range(across[f] + 1) if s & ~across[f] == 0]
+            for mask in range(1 << n):
+                if mask >> f & 1:
+                    continue
+                covered = {e for g in range(n) if mask >> g & 1 for e in t.faces[g]}
+                change = sum(scaled[e] for e in set(t.faces[f]) - covered) - scale
+                assert tables[f][mask & across[f]] == change, (f, mask)
 
 
 def test_scan_walks_its_block_once_per_rim_state(monkeypatch):

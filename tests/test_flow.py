@@ -167,15 +167,24 @@ def test_flow_boundary_instances_from_euclidean_structures(seed, n):
             assert subset_slack(t, fn, theorem, frozenset(range(n))) == Fraction(0)
 
 
-def test_min_cut_minimisers_bracket_every_minimiser():
+def test_min_cut_minimisers_bracket_every_minimiser(monkeypatch):
     rng = random.Random(7)
-    for trial in range(40):
-        n = 2 * (trial % 4 + 1)
-        t = random_triangulation(n, rng)
+    max_flow, nodes = feasibility._max_flow, []
+
+    def recording(arcs, n, source, sink):
+        nodes.append((n, source, sink))
+        return max_flow(arcs, n, source, sink)
+
+    monkeypatch.setattr(feasibility, "_max_flow", recording)
+    self_glued = 0
+    # random gluings glue some faces to themselves; the fixture does twice
+    gluings = [validate(SELF_GLUED_FACES)] + [random_triangulation(2 * (k % 4 + 1), rng) for k in range(40)]
+    for trial, t in enumerate(gluings):
+        n = t.n_faces
         weights = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(t.n_edges)]
         # the face capacity of the margin programs' networks, 0 and 1 included
         unit = Fraction(trial % 5, 4)
-        minimum, smallest, largest, *_ = min_cut(t, weights, unit)
+        minimum, smallest, largest, arcs, *_ = min_cut(t, weights, unit)
         values = {}
         for mask in range(1 << n):
             subset = frozenset(f for f in range(n) if mask >> f & 1)
@@ -185,6 +194,17 @@ def test_min_cut_minimisers_bracket_every_minimiser():
         minimisers = [s for s, v in values.items() if v == minimum]
         assert all(smallest <= s <= largest for s in minimisers)
         assert smallest in minimisers and largest in minimisers
+        # the dual network: faces, source and sink; one arc per edge that is
+        # not self-glued, in edge order, and at most one terminal arc a face
+        assert nodes.pop() == (n + 2, n, n + 1)
+        pairs = [(f1, f2) for (f1, _), (f2, _) in t.edge_corners if f1 != f2]
+        self_glued += len(pairs) < t.n_edges
+        assert [(u, v) for u, v, _ in arcs[:len(pairs)]] == pairs
+        terminals = arcs[len(pairs):]
+        assert all(c > 0 and (u == n) != (v == n + 1) for u, v, c in terminals)
+        faces = [v if u == n else u for u, v, _ in terminals]
+        assert sorted(set(faces)) == faces and set(faces) <= set(range(n))
+    assert self_glued >= 20  # of the 41 gluings
 
 
 def test_two_hundred_faces_under_a_second():
