@@ -12,10 +12,12 @@ moves, so the run ends even on the highly degenerate symmetric instances
 this domain produces.  A problem is stored only as its integer rows
 (``LpProblem.row_terms``); ``make_problem`` converts dense data.  The
 point, value and multipliers become ``Fraction``s only when read out and
-checked, against those rows and the column view built from them.  At an
-optimum the dual multipliers are read off the reduced costs of each row's
-initial unit column; when phase 1 ends positive the same read yields a
-Farkas vector (A^t y <= 0, b^t y > 0).  The program must be bounded, as
+checked, against those rows and the column view built from them.  An
+artificial column is dropped from the tableau as it leaves the basis, so
+no pivot carries it.  The multipliers y = c_B^t B^-1 of the final basis
+are solved from the problem's own columns: at an optimum they are the
+dual, and when phase 1 ends positive, under the phase-1 costs, a Farkas
+vector (A^t y <= 0, b^t y > 0).  The program must be bounded, as
 every margin program below is (its face rows, all coefficients >= 0 and
 right-hand side 1, hold every column): an unbounded phase raises.
 
@@ -49,6 +51,7 @@ infeasible, and its subset is re-evaluated exactly.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -163,9 +166,10 @@ LpOutcome = Optimal | Infeasible
 # constraint, then one objective row of reduced costs whose right-hand side
 # is minus the objective value.  Row i is a dict of its nonzero numerators
 # over the positive denominator dens[i], the right-hand side under the key
-# _RHS.  basis[i] is the basic column of row i, reader[i] its initial unit
-# column (where its multiplier is read) and orig[i] the row of A it came
-# from.
+# _RHS.  basis[i] is the basic column of row i and orig[i] the row of A it
+# came from.  Columns j >= n are the artificials; one appears only in its
+# own row while it is basic there, and is deleted from that row when it
+# leaves, so every other row stays free of them.
 
 _RHS = -1
 # Dantzig's rule gives way to Bland's after this many degenerate pivots in a
@@ -177,11 +181,13 @@ def _pivot(rows, dens, basis, r, col):
     """Make col basic in row r: normalise it to the denominator d = prow[col]
     > 0, then set every other row with a nonzero factor in col, the objective
     row included, to (target * d' - factor' * prow) / (dens[i] * d'), reduced,
-    with d', factor' = d, factor over their gcd.  Each pass visits nonzeros."""
+    with d', factor' = d, factor over their gcd.  Each pass visits nonzeros
+    and updates the row's dict in place."""
     prow = rows[r]
     g = math.gcd(*prow.values()) if prow[col] > 0 else -math.gcd(*prow.values())
     if g != 1:
-        rows[r] = prow = {j: v // g for j, v in prow.items()}
+        for j, v in prow.items():
+            prow[j] = v // g
     dens[r] = d = prow[col]
     terms = prow.items()
     for i, target in enumerate(rows):
@@ -190,7 +196,8 @@ def _pivot(rows, dens, basis, r, col):
             h = math.gcd(d, factor)
             scale, factor = d // h, factor // h
             if scale != 1:
-                target = {j: v * scale for j, v in target.items()}
+                for j, v in target.items():
+                    target[j] = v * scale
             for j, v in terms:
                 w = target.get(j, 0) - factor * v
                 if w:
@@ -198,7 +205,9 @@ def _pivot(rows, dens, basis, r, col):
                 else:
                     del target[j]
             g = math.gcd(*target.values(), dens[i] * scale)
-            rows[i] = {j: v // g for j, v in target.items()} if g != 1 else target
+            if g != 1:
+                for j, v in target.items():
+                    target[j] = v // g
             dens[i] = dens[i] * scale // g
     basis[r] = col
 
@@ -242,13 +251,16 @@ def _run(rows, dens, basis, n):
         if leave < 0:
             return enter
         degenerate = degenerate + 1 if best_rhs == 0 else 0
+        if basis[leave] >= n:  # an artificial leaves for good: drop its column
+            del rows[leave][basis[leave]]
         _pivot(rows, dens, basis, leave, enter)
 
 
 def simplex_solve(problem: LpProblem) -> LpOutcome:
     """Exact two-phase simplex with dual multipliers and Farkas certificates,
     for a bounded problem: a phase whose entering column no row bounds
-    raises VerificationFailed."""
+    raises VerificationFailed.  Both vectors are c_B^t B^-1 of the final
+    basis, solved by _multipliers from the problem's columns."""
     m, n = problem.n_rows, problem.n_cols
     rows, dens = [], []
     for terms, bv, scale in problem.row_terms:
@@ -271,38 +283,36 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
             row[art] = dens[i]
             basis[i] = art
             art += 1
-    n_art = art - n
-    reader = list(basis)
     orig = list(range(m))
 
-    if n_art:
-        phase1_cost = [ZERO] * n + [ONE] * n_art
+    if art > n:
+        phase1_cost = [ZERO] * n + [ONE] * (art - n)
         _price(rows, dens, basis, phase1_cost)
         if _run(rows, dens, basis, n) is not None:
             raise VerificationFailed("phase 1 unbounded")
         if rows[-1].get(_RHS, 0) < 0:  # the artificials sum to more than 0
-            y = _read_dual(rows, dens, reader, orig, phase1_cost, problem.row_terms)
+            y = _multipliers(problem, basis, orig, phase1_cost)
             _verify_farkas(problem, y)
             return Infeasible(tuple(y))
-        _expel_artificials(rows, dens, basis, reader, orig, n)
+        _expel_artificials(rows, dens, basis, orig, n)
 
-    phase2_cost = list(problem.c) + [ZERO] * n_art
-    _price(rows, dens, basis, phase2_cost)
+    _price(rows, dens, basis, problem.c)
     if _run(rows, dens, basis, n) is not None:
         raise VerificationFailed("phase 2 unbounded")
 
     x = [ZERO] * n
     for row, den, col in zip(rows, dens, basis):
-        if col < n:
-            x[col] = Fraction(row.get(_RHS, 0), den)
+        x[col] = Fraction(row.get(_RHS, 0), den)
     value = Fraction(-rows[-1].get(_RHS, 0), dens[-1])
-    y = _read_dual(rows, dens, reader, orig, phase2_cost, problem.row_terms)
+    y = _multipliers(problem, basis, orig, problem.c)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
 
-def _expel_artificials(rows, dens, basis, reader, orig, n):
-    """Pivot zero-valued artificials out of the basis; drop redundant rows."""
+def _expel_artificials(rows, dens, basis, orig, n):
+    """Pivot zero-valued artificials out of the basis, each column dropped
+    as it leaves; drop a row that has no other column to pivot on, which
+    is redundant."""
     i = 0
     while i < len(basis):
         if basis[i] >= n:
@@ -311,21 +321,85 @@ def _expel_artificials(rows, dens, basis, reader, orig, n):
                 raise VerificationFailed("artificial basic with nonzero value at phase-1 optimum")
             col = min((j for j in row if 0 <= j < n), default=None)
             if col is None:
-                for seq in (rows, dens, basis, reader, orig):
+                for seq in (rows, dens, basis, orig):
                     del seq[i]
                 continue
+            del row[basis[i]]
             _pivot(rows, dens, basis, i, col)
         i += 1
 
 
-def _read_dual(rows, dens, reader, orig, costs, row_terms):
-    """Row multipliers via y_i = c_u - r_u at each row's initial unit column,
-    negated for a row that was negated to make L_i b_i >= 0."""
-    obj, den = rows[-1], dens[-1]
-    y = [ZERO] * len(row_terms)
-    for col, i in zip(reader, orig):
-        yi = costs[col] - Fraction(obj.get(col, 0), den)
-        y[i] = yi if row_terms[i][1] >= 0 else -yi
+def _multipliers(problem: LpProblem, basis, orig, costs):
+    """y = c_B^t B^-1: the solution of B^t y = c_B, one equation per basic
+    column over the multipliers of the rows still in the tableau; a row
+    dropped as redundant keeps y_i = 0.
+
+    The unknowns are z_i = y_i / L_i, so a column's equation has its
+    col_terms as integer coefficients.  The artificial of row i is L_i
+    times a unit column of the row as the tableau holds it, negated where
+    b_i < 0, so its equation reads +-L_i z_i = its cost.  Each equation is
+    scaled to integers.  Elimination takes a shortest equation first,
+    singletons before the rest, and pivots on its unknown that the fewest
+    other equations hold; back substitution then reads z."""
+    n = problem.n_cols
+    holders = {i: set() for i in orig}  # the live equations that hold z_i
+    eqs, rhs = [], []
+    for k, (col, i) in enumerate(zip(basis, orig)):
+        q = costs[col].denominator
+        if col < n:
+            eq = {r: v * q for r, v in problem.col_terms[col] if r in holders}
+        else:
+            _, bv, scale = problem.row_terms[i]
+            eq = {i: -scale * q if bv < 0 else scale * q}
+        for r in eq:
+            holders[r].add(k)
+        eqs.append(eq)
+        rhs.append(costs[col].numerator)
+    queue = [(len(eq), k) for k, eq in enumerate(eqs)]
+    heapq.heapify(queue)
+    order = []  # (unknown, its pivot equation, that equation's rhs)
+    while queue:
+        size, k = heapq.heappop(queue)
+        peq = eqs[k]
+        if peq is None or size != len(peq):
+            continue
+        eqs[k] = None
+        u = min(peq, key=lambda i: (len(holders[i]), i))
+        p, pr = peq[u], rhs[k]
+        order.append((u, peq, pr))
+        for i in peq:
+            holders[i].discard(k)
+        for k2 in holders.pop(u):
+            eq = eqs[k2]
+            h = math.gcd(p, eq[u])
+            scale, factor = p // h, eq[u] // h
+            for j, v in eq.items():
+                eq[j] = v * scale
+            for j, v in peq.items():
+                w = eq.get(j, 0) - factor * v
+                if w:
+                    if j not in eq:
+                        holders[j].add(k2)
+                    eq[j] = w
+                else:
+                    del eq[j]
+                    if j != u:
+                        holders[j].discard(k2)
+            r = rhs[k2] * scale - factor * pr
+            g = math.gcd(*eq.values(), r)
+            if g != 1:
+                for j, v in eq.items():
+                    eq[j] = v // g
+            rhs[k2] = r // g
+            heapq.heappush(queue, (len(eq), k2))
+    z = {}  # the nonzero z_i
+    for u, peq, pr in reversed(order):
+        terms = [v * z[j] for j, v in peq.items() if j in z]
+        if terms or pr:
+            z[u] = (pr - sum(terms, ZERO)) / peq[u]
+    y = [ZERO] * problem.n_rows
+    for i, zi in z.items():
+        y[i] = zi * problem.row_terms[i][2]
     return y
 
 
@@ -471,6 +545,12 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 # cut, as in Dinkelbach 1967).  Each root bounds the largest feasible m
 # from above and no line is negative twice, so the first m at which F
 # minimises g_m is the program's optimum.
+# The slope by which a step's line falls per unit of m is an integer in
+# [1, 4|F|], and it falls strictly from step to step: X_k minimises g at
+# m_k, and X_{k+1} is negative at the root m_{k+1} < m_k of X_k's line,
+# so between the two X_{k+1}'s line climbs from below X_k's to at least
+# X_k's.  The loop therefore makes at most 4|F| steps, and a slope that
+# does not fall shows a wrong cut.
 
 
 def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
@@ -487,7 +567,7 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
     """
     ne, nf = t.n_edges, t.n_faces
     weights = program.values
-    margin, last = min(min(weights) / 2, ONE / 4), None
+    margin, last, fall = min(min(weights) / 2, ONE / 4), None, 4 * nf + 1
     while True:
         shifted, unit = [w - 2 * margin for w in weights], 1 - 4 * margin
         minimum, _, largest, arcs, flow, scale = min_cut(t, shifted, unit)
@@ -496,6 +576,9 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
         # g_m(X) - g_m(F) falls by 4|F - X| - 2|E - E(X)| >= |F - X| > 0 per
         # unit of m: both corners of an edge outside E(X) lie in F - X
         slope = 4 * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
+        if slope >= fall:
+            raise VerificationFailed("the Newton slope did not fall")
+        fall = slope
         margin += (minimum - sum(shifted, ZERO) + unit * nf) / slope
         if margin <= 0:
             return None

@@ -1,9 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from anglestruct import EdgeFunction, InvariantKind, validate
+from anglestruct import (
+    EdgeFunction,
+    GeometryClass,
+    InvariantKind,
+    delaunay_invariant,
+    edge_invariant,
+    validate,
+)
 from anglestruct.lp import Optimal, make_problem, simplex_solve
+from anglestruct.sampling import (
+    random_hyperbolic_delaunay_domain,
+    random_spherical_edge_domain,
+    random_structure,
+    random_triangulation,
+)
 
 TETRA_FACES = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
 
@@ -41,6 +55,23 @@ def self_glued():
 def const_fn(t, value, kind=InvariantKind.EDGE) -> EdgeFunction:
     coeff = Fraction(*value) if isinstance(value, tuple) else Fraction(value)
     return EdgeFunction((coeff,) * t.n_edges, kind)
+
+
+def pinned_construct_requests():
+    """(t, fn, geometry) of 16 feasible construct requests: T1-T4 at 6, 8,
+    10 and 12 faces, each invariant computed from a structure of its
+    theorem's domain."""
+    sph, hyp = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
+    rng = random.Random(8)
+    for n in (6, 8, 10, 12):
+        t = random_triangulation(n, rng)
+        for geometry, fn in (
+            (sph, edge_invariant(t, random_spherical_edge_domain(t, rng))),
+            (hyp, edge_invariant(t, random_structure(t, hyp, rng))),
+            (sph, delaunay_invariant(t, random_structure(t, sph, rng))),
+            (hyp, delaunay_invariant(t, random_hyperbolic_delaunay_domain(t, rng))),
+        ):
+            yield t, fn, geometry
 
 
 def face_subsets(t, nonempty_proper=False):

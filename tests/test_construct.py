@@ -29,13 +29,11 @@ from anglestruct.feasibility import THEOREMS, make_report, theorem_for
 from anglestruct.lp import _infeasible_certificate, check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
-    random_hyperbolic_delaunay_domain,
-    random_spherical_edge_domain,
     random_structure,
     random_triangulation,
 )
 from anglestruct.serialize import dumps, structure_to_json
-from conftest import SELF_GLUED_FACES, TETRA_FACES, const_fn
+from conftest import SELF_GLUED_FACES, TETRA_FACES, const_fn, pinned_construct_requests
 
 
 def test_hyperbolic_construction_golden(tetra):
@@ -174,7 +172,8 @@ def test_self_glued_constructions(self_glued):
     assert classify_structure(self_glued, w) is GeometryClass.SPHERICAL
 
 
-# sha256 of the JSON bytes of the 16 witnesses below; a change that moves
+# sha256 of the JSON bytes of the witnesses of the 16
+# pinned_construct_requests (conftest); a change that moves
 # the simplex (T1/T4) or the flow (T2/T3) to another optimal point on
 # purpose updates it and says so
 WITNESS_DIGEST = "c066ad38546508467fa305ee1c17be6f5821e8bfac23e10ab72e545c5f5a6a37"
@@ -184,24 +183,14 @@ MARGIN_DIGEST = "e9b2291d2023d3f60a886d9d3a57707f33711ecadc09bc3e52becab0b2e7069
 
 
 def test_witness_bytes_pinned():
-    # T1-T4 at 6, 8, 10 and 12 faces, each invariant computed from a
-    # structure of its theorem's domain, so every request is feasible
-    sph, hyp = GeometryClass.SPHERICAL, GeometryClass.HYPERBOLIC
-    rng = random.Random(8)
+    # every request is feasible, its invariant taken from its theorem's domain
     digest, margins = hashlib.sha256(), hashlib.sha256()
-    for n in (6, 8, 10, 12):
-        t = random_triangulation(n, rng)
-        for geometry, fn in (
-            (sph, edge_invariant(t, random_spherical_edge_domain(t, rng))),
-            (hyp, edge_invariant(t, random_structure(t, hyp, rng))),
-            (sph, delaunay_invariant(t, random_structure(t, sph, rng))),
-            (hyp, delaunay_invariant(t, random_hyperbolic_delaunay_domain(t, rng))),
-        ):
-            w = construct_structure(t, fn, geometry)
-            assert isinstance(w, AngleStructure)
-            digest.update(dumps(structure_to_json(t, w)).encode())
-            outcome = lp.simplex_solve(lp.build_construction_lp(t, fn, geometry))
-            margins.update(f"{-outcome.value}\n".encode())
+    for t, fn, geometry in pinned_construct_requests():
+        w = construct_structure(t, fn, geometry)
+        assert isinstance(w, AngleStructure)
+        digest.update(dumps(structure_to_json(t, w)).encode())
+        outcome = lp.simplex_solve(lp.build_construction_lp(t, fn, geometry))
+        margins.update(f"{-outcome.value}\n".encode())
     assert margins.hexdigest() == MARGIN_DIGEST
     assert digest.hexdigest() == WITNESS_DIGEST
 
@@ -574,6 +563,37 @@ def test_margin_flows_are_checked(monkeypatch, tetra):
             m.setattr(module, name, fake)
             with pytest.raises(VerificationFailed, match=match):
                 construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
+
+
+def test_newton_loop_is_bounded(monkeypatch):
+    # each step's slope is an integer in [1, 4|F|] that falls strictly, so
+    # a network that misstates the program (every source arc one unit too
+    # large) raises instead of looping: draw 42 (4 faces) finds the same
+    # minimiser at every step, its slope never falls, and without the check
+    # the loop would not end
+    network, cut, cuts = feasibility._closure_network, lp.min_cut, []
+
+    def inflated(t, weights, unit=1):
+        arcs, scale = network(t, weights, unit)
+        return [(u, v, c + 1) if u == t.n_faces else (u, v, c) for u, v, c in arcs], scale
+
+    def counted(t, weights, unit):
+        cuts.append(None)
+        assert len(cuts) <= 4 * t.n_faces + 1, "more cuts than slopes"
+        return cut(t, weights, unit)
+
+    monkeypatch.setattr(feasibility, "_closure_network", inflated)
+    monkeypatch.setattr(lp, "min_cut", counted)
+    rng, outcomes = random.Random(42), []
+    for _ in range(43):
+        t = random_triangulation(rng.choice((4, 6, 8)), rng)
+        fn = edge_invariant(t, random_structure(t, GeometryClass.HYPERBOLIC, rng))
+        cuts.clear()
+        try:
+            outcomes.append(type(construct_structure(t, fn, GeometryClass.HYPERBOLIC)).__name__)
+        except VerificationFailed as error:
+            outcomes.append(str(error))
+    assert t.n_faces == 4 and outcomes[42] == "the Newton slope did not fall"
 
 
 def test_newton_step_from_all_faces_but_one(self_glued):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -20,7 +21,7 @@ from anglestruct.lp import (
     simplex_solve,
 )
 from anglestruct.sampling import random_edge_values, random_triangulation
-from conftest import SELF_GLUED_FACES, const_fn, dual_cone_max_is_zero
+from conftest import SELF_GLUED_FACES, const_fn, dual_cone_max_is_zero, pinned_construct_requests
 
 
 def test_trivial_feasible():
@@ -223,15 +224,20 @@ def bounded(rng, draw, m, n):
     return a, b + [rng.randint(1, 9)], c + [0]
 
 
-def outcome_counts(rng, draw, trials):
-    """Outcome kinds over random bounded systems of 1-6 rows and 1-8
-    columns before the bounding row; the solver checks Ax=b, strong
-    duality, dual feasibility and Farkas validity on every solve, so the
-    sweep exercises every path."""
-    statuses = {"Optimal": 0, "Infeasible": 0}
+def sweep(rng, draw, trials):
+    """Random bounded systems of 1-6 rows and 1-8 columns before the
+    bounding row."""
     for _ in range(trials):
-        out = simplex_solve(make_problem(*bounded(rng, draw, rng.randint(1, 6), rng.randint(1, 8))))
-        statuses[type(out).__name__] += 1
+        yield make_problem(*bounded(rng, draw, rng.randint(1, 6), rng.randint(1, 8)))
+
+
+def outcome_counts(rng, draw, trials):
+    """Outcome kinds over a sweep; the solver checks Ax=b, strong duality,
+    dual feasibility and Farkas validity on every solve, so the sweep
+    exercises every path."""
+    statuses = {"Optimal": 0, "Infeasible": 0}
+    for problem in sweep(rng, draw, trials):
+        statuses[type(simplex_solve(problem)).__name__] += 1
     return statuses
 
 
@@ -243,6 +249,30 @@ def test_random_systems_verify_internally():
 def test_rational_systems_verify_internally():
     statuses = outcome_counts(random.Random(2718), random_rational_problem, 300)
     assert all(count > 10 for count in statuses.values()), statuses
+
+
+def pinned_programs():
+    """Both sweeps above, then the margin programs of the 16
+    pinned_construct_requests."""
+    yield from sweep(random.Random(99), random_problem, 200)
+    yield from sweep(random.Random(2718), random_rational_problem, 300)
+    for request in pinned_construct_requests():
+        yield build_construction_lp(*request)
+
+
+# sha256 of every multiplier vector (Optimal.dual, Infeasible.certificate)
+# of pinned_programs; y = c_B^t B^-1 depends on the final basis alone, not
+# on how it is computed
+DUAL_DIGEST = "8126f7fe35618bcca6e86707a1b625781177ab376e230cca141a284610cb1095"
+
+
+def test_multipliers_pinned():
+    digest = hashlib.sha256()
+    for problem in pinned_programs():
+        out = simplex_solve(problem)
+        y = out.dual if isinstance(out, Optimal) else out.certificate
+        digest.update(f"{type(out).__name__} {' '.join(map(str, y))}\n".encode())
+    assert digest.hexdigest() == DUAL_DIGEST
 
 
 def test_pivots_keep_rows_canonical(monkeypatch):
@@ -265,6 +295,29 @@ def test_pivots_keep_rows_canonical(monkeypatch):
     outcome_counts(random.Random(99), random_problem, 200)
     outcome_counts(random.Random(2718), random_rational_problem, 300)
     assert len(pivots) > 1000, len(pivots)
+
+
+def test_artificial_columns_leave_with_their_row(monkeypatch):
+    # an artificial column is dropped from its row as it leaves the basis,
+    # and is never carried elsewhere: after every pivot, the only column
+    # >= n that a row holds is its own basic one, and the objective row
+    # holds none once _price has pivoted on every basic column (a pivot
+    # on a column that is already basic)
+    pivot, left, n = lp._pivot, [], None
+
+    def checked(rows, dens, basis, r, col):
+        pricing = basis[r] == col
+        left.append(basis[r] >= n and not pricing)
+        pivot(rows, dens, basis, r, col)
+        for i, row in enumerate(rows[:len(basis)] if pricing else rows):
+            own = basis[i] if i < len(basis) else None
+            assert all(j < n or j == own for j in row), (i, own, sorted(row))
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    for problem in pinned_programs():
+        n = problem.n_cols
+        simplex_solve(problem)
+    assert sum(left) > 500, sum(left)
 
 
 def dense_margin_program(t, program):
