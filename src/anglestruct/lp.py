@@ -15,11 +15,12 @@ point, value and multipliers become ``Fraction``s only when read out and
 checked, against those rows and the column view built from them.  An
 artificial column is dropped from the tableau as it leaves the basis, so
 no pivot carries it.  The multipliers y = c_B^t B^-1 of the final basis
-are solved from the problem's own columns: at an optimum they are the
-dual, and when phase 1 ends positive, under the phase-1 costs, a Farkas
-vector (A^t y <= 0, b^t y > 0).  The program must be bounded, as
-every margin program below is (its face rows, all coefficients >= 0 and
-right-hand side 1, hold every column): an unbounded phase raises.
+are solved from the problem's own columns, B^t y = c_B eliminated by the
+same pivot: at an optimum they are the dual, and when phase 1 ends
+positive, under the phase-1 costs, a Farkas vector (A^t y <= 0,
+b^t y > 0).  The program must be bounded, as every margin program below
+is (its face rows, all coefficients >= 0 and right-hand side 1, hold
+every column): an unbounded phase raises.
 
 Construction solves one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
@@ -51,7 +52,6 @@ infeasible, and its subset is re-evaluated exactly.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -334,72 +334,34 @@ def _multipliers(problem: LpProblem, basis, orig, costs):
     column over the multipliers of the rows still in the tableau; a row
     dropped as redundant keeps y_i = 0.
 
-    The unknowns are z_i = y_i / L_i, so a column's equation has its
-    col_terms as integer coefficients.  The artificial of row i is L_i
-    times a unit column of the row as the tableau holds it, negated where
-    b_i < 0, so its equation reads +-L_i z_i = its cost.  Each equation is
-    scaled to integers.  Elimination takes a shortest equation first,
-    singletons before the rest, and pivots on its unknown that the fewest
-    other equations hold; back substitution then reads z."""
-    n = problem.n_cols
-    holders = {i: set() for i in orig}  # the live equations that hold z_i
-    eqs, rhs = [], []
-    for k, (col, i) in enumerate(zip(basis, orig)):
+    The unknowns are z_k = y_i / L_i for the row i = orig[k], so a
+    column's equation has its col_terms, times its cost's denominator, as
+    integer coefficients and the cost's numerator under _RHS.  The
+    artificial of row i is L_i times a unit column of the row as the
+    tableau holds it, negated where b_i < 0, so its equation reads
+    +-L_i z_k = its cost.  The equations are rows of the tableau's form,
+    and _pivot eliminates them Gauss-Jordan, shortest first, each on its
+    lowest unknown: every row ends with one unknown, read as x is."""
+    n, m = problem.n_cols, len(basis)
+    pos = {i: k for k, i in enumerate(orig)}
+    rows = []
+    for k, col in enumerate(basis):
         q = costs[col].denominator
         if col < n:
-            eq = {r: v * q for r, v in problem.col_terms[col] if r in holders}
+            row = {pos[i]: v * q for i, v in problem.col_terms[col] if i in pos}
         else:
-            _, bv, scale = problem.row_terms[i]
-            eq = {i: -scale * q if bv < 0 else scale * q}
-        for r in eq:
-            holders[r].add(k)
-        eqs.append(eq)
-        rhs.append(costs[col].numerator)
-    queue = [(len(eq), k) for k, eq in enumerate(eqs)]
-    heapq.heapify(queue)
-    order = []  # (unknown, its pivot equation, that equation's rhs)
-    while queue:
-        size, k = heapq.heappop(queue)
-        peq = eqs[k]
-        if peq is None or size != len(peq):
-            continue
-        eqs[k] = None
-        u = min(peq, key=lambda i: (len(holders[i]), i))
-        p, pr = peq[u], rhs[k]
-        order.append((u, peq, pr))
-        for i in peq:
-            holders[i].discard(k)
-        for k2 in holders.pop(u):
-            eq = eqs[k2]
-            h = math.gcd(p, eq[u])
-            scale, factor = p // h, eq[u] // h
-            for j, v in eq.items():
-                eq[j] = v * scale
-            for j, v in peq.items():
-                w = eq.get(j, 0) - factor * v
-                if w:
-                    if j not in eq:
-                        holders[j].add(k2)
-                    eq[j] = w
-                else:
-                    del eq[j]
-                    if j != u:
-                        holders[j].discard(k2)
-            r = rhs[k2] * scale - factor * pr
-            g = math.gcd(*eq.values(), r)
-            if g != 1:
-                for j, v in eq.items():
-                    eq[j] = v // g
-            rhs[k2] = r // g
-            heapq.heappush(queue, (len(eq), k2))
-    z = {}  # the nonzero z_i
-    for u, peq, pr in reversed(order):
-        terms = [v * z[j] for j, v in peq.items() if j in z]
-        if terms or pr:
-            z[u] = (pr - sum(terms, ZERO)) / peq[u]
+            _, bv, scale = problem.row_terms[orig[k]]
+            row = {k: -scale * q if bv < 0 else scale * q}
+        if costs[col]:
+            row[_RHS] = costs[col].numerator
+        rows.append(row)
+    dens, solved = [1] * m, [None] * m
+    for r in sorted(range(m), key=lambda r: len(rows[r])):
+        _pivot(rows, dens, solved, r, min(j for j in rows[r] if j != _RHS))
     y = [ZERO] * problem.n_rows
-    for i, zi in z.items():
-        y[i] = zi * problem.row_terms[i][2]
+    for row, den, k in zip(rows, dens, solved):
+        i = orig[k]
+        y[i] = Fraction(row.get(_RHS, 0), den) * problem.row_terms[i][2]
     return y
 
 

@@ -260,52 +260,90 @@ def pinned_programs():
         yield build_construction_lp(*request)
 
 
-# sha256 of every multiplier vector (Optimal.dual, Infeasible.certificate)
-# of pinned_programs; y = c_B^t B^-1 depends on the final basis alone, not
-# on how it is computed
+def multiplier_digest(problems):
+    """sha256 of every multiplier vector (Optimal.dual, Infeasible.certificate)
+    of problems, each after its outcome's kind."""
+    digest = hashlib.sha256()
+    for problem in problems:
+        out = simplex_solve(problem)
+        y = out.dual if isinstance(out, Optimal) else out.certificate
+        digest.update(f"{type(out).__name__} {' '.join(map(str, y))}\n".encode())
+    return digest.hexdigest()
+
+
+# y = c_B^t B^-1 depends on the final basis alone, not on how it is computed
 DUAL_DIGEST = "8126f7fe35618bcca6e86707a1b625781177ab376e230cca141a284610cb1095"
 
 
 def test_multipliers_pinned():
-    digest = hashlib.sha256()
-    for problem in pinned_programs():
-        out = simplex_solve(problem)
-        y = out.dual if isinstance(out, Optimal) else out.certificate
-        digest.update(f"{type(out).__name__} {' '.join(map(str, y))}\n".encode())
-    assert digest.hexdigest() == DUAL_DIGEST
+    assert multiplier_digest(pinned_programs()) == DUAL_DIGEST
+
+
+def margin_draws():
+    """40 margin programs of Random(5) on 4-12 faces: even draws T4 (a
+    Delaunay invariant in (0, 2), hyperbolic), odd draws T1 (an edge
+    invariant in (0, 1), spherical).  38 of them end phase 1 infeasible,
+    so they pin the Farkas vectors of margin programs, which the feasible
+    construct requests of pinned_programs never reach."""
+    rng = random.Random(5)
+    for k in range(40):
+        t = random_triangulation(rng.choice([4, 6, 8, 10, 12]), rng)
+        if k % 2 == 0:
+            fn = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
+            yield build_construction_lp(t, fn, GeometryClass.HYPERBOLIC)
+        else:
+            fn = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
+            yield build_construction_lp(t, fn, GeometryClass.SPHERICAL)
+
+
+FARKAS_DIGEST = "be10fb194f564bc053df7e15703c6c9fa398cb1cee229982e75ff8dc703243c0"
+
+
+def test_margin_farkas_vectors_pinned():
+    assert multiplier_digest(margin_draws()) == FARKAS_DIGEST
 
 
 def test_pivots_keep_rows_canonical(monkeypatch):
     # the elimination divides the pivot and each factor by their gcd before
     # it multiplies; after every pivot of both sweeps above, every row must
     # still be in lowest terms over a positive denominator, with its basic
-    # entry equal to that denominator (the unit column of B^-1 A)
-    pivot, pivots = lp._pivot, []
+    # entry equal to that denominator (the unit column of B^-1 A).  The
+    # multiplier solve pivots on rows of B^t with no objective row; there
+    # each solved unknown's entry equals its row's denominator and no other
+    # row holds that unknown
+    pivot, pivots = lp._pivot, {"simplex": 0, "multipliers": 0}
 
     def checked(rows, dens, basis, r, col):
         pivot(rows, dens, basis, r, col)
-        pivots.append(col)
+        simplex = len(rows) == len(basis) + 1
+        pivots["simplex" if simplex else "multipliers"] += 1
         for i, (row, den) in enumerate(zip(rows, dens, strict=True)):
             assert den > 0
             assert math.gcd(*row.values(), den) == 1
-            if i < len(basis):
+            if i < len(basis) and basis[i] is not None:
                 assert row[basis[i]] == den
+                if not simplex:
+                    assert sum(basis[i] in other for other in rows) == 1
 
     monkeypatch.setattr(lp, "_pivot", checked)
     outcome_counts(random.Random(99), random_problem, 200)
     outcome_counts(random.Random(2718), random_rational_problem, 300)
-    assert len(pivots) > 1000, len(pivots)
+    assert pivots["simplex"] > 1000 and pivots["multipliers"] > 1000, pivots
 
 
 def test_artificial_columns_leave_with_their_row(monkeypatch):
     # an artificial column is dropped from its row as it leaves the basis,
-    # and is never carried elsewhere: after every pivot, the only column
+    # and is never carried elsewhere: after every simplex pivot (the rows
+    # and an objective row; the multiplier solve has none), the only column
     # >= n that a row holds is its own basic one, and the objective row
     # holds none once _price has pivoted on every basic column (a pivot
     # on a column that is already basic)
     pivot, left, n = lp._pivot, [], None
 
     def checked(rows, dens, basis, r, col):
+        if len(rows) != len(basis) + 1:
+            pivot(rows, dens, basis, r, col)
+            return
         pricing = basis[r] == col
         left.append(basis[r] >= n and not pricing)
         pivot(rows, dens, basis, r, col)
