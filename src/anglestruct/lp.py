@@ -162,14 +162,16 @@ LpOutcome = Optimal | Infeasible
 # ---------------------------------------------------------------------------
 # simplex kernel
 #
-# The tableau is a list of augmented rows [B^-1 A | B^-1 b], one per live
-# constraint, then one objective row of reduced costs whose right-hand side
-# is minus the objective value.  Row i is a dict of its nonzero numerators
-# over the positive denominator dens[i], the right-hand side under the key
-# _RHS.  basis[i] is the basic column of row i and orig[i] the row of A it
-# came from.  Columns j >= n are the artificials; one appears only in its
-# own row while it is basic there, and is deleted from that row when it
-# leaves, so every other row stays free of them.
+# The tableau is a list of augmented rows [B^-1 A | B^-1 b], one per
+# constraint and in the constraints' order for the whole solve, then one
+# objective row of reduced costs whose right-hand side is minus the
+# objective value.  Row i is a dict of its nonzero numerators over the
+# positive denominator dens[i], the right-hand side under the key _RHS, and
+# basis[i] is its basic column.  Column n + i is row i's artificial; it
+# appears only in row i while it is basic there, and is deleted from that
+# row when it leaves, so every other row stays free of it.  A redundant row
+# keeps its artificial basic at 0 and holds no real column, so no ratio
+# test picks it and no pivot changes it.
 
 _RHS = -1
 # Dantzig's rule gives way to Bland's after this many degenerate pivots in a
@@ -212,21 +214,13 @@ def _pivot(rows, dens, basis, r, col):
     basis[r] = col
 
 
-def _price(rows, dens, basis, costs):
-    """Set the objective row to the reduced costs of costs at basis, by
-    pivoting again on each basic column that has a nonzero cost."""
-    nums, scale = _over_lcm(costs)
-    rows[len(basis):], dens[len(basis):] = [{j: v for j, v in enumerate(nums) if v}], [scale]
-    for r, col in enumerate(basis):
-        if col in rows[-1]:
-            _pivot(rows, dens, basis, r, col)
+def _run(rows, dens, basis, n, costs, phase):
+    """Price costs (one per column, artificials included) into the
+    objective row, then run the simplex over the columns j < n; a column
+    that enters with no row to bound it raises VerificationFailed.
 
-
-def _run(rows, dens, basis, n):
-    """Simplex over the columns j < n; returns the entering column on
-    unboundedness, else None.
-
-    The entering column has the most negative reduced-cost numerator (the
+    Pricing pivots again on each basic column that has a nonzero cost.  The
+    entering column has the most negative reduced-cost numerator (the
     objective row has one denominator), the lowest such index on a tie.
     After _DEGENERATE_RUN degenerate pivots in a row it is the lowest index
     with a negative reduced cost (Bland's rule), until a pivot moves the
@@ -234,11 +228,16 @@ def _run(rows, dens, basis, n):
     comes back across one, and Bland's rule cannot cycle between two; the
     run ends.  Ratios rhs_i / coeff_i compare by cross-multiplication; the
     row denominators cancel."""
+    nums, scale = _over_lcm(costs)
+    rows[len(basis):], dens[len(basis):] = [{j: v for j, v in enumerate(nums) if v}], [scale]
+    for r, col in enumerate(basis):
+        if col in rows[-1]:
+            _pivot(rows, dens, basis, r, col)
     degenerate = 0
     while True:
         entering = [(v, j) for j, v in rows[-1].items() if v < 0 and 0 <= j < n]
         if not entering:
-            return None
+            return
         enter = min(entering)[1] if degenerate < _DEGENERATE_RUN else min(j for _, j in entering)
         leave, best_rhs, best_coeff = -1, 1, 0  # 1/0: every ratio is smaller
         for i, col in enumerate(basis):
@@ -249,7 +248,7 @@ def _run(rows, dens, basis, n):
                 if cross < 0 or (cross == 0 and col < basis[leave]):
                     leave, best_rhs, best_coeff = i, rhs, coeff
         if leave < 0:
-            return enter
+            raise VerificationFailed(f"phase {phase} unbounded")
         degenerate = degenerate + 1 if best_rhs == 0 else 0
         if basis[leave] >= n:  # an artificial leaves for good: drop its column
             del rows[leave][basis[leave]]
@@ -276,91 +275,76 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
             i = terms[0][0]
             if basis[i] is None and rows[i][j] == dens[i]:
                 basis[i] = j
-
-    art = n
     for i, row in enumerate(rows):
         if basis[i] is None:
-            row[art] = dens[i]
-            basis[i] = art
-            art += 1
-    orig = list(range(m))
+            row[n + i] = dens[i]
+            basis[i] = n + i
 
-    if art > n:
-        phase1_cost = [ZERO] * n + [ONE] * (art - n)
-        _price(rows, dens, basis, phase1_cost)
-        if _run(rows, dens, basis, n) is not None:
-            raise VerificationFailed("phase 1 unbounded")
-        if rows[-1].get(_RHS, 0) < 0:  # the artificials sum to more than 0
-            y = _multipliers(problem, basis, orig, phase1_cost)
-            _verify_farkas(problem, y)
-            return Infeasible(tuple(y))
-        _expel_artificials(rows, dens, basis, orig, n)
+    phase1_cost = [ZERO] * n + [ONE if col >= n else ZERO for col in basis]
+    _run(rows, dens, basis, n, phase1_cost, 1)
+    if rows[-1].get(_RHS, 0) < 0:  # the artificials sum to more than 0
+        y = _multipliers(problem, basis, phase1_cost)
+        _verify_farkas(problem, y)
+        return Infeasible(tuple(y))
+    _expel_artificials(rows, dens, basis, n)
 
-    _price(rows, dens, basis, problem.c)
-    if _run(rows, dens, basis, n) is not None:
-        raise VerificationFailed("phase 2 unbounded")
-
-    x = [ZERO] * n
+    costs = [*problem.c, *[ZERO] * m]
+    _run(rows, dens, basis, n, costs, 2)
+    x = [ZERO] * (n + m)
     for row, den, col in zip(rows, dens, basis):
         x[col] = Fraction(row.get(_RHS, 0), den)
+    del x[n:]
     value = Fraction(-rows[-1].get(_RHS, 0), dens[-1])
-    y = _multipliers(problem, basis, orig, problem.c)
+    y = _multipliers(problem, basis, costs)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
 
-def _expel_artificials(rows, dens, basis, orig, n):
-    """Pivot zero-valued artificials out of the basis, each column dropped
-    as it leaves; drop a row that has no other column to pivot on, which
-    is redundant."""
-    i = 0
-    while i < len(basis):
-        if basis[i] >= n:
-            row = rows[i]
+def _expel_artificials(rows, dens, basis, n):
+    """Pivot each zero-valued basic artificial out on the lowest real
+    column of its row, the artificial's column dropped as it leaves.  A
+    row with no real column is redundant and stays as it is, its
+    artificial basic at 0."""
+    for i, (row, col) in enumerate(zip(rows, basis)):
+        if col >= n:
             if _RHS in row:
                 raise VerificationFailed("artificial basic with nonzero value at phase-1 optimum")
-            col = min((j for j in row if 0 <= j < n), default=None)
-            if col is None:
-                for seq in (rows, dens, basis, orig):
-                    del seq[i]
-                continue
-            del row[basis[i]]
-            _pivot(rows, dens, basis, i, col)
-        i += 1
+            real = min((j for j in row if 0 <= j < n), default=None)
+            if real is not None:
+                del row[col]
+                _pivot(rows, dens, basis, i, real)
 
 
-def _multipliers(problem: LpProblem, basis, orig, costs):
+def _multipliers(problem: LpProblem, basis, costs):
     """y = c_B^t B^-1: the solution of B^t y = c_B, one equation per basic
-    column over the multipliers of the rows still in the tableau; a row
-    dropped as redundant keeps y_i = 0.
+    column; a redundant row, whose artificial stays basic at cost 0, reads
+    y_i = 0.
 
-    The unknowns are z_k = y_i / L_i for the row i = orig[k], so a
-    column's equation has its col_terms, times its cost's denominator, as
-    integer coefficients and the cost's numerator under _RHS.  The
-    artificial of row i is L_i times a unit column of the row as the
-    tableau holds it, negated where b_i < 0, so its equation reads
-    +-L_i z_k = its cost.  The equations are rows of the tableau's form,
-    and _pivot eliminates them Gauss-Jordan, shortest first, each on its
-    lowest unknown: every row ends with one unknown, read as x is."""
-    n, m = problem.n_cols, len(basis)
-    pos = {i: k for k, i in enumerate(orig)}
+    The unknowns are z_i = y_i / L_i, so a column's equation has its
+    col_terms, times its cost's denominator, as integer coefficients and
+    the cost's numerator under _RHS.  The artificial n + i of row i is L_i
+    times a unit column of the row as the tableau holds it, negated where
+    b_i < 0, so its equation reads +-L_i z_i = its cost.  The equations
+    are rows of the tableau's form, and _pivot eliminates them
+    Gauss-Jordan, shortest first, each on its lowest unknown: every row
+    ends with one unknown, read as x is."""
+    n, m = problem.n_cols, problem.n_rows
     rows = []
-    for k, col in enumerate(basis):
+    for col in basis:
         q = costs[col].denominator
         if col < n:
-            row = {pos[i]: v * q for i, v in problem.col_terms[col] if i in pos}
+            row = {i: v * q for i, v in problem.col_terms[col]}
         else:
-            _, bv, scale = problem.row_terms[orig[k]]
-            row = {k: -scale * q if bv < 0 else scale * q}
+            _, bv, scale = problem.row_terms[col - n]
+            row = {col - n: -scale * q if bv < 0 else scale * q}
         if costs[col]:
             row[_RHS] = costs[col].numerator
         rows.append(row)
     dens, solved = [1] * m, [None] * m
     for r in sorted(range(m), key=lambda r: len(rows[r])):
         _pivot(rows, dens, solved, r, min(j for j in rows[r] if j != _RHS))
-    y = [ZERO] * problem.n_rows
-    for row, den, k in zip(rows, dens, solved):
-        i = orig[k]
+    y = [ZERO] * m
+    for row, den, i in zip(rows, dens, solved):
         y[i] = Fraction(row.get(_RHS, 0), den) * problem.row_terms[i][2]
     return y
 

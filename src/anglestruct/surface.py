@@ -79,22 +79,20 @@ def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
                 f"edge {edge_ids[e]} appears {len(corners)} times, expected 2"
             )
 
-    _check_connected(faces, len(edge_ids))
+    _check_connected(faces, occurrences)
     edge_corners = tuple(tuple(occurrences[e]) for e in range(len(edge_ids)))
     return Triangulation(tuple(faces), tuple(edge_ids), edge_corners)
 
 
-def _check_connected(faces, n_edges):
-    by_edge: list[list[int]] = [[] for _ in range(n_edges)]
-    for f, row in enumerate(faces):
-        for e in row:
-            by_edge[e].append(f)
+def _check_connected(faces, occurrences):
+    """Raise Disconnected unless every face is reached from face 0 across
+    shared edges, whose two corners occurrences[e] holds."""
     seen = {0}
     stack = [0]
     while stack:
         f = stack.pop()
         for e in faces[f]:
-            for g in by_edge[e]:
+            for g, _ in occurrences[e]:
                 if g not in seen:
                     seen.add(g)
                     stack.append(g)

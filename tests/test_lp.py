@@ -124,7 +124,7 @@ def fractions(*values):
 
 def test_redundant_equality_rows():
     # phase 1 leaves an artificial basic at 0 on a row that is a multiple of
-    # another; that row is dropped and its multiplier reads 0
+    # another; that row stays in place, untouched, and its multiplier reads 0
     out = simplex_solve(make_problem([[1, 1], [2, 2]], [1, 2], [1, 0]))
     assert out == Optimal(fractions(0, 1), Fraction(0), fractions(0, 0))
     out = simplex_solve(
@@ -139,7 +139,8 @@ def test_redundant_equality_rows():
 
 def test_empty_rows_and_columns():
     # an all-zero row with b = 0 is redundant: its artificial stays basic at
-    # 0 with nothing to pivot on, so the row is dropped and its multiplier is 0
+    # 0 with nothing to pivot on, so the row stays as it is and its
+    # multiplier is 0
     out = simplex_solve(make_problem([[1, 1], [0, 0]], [1, 0], [1, 0]))
     assert out == Optimal(fractions(0, 1), Fraction(0), fractions(0, 0))
     # with b != 0 it cannot hold; the Farkas vector weighs that row alone
@@ -332,29 +333,39 @@ def test_pivots_keep_rows_canonical(monkeypatch):
 
 
 def test_artificial_columns_leave_with_their_row(monkeypatch):
-    # an artificial column is dropped from its row as it leaves the basis,
-    # and is never carried elsewhere: after every simplex pivot (the rows
-    # and an objective row; the multiplier solve has none), the only column
-    # >= n that a row holds is its own basic one, and the objective row
-    # holds none once _price has pivoted on every basic column (a pivot
-    # on a column that is already basic)
-    pivot, left, n = lp._pivot, [], None
+    # the tableau keeps one shape for the whole solve: after every simplex
+    # pivot (the multiplier solve has no objective row) there are m rows and
+    # the objective row, and the only column >= n that row i holds is its
+    # artificial n + i, while that is basic there; it is dropped from the
+    # row as it leaves the basis and never carried elsewhere.  The objective
+    # row holds none once pricing has pivoted on every basic column (a
+    # pivot on a column that is already basic).  The programs of the two
+    # redundant-row tests keep a row whose artificial stays basic at 0
+    pivot, left, shape = lp._pivot, [], {}
 
     def checked(rows, dens, basis, r, col):
         if len(rows) != len(basis) + 1:
             pivot(rows, dens, basis, r, col)
             return
+        m, n = shape["m"], shape["n"]
         pricing = basis[r] == col
         left.append(basis[r] >= n and not pricing)
         pivot(rows, dens, basis, r, col)
-        for i, row in enumerate(rows[:len(basis)] if pricing else rows):
-            own = basis[i] if i < len(basis) else None
-            assert all(j < n or j == own for j in row), (i, own, sorted(row))
+        assert len(rows) == m + 1 and len(basis) == m
+        for i, row in enumerate(rows[:m] if pricing else rows):
+            own = n + i if i < m and basis[i] == n + i else None
+            assert all(j < n or j == own for j in row), (i, basis[i:i + 1], sorted(row))
+
+    def solve(problem):
+        shape.update(m=problem.n_rows, n=problem.n_cols)
+        return lp.simplex_solve(problem)
 
     monkeypatch.setattr(lp, "_pivot", checked)
+    monkeypatch.setitem(globals(), "simplex_solve", solve)
     for problem in pinned_programs():
-        n = problem.n_cols
-        simplex_solve(problem)
+        solve(problem)
+    test_redundant_equality_rows()
+    test_empty_rows_and_columns()
     assert sum(left) > 500, sum(left)
 
 

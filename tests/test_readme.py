@@ -48,3 +48,17 @@ def test_readme_library_example(capsys):
 def test_every_export_resolves():
     # a name left in __all__ after its definition is gone fails here
     exec("from anglestruct import *", {})
+
+
+def test_format_instance_example(tmp_path, capsys):
+    # the instance file of docs/format.md loads: its structure verifies and
+    # its D, 7/10 on every edge of the tetrahedron, is spherically feasible
+    text = (README.parent / "docs" / "format.md").read_text(encoding="utf-8")
+    block = text.split("## Instance file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "instance.json"
+    path.write_text(block)
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == '{"ok": true, "mismatched_edges": [], "class_ok": true}\n'
+    assert main(["check", str(path), "--geometry", "spherical", "--invariant", "edge"]) == 0
+    report = '{"verdict": "feasible", "theorem": "T1", "quantifier_range": "nonempty-subsets"}\n'
+    assert capsys.readouterr().out == report
