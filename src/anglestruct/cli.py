@@ -9,7 +9,7 @@ stdout, and 141 when the reader closes stdout early (a broken pipe), with
 nothing more written and no traceback.  The enumeration cap comes from
 --cap, then the ANGLESTRUCT_CAP environment variable, then the default of
 20; a value that is not an integer, or is negative, from either source,
-is an InvalidSetting.
+is an InvalidSetting, and so is any usage error.
 
 Every ``check`` method prints the same report, so ``--method auto`` is the
 minimum cut, which decides any size in polynomial time; ``--cross-check``
@@ -53,8 +53,15 @@ from .surface import DEFAULT_ENUMERATION_CAP
 EXIT_BROKEN_PIPE = 141
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too, exit 2 as InvalidSetting."""
+
+    def error(self, message):
+        raise InvalidSetting(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anglestruct",
         description="Decide and construct spherical/hyperbolic angle structures "
         "with prescribed edge or Delaunay invariants.",
@@ -215,8 +222,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AngleStructError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
@@ -231,7 +239,7 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        code = _run(build_parser().parse_args(argv))
+        code = _run(argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

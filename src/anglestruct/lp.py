@@ -22,7 +22,7 @@ b^t y > 0).  The program must be bounded, as every margin program below
 is (its face rows, all coefficients >= 0 and right-hand side 1, hold
 every column): an unbounded phase raises.
 
-Construction solves one margin program over x_i = a_i + m, a_i >= 0:
+Construction rests on one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
 invariant equations (facing pair + 2*m for an edge invariant, signed
 corner sum + 2*m for a Delaunay invariant).  Every corner is then at
@@ -35,12 +35,13 @@ quantifier (T4's Delaunay program for T1 and T4, T2's edge program for T2
 and T3) and, where the geometry is spherical, maps its witness back with
 the corner transform that belongs to that program.
 
-``construct_structure`` solves the Delaunay program by the simplex and
-the edge program by parametric minimum cut: at a fixed m the edge
-program is a transportation problem on the dual-graph network of
+``construct_structure`` solves both programs by parametric minimum cut:
+at a fixed m, the edge program and the Delaunay program with every face
+sum at s = sum(Dd)/|F| are transportation problems on the network of
 ``feasibility.min_cut``, and Newton steps on its largest minimiser reach
-the program's optimum in a few cuts, each proven by that network's own
-check, the last minimiser re-evaluated exactly.
+the largest such m in a few cuts, each proven by the network's check.
+Only when equal face sums give no m > 0 does the simplex solve the
+Delaunay program; otherwise its witness is not the max-margin one.
 ``check_via_lp`` reports ``construct_structure``'s answer: feasible
 exactly when it returns a witness.
 
@@ -457,9 +458,9 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
 def build_construction_lp(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> LpProblem:
-    """The margin program whose optimum construct_structure reaches, for
-    either invariant kind: by the simplex for a Delaunay program, by flow
-    for an edge program."""
+    """The margin program of the request, for either invariant kind:
+    construct_structure reaches its optimum for an edge program, and for a
+    Delaunay program only in the simplex fallback of equal face sums."""
     _, program, _ = _route(t, fn, geometry)
     return _margin_lp(t, program)
 
@@ -475,62 +476,62 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 
 
 # ---------------------------------------------------------------------------
-# edge programs by parametric minimum cut
+# margins by parametric minimum cut
 #
 # With the margin m fixed, the edge program is a transportation problem:
 # each edge e supplies exactly W(e) - 2m to its two facing corners and each
-# face absorbs at most 1 - 4m (Gale 1957).  That is the network of
-# feasibility.min_cut with weights W_m = W - 2m and unit 1 - 4m: it hands
-# each edge's supply to its first face f1, and the flow on the arc f1 -> f2
-# is the share that goes on to f2.  Every face then absorbs at most 1 - 4m
-# exactly when every source arc is saturated, which is when F minimises
-# g_m(X) = W_m(E(X)) - (1 - 4m)|X|.
+# face absorbs at most u - k*m, u = 1 and k = 4 (Gale 1957).  So is the
+# Delaunay program with every face sum fixed at s = sum(Dd)/|F|: edge e's
+# equation reads x + x' = s - Dd(e)/2 on its facing corners, so W = s -
+# Dd/2, u = s and k = 3, and as supply and demand balance, at most is
+# exactly.  That is the network of feasibility.min_cut with weights W_m =
+# W - 2m and unit u - k*m: it hands each edge's supply to its first face
+# f1, and the flow on the arc f1 -> f2 is the share that goes on to f2.
+# Every face then absorbs at most u - k*m exactly when every source arc is
+# saturated, which is when F minimises g_m(X) = W_m(E(X)) - (u - k*m)|X|.
 # Every feasible m keeps g_m(X) - g_m(F), a line in m, nonnegative for all
 # X.  When F is no minimiser, the largest minimiser X is negative on its
 # line at m, and m moves to the root (Newton's method on the parametric
 # cut, as in Dinkelbach 1967).  Each root bounds the largest feasible m
 # from above and no line is negative twice, so the first m at which F
-# minimises g_m is the program's optimum.
-# The slope by which a step's line falls per unit of m is an integer in
-# [1, 4|F|], and it falls strictly from step to step: X_k minimises g at
-# m_k, and X_{k+1} is negative at the root m_{k+1} < m_k of X_k's line,
-# so between the two X_{k+1}'s line climbs from below X_k's to at least
-# X_k's.  The loop therefore makes at most 4|F| steps, and a slope that
-# does not fall shows a wrong cut.
+# minimises g_m is the largest feasible m up to the start.
+# The slope by which a step's line falls per unit of m is the integer
+# k|F - X| - 2|E - E(X)| = (k - 3)|F - X| + |dX|, dX the edges between X
+# and F - X (both corners of an edge outside E(X) lie in F - X).  It is at
+# least 1: at equal face sums g_m is 0 at F and at the empty set, so X is
+# neither.  It falls strictly from step to step: X_k minimises g at m_k,
+# and X_{k+1} is negative at the root m_{k+1} < m_k of X_k's line, so
+# between the two X_{k+1}'s line climbs from below X_k's to at least X_k's.
+# The loop therefore makes at most k|F| steps, and a slope outside [1, the
+# last slope) shows a wrong cut.
 
 
-def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
-    """Optimum m > 0 of the edge program with weights W and the values
-    a_i >= 0 of its corners there, indexed 3*face + slot; None when no
-    m > 0 is feasible.
-
-    Each step's cut proves its minimum of g_m.  At the optimum the last
-    X is re-evaluated exactly and must reach that minimum, which shows
-    that m is its line's root; the corner values are then read from the
-    flow on the dual arcs, and a self-glued edge splits W(e) - 2m between
-    its two corners.  The optimum starts at min(min W/2, 1/4), the bound
-    of a >= 0 and of the face rows.
-    """
+def _newton_margin(t: Triangulation, weights, unit, rate: int, margin):
+    """Largest m in (0, margin] at which F minimises g_m(X) = W_m(E(X)) -
+    (unit - rate*m)|X|, W_m = W - 2m, and the corner values a_i >= 0 there,
+    indexed 3*face + slot; None when there is none.  The start margin keeps the
+    weights and the unit nonnegative.  Each step's cut proves its minimum
+    of g_m; at the end the last X is re-evaluated exactly and must reach
+    it, which shows that m is its line's root.  The corner values are read
+    from the flow on the dual arcs; a self-glued edge splits its weight
+    between its two corners."""
     ne, nf = t.n_edges, t.n_faces
-    weights = program.values
-    margin, last, fall = min(min(weights) / 2, ONE / 4), None, 4 * nf + 1
-    while True:
-        shifted, unit = [w - 2 * margin for w in weights], 1 - 4 * margin
-        minimum, _, largest, arcs, flow, scale = min_cut(t, shifted, unit)
+    last, fall = None, rate * nf + 1
+    while margin > 0:
+        shifted, face = [w - 2 * margin for w in weights], unit - rate * margin
+        minimum, _, largest, arcs, flow, scale = min_cut(t, shifted, face)
         if len(largest) == nf:
             break
-        # g_m(X) - g_m(F) falls by 4|F - X| - 2|E - E(X)| >= |F - X| > 0 per
-        # unit of m: both corners of an edge outside E(X) lie in F - X
-        slope = 4 * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
-        if slope >= fall:
+        slope = rate * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
+        if not 1 <= slope < fall:
             raise VerificationFailed("the Newton slope did not fall")
         fall = slope
-        margin += (minimum - sum(shifted, ZERO) + unit * nf) / slope
-        if margin <= 0:
-            return None
+        margin += (minimum - sum(shifted, ZERO) + face * nf) / slope
         last = largest
+    if margin <= 0:
+        return None
     if last is not None:
-        if sum((shifted[e] for e in edge_set(t, last)), ZERO) - unit * len(last) != minimum:
+        if sum((shifted[e] for e in edge_set(t, last)), ZERO) - face * len(last) != minimum:
             raise VerificationFailed("the last line does not reach the cut's minimum")
     a = [ZERO] * (3 * nf)
     dual = zip(arcs, flow)  # the first arcs, one per edge that is not self-glued
@@ -541,6 +542,24 @@ def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, lis
         (_, _, c), x = next(dual)
         a[3 * f1 + s1], a[3 * f2 + s2] = Fraction(c - x, scale), Fraction(x, scale)
     return margin, a
+
+
+def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
+    """Optimum m > 0 of the edge program with weights W and its corner
+    values; None when no m > 0 is feasible.  It starts at min(min W/2,
+    1/4), the bound of a >= 0 and of the face rows."""
+    return _newton_margin(t, program.values, ONE, 4, min(min(program.values) / 2, ONE / 4))
+
+
+def _equal_sums_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
+    """The largest margin m > 0 of the Delaunay program with every face sum
+    s = sum(Dd)/|F|, and its corner values; None when there is none.  It
+    starts at min(min W/2, 1 - s) for W = s - Dd/2, the bounds of a >= 0
+    and of the face rows; the face share s - 3m stays >= 0 below it, as
+    s = 3/2 mean(Dd) puts min W/2 at most s/3."""
+    mean = sum(program.values, ZERO) / t.n_faces
+    weights = [mean - d / 2 for d in program.values]
+    return _newton_margin(t, weights, mean, 3, min(min(weights) / 2, 1 - mean))
 
 
 def _simplex_margin(
@@ -574,14 +593,17 @@ def construct_structure(
     certificate is a face subset violating its inequality.
 
     Solves the hyperbolic margin program of the theorem's route, T2's edge
-    program by parametric flow and T4's Delaunay program by the simplex,
-    and maps its witness back with the route's corner transform.  The
+    program by parametric flow and T4's Delaunay program by that flow at
+    equal face sums, else by the simplex, and maps its witness back with
+    the route's corner transform.  The
     returned witness has been checked for range, class and recomputed
     invariant.
     """
     theorem, program, transform = _route(t, fn, geometry)
-    solve = _flow_margin if program.kind is InvariantKind.EDGE else _simplex_margin
-    solved = solve(t, program)
+    if program.kind is InvariantKind.EDGE:
+        solved = _flow_margin(t, program)
+    else:
+        solved = _equal_sums_margin(t, program) or _simplex_margin(t, program)
     if solved is None:
         return _infeasible_certificate(t, fn, theorem)
     margin, a = solved

@@ -434,6 +434,39 @@ def test_bad_cap_flag_exits_2_like_environment(tmp_path, capsys):
         assert captured.err == ""
 
 
+CHECK = ["check", "{path}", "--geometry", "spherical", "--invariant", "edge"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (CHECK + ["--bogus"], "unrecognized arguments: --bogus"),
+        (CHECK + ["--cap", "5"], "unrecognized arguments: --cap 5"),
+        (["check", "{path}", "--geometry", "flat", "--invariant", "edge"], "argument --geometry: invalid choice"),
+        (["construct", "{path}"], "the following arguments are required: --geometry"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "misplaced-cap", "bad-choice", "missing-required-option", "no-subcommand"],
+)
+def test_bad_invocation_exits_2_with_one_error_object(tmp_path, capsys, argv, message):
+    # a usage error is an InvalidSetting like a bad --cap value: one error
+    # object on stdout, no usage text on stderr
+    path = write_instance(tmp_path, tetra_payload("7/10"))
+    code = main([a.replace("{path}", path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "InvalidSetting" and error["message"].startswith(message)
+    assert captured.err == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: anglestruct")
+
+
 def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):
     # a scan whose slack is not the exact slack of its own subset is a bug
     scan = feasibility._scan

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anglestruct import (
@@ -15,6 +20,7 @@ from anglestruct import (
     Verdict,
     classify_structure,
     construct_structure,
+    corner_transform,
     delaunay_invariant,
     edge_invariant,
     check_via_enumeration,
@@ -23,16 +29,18 @@ from anglestruct import (
     lp,
     validate,
 )
+from anglestruct.cli import main
 from anglestruct.errors import RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
 from anglestruct.feasibility import THEOREMS, make_report, theorem_for
 from anglestruct.lp import _infeasible_certificate, check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
+    random_hyperbolic_delaunay_domain,
     random_structure,
     random_triangulation,
 )
-from anglestruct.serialize import dumps, structure_to_json
+from anglestruct.serialize import dumps, edge_function_to_json, structure_to_json
 from conftest import SELF_GLUED_FACES, TETRA_FACES, const_fn, pinned_construct_requests
 
 
@@ -59,6 +67,19 @@ def test_hyperbolic_boundary_equality(tetra):
     assert cert.slack == Fraction(0)
 
 
+# a T4 request on which equal face sums give no margin: s = sum(Dd)/|F|
+# = 161/400 and s - Dd(3)/2 < 0, so the search has no start; the simplex
+# finds the optimum 489/12500
+FALLBACK_FACES = [[0, 1, 2], [3, 3, 2], [0, 4, 1], [5, 5, 4]]
+FALLBACK_DELAUNAY = "1831/10000 3497/10000 681/6250 5219/6250 687/12500 489/6250"
+
+
+def fallback_request():
+    t = validate(FALLBACK_FACES)
+    values = tuple(Fraction(v) for v in FALLBACK_DELAUNAY.split())
+    return t, EdgeFunction(values, InvariantKind.DELAUNAY)
+
+
 @pytest.mark.parametrize(
     "faces, value, kind, geometry",
     [
@@ -67,6 +88,7 @@ def test_hyperbolic_boundary_equality(tetra):
         (SELF_GLUED_FACES, (1, 2), InvariantKind.EDGE, GeometryClass.HYPERBOLIC),
         (TETRA_FACES, (4, 5), InvariantKind.DELAUNAY, GeometryClass.SPHERICAL),
         (TETRA_FACES, (3, 5), InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
+        (FALLBACK_FACES, None, InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
     ],
     ids=[
         "tetra-boundary-hyperbolic",
@@ -74,40 +96,97 @@ def test_hyperbolic_boundary_equality(tetra):
         "self-glued-hyperbolic",
         "tetra-delaunay-spherical",
         "tetra-delaunay-hyperbolic",
+        "fallback-delaunay-hyperbolic",
     ],
 )
 def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kind, geometry):
-    # T1/T4 construct solves the dumped program by the simplex, once; T2/T3
-    # construct never calls the simplex, and its flow reaches the optimum of
-    # that same program (None where the optimum is 0: no witness); check
-    # --method lp makes exactly construct's solver calls
+    # T2/T3 construct never calls the simplex, and its flow reaches the
+    # optimum of the dumped program (None where the optimum is 0: no
+    # witness).  T1/T4 construct first tries equal face sums, whose margin,
+    # when positive, is at most that optimum, and only when they give none
+    # solves the dumped program by the simplex, once.  check --method lp
+    # makes exactly construct's solver calls
     solved, margins = [], []
-    solve, flow_margin = lp.simplex_solve, lp._flow_margin
+    solve = lp.simplex_solve
 
     def recording(problem):
         solved.append(problem)
         return solve(problem)
 
-    def recording_flow(t, program):
-        result = flow_margin(t, program)
-        margins.append(None if result is None else result[0])
-        return result
+    def recorded(margin):
+        def search(t, program):
+            result = margin(t, program)
+            margins.append(None if result is None else result[0])
+            return result
+        return search
 
     monkeypatch.setattr(lp, "simplex_solve", recording)
-    monkeypatch.setattr(lp, "_flow_margin", recording_flow)
+    for name in ("_flow_margin", "_equal_sums_margin"):
+        monkeypatch.setattr(lp, name, recorded(getattr(lp, name)))
     t = validate(faces)
-    fn = const_fn(t, value, kind)
+    fn = fallback_request()[1] if value is None else const_fn(t, value, kind)
     problem = lp.build_construction_lp(t, fn, geometry)
-    if THEOREMS[theorem_for(geometry, kind)].nonempty:
-        expected = [problem], []
-    else:
-        optimum = solve(problem).value
-        expected = [], [-optimum if optimum else None]
+    optimum = -solve(problem).value or None
     for decide in (construct_structure, check_via_lp):
         solved.clear()
         margins.clear()
         decide(t, fn, geometry)
-        assert (solved, margins) == expected, decide.__name__
+        if not THEOREMS[theorem_for(geometry, kind)].nonempty:
+            assert (solved, margins) == ([], [optimum]), decide.__name__
+        elif value is None:
+            assert (solved, margins) == ([problem], [None]), decide.__name__
+        else:
+            assert solved == [] and 0 < margins[0] <= optimum, decide.__name__
+
+
+def test_equal_face_sums_fall_back_to_the_simplex(monkeypatch):
+    # the fallback request fails at the start cap, before any cut, and the
+    # simplex's witness carries the Delaunay invariant it was asked for
+    t, fn = fallback_request()
+    _, program, _ = lp._route(t, fn, GeometryClass.HYPERBOLIC)
+    assert program == fn
+    with monkeypatch.context() as m:
+        m.setattr(lp, "min_cut", None)
+        assert lp._equal_sums_margin(t, program) is None
+    assert lp._simplex_margin(t, program)[0] == Fraction(489, 12500)
+    w = construct_structure(t, fn, GeometryClass.HYPERBOLIC)
+    assert isinstance(w, AngleStructure)
+    assert delaunay_invariant(t, w) == fn
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]), theorem=st.sampled_from(["T1", "T4"]))
+@example(seed=7, n=8, theorem="T4")  # equal face sums fail: the simplex's witness
+@example(seed=7, n=8, theorem="T1")
+def test_every_t1_t4_witness_passes_verify(seed, n, theorem):
+    # a hyperbolic structure whose Delaunay invariant lies in T4's domain
+    # gives a feasible T4 request, and its spherical image under the corner
+    # transform a feasible T1 request with the same program; about one in
+    # six of them falls back to the simplex.  verify then reads the witness
+    # back from its JSON with the request's invariant and stated class
+    rng = random.Random(seed)
+    t = random_triangulation(n, rng)
+    x = random_hyperbolic_delaunay_domain(t, rng)
+    if theorem == "T4":
+        fn, geometry = delaunay_invariant(t, x), GeometryClass.HYPERBOLIC
+    else:
+        fn, geometry = edge_invariant(t, corner_transform(t, x)), GeometryClass.SPHERICAL
+    w = construct_structure(t, fn, geometry)
+    assert isinstance(w, AngleStructure)
+    instance = {
+        "faces": [list(t.faces[f]) for f in range(t.n_faces)],
+        "invariant": edge_function_to_json(t, fn),
+        "structure": structure_to_json(t, w),
+        "class": geometry.value,
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "witness.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(instance, f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", path]) == 0
+    assert json.loads(out.getvalue()) == {"ok": True, "mismatched_edges": [], "class_ok": True}
 
 
 def test_spherical_construction_golden(tetra):
@@ -173,10 +252,10 @@ def test_self_glued_constructions(self_glued):
 
 
 # sha256 of the JSON bytes of the witnesses of the 16
-# pinned_construct_requests (conftest); a change that moves
-# the simplex (T1/T4) or the flow (T2/T3) to another optimal point on
-# purpose updates it and says so
-WITNESS_DIGEST = "c066ad38546508467fa305ee1c17be6f5821e8bfac23e10ab72e545c5f5a6a37"
+# pinned_construct_requests (conftest); a change that moves the flow's
+# witness (T2/T3, or T1/T4 at equal face sums) or the simplex's (the T1/T4
+# fallback) to another point on purpose updates it and says so
+WITNESS_DIGEST = "2d02137c18b0e517558fda4d6d181271eb7bf45727edcd300c2f04a1f1200785"
 # sha256 of the exact optimal margins of the same 16 programs; the optimum
 # value is unique, so no choice of pivots may move it
 MARGIN_DIGEST = "e9b2291d2023d3f60a886d9d3a57707f33711ecadc09bc3e52becab0b2e70690"
@@ -594,6 +673,31 @@ def test_newton_loop_is_bounded(monkeypatch):
         except VerificationFailed as error:
             outcomes.append(str(error))
     assert t.n_faces == 4 and outcomes[42] == "the Newton slope did not fall"
+
+
+@pytest.mark.parametrize(
+    "kind, claimed, cuts",
+    [(InvariantKind.EDGE, {0}, 2), (InvariantKind.DELAUNAY, {0}, 2), (InvariantKind.DELAUNAY, set(), 1)],
+    ids=["edge-program", "equal-face-sums", "equal-face-sums-empty-set"],
+)
+def test_a_slope_that_does_not_fall_raises(monkeypatch, tetra, kind, claimed, cuts):
+    # T2 and T4 at 3/5 on the tetrahedron, through the Newton loop that both
+    # margin searches share: a cut that claims the same minimiser X at every
+    # step, just below g_m(F), moves the margin once with the slope
+    # k|F - X| - 2|E - E(X)| (6 for the edge program, |dX| = 3 at equal
+    # face sums), and the second step's equal slope raises; the empty set's
+    # slope at equal face sums is 0, below 1, and raises at once
+    cut, calls = lp.min_cut, []
+
+    def claiming(t, weights, unit):
+        calls.append(None)
+        _, smallest, _, *rest = cut(t, weights, unit)
+        return (sum(weights) - unit * t.n_faces - Fraction(1, 1000), smallest, frozenset(claimed), *rest)
+
+    monkeypatch.setattr(lp, "min_cut", claiming)
+    with pytest.raises(VerificationFailed, match="the Newton slope did not fall"):
+        construct_structure(tetra, const_fn(tetra, (3, 5), kind), GeometryClass.HYPERBOLIC)
+    assert len(calls) == cuts
 
 
 def test_newton_step_from_all_faces_but_one(self_glued):
