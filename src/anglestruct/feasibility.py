@@ -29,10 +29,10 @@ reports is re-evaluated exactly.  ``check_via_flow`` decides
 the same conditions in polynomial time: min g over all subsets is a
 maximum-closure problem (Picard 1976), solved by one maximum flow, whose
 smallest and largest minimisers are the meet and the join.  ``min_cut``
-builds that one network on the dual graph, a node per face, with a face
-capacity ``unit`` (1 here), and proves its cut against the flow; the LP
-construction solves the margin programs of T2 and T3 on it too, with unit
-1 - 4m.
+builds that one network on the dual graph, a node per face, in ints at
+one scale L: the weights times L and a face capacity ``unit`` (L here),
+and proves its cut against the flow; the LP construction's Newton steps
+run on it too, each at its own scale.
 
 ``THEOREMS`` states each condition once, as a row of data: geometry,
 invariant kind (which fixes the weight map), domain, quantifier and
@@ -156,12 +156,9 @@ def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fr
     return weights
 
 
-def _offset(t: Triangulation, weights: list[Fraction], grow_form: bool) -> Fraction:
-    """c in slack(X) = g(X) + c: 0 in grow form, |F| - W(E) in shrink form."""
-    if grow_form:
-        return Fraction(0)
-    scaled, scale = _over_lcm(weights)
-    return t.n_faces - Fraction(sum(scaled), scale)
+def _offset(t: Triangulation, scaled: list[int], scale: int, grow_form: bool) -> int:
+    """c*L in slack(X) = g(X) + c, for weights W*L: 0 in grow form."""
+    return 0 if grow_form else t.n_faces * scale - sum(scaled)
 
 
 def _toggles(t: Triangulation, scaled: list[int], scale: int):
@@ -245,7 +242,7 @@ def _scan(t: Triangulation, weights: list[Fraction], grow_form: bool, cap: int):
     # ones' toggles, visiting every low subset once: no 2^|outer| step list
     half = len(outer) // 2
     low, high = _gray(outer[:half], across, tables)[1:], _gray(outer[half:], across, tables)
-    h, slack = 0, int(_offset(t, weights, grow_form) * scale)
+    h, slack = 0, _offset(t, scaled, scale, grow_form)
     best, meet, join, first = float("inf"), 0, 0, 0
     for bit, table, near in chain.from_iterable(chain((step,), low) for step in high):
         h ^= bit
@@ -311,41 +308,38 @@ def subset_slack(t: Triangulation, fn: EdgeFunction, theorem: str, subset: FaceS
     only strictly negative does).  Used to re-verify certificates.
     """
     row = THEOREMS[theorem]
-    weights = _weights(t, fn, row)
-    covered = sum((weights[e] for e in edge_set(t, subset)), Fraction(0))
-    return covered - len(subset) + _offset(t, weights, row.nonempty)
+    scaled, scale = _over_lcm(_weights(t, fn, row))
+    covered = sum(scaled[e] for e in edge_set(t, subset))
+    return Fraction(covered - len(subset) * scale + _offset(t, scaled, scale, row.nonempty), scale)
 
 
 # ---------------------------------------------------------------------------
 # the minimum-cut decider
 
 
-def _closure_network(t: Triangulation, weights, unit=1):
+def _closure_network(t: Triangulation, weights: list[int], unit: int):
     """Arcs (tail, head, capacity) of the closure network on the dual graph,
-    and the scale L.
+    for int weights and an int unit, both already scaled by a common L.
 
     Nodes: faces 0..|F|-1, then source and sink.  Each edge's weight goes
     to its first face f1, so face f holds pre(f), the weight of the edges
     it comes first on.  Each edge whose second face f2 is not f1 gives an
-    arc f1 -> f2 (W(e)*L), in edge order: flow on it moves weight to f2.
+    arc f1 -> f2 (W(e)), in edge order: flow on it moves weight to f2.
     Then, in face order, a face whose excess pre(f) - unit is positive gets
     an arc from the source and one whose excess is negative an arc to the
-    sink, of capacity |excess|*L.  L is the lcm of the denominators of the
-    weights and of the unit, so every capacity is an int.  The cut with X
-    on the sink side has capacity L*(g(X) + the sum over f of max(0, unit -
-    pre(f))).  This is Picard and Queyranne's closure network on the dual
-    cubic graph.
+    sink, of capacity |excess|.  The cut with X on the sink side has
+    capacity g(X) + the sum over f of max(0, unit - pre(f)).  This is
+    Picard and Queyranne's closure network on the dual cubic graph.
     """
     nf = t.n_faces
-    (*scaled, face), scale = _over_lcm([*weights, unit])
-    excess = [-face] * nf
+    excess = [-unit] * nf
     arcs = []
     for e, ((f1, _), (f2, _)) in enumerate(t.edge_corners):
-        excess[f1] += scaled[e]
+        excess[f1] += weights[e]
         if f2 != f1:
-            arcs.append((f1, f2, scaled[e]))
+            arcs.append((f1, f2, weights[e]))
     arcs += [(nf, f, x) if x > 0 else (f, nf + 1, -x) for f, x in enumerate(excess) if x]
-    return arcs, scale
+    return arcs
 
 
 def _max_flow(arcs, n: int, source: int, sink: int):
@@ -431,54 +425,53 @@ def _flow_value(arcs, flow, n: int) -> int:
     return net[-1]
 
 
-def _certify_cut(t: Triangulation, weights, unit, arcs, flow, scale: int, subsets) -> Fraction:
+def _certify_cut(t: Triangulation, weights: list[int], unit: int, arcs, flow, subsets) -> int:
     """Prove that every subset in `subsets` minimises g(X) = W(E(X)) -
-    unit*|X|; return the minimum.
+    unit*|X| over int weights and an int unit; return the minimum.
 
     The network must be, arc for arc, the closure network that the weights
-    and the unit give, at scale L.  `flow` must respect its capacities and
-    conservation, and its value must equal the capacity L*(g(X) + base) of
-    the cut with X on the sink side, where g(X)*L is summed from the weights
-    and base*L is the total sink capacity.  Max-flow = min-cut then proves
-    that X minimises g.
+    and the unit give.  `flow` must respect its capacities and
+    conservation, and its value must equal the capacity g(X) + base of the
+    cut with X on the sink side, where g(X) is summed from the weights and
+    base is the total sink capacity.  Max-flow = min-cut then proves that X
+    minimises g.
     """
-    if (arcs, scale) != _closure_network(t, weights, unit):
+    if arcs != _closure_network(t, weights, unit):
         raise VerificationFailed("the network differs from the one the weights and the unit give")
     nf = t.n_faces
     value = _flow_value(arcs, flow, nf + 2)
     base = sum(c for _, v, c in arcs if v == nf + 1)
-    *scaled, face = (w.numerator * (scale // w.denominator) for w in (*weights, unit))
     minimum = None
     for subset in subsets:
-        minimum = sum(scaled[e] for e in edge_set(t, subset)) - len(subset) * face
+        minimum = sum(weights[e] for e in edge_set(t, subset)) - len(subset) * unit
         if base + minimum != value:
             raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
-    return Fraction(minimum, scale)
+    return minimum
 
 
-def min_cut(t: Triangulation, weights, unit=1):
+def min_cut(t: Triangulation, weights: list[int], unit: int):
     """Exact minimum of g(X) = W(E(X)) - unit*|X| over all face subsets X,
-    its smallest and its largest minimiser, both proven minimal by the
-    cut = flow self-check, then the network's arcs, that flow and its scale
-    L.  The weights and the unit must be nonnegative; face f is node f, the
-    source node |F| and the sink |F|+1.
+    for nonnegative int weights and unit at one scale, with its
+    smallest and its largest minimiser, both proven minimal by the cut =
+    flow self-check, then the network's arcs and that flow.  Face f is node
+    f, the source node |F| and the sink |F|+1.
     """
     nf = t.n_faces
-    arcs, scale = _closure_network(t, weights, unit)
+    arcs = _closure_network(t, weights, unit)
     flow, from_source, to_sink = _max_flow(arcs, nf + 2, nf, nf + 1)
     smallest = frozenset(f for f in range(nf) if to_sink[f])
     largest = frozenset(f for f in range(nf) if not from_source[f])
-    minimum = _certify_cut(t, weights, unit, arcs, flow, scale, (smallest, largest))
-    return minimum, smallest, largest, arcs, flow, scale
+    minimum = _certify_cut(t, weights, unit, arcs, flow, (smallest, largest))
+    return minimum, smallest, largest, arcs, flow
 
 
 def check_via_flow(t: Triangulation, fn: EdgeFunction, theorem: str) -> FeasibilityReport:
     """Decide T1-T4 or L7 exactly with one minimum cut, at any size; the
     report is the one check_via_enumeration gives."""
     row = THEOREMS[theorem]
-    weights = theorem_weights(t, fn, theorem)
-    minimum, smallest, largest, *_ = min_cut(t, weights)
-    slack = minimum + _offset(t, weights, row.nonempty)
+    scaled, scale = _over_lcm(theorem_weights(t, fn, theorem))
+    minimum, smallest, largest, *_ = min_cut(t, scaled, scale)
+    slack = Fraction(minimum + _offset(t, scaled, scale, row.nonempty), scale)
     subset = row.certificate(slack, smallest, largest)
     # the excluded set (empty in grow form, F otherwise) has slack 0, so the
     # cut's minimum is the range's unless that set is the only one attaining

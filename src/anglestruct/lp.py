@@ -504,51 +504,59 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 # between the two X_{k+1}'s line climbs from below X_k's to at least X_k's.
 # The loop therefore makes at most k|F| steps, and a slope outside [1, the
 # last slope) shows a wrong cut.
+# The loop runs in ints: W and u come over one scale D, and at m = p/q a
+# step's capacities are W*q - 2p*D and u*q - k*p*D over D*q, divided by
+# their gcd g with D*q: arc for arc the network of the exact W_m and u - k*m
+# over the lcm D*q/g of their denominators.
 
 
-def _newton_margin(t: Triangulation, weights, unit, rate: int, margin):
+def _newton_margin(t: Triangulation, weights, unit, scale: int, rate: int, margin: Fraction):
     """Largest m in (0, margin] at which F minimises g_m(X) = W_m(E(X)) -
-    (unit - rate*m)|X|, W_m = W - 2m, and the corner values a_i >= 0 there,
-    indexed 3*face + slot; None when there is none.  The start margin keeps the
+    (unit - rate*m)|X|, W_m = W - 2m, for weights and a unit that are ints
+    over `scale`, and the corner values a_i + m there, a_i >= 0, indexed
+    3*face + slot; None when there is none.  The start margin keeps the
     weights and the unit nonnegative.  Each step's cut proves its minimum
     of g_m; at the end the last X is re-evaluated exactly and must reach
-    it, which shows that m is its line's root.  The corner values are read
-    from the flow on the dual arcs; a self-glued edge splits its weight
+    it, which shows that m is its line's root.  The a_i are read from the
+    flow on the dual arcs, m folded in; a self-glued edge splits its weight
     between its two corners."""
     ne, nf = t.n_edges, t.n_faces
     last, fall = None, rate * nf + 1
     while margin > 0:
-        shifted, face = [w - 2 * margin for w in weights], unit - rate * margin
-        minimum, _, largest, arcs, flow, scale = min_cut(t, shifted, face)
+        p, q = margin.numerator, margin.denominator
+        shifted, face = [w * q - 2 * p * scale for w in weights], unit * q - rate * p * scale
+        g = math.gcd(scale * q, face, *shifted)
+        shifted, face, at = [w // g for w in shifted], face // g, scale * q // g
+        minimum, _, largest, arcs, flow = min_cut(t, shifted, face)
         if len(largest) == nf:
             break
         slope = rate * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
         if not 1 <= slope < fall:
             raise VerificationFailed("the Newton slope did not fall")
         fall = slope
-        margin += (minimum - sum(shifted, ZERO) + face * nf) / slope
+        margin += Fraction(minimum - sum(shifted) + face * nf, at * slope)
         last = largest
     if margin <= 0:
         return None
-    if last is not None:
-        if sum((shifted[e] for e in edge_set(t, last)), ZERO) - face * len(last) != minimum:
-            raise VerificationFailed("the last line does not reach the cut's minimum")
-    a = [ZERO] * (3 * nf)
+    if last is not None and sum(shifted[e] for e in edge_set(t, last)) - face * len(last) != minimum:
+        raise VerificationFailed("the last line does not reach the cut's minimum")
+    x, lift, over = [ZERO] * (3 * nf), p * at, at * q  # m = lift / over
     dual = zip(arcs, flow)  # the first arcs, one per edge that is not self-glued
     for e, ((f1, s1), (f2, s2)) in enumerate(t.edge_corners):
-        if f1 == f2:  # a self-glued edge faces two corners of one face
-            a[3 * f1 + s1] = a[3 * f2 + s2] = shifted[e] / 2
+        if f1 == f2:  # a self-glued edge faces two corners of one face: W_m/2 + m = W/2
+            x[3 * f1 + s1] = x[3 * f2 + s2] = Fraction(weights[e], 2 * scale)
             continue
-        (_, _, c), x = next(dual)
-        a[3 * f1 + s1], a[3 * f2 + s2] = Fraction(c - x, scale), Fraction(x, scale)
-    return margin, a
+        (_, _, c), y = next(dual)
+        x[3 * f1 + s1], x[3 * f2 + s2] = Fraction((c - y) * q + lift, over), Fraction(y * q + lift, over)
+    return margin, x
 
 
 def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
     """Optimum m > 0 of the edge program with weights W and its corner
     values; None when no m > 0 is feasible.  It starts at min(min W/2,
     1/4), the bound of a >= 0 and of the face rows."""
-    return _newton_margin(t, program.values, ONE, 4, min(min(program.values) / 2, ONE / 4))
+    weights, scale = _over_lcm(program.values)
+    return _newton_margin(t, weights, scale, scale, 4, min(Fraction(min(weights), 2 * scale), ONE / 4))
 
 
 def _equal_sums_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
@@ -556,22 +564,21 @@ def _equal_sums_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fractio
     s = sum(Dd)/|F|, and its corner values; None when there is none.  It
     starts at min(min W/2, 1 - s) for W = s - Dd/2, the bounds of a >= 0
     and of the face rows; the face share s - 3m stays >= 0 below it, as
-    s = 3/2 mean(Dd) puts min W/2 at most s/3."""
-    mean = sum(program.values, ZERO) / t.n_faces
-    weights = [mean - d / 2 for d in program.values]
-    return _newton_margin(t, weights, mean, 3, min(min(weights) / 2, 1 - mean))
+    s = 3/2 mean(Dd) puts min W/2 at most s/3.  Over 2L|F|, for Dd = d/L,
+    s is 2*sum(d) and W is 2*sum(d) - |F|*d."""
+    dd, den = _over_lcm(program.values)
+    total, scale = 2 * sum(dd), 2 * den * t.n_faces
+    weights, cap = [total - t.n_faces * d for d in dd], 1 - Fraction(total, scale)
+    return _newton_margin(t, weights, total, scale, 3, min(Fraction(min(weights), 2 * scale), cap))
 
 
-def _simplex_margin(
-    t: Triangulation, program: EdgeFunction
-) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """Optimum m > 0 of the margin program and its point, whose first
-    3*|F| entries are the corner values a_i; None when no m > 0 is
-    feasible."""
+def _simplex_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
+    """Optimum m > 0 of the margin program and the corner values a_i + m
+    of its point; None when no m > 0 is feasible."""
     outcome = simplex_solve(_margin_lp(t, program))
     if isinstance(outcome, Infeasible) or outcome.value == 0:
         return None
-    return -outcome.value, outcome.x
+    return -outcome.value, [v - outcome.value for v in outcome.x[:3 * t.n_faces]]
 
 
 def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
@@ -595,9 +602,8 @@ def construct_structure(
     Solves the hyperbolic margin program of the theorem's route, T2's edge
     program by parametric flow and T4's Delaunay program by that flow at
     equal face sums, else by the simplex, and maps its witness back with
-    the route's corner transform.  The
-    returned witness has been checked for range, class and recomputed
-    invariant.
+    the route's corner transform.  The returned witness has been checked
+    for range, class and recomputed invariant.
     """
     theorem, program, transform = _route(t, fn, geometry)
     if program.kind is InvariantKind.EDGE:
@@ -606,8 +612,7 @@ def construct_structure(
         solved = _equal_sums_margin(t, program) or _simplex_margin(t, program)
     if solved is None:
         return _infeasible_certificate(t, fn, theorem)
-    margin, a = solved
-    witness = AngleStructure(tuple(v + margin for v in a[:3 * t.n_faces]))
+    witness = AngleStructure(tuple(solved[1]))
     if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
         raise VerificationFailed("margin witness failed validation")
     if transform is not None:

@@ -106,6 +106,8 @@ def load_instance(path: str):
     requires dense 0-based edge identifiers so file indices and report
     indices coincide.
     """
+    if "\0" in str(path):  # open raises ValueError for it, not an OSError
+        raise OSError(f"path {path!r} holds a NUL byte")
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError covers bad JSON, non-UTF-8 bytes (UnicodeDecodeError)
         # and integers past the interpreter's digit limit

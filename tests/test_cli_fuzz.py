@@ -135,3 +135,84 @@ def test_cli_never_raises_on_schema_shaped_input(tmp_path, capsys, instance, com
         obj = json.loads(out)
         assert list(obj) == ["error"]
         assert set(obj["error"]) == {"type", "message"}
+
+
+# --- argv: the command line itself
+
+# a tetrahedron whose structure, invariant and class agree: every command
+# that reads it can succeed
+TETRA_INSTANCE = {
+    "faces": TETRA_FACES,
+    "D": {str(e): "1/2" for e in range(6)},
+    "structure": {"corners": [[f"{f}/{k}", "1/4"] for f in range(4) for k in range(3)]},
+    "class": "hyperbolic",
+}
+# instance paths, filled in per run: a readable instance, a missing file, a
+# directory, a file that is not JSON and one that is not UTF-8; and a path
+# with a NUL byte, which open() rejects with ValueError, not OSError
+PATHS = ["{instance}", "{missing}", "{directory}", "{not-json}", "{not-utf8}", "in\x00valid.json"]
+SUBCOMMANDS = ["check", "construct", "invariants", "gen", "verify"]
+OPTIONS = {
+    "--geometry": ["spherical", "hyperbolic", "euclidean", "flat"],
+    "--invariant": ["edge", "delaunay", "vertex"],
+    "--method": ["enumerate", "lp", "flow", "auto", "simplex"],
+    "--cap": ["-1", "0", "3", "20", "x", ""],
+    # at most a few faces, so that gen stays instant
+    "--faces": ["-2", "0", "1", "2", "3", "4", "6", "1e3", "x"],
+    "--seed": ["-1", "0", "7", "x"],
+}
+SWITCHES = ["--cross-check", "--dump-lp", "--help", "-h", "--", "-"]
+# no digit but 0 in junk, so that no junk token asks gen for many faces
+JUNK_TOKEN = st.text(alphabet="0x-=/.é \x00", max_size=5)
+TOKEN = st.one_of(
+    st.sampled_from(SUBCOMMANDS + PATHS + SWITCHES + list(OPTIONS) + sorted({v for vs in OPTIONS.values() for v in vs})),
+    JUNK_TOKEN,
+)
+OPTION = st.one_of(
+    st.sampled_from(sorted(OPTIONS)).flatmap(lambda flag: st.sampled_from(OPTIONS[flag]).map(lambda v: [flag, v])),
+    st.sampled_from(SWITCHES).map(lambda s: [s]),
+    TOKEN.map(lambda token: [token]),
+)
+# a subcommand and a path followed by options, or any run of tokens
+SHAPED = st.builds(
+    lambda sub, path, options: [sub, path] + [token for option in options for token in option],
+    st.sampled_from(SUBCOMMANDS),
+    st.sampled_from(PATHS),
+    st.lists(OPTION, max_size=5),
+)
+ARGV = st.one_of(SHAPED, st.lists(TOKEN, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGV)
+@example(argv=["check", "{instance}", "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
+@example(argv=["construct", "{instance}", "--geometry", "spherical", "--dump-lp"])
+@example(argv=["verify", "{directory}"])
+@example(argv=["verify", "in\x00valid.json"])  # once a ValueError traceback
+@example(argv=["check", "--help"])
+def test_cli_never_raises_on_any_argv(tmp_path, capsys, argv):
+    # whatever the argv, main exits 0, 1 or 2 with no traceback, and exit 2
+    # prints exactly one error object; only a help flag ends the parse with
+    # SystemExit, as argparse does, with exit 0 and the usage on stdout
+    files = {
+        "{instance}": json.dumps(TETRA_INSTANCE).encode(),
+        "{not-json}": b"{faces",
+        "{not-utf8}": b"\xff\xfe{}",
+    }
+    for key, data in files.items():
+        (tmp_path / key.strip("{}")).write_bytes(data)
+    paths = {key: str(tmp_path / key.strip("{}")) for key in PATHS}
+    paths["{directory}"] = str(tmp_path)
+    argv = [paths.get(token, token) for token in argv]
+    try:
+        code = main(argv)  # a traceback fails the test here
+    except SystemExit as exit_:
+        assert exit_.code == 0 and {"-h", "--help"} & set(argv), argv
+        assert capsys.readouterr().out.startswith("usage: anglestruct"), argv
+        return
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2), (argv, out)
+    if code == 2:
+        assert out.count("\n") == 1, argv
+        obj = json.loads(out)
+        assert list(obj) == ["error"] and set(obj["error"]) == {"type", "message"}, argv

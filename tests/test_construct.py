@@ -29,6 +29,7 @@ from anglestruct import (
     lp,
     validate,
 )
+from anglestruct.angles import _over_lcm
 from anglestruct.cli import main
 from anglestruct.errors import RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
@@ -278,9 +279,11 @@ def test_witness_bytes_pinned():
 
 
 def _tetra_network(tetra, value):
-    # nodes: the 4 faces, then source 4 and sink 5
-    weights = [Fraction(*value)] * 6
-    arcs, scale = _closure_network(tetra, weights)
+    # nodes: the 4 faces, then source 4 and sink 5; W = p/L and the unit 1
+    # as ints over the scale L
+    numerator, scale = value
+    weights = [numerator] * 6
+    arcs = _closure_network(tetra, weights, scale)
     flow, _, _ = _max_flow(arcs, 4 + 2, 4, 5)
     return weights, arcs, scale, flow
 
@@ -298,14 +301,14 @@ def test_closure_network_on_the_dual_graph(tetra, self_glued):
     # the flow's value is L * (min g + the sink capacities 3 + 10)
     assert sum(x for (_, v, _), x in zip(arcs, flow) if v == 5) == 13
     # the self-glued edges 0 and 2 give no arc: their faces hold them whole
-    assert _closure_network(self_glued, [Fraction(1, 2)] * 3) == ([(0, 1, 1), (1, 3, 1)], 2)
+    assert _closure_network(self_glued, [1] * 3, 2) == [(0, 1, 1), (1, 3, 1)]
 
 
 def test_extract_certificate_spec_vector(tetra):
     # T2 at 7/10: the empty set violates, slack 4 - 6 * 7/10 = -1/5, and it
     # is the only minimiser of g(X) = W(E(X)) - |X|
     d = const_fn(tetra, (7, 10))
-    assert min_cut(tetra, [Fraction(7, 10)] * 6)[:3] == (0, frozenset(), frozenset())
+    assert min_cut(tetra, [7] * 6, 10)[:3] == (0, frozenset(), frozenset())
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset()
     assert report.slack == Fraction(-1, 5)
@@ -316,9 +319,9 @@ def test_extract_certificate_rejects_zero_vector(tetra):
     # the zero flow is feasible, but its value 0 is no cut's capacity: the
     # cut keeping the empty set off the sink side has capacity 13
     weights, arcs, scale, flow = _tetra_network(tetra, (7, 10))
-    assert _certify_cut(tetra, weights, 1, arcs, flow, scale, [frozenset()]) == 0
+    assert _certify_cut(tetra, weights, scale, arcs, flow, [frozenset()]) == 0
     with pytest.raises(VerificationFailed, match="differs from the flow value"):
-        _certify_cut(tetra, weights, 1, arcs, [0] * len(arcs), scale, [frozenset()])
+        _certify_cut(tetra, weights, scale, arcs, [0] * len(arcs), [frozenset()])
 
 
 def test_extract_certificate_rejects_infeasible_dual(tetra):
@@ -328,21 +331,21 @@ def test_extract_certificate_rejects_infeasible_dual(tetra):
         over = list(flow)
         over[i] = arcs[i][2] + 1
         with pytest.raises(VerificationFailed, match="outside"):
-            _certify_cut(tetra, weights, 1, arcs, over, scale, [frozenset()])
+            _certify_cut(tetra, weights, scale, arcs, over, [frozenset()])
     leaky = list(flow)
     into_sink = next(i for i, (_, v, _) in enumerate(arcs) if v == 5 and flow[i] > 0)
     leaky[into_sink] -= 1  # its face node keeps a unit of flow
     with pytest.raises(VerificationFailed, match="conserved"):
-        _certify_cut(tetra, weights, 1, arcs, leaky, scale, [frozenset()])
+        _certify_cut(tetra, weights, scale, arcs, leaky, [frozenset()])
     # a genuine maximum flow still fails against a set that is no minimiser
     with pytest.raises(VerificationFailed, match="differs from the flow value"):
-        _certify_cut(tetra, weights, 1, arcs, flow, scale, [frozenset({0})])
+        _certify_cut(tetra, weights, scale, arcs, flow, [frozenset({0})])
     # the network is recomputed from the weights and the unit, so one built
-    # for other weights, another face unit or another scale fails too
-    for other, unit, at in ((weights[:5] + [Fraction(3, 5)], 1, scale), (weights, Fraction(1, 2), scale),
-                            (weights, 1, 2 * scale)):
+    # for other weights (the last 3/5), another face unit (1/2) or another
+    # scale (2L) fails too
+    for other, unit in ((weights[:5] + [6], scale), (weights, scale // 2), ([2 * w for w in weights], 2 * scale)):
         with pytest.raises(VerificationFailed, match="network differs"):
-            _certify_cut(tetra, other, unit, arcs, flow, at, [frozenset()])
+            _certify_cut(tetra, other, unit, arcs, flow, [frozenset()])
 
 
 def _replace(old, new):
@@ -376,15 +379,15 @@ def test_certify_cut_rejects_a_network_off_its_weights(faces, edit):
     # minimum cuts, so the arc-by-arc comparison must catch it
     t = validate(faces)
     nf = t.n_faces
-    weights, unit = ([Fraction(7, 10)] * 6, Fraction(7, 10)) if nf == 4 else ([Fraction(1, 2)] * 3, 1)
-    arcs, scale = _closure_network(t, weights, unit)
+    weights, unit = ([7] * 6, 7) if nf == 4 else ([1] * 3, 2)  # over L = 10 and L = 2
+    arcs = _closure_network(t, weights, unit)
     assert arcs == (TETRA_AT_UNIT if nf == 4 else [(0, 1, 1), (1, 3, 1)])
     changed = edit(arcs)
     assert changed != arcs
     flow, _, to_sink = _max_flow(changed, nf + 2, nf, nf + 1)
     smallest = frozenset(f for f in range(nf) if to_sink[f])
     with pytest.raises(VerificationFailed, match="network differs"):
-        _certify_cut(t, weights, unit, changed, flow, scale, [smallest])
+        _certify_cut(t, weights, unit, changed, flow, [smallest])
 
 
 def test_extract_certificate_rejects_nonpositive_objective(tetra):
@@ -437,7 +440,9 @@ def test_coverage_deficit_matches_enumeration_sign(seed, n):
         Fraction(rng.randint(1, 40), rng.randint(20, 40)) for _ in range(t.n_edges)
     ]
     # over all subsets, the empty one included: g(empty) = 0
-    value, smallest, largest, *_ = min_cut(t, weights)
+    scaled, scale = _over_lcm(weights)
+    minimum, smallest, largest, *_ = min_cut(t, scaled, scale)
+    value = Fraction(minimum, scale)
     # exhaustive minimum over nonempty subsets
     best = None
     for mask in range(1, 1 << n):
@@ -626,11 +631,12 @@ def test_margin_flows_are_checked(monkeypatch, tetra):
     calls = []
 
     def low_root(t, weights, unit):
-        # the first step's minimum claimed lower: the Newton root falls
-        # below 1/10, where F minimises g_m but the empty set does not
+        # the first step's minimum claimed one unit of its scale lower: the
+        # Newton root falls below 1/10, where F minimises g_m but the empty
+        # set does not
         minimum, *rest = cut(t, weights, unit)
         calls.append(minimum)
-        return (minimum - Fraction(1, 25) if len(calls) == 1 else minimum, *rest)
+        return (minimum - 1 if len(calls) == 1 else minimum, *rest)
 
     assert lp._flow_margin(tetra, d)[0] == Fraction(1, 10)
     for module, name, fake, match in (
@@ -652,9 +658,9 @@ def test_newton_loop_is_bounded(monkeypatch):
     # the loop would not end
     network, cut, cuts = feasibility._closure_network, lp.min_cut, []
 
-    def inflated(t, weights, unit=1):
-        arcs, scale = network(t, weights, unit)
-        return [(u, v, c + 1) if u == t.n_faces else (u, v, c) for u, v, c in arcs], scale
+    def inflated(t, weights, unit):
+        arcs = network(t, weights, unit)
+        return [(u, v, c + 1) if u == t.n_faces else (u, v, c) for u, v, c in arcs]
 
     def counted(t, weights, unit):
         cuts.append(None)
@@ -692,12 +698,49 @@ def test_a_slope_that_does_not_fall_raises(monkeypatch, tetra, kind, claimed, cu
     def claiming(t, weights, unit):
         calls.append(None)
         _, smallest, _, *rest = cut(t, weights, unit)
-        return (sum(weights) - unit * t.n_faces - Fraction(1, 1000), smallest, frozenset(claimed), *rest)
+        return (sum(weights) - unit * t.n_faces - 1, smallest, frozenset(claimed), *rest)
 
     monkeypatch.setattr(lp, "min_cut", claiming)
     with pytest.raises(VerificationFailed, match="the Newton slope did not fall"):
         construct_structure(tetra, const_fn(tetra, (3, 5), kind), GeometryClass.HYPERBOLIC)
     assert len(calls) == cuts
+
+
+class _FirstStep(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from([0, 2, 4, 6]),
+    scale=st.sampled_from([1, 2, 6, 10, 12, 45, 10**4]),
+    rate=st.sampled_from([3, 4]),
+    margin=st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(1, 2), max_denominator=10**4),
+)
+@example(seed=0, n=4, scale=10, rate=4, margin=Fraction(1, 2))  # D and q share 2: the gcd is at least 2
+def test_newton_step_network_is_the_exact_one(seed, n, scale, rate, margin):
+    # a Newton step shifts int weights and an int unit over one scale D by
+    # m = p/q in ints over D*q, reduced by their gcd: its network must be,
+    # arc for arc and at the same scale, the one of the exact Fractions
+    # W - 2m and unit - k*m over the lcm of their denominators
+    rng = random.Random(seed)
+    t = validate(SELF_GLUED_FACES) if n == 0 else random_triangulation(n, rng)
+    weights = [rng.randint(0, 3 * scale) for _ in range(t.n_edges)]
+    unit = rng.randint(0, 3 * scale)
+    exact = [Fraction(w, scale) - 2 * margin for w in weights] + [Fraction(unit, scale) - rate * margin]
+    (*scaled, face), _ = _over_lcm(exact)
+    steps = []
+
+    def first_step(t, weights, unit):
+        steps.append((weights, unit, _closure_network(t, weights, unit)))
+        raise _FirstStep
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "min_cut", first_step)
+        with pytest.raises(_FirstStep):
+            lp._newton_margin(t, weights, unit, scale, rate, margin)
+    assert steps == [(scaled, face, _closure_network(t, scaled, face))]
 
 
 def test_newton_step_from_all_faces_but_one(self_glued):
@@ -707,7 +750,9 @@ def test_newton_step_from_all_faces_but_one(self_glued):
     # so the flow falls short and one Newton step reaches the optimum 1/20
     weights = [Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)]
     shifted = [w - Fraction(1, 5) for w in weights]
-    assert min_cut(self_glued, shifted, Fraction(3, 5))[:3] == (Fraction(-3, 10), {0}, {0})
+    (*scaled, face), scale = _over_lcm([*shifted, Fraction(3, 5)])
+    minimum, smallest, largest, *_ = min_cut(self_glued, scaled, face)
+    assert (Fraction(minimum, scale), smallest, largest) == (Fraction(-3, 10), {0}, {0})
     program = EdgeFunction(tuple(weights), InvariantKind.EDGE)
     margin, _ = lp._flow_margin(self_glued, program)
     assert margin == Fraction(1, 20) == -lp.simplex_solve(lp._margin_lp(self_glued, program)).value

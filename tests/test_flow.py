@@ -30,6 +30,7 @@ from anglestruct import (
     validate,
 )
 from anglestruct import feasibility
+from anglestruct.angles import _over_lcm
 from anglestruct.cli import main
 from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
@@ -184,7 +185,9 @@ def test_min_cut_minimisers_bracket_every_minimiser(monkeypatch):
         weights = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(t.n_edges)]
         # the face capacity of the margin programs' networks, 0 and 1 included
         unit = Fraction(trial % 5, 4)
-        minimum, smallest, largest, arcs, *_ = min_cut(t, weights, unit)
+        (*scaled, face), scale = _over_lcm([*weights, unit])
+        minimum, smallest, largest, arcs, *_ = min_cut(t, scaled, face)
+        minimum = Fraction(minimum, scale)
         values = {}
         for mask in range(1 << n):
             subset = frozenset(f for f in range(n) if mask >> f & 1)
