@@ -8,8 +8,9 @@ unreadable instance file and 3 for an internal self-check failure
 stdout, and 141 when the reader closes stdout early (a broken pipe), with
 nothing more written and no traceback.  The enumeration cap comes from
 --cap, then the ANGLESTRUCT_CAP environment variable, then the default of
-20; a value that is not an integer, or is negative, from either source,
-is an InvalidSetting, and so is any usage error.
+20; a value that is not an ASCII decimal integer (-?[0-9]+), or is
+negative, from either source, is an InvalidSetting, and so is any usage
+error.
 
 Every ``check`` method prints the same report, so ``--method auto`` is the
 minimum cut, which decides any size in polynomial time; ``--cross-check``
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 
 from . import feasibility, lp
@@ -109,12 +111,15 @@ def _resolve_cap(args) -> int:
         name, value = "ANGLESTRUCT_CAP", os.environ.get("ANGLESTRUCT_CAP")
         if value is None:
             return DEFAULT_ENUMERATION_CAP
+    shown = f"{name}={value!r}" if len(value) <= 12 else f"{name}={value[:12]!r}..."
+    if not re.fullmatch("-?[0-9]+", value):  # ASCII digits only, as ratpi.parse reads
+        raise InvalidSetting(f"{shown} is not an integer")
     try:
         cap = int(value)
-    except ValueError:
-        raise InvalidSetting(f"{name}={value!r} is not an integer") from None
+    except ValueError:  # more digits than int() converts
+        raise InvalidSetting(f"{shown} has too many digits") from None
     if cap < 0:
-        raise InvalidSetting(f"{name}={value!r} is negative")
+        raise InvalidSetting(f"{shown} is negative")
     return cap
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -23,11 +24,10 @@ from anglestruct import (
     edge_invariant,
     validate,
 )
-from anglestruct import feasibility
 from anglestruct.angles import mismatched_edges
 from anglestruct.errors import DimensionMismatch, MissingCorner, RangeViolation, TooLarge
 from anglestruct.angles import _over_lcm
-from anglestruct.feasibility import THEOREMS, QuantifierRange, _scan, _toggles, subset_slack
+from anglestruct.feasibility import THEOREMS, QuantifierRange, _placements, _scan, subset_slack
 from anglestruct.sampling import (
     random_edge_values,
     random_hyperbolic_delaunay_domain,
@@ -303,52 +303,58 @@ def test_scan_matches_oracle_where_block_walks_are_shared(n):
                 assert subset_slack(t, fn, theorem, scanned[3]) == slack, theorem
 
 
-def test_toggle_tables_match_brute_force():
-    # each face's table against the scaled change of W(E(X)) - |X| on
-    # adding the face to every subset X of the other faces; about half the
-    # gluings glue some face to itself, and adding that face always covers
-    # its self-glued edge anew
+def test_placement_tables_match_brute_force():
+    # each step of the scan against the scaled change, over every subset X
+    # of the faces placed before it, of W(E) - L|X| summed over the edges
+    # with both faces placed that X touches; at least ten of the gluings
+    # glue some face to itself and at least ten have faces that share two
+    # or three edges, whose weights the tables must sum
     rng = random.Random(16)
     gluings = [validate(SELF_GLUED_FACES)] + [random_triangulation(rng.choice([2, 4, 6, 8]), rng) for _ in range(30)]
     assert sum(any(len(set(row)) < 3 for row in t.faces) for t in gluings) >= 10
+    assert sum(len({frozenset(f for f, _ in c) for c in t.edge_corners}) < t.n_edges for t in gluings) >= 10
     for t in gluings:
         n = t.n_faces
         weights = [Fraction(rng.randint(0, 20), rng.randint(1, 9)) for _ in range(t.n_edges)]
         scaled, scale = _over_lcm(weights)
-        across, tables = _toggles(t, scaled, scale)
-        for f in range(n):
-            near = {g for e in t.faces[f] for g, _ in t.edge_corners[e] if g != f}
-            assert across[f] == sum(1 << g for g in near)
-            assert sorted(tables[f]) == [s for s in range(across[f] + 1) if s & ~across[f] == 0]
+        faces_of = [{f for f, _ in c} for c in t.edge_corners]
+        neighbours = [{g for e in t.faces[f] for g in faces_of[e]} - {f} for f in range(n)]
+
+        def booked(x, placed):
+            edges = [e for e, fs in enumerate(faces_of) if fs <= placed and fs & x]
+            return sum(scaled[e] for e in edges) - len(x) * scale
+
+        placed = set()
+        for bit, near, gain, table, frontier in _placements(t, scaled, scale):
+            v = bit.bit_length() - 1
+            unplaced = [f for f in range(n) if f not in placed]
+            assert v == max(unplaced, key=lambda f: (len(neighbours[f] & placed), -f))
+            assert near == sum(1 << g for g in neighbours[v] & placed)
+            assert sorted(table) == [s for s in range(near + 1) if s & ~near == 0]
+            after = placed | {v}
             for mask in range(1 << n):
-                if mask >> f & 1:
+                x = {f for f in range(n) if mask >> f & 1}
+                if not x <= placed:
                     continue
-                covered = {e for g in range(n) if mask >> g & 1 for e in t.faces[g]}
-                change = sum(scaled[e] for e in set(t.faces[f]) - covered) - scale
-                assert tables[f][mask & across[f]] == change, (f, mask)
+                assert booked(x | {v}, after) - booked(x, placed) == gain, (v, x)
+                assert booked(x, after) - booked(x, placed) == table[mask & near], (v, x)
+            placed = after
+            assert frontier == sum(1 << f for f in placed if neighbours[f] - placed)
+        assert placed == set(range(n))
 
 
-def test_scan_walks_its_block_once_per_rim_state(monkeypatch):
-    # a connected block of b faces has at most b + 2 faces on its rim, so
-    # the scan makes at most 2^(b+2) walks over it, plus one for the
-    # excluded subset; one walk per outer subset, or a block whose faces
-    # are not connected, makes more
-    walks = []
-
-    def counted(*args):
-        walks.append(args)
-        return block_walk(*args)
-
-    block_walk = feasibility._block_walk
-    monkeypatch.setattr(feasibility, "_block_walk", counted)
-    rng = random.Random(12)
-    for n in (10, 12, 14):
-        for _ in range(4):
-            t = random_triangulation(n, rng)
-            for grow_form in (True, False):
-                walks.clear()
-                _scan(t, [Fraction(2, 3)] * t.n_edges, grow_form, n)
-                assert 1 < len(walks) <= 2 ** (n // 3 + 2) + 1, (n, grow_form)
+def test_scan_at_40_faces_matches_the_cut():
+    # about |F| * 2^(|F|/4) steps on random gluings: at 40 faces and cap 40
+    # a scan does in a fraction of a second what 2^40 subset steps would not
+    # do in days; its reports must be the cut's on every theorem
+    rng = random.Random(40)
+    t = random_triangulation(40, rng)
+    start = time.process_time()
+    for theorem, row in THEOREMS.items():
+        for lo, hi in ((row.lo, row.hi), EXCLUDED_ONLY[theorem]):
+            fn = random_edge_values(t, rng, lo, hi, row.kind)
+            assert check_via_enumeration(t, fn, theorem, cap=40) == check_via_flow(t, fn, theorem), theorem
+    assert time.process_time() - start < 10
 
 
 def test_scan_at_24_faces_stays_small():

@@ -36,7 +36,13 @@ from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
 from anglestruct.lp import check_via_lp
 from anglestruct.ratpi import render
-from anglestruct.sampling import random_edge_values, random_structure, random_triangulation
+from anglestruct.sampling import (
+    random_edge_values,
+    random_hyperbolic_delaunay_domain,
+    random_spherical_edge_domain,
+    random_structure,
+    random_triangulation,
+)
 from conftest import SELF_GLUED_FACES, const_fn
 
 
@@ -48,17 +54,22 @@ def assert_flow_matches_enumeration(t, fn, theorem):
     return flow
 
 
+def near_equilateral_structure(t, rng):
+    """A Euclidean structure with every angle within pi/9 of pi/3."""
+    angles = []
+    for _ in range(t.n_faces):
+        p = [rng.randint(8, 12) for _ in range(3)]
+        angles += [Fraction(v, sum(p)) for v in p]
+    return AngleStructure(tuple(angles))
+
+
 def nudged_boundary_values(t, theorem, rng):
     """Invariant whose weights W start as the edge invariant of a
     near-equilateral Euclidean structure (W(E) = |F|, every W < pi, slack 0
     at the empty and the full set), then shift weight between the edges of
     a random face set Y and the rest, keeping W(E), and nudge a few edges:
     minimisers then fall on Y and on other sets between empty and full."""
-    angles = []
-    for _ in range(t.n_faces):
-        p = [rng.randint(8, 12) for _ in range(3)]
-        angles += [Fraction(v, sum(p)) for v in p]
-    base = edge_invariant(t, AngleStructure(tuple(angles)))
+    base = edge_invariant(t, near_equilateral_structure(t, rng))
     y = rng.sample(range(t.n_faces), rng.randint(1, t.n_faces))
     inside = {e for f in y for e in t.faces[f]}
     n_in, n_out = len(inside), t.n_edges - len(inside)
@@ -166,6 +177,52 @@ def test_flow_boundary_instances_from_euclidean_structures(seed, n):
             assert flow.certificate == frozenset()
         else:
             assert subset_slack(t, fn, theorem, frozenset(range(n))) == Fraction(0)
+
+
+def status_instance(t, theorem, status, rng):
+    """An invariant of known status for a theorem on t.  Feasible: from a
+    structure whose invariant lies in the theorem's domain.  Boundary: from
+    a near-equilateral Euclidean structure, slack exactly 0 at the empty
+    set (T2/T3/L7) or at F (T1/T4).  Infeasible: the boundary invariant
+    moved 1/120 to 3/120 on three edges, towards less weight in grow form
+    and more in shrink form, so that subset's slack drops below 0."""
+    row = THEOREMS[theorem]
+    invariant = edge_invariant if row.kind is InvariantKind.EDGE else delaunay_invariant
+    if status == "feasible":
+        sample = {
+            "T1": random_spherical_edge_domain,
+            "T4": random_hyperbolic_delaunay_domain,
+        }.get(theorem, lambda t, rng: random_structure(t, row.geometry, rng))
+        return invariant(t, sample(t, rng))
+    values = list(invariant(t, near_equilateral_structure(t, rng)).values)
+    if status == "infeasible":
+        # W = d for an edge invariant and 1 - Dd/2 for a Delaunay one
+        less_weight = row.nonempty == (row.kind is InvariantKind.EDGE)
+        for e in rng.sample(range(t.n_edges), 3):
+            values[e] += Fraction(rng.randint(1, 3), 120) * (-1 if less_weight else 1)
+    return EdgeFunction(tuple(values), row.kind)
+
+
+def test_flow_matches_enumeration_at_the_default_cap():
+    # 16 to 20 faces, every theorem in every status, every other gluing
+    # with some face glued to itself: the whole reports must be equal
+    rng = random.Random(1620)
+    self_glued = 0
+    for trial, n in enumerate((16, 16, 18, 18, 20, 20)):
+        t = random_triangulation(n, rng)
+        while trial % 2 and all(len(set(row)) == 3 for row in t.faces):
+            t = random_triangulation(n, rng)
+        self_glued += any(len(set(row)) < 3 for row in t.faces)
+        for theorem, row in THEOREMS.items():
+            for status in ("feasible", "boundary", "infeasible"):
+                fn = status_instance(t, theorem, status, rng)
+                report = assert_flow_matches_enumeration(t, fn, theorem)
+                if status == "feasible":
+                    assert report.slack is None, (theorem, status)
+                else:
+                    assert report.slack == 0 if status == "boundary" else report.slack < 0, (theorem, status)
+                assert (report.verdict is Verdict.CLOSURE_ONLY) == (not row.strict and status != "infeasible")
+    assert self_glued >= 3
 
 
 def test_min_cut_minimisers_bracket_every_minimiser(monkeypatch):
