@@ -5,6 +5,10 @@ whether a spherical or hyperbolic angle structure exists; constructs an
 explicit witness when it does and a violating face-subset certificate
 when it does not.  All arithmetic is exact: every angle, invariant value
 and slack is a ``Fraction``, its coefficient of pi.
+
+The value types are immutable named tuples; ``._replace`` makes a changed
+copy.  The five LP names load ``lp`` on first use, so importing the package
+or its command line loads neither ``lp`` nor ``sampling``.
 """
 
 from .angles import (
@@ -27,13 +31,6 @@ from .feasibility import (
     check_via_enumeration,
     check_via_flow,
 )
-from .lp import (
-    LpProblem,
-    build_construction_lp,
-    check_via_lp,
-    construct_structure,
-    simplex_solve,
-)
 from .ratpi import parse
 from .surface import (
     Corner,
@@ -43,6 +40,15 @@ from .surface import (
     edge_set,
     validate,
 )
+
+
+def __getattr__(name):
+    """The LP names, from ``lp`` imported on their first use (PEP 562)."""
+    if name in ("LpProblem", "build_construction_lp", "check_via_lp", "construct_structure", "simplex_solve"):
+        from . import lp
+        return getattr(lp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AngleStructure",

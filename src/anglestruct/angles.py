@@ -28,7 +28,7 @@ ints once, on first use, and every later function of it reads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -56,16 +56,14 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-@dataclass(frozen=True)
-class AngleStructure:
-    """One angle per corner, corner k of face f at index 3*f + k; a plain
-    container, range checks live in validators."""
+class AngleStructure(namedtuple("AngleStructure", "values")):
+    """values: tuple[Fraction, ...], one angle per corner, corner k of face f
+    at index 3*f + k; a plain container, range checks live in validators."""
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.values, tuple):
-            raise TypeError(f"AngleStructure values must be a tuple, not {type(self.values).__name__}")
+    def __new__(cls, values):
+        if not isinstance(values, tuple):
+            raise TypeError(f"AngleStructure values must be a tuple, not {type(values).__name__}")
+        return super().__new__(cls, values)
 
     @cached_property
     def face_terms(self) -> tuple[tuple[list[int], int], ...]:
@@ -74,16 +72,16 @@ class AngleStructure:
         return tuple(_over_lcm(v[i:i + 3]) for i in range(0, len(v), 3))
 
 
-@dataclass(frozen=True)
-class EdgeFunction:
-    """Values indexed by dense edge index, tagged edge or Delaunay."""
+class EdgeFunction(namedtuple("EdgeFunction", "values kind")):
+    """values: tuple[Fraction, ...] indexed by dense edge index, tagged by
+    kind: InvariantKind, edge or Delaunay."""
 
-    values: tuple[Fraction, ...]
-    kind: InvariantKind
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.values, tuple):
-            raise TypeError(f"EdgeFunction values must be a tuple, not {type(self.values).__name__}")
+    def __new__(cls, values, kind):
+        if not isinstance(values, tuple):
+            raise TypeError(f"EdgeFunction values must be a tuple, not {type(values).__name__}")
+        return super().__new__(cls, values, kind)
 
 
 def _face_terms(t: Triangulation, x: AngleStructure) -> tuple[tuple[list[int], int], ...]:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import re
 import sys
 
-from . import feasibility, lp
+from . import feasibility
 from .angles import (
     GeometryClass,
     InvariantKind,
@@ -37,10 +36,9 @@ from .angles import (
     euclidean_relation_holds,
     mismatched_edges,
 )
-from .errors import AngleStructError, InvalidSetting, VerificationFailed
+from .errors import AngleStructError, InvalidSetting, VerificationFailed, excerpt
 from .feasibility import FeasibilityReport, Verdict
 from .ratpi import render
-from .sampling import random_structure, random_triangulation
 from .serialize import (
     InvalidInstance,
     dumps,
@@ -111,7 +109,7 @@ def _resolve_cap(args) -> int:
         name, value = "ANGLESTRUCT_CAP", os.environ.get("ANGLESTRUCT_CAP")
         if value is None:
             return DEFAULT_ENUMERATION_CAP
-    shown = f"{name}={value!r}" if len(value) <= 12 else f"{name}={value[:12]!r}..."
+    shown = f"{name}={excerpt(value)}"
     if not re.fullmatch("-?[0-9]+", value):  # ASCII digits only, as ratpi.parse reads
         raise InvalidSetting(f"{shown} is not an integer")
     try:
@@ -148,16 +146,20 @@ def cmd_check(args) -> int:
     cap = _resolve_cap(args)
 
     theorem = feasibility.theorem_for(geometry, kind)
+    # lp is imported only where it runs, so auto, flow and enumerate never load it
     if args.dump_lp:
+        from . import lp
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
     if args.method == "enumerate" or args.cross_check:
         report = feasibility.check_via_enumeration(t, invariant, theorem, cap)
     elif args.method == "lp":
+        from . import lp
         report = lp.check_via_lp(t, invariant, geometry)
     else:
         report = feasibility.check_via_flow(t, invariant, theorem)
     if args.cross_check:
+        from . import lp
         lp_report = lp.check_via_lp(t, invariant, geometry)
         flow_report = feasibility.check_via_flow(t, invariant, theorem)
         for name, other in (("lp", lp_report), ("flow", flow_report)):
@@ -169,6 +171,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import lp
     t, invariant, _, _ = load_instance(args.path)
     geometry = GeometryClass(args.geometry)
     invariant = _require_invariant(invariant)
@@ -201,6 +204,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import random
+    from .sampling import random_structure, random_triangulation
     rng = random.Random(args.seed)
     t = random_triangulation(args.faces, rng)
     out = {"faces": [list(t.faces[f]) for f in range(t.n_faces)]}

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the excerpt their messages show."""
+
+
+def excerpt(value) -> str:
+    """repr of a value for a message, cut to 12 characters and "...": a
+    string is cut before its repr is taken, any other value after."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 12 else f"{value[:12]!r}..."
+    text = repr(value)
+    return text if len(text) <= 12 else f"{text[:12]}..."
 
 
 class AngleStructError(Exception):

@@ -44,7 +44,7 @@ and the command line read it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -53,24 +53,19 @@ from .errors import DimensionMismatch, RangeViolation, TooLarge, VerificationFai
 from .ratpi import render
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(namedtuple("Theorem", "geometry kind lo hi nonempty strict")):
     """One subset condition, stated as data.
 
-    The invariant must lie in lo < v < hi on every edge for a strict
-    condition and in lo <= v <= hi for the weak one, in pi-units.  The
-    edge weight is W = pi - v/2 for a Delaunay invariant, else v itself.
-    The inequality is quantified over nonempty subsets in the grow form
-    W(E(X)) - pi|X| when nonempty, else over proper subsets (the empty one
-    included) in the shrink form.
+    geometry: GeometryClass; kind: InvariantKind; lo, hi: Fraction, the
+    domain; nonempty, strict: bool.  The invariant must lie in lo < v < hi
+    on every edge for a strict condition and in lo <= v <= hi for the weak
+    one, in pi-units.  The edge weight is W = pi - v/2 for a Delaunay
+    invariant, else v itself.  The inequality is quantified over nonempty
+    subsets in the grow form W(E(X)) - pi|X| when nonempty, else over
+    proper subsets (the empty one included) in the shrink form.
     """
 
-    geometry: GeometryClass
-    kind: InvariantKind
-    lo: Fraction
-    hi: Fraction
-    nonempty: bool
-    strict: bool
+    __slots__ = ()
 
     def violated(self, slack: Fraction) -> bool:
         """A strict inequality is already violated at slack 0."""
@@ -113,15 +108,12 @@ class QuantifierRange(Enum):
     PROPER_SUBSETS_INCL_EMPTY = "proper-subsets-incl-empty"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """A theorem's verdict, with the violating subset when infeasible and
-    the exact minimum slack over the quantifier range when it is <= 0."""
+class FeasibilityReport(namedtuple("FeasibilityReport", "verdict theorem certificate slack")):
+    """A theorem's verdict: Verdict, its name theorem: str in THEOREMS, the
+    violating certificate: FaceSubset when infeasible and the exact minimum
+    slack: Fraction over the quantifier range when it is <= 0, else None."""
 
-    verdict: Verdict
-    theorem: str
-    certificate: FaceSubset | None
-    slack: Fraction | None
+    __slots__ = ()
 
     @property
     def quantifier_range(self) -> QuantifierRange:

@@ -54,7 +54,7 @@ infeasible, and its subset is re-evaluated exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -92,23 +92,21 @@ ONE = Fraction(1)
 # problem / outcome types
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(namedtuple("LpProblem", "row_terms c")):
     """min c.x  subject to  A x = b, x >= 0, all data rational, stored only
     as A's rows scaled to integers: row i is the nonzeros (j, L_i a_ij),
     then L_i b_i and L_i > 0, with L_i the lcm of the row's denominators
-    (make_problem builds this from dense data)."""
+    (make_problem builds this from dense data).  row_terms: tuple of
+    (tuple[tuple[int, int], ...], int, int); c: tuple[Fraction, ...]."""
 
-    row_terms: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
-    c: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = len(self.c)
-        for terms, _, scale in self.row_terms:
+    def __new__(cls, row_terms, c):
+        n = len(c)
+        for terms, _, scale in row_terms:
             if scale <= 0:
                 raise DimensionMismatch("row scale is not positive")
             if any(not 0 <= j < n for j, _ in terms):
                 raise DimensionMismatch("row names a column outside c")
+        return super().__new__(cls, row_terms, c)
 
     @cached_property
     def col_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -145,16 +143,14 @@ def make_problem(a, b, c) -> LpProblem:
     return LpProblem(tuple(view), c)
 
 
-@dataclass(frozen=True)
-class Optimal:
-    x: tuple[Fraction, ...]
-    value: Fraction
-    dual: tuple[Fraction, ...]
+class Optimal(namedtuple("Optimal", "x value dual")):
+    """The point x, value c.x and multipliers dual: Fractions."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    certificate: tuple[Fraction, ...]
+class Infeasible(namedtuple("Infeasible", "certificate")):
+    """A Farkas vector certificate: tuple[Fraction, ...]."""
+    __slots__ = ()
 
 
 LpOutcome = Optimal | Infeasible

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import MalformedRational, ZeroDenominator
+from .errors import MalformedRational, ZeroDenominator, excerpt
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -19,17 +19,17 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def parse(text: str) -> Fraction:
     """Parse an ASCII ``p/q`` (or bare integer) string into a Fraction."""
     if not isinstance(text, str):
-        raise MalformedRational(f"{text!r} is not a string")
+        raise MalformedRational(f"{excerpt(text)} is not a string")
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
-        raise MalformedRational(repr(text))
+        raise MalformedRational(excerpt(text))
     try:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) is not None else 1
     except ValueError:  # more digits than int() converts
         raise MalformedRational(f"{text[:12]}... has too many digits") from None
     if den == 0:
-        raise ZeroDenominator(text)
+        raise ZeroDenominator(text if len(text) <= 12 else f"{text[:12]}...")
     return Fraction(num, den)
 
 

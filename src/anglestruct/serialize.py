@@ -10,10 +10,9 @@ edge function's; the readers require each exactly once.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
-from .errors import AngleStructError, MissingCorner
+from .errors import AngleStructError, MissingCorner, excerpt
 from .feasibility import FeasibilityReport
 from .ratpi import parse as parse_ratpi, render
 from .surface import Triangulation, validate
@@ -37,14 +36,14 @@ def edge_function_to_json(t: Triangulation, fn: EdgeFunction) -> dict:
     }
 
 
-def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | None = None) -> EdgeFunction:
+def edge_function_from_json(t: Triangulation, obj: object, kind: InvariantKind | None = None) -> EdgeFunction:
     if not isinstance(obj, dict) or "values" not in obj:
         raise InvalidInstance("invariant must be an object with a 'values' map")
     if kind is None:
         try:
             kind = InvariantKind(obj.get("kind", "edge"))
         except ValueError:
-            raise InvalidInstance(f"unknown invariant kind {obj.get('kind')!r}") from None
+            raise InvalidInstance(f"unknown invariant kind {excerpt(obj.get('kind'))}") from None
     if not isinstance(obj["values"], dict):
         raise InvalidInstance("invariant values must be a map from edge index to rational")
     # only the canonical decimal form names an edge, so no two keys name one
@@ -52,7 +51,7 @@ def edge_function_from_json(t: Triangulation, obj: Any, kind: InvariantKind | No
     values = [None] * t.n_edges
     for key, text in obj["values"].items():
         if key not in names:
-            raise InvalidInstance(f"invariant key {key!r} is not the canonical decimal index of an edge")
+            raise InvalidInstance(f"invariant key {excerpt(key)} is not the canonical decimal index of an edge")
         values[names[key]] = parse_ratpi(text)
     missing = [e for e, v in enumerate(values) if v is None]
     if missing:
@@ -64,7 +63,7 @@ def structure_to_json(t: Triangulation, x: AngleStructure) -> dict:
     return {"corners": [[f"{i // 3}/{i % 3}", render(v)] for i, v in enumerate(x.values)]}
 
 
-def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
+def structure_from_json(t: Triangulation, obj: object) -> AngleStructure:
     if not isinstance(obj, dict) or not isinstance(obj.get("corners"), list):
         raise InvalidInstance("structure must be an object with a 'corners' list")
     # as for edges, only the form structure_to_json writes names a corner
@@ -72,11 +71,11 @@ def structure_from_json(t: Triangulation, obj: Any) -> AngleStructure:
     values = [None] * len(names)
     for entry in obj["corners"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise InvalidInstance(f"bad corner entry {entry!r}")
+            raise InvalidInstance(f"bad corner entry {excerpt(entry)}")
         key, text = entry
         i = names.get(key) if isinstance(key, str) else None
         if i is None:
-            raise InvalidInstance(f"corner key {key!r} is not the canonical face/slot of a corner")
+            raise InvalidInstance(f"corner key {excerpt(key)} is not the canonical face/slot of a corner")
         if values[i] is not None:
             raise InvalidInstance(f"corner {key} given twice")
         values[i] = parse_ratpi(text)
@@ -144,7 +143,7 @@ def load_instance(path: str):
         try:
             stated_class = GeometryClass(obj["class"])
         except ValueError:
-            raise InvalidInstance(f"unknown geometry class {obj['class']!r}") from None
+            raise InvalidInstance(f"unknown geometry class {excerpt(obj['class'])}") from None
     return t, invariant, structure, stated_class
 
 

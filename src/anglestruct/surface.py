@@ -9,34 +9,30 @@ play no role in any feasibility condition handled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .errors import Disconnected, EdgeDegree, EmptyTriangulation, UnknownEdge
+from .errors import Disconnected, EdgeDegree, EmptyTriangulation, UnknownEdge, excerpt
 
 DEFAULT_ENUMERATION_CAP = 20
 
 FaceSubset = frozenset[int]
 
 
-class Corner(NamedTuple):
-    face: int
-    slot: int
+Corner = namedtuple("Corner", "face slot")
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(namedtuple("Triangulation", "faces edge_ids edge_corners")):
     """Validated gluing: ``faces[f][k]`` is the dense edge index opposite corner k.
 
-    ``edge_ids[e]`` is the identifier dense edge e had in the raw incidence
-    list; all other fields use dense indices.
-    ``edge_corners[e]`` holds the two corners facing edge e (both may lie
-    in the same face when the edge is self-glued).
+    faces: tuple[tuple[int, int, int], ...]; edge_ids: tuple[int, ...], at
+    e the identifier dense edge e had in the raw incidence list; all other
+    fields use dense indices.  edge_corners: tuple[tuple[Corner, Corner],
+    ...], at e the two corners facing edge e (both may lie in the same face
+    when the edge is self-glued).
     """
 
-    faces: tuple[tuple[int, int, int], ...]
-    edge_ids: tuple[int, ...]
-    edge_corners: tuple[tuple[Corner, Corner], ...]
+    __slots__ = ()
 
     @property
     def n_faces(self) -> int:
@@ -75,9 +71,7 @@ def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
 
     for e, corners in enumerate(occurrences):
         if len(corners) != 2:
-            raise EdgeDegree(
-                f"edge {edge_ids[e]} appears {len(corners)} times, expected 2"
-            )
+            raise EdgeDegree(f"edge {excerpt(edge_ids[e])} appears {len(corners)} times, expected 2")
 
     _check_connected(faces, occurrences)
     edge_corners = tuple(tuple(occurrences[e]) for e in range(len(edge_ids)))

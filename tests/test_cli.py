@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -410,6 +409,40 @@ def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
     assert error["type"] == error_type
 
 
+# an error message shows at most the first 12 characters of a value read
+# from the instance, so a long value does not come back whole
+LONG = "x" * 5000
+LONG_VALUES = [
+    ({"D": {**tetra_payload()["D"], "0": LONG}}, "MalformedRational", "'xxxxxxxxxxxx'..."),
+    ({"D": {**tetra_payload()["D"], "0": [1] * 2000}}, "MalformedRational", "[1, 1, 1, 1,... is not a string"),
+    ({"D": {**tetra_payload()["D"], "0": "1/" + "0" * 4000}}, "ZeroDenominator", "1/0000000000..."),
+    ({"D": {**tetra_payload()["D"], "9" * 5000: "1/2"}}, "InvalidInstance", "invariant key '999999999999'... is"),
+    ({"invariant": {"kind": LONG, "values": tetra_payload()["D"]}}, "InvalidInstance", "kind 'xxxxxxxxxxxx'..."),
+    ({**tetra_payload(), "class": LONG}, "InvalidInstance", "class 'xxxxxxxxxxxx'..."),
+    ({**tetra_payload(), "structure": {"corners": [["0/0", "1/3", LONG]]}}, "InvalidInstance", "entry ['0/0', '1/3..."),
+    ({**tetra_payload(), "structure": {"corners": [[LONG, "1/3"]]}}, "InvalidInstance", "key 'xxxxxxxxxxxx'... is"),
+    ({"faces": [[0, 1, 2], [0, 3, int("9" * 4000)], [1, 3, 5], [2, 5, 4]]}, "EdgeDegree", "edge 999999999999... appears"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, error_type, shown",
+    LONG_VALUES,
+    ids=[
+        "long-D-value", "list-as-D-value", "long-zero-denominator", "long-invariant-key", "long-invariant-kind",
+        "long-geometry-class", "long-corner-entry", "long-corner-key", "long-edge-id",
+    ],
+)
+def test_long_input_value_is_cut_in_the_error(tmp_path, capsys, payload, error_type, shown):
+    path = write_instance(tmp_path, {"faces": TETRA_FACES, **payload})
+    code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge"])
+    assert code == 2
+    assert out.count("\n") == 1 and len(out.encode()) < 200, out[:300]
+    error = json.loads(out)["error"]
+    assert error["type"] == error_type
+    assert shown in error["message"]
+
+
 # a cap is ASCII decimal digits with an optional minus, as ratpi.parse
 # reads a value: no underscores, spaces, plus sign or other scripts' digits;
 # a value over 12 characters is shown by its first 12
@@ -515,7 +548,7 @@ def test_cross_check_certificate_disagreement_exits_3(tmp_path, capsys, monkeypa
     # same verdict and slack, another certificate: still a disagreement
     flow = feasibility.check_via_flow
     monkeypatch.setattr(
-        feasibility, "check_via_flow", lambda *args: dataclasses.replace(flow(*args), certificate=frozenset({0}))
+        feasibility, "check_via_flow", lambda *args: flow(*args)._replace(certificate=frozenset({0}))
     )
     path = write_instance(tmp_path, tetra_payload("7/10"))
     code, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
@@ -532,7 +565,7 @@ def test_cross_check_feasible_disagreement_exits_3(tmp_path, capsys, monkeypatch
     # whole report, and the message renders both sides
     flow = feasibility.check_via_flow
     monkeypatch.setattr(
-        feasibility, "check_via_flow", lambda *args: dataclasses.replace(flow(*args), slack=Fraction(1, 5))
+        feasibility, "check_via_flow", lambda *args: flow(*args)._replace(slack=Fraction(1, 5))
     )
     path = write_instance(tmp_path, tetra_payload("7/10"))
     code, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge", "--cross-check"])
