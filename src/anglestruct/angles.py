@@ -52,8 +52,9 @@ class InvariantKind(Enum):
 
 def _over_lcm(values) -> tuple[list[int], int]:
     """The values as ints over the lcm L of their denominators, and L."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
 
 
 class AngleStructure(namedtuple("AngleStructure", "values")):
@@ -65,11 +66,16 @@ class AngleStructure(namedtuple("AngleStructure", "values")):
             raise TypeError(f"AngleStructure values must be a tuple, not {type(values).__name__}")
         return super().__new__(cls, values)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__'s checks
+
     @cached_property
     def face_terms(self) -> tuple[tuple[list[int], int], ...]:
         """_over_lcm of each face's three angles, in face order."""
-        v = self.values
-        return tuple(_over_lcm(v[i:i + 3]) for i in range(0, len(v), 3))
+        terms = []
+        for (na, da), (nb, db), (nc, dc) in zip(*[(v.as_integer_ratio() for v in self.values)] * 3):
+            den = da if da == db == dc else math.lcm(da, db, dc)
+            terms.append(([na * (den // da), nb * (den // db), nc * (den // dc)], den))
+        return tuple(terms)
 
 
 class EdgeFunction(namedtuple("EdgeFunction", "values kind")):
@@ -82,6 +88,8 @@ class EdgeFunction(namedtuple("EdgeFunction", "values kind")):
         if not isinstance(values, tuple):
             raise TypeError(f"EdgeFunction values must be a tuple, not {type(values).__name__}")
         return super().__new__(cls, values, kind)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__'s checks
 
 
 def _face_terms(t: Triangulation, x: AngleStructure) -> tuple[tuple[list[int], int], ...]:
@@ -109,10 +117,9 @@ def _classify_faces(faces: list[tuple[list[int], int]]) -> GeometryClass:
     is not geometric or two disagree; every face is range-checked first."""
     classes = set()
     for nums, den in faces:
-        for v in nums:
-            if not 0 < v < den:
-                raise OutOfRange(render(Fraction(v, den)))
         a, b, c = nums
+        if not (0 < a < den and 0 < b < den and 0 < c < den):
+            raise OutOfRange(render(Fraction(next(v for v in nums if not 0 < v < den), den)))
         if a + b + c == den:
             classes.add(GeometryClass.EUCLIDEAN)
         elif a + b + c < den:
@@ -133,12 +140,12 @@ def _invariant_terms(t: Triangulation, faces, kind: InvariantKind) -> list[tuple
     """Each edge's invariant as an int over the lcm of its two sides' face
     denominators, and that lcm.  A side contributes its facing angle (edge
     invariant) or its other two angles minus the facing one (Delaunay)."""
-    edge = kind is InvariantKind.EDGE
-    sides = [([v if edge else sum(nums) - 2 * v for v in nums], den) for nums, den in faces]
+    delaunay = kind is InvariantKind.DELAUNAY
+    sides = [([b + c - a, a + c - b, a + b - c], den) for (a, b, c), den in faces] if delaunay else faces
     terms = []
     for (f1, k1), (f2, k2) in t.edge_corners:
         (s1, d1), (s2, d2) = sides[f1], sides[f2]
-        den = math.lcm(d1, d2)
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
         terms.append((s1[k1] * (den // d1) + s2[k2] * (den // d2), den))
     return terms
 
@@ -156,8 +163,8 @@ def mismatched_edges(t: Triangulation, x: AngleStructure, fn: EdgeFunction) -> l
     faces = _face_terms(t, x)
     if len(fn.values) != t.n_edges:
         raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
-    pairs = enumerate(zip(_invariant_terms(t, faces, fn.kind), fn.values))
-    return [e for e, ((n, den), v) in pairs if n * v.denominator != v.numerator * den]
+    pairs = enumerate(zip(_invariant_terms(t, faces, fn.kind), (v.as_integer_ratio() for v in fn.values)))
+    return [e for e, ((n, den), (p, q)) in pairs if n * q != p * den]
 
 
 def edge_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
@@ -170,20 +177,21 @@ def delaunay_invariant(t: Triangulation, x: AngleStructure) -> EdgeFunction:
     return invariant_of(t, x, InvariantKind.DELAUNAY)
 
 
-def _map_corners(t: Triangulation, x: AngleStructure, value) -> AngleStructure:
-    """value(v, total, L) at each corner, with v/L its angle and total/L its face's sum."""
+def _map_corners(t: Triangulation, x: AngleStructure, k: int) -> AngleStructure:
+    """(L - total + k*v) / (k*L) at each corner, v/L its angle and total/L its face's sum."""
     faces = _face_terms(t, x)
-    return AngleStructure(tuple(value(v, sum(nums), den) for nums, den in faces for v in nums))
+    values = (Fraction(den - a - b - c + k * v, k * den) for (a, b, c), den in faces for v in (a, b, c))
+    return AngleStructure(tuple(values))
 
 
 def corner_transform(t: Triangulation, x: AngleStructure) -> AngleStructure:
     """Candidate structure y_i = (pi + x_i - x_j - x_k)/2, unvalidated."""
-    return _map_corners(t, x, lambda v, total, den: Fraction(den + 2 * v - total, 2 * den))
+    return _map_corners(t, x, 2)
 
 
 def corner_transform_inverse(t: Triangulation, y: AngleStructure) -> AngleStructure:
     """Candidate structure x_i = pi - y_j - y_k, unvalidated."""
-    return _map_corners(t, y, lambda v, total, den: Fraction(den - total + v, den))
+    return _map_corners(t, y, 1)
 
 
 def euclidean_relation_holds(d: EdgeFunction, dd: EdgeFunction) -> bool:

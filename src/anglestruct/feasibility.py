@@ -50,7 +50,6 @@ from fractions import Fraction
 
 from .angles import EdgeFunction, GeometryClass, InvariantKind, _over_lcm
 from .errors import DimensionMismatch, RangeViolation, TooLarge, VerificationFailed
-from .ratpi import render
 from .surface import DEFAULT_ENUMERATION_CAP, FaceSubset, Triangulation, edge_set
 
 class Theorem(namedtuple("Theorem", "geometry kind lo hi nonempty strict")):
@@ -126,8 +125,8 @@ def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]
     """W per edge, after checking that fn has one value per edge of t."""
     if len(fn.values) != t.n_edges:
         raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
-    if row.kind is InvariantKind.DELAUNAY:  # 1 - v/2, without Fraction arithmetic
-        return [Fraction(2 * v.denominator - v.numerator, 2 * v.denominator) for v in fn.values]
+    if row.kind is InvariantKind.DELAUNAY:  # 1 - p/q/2, without Fraction arithmetic
+        return [Fraction(2 * q - p, 2 * q) for p, q in (v.as_integer_ratio() for v in fn.values)]
     return list(fn.values)
 
 
@@ -140,11 +139,11 @@ def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fr
         raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
     weights = _weights(t, fn, row)
     (lo_n, lo_d), (hi_n, hi_d) = row.lo.as_integer_ratio(), row.hi.as_integer_ratio()
-    for e, v in enumerate(fn.values):
+    for e, (p, q) in enumerate(v.as_integer_ratio() for v in fn.values):
         # the signs of v - lo and hi - v, by integer cross-multiplication
-        above, below = v.numerator * lo_d - lo_n * v.denominator, hi_n * v.denominator - v.numerator * hi_d
+        above, below = p * lo_d - lo_n * q, hi_n * q - p * hi_d
         if not (above > 0 < below if row.strict else above >= 0 <= below):
-            raise RangeViolation(f"{theorem}: value {render(v)} at edge {e} outside domain")
+            raise RangeViolation(f"{theorem}: value {p}/{q} at edge {e} outside domain")
     return weights
 
 
@@ -324,10 +323,15 @@ def _max_flow(arcs, n: int, source: int, sink: int):
 
     Returns the flow on each arc, the nodes the source reaches in the final
     residual graph and the nodes from which the sink is reachable there.
+    A greedy first phase pushes along every path source -> u -> v -> sink,
+    arcs in the order the blocking-flow search tries them: on the closure
+    network, where no face has both terminal arcs and so no path is shorter,
+    that is Dinic's (1970) first blocking flow without its level search.
     """
     head: list[int] = []
     cap: list[int] = []
     out: list[list[int]] = [[] for _ in range(n)]
+    into_sink = {u: 2 * i for i, (u, v, _) in enumerate(arcs) if v == sink and source != u != sink}
     for u, v, c in arcs:  # arc 2i runs u -> v, arc 2i+1 is its residual reverse
         out[u].append(len(head))
         head.append(v)
@@ -336,6 +340,14 @@ def _max_flow(arcs, n: int, source: int, sink: int):
         head.append(u)
         cap.append(0)
 
+    for a in out[source]:
+        for b in out[head[a]]:
+            c = into_sink.get(head[b])
+            push = 0 if c is None else min(cap[a], cap[b], cap[c])
+            if push:
+                for arc in (a, b, c):
+                    cap[arc] -= push
+                    cap[arc ^ 1] += push
     while True:
         level = [-1] * n
         level[source] = 0
@@ -383,8 +395,7 @@ def _max_flow(arcs, n: int, source: int, sink: int):
             if cap[a ^ 1] and not reaches_sink[head[a]]:
                 reaches_sink[head[a]] = True
                 queue.append(head[a])
-    flow = [c - cap[2 * i] for i, (_, _, c) in enumerate(arcs)]
-    return flow, [lv >= 0 for lv in level], reaches_sink
+    return cap[1::2], [lv >= 0 for lv in level], reaches_sink  # a reverse arc's residual is its flow
 
 
 def _flow_value(arcs, flow, n: int) -> int:
@@ -415,12 +426,12 @@ def _certify_cut(t: Triangulation, weights: list[int], unit: int, arcs, flow, su
     """
     if arcs != _closure_network(t, weights, unit):
         raise VerificationFailed("the network differs from the one the weights and the unit give")
-    nf = t.n_faces
-    value = _flow_value(arcs, flow, nf + 2)
-    base = sum(c for _, v, c in arcs if v == nf + 1)
+    sink = t.n_faces + 1
+    value = _flow_value(arcs, flow, sink + 1)
+    base = sum([c for _, v, c in arcs if v == sink])
     minimum = None
     for subset in subsets:
-        minimum = sum(weights[e] for e in edge_set(t, subset)) - len(subset) * unit
+        minimum = sum([weights[e] for e in edge_set(t, subset)]) - len(subset) * unit
         if base + minimum != value:
             raise VerificationFailed(f"cut of {sorted(subset)} differs from the flow value")
     return minimum

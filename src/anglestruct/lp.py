@@ -108,6 +108,8 @@ class LpProblem(namedtuple("LpProblem", "row_terms c")):
                 raise DimensionMismatch("row names a column outside c")
         return super().__new__(cls, row_terms, c)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__'s checks
+
     @cached_property
     def col_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzeros (i, L_i a_ij) of each column of A, scaled as in
@@ -436,19 +438,19 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
     the invariant whose weights equal the requested theorem's weights W:
     the edge invariant W, or the Delaunay invariant 2*pi - 2*W (as
     pi - Dd/2 = W).  So T1 prescribes Dd = 2*pi - 2*D, T3 prescribes
-    D = pi - Dd/2, and the same subsets violate both theorems.  A spherical
-    request maps the program's witness back with corner_transform (T1,
-    from the Delaunay program) or its inverse (T3, from the edge program);
-    a hyperbolic request needs no transform.
+    D = pi - Dd/2, T2 and T4 their own invariant, and the same subsets
+    violate both theorems.  A spherical request maps the program's witness
+    back with corner_transform (T1, from the Delaunay program) or its
+    inverse (T3, from the edge program); a hyperbolic one needs none.
     """
     theorem = theorem_for(geometry, fn.kind)
     weights = theorem_weights(t, fn, theorem)
-    kind, transform = InvariantKind.EDGE, corner_transform_inverse
-    if THEOREMS[theorem].nonempty:
-        kind, weights = InvariantKind.DELAUNAY, [2 - 2 * w for w in weights]
-        transform = corner_transform
-    program = EdgeFunction(tuple(weights), kind)
-    return theorem, program, transform if geometry is GeometryClass.SPHERICAL else None
+    if geometry is GeometryClass.HYPERBOLIC:
+        return theorem, fn, None
+    if THEOREMS[theorem].nonempty:  # 2 - 2*p/q, without Fraction arithmetic
+        weights = [Fraction(2 * (q - p), q) for p, q in (w.as_integer_ratio() for w in weights)]
+        return theorem, EdgeFunction(tuple(weights), InvariantKind.DELAUNAY), corner_transform
+    return theorem, EdgeFunction(tuple(weights), InvariantKind.EDGE), corner_transform_inverse
 
 
 def build_construction_lp(

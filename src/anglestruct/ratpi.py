@@ -23,9 +23,9 @@ def parse(text: str) -> Fraction:
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise MalformedRational(excerpt(text))
+    num, den = m.groups()
     try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        num, den = int(num), int(den or 1)
     except ValueError:  # more digits than int() converts
         raise MalformedRational(f"{text[:12]}... has too many digits") from None
     if den == 0:
@@ -35,4 +35,4 @@ def parse(text: str) -> Fraction:
 
 def render(v: Fraction) -> str:
     """Canonical ``p/q`` string (reduced, denominator always present)."""
-    return f"{v.numerator}/{v.denominator}"
+    return "%d/%d" % v.as_integer_ratio()

@@ -55,12 +55,13 @@ def edge_function_from_json(t: Triangulation, obj: object, kind: InvariantKind |
         values[names[key]] = parse_ratpi(text)
     missing = [e for e, v in enumerate(values) if v is None]
     if missing:
-        raise InvalidInstance(f"invariant missing edges {missing}")
+        raise InvalidInstance(f"invariant missing edges {excerpt(missing)}")
     return EdgeFunction(tuple(values), kind)
 
 
 def structure_to_json(t: Triangulation, x: AngleStructure) -> dict:
-    return {"corners": [[f"{i // 3}/{i % 3}", render(v)] for i, v in enumerate(x.values)]}
+    texts = map(render, x.values)
+    return {"corners": [[f"{f}/{k}", next(texts)] for f in range(t.n_faces) for k in "012"]}
 
 
 def structure_from_json(t: Triangulation, obj: object) -> AngleStructure:

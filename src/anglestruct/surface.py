@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import chain
 
 from .errors import Disconnected, EdgeDegree, EmptyTriangulation, UnknownEdge, excerpt
 
@@ -59,22 +60,24 @@ def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
         if len(row) != 3:
             raise EdgeDegree(f"face {f} has {len(row)} edge slots, expected 3")
 
-    edge_ids = list(dict.fromkeys(ident for row in rows for ident in row))
+    edge_ids = list(dict.fromkeys(chain.from_iterable(rows)))
     if set(edge_ids) == set(range(len(edge_ids))):
         edge_ids.sort()
-    index = {ident: e for e, ident in enumerate(edge_ids)}
-    faces = [tuple(index[ident] for ident in row) for row in rows]
+    faces = rows  # unless they hold other ids than the ints 0..|E|-1
+    if edge_ids != list(range(len(edge_ids))) or set(map(type, chain.from_iterable(rows))) != {int}:
+        index = {ident: e for e, ident in enumerate(edge_ids)}
+        faces = [tuple(index[ident] for ident in row) for row in rows]
     occurrences: list[list[Corner]] = [[] for _ in edge_ids]
     for f, row in enumerate(faces):
         for k, e in enumerate(row):
-            occurrences[e].append(Corner(f, k))
+            occurrences[e].append(tuple.__new__(Corner, (f, k)))
 
     for e, corners in enumerate(occurrences):
         if len(corners) != 2:
             raise EdgeDegree(f"edge {excerpt(edge_ids[e])} appears {len(corners)} times, expected 2")
 
     _check_connected(faces, occurrences)
-    edge_corners = tuple(tuple(occurrences[e]) for e in range(len(edge_ids)))
+    edge_corners = tuple(map(tuple, occurrences))
     return Triangulation(tuple(faces), tuple(edge_ids), edge_corners)
 
 
@@ -103,8 +106,5 @@ def corners_facing(t: Triangulation, edge: int) -> tuple[Corner, Corner]:
 
 def edge_set(t: Triangulation, subset: FaceSubset) -> frozenset[int]:
     """All edges belonging to at least one face of the subset (no multiplicity)."""
-    out: set[int] = set()
-    for f in subset:
-        out.update(t.faces[f])
-    return frozenset(out)
+    return frozenset(chain.from_iterable(map(t.faces.__getitem__, subset)))
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from anglestruct import (
+    AngleStructure,
     EdgeFunction,
     GeometryClass,
     InvariantKind,
@@ -50,6 +52,21 @@ def octa():
 @pytest.fixture
 def self_glued():
     return validate(SELF_GLUED_FACES)
+
+
+@pytest.fixture
+def face_terms_builds(monkeypatch):
+    """The structures whose face_terms are built, one entry per build."""
+    builds, build = [], AngleStructure.face_terms.func
+
+    def counting(x):
+        builds.append(x)
+        return build(x)
+
+    counted = cached_property(counting)
+    counted.__set_name__(AngleStructure, "face_terms")
+    monkeypatch.setattr(AngleStructure, "face_terms", counted)
+    return builds
 
 
 def const_fn(t, value, kind=InvariantKind.EDGE) -> EdgeFunction:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import anglestruct
 from anglestruct import angles, feasibility, lp
 from anglestruct.cli import EXIT_BROKEN_PIPE, main
 from anglestruct.feasibility import _scan, make_report
+from anglestruct.sampling import random_triangulation
 from anglestruct.surface import validate
 from conftest import TETRA_FACES
 
@@ -268,32 +270,26 @@ def test_verify_out_of_range_angle_exits_2(tmp_path, capsys, angle, value):
         assert json.loads(out) == {"error": {"type": "OutOfRange", "message": angle}}
 
 
-def test_face_terms_computed_once_per_structure(tmp_path, capsys, monkeypatch):
+def test_face_terms_computed_once_per_structure(tmp_path, capsys, monkeypatch, face_terms_builds):
     # invariants reads the class, both invariants and the Euclidean relation,
     # and verify one invariant and the class, all from one pass over the
     # faces; each invariant is one pass over the edges, and the relation is
     # read off the two invariants already computed
     code, out = run(capsys, ["gen", "--faces", "8", "--seed", "3", "--geometry", "hyperbolic"])
     path = write_instance(tmp_path, json.loads(out))
-    calls, kinds = [], []
-    over_lcm, invariant_terms = angles._over_lcm, angles._invariant_terms
-
-    def counting(values):
-        calls.append(len(values))
-        return over_lcm(values)
+    kinds, invariant_terms = [], angles._invariant_terms
 
     def counting_terms(t, faces, kind):
         kinds.append(kind)
         return invariant_terms(t, faces, kind)
 
-    monkeypatch.setattr(angles, "_over_lcm", counting)
     monkeypatch.setattr(angles, "_invariant_terms", counting_terms)
     for command, passes in (("invariants", 2), ("verify", 1)):
-        calls.clear()
+        face_terms_builds.clear()
         kinds.clear()
         code, _ = run(capsys, [command, path])
         assert code == 0
-        assert calls == [3] * 8, command
+        assert len(face_terms_builds) == 1, command
         assert len(kinds) == passes, (command, kinds)
 
 
@@ -441,6 +437,17 @@ def test_long_input_value_is_cut_in_the_error(tmp_path, capsys, payload, error_t
     error = json.loads(out)["error"]
     assert error["type"] == error_type
     assert shown in error["message"]
+
+
+def test_missing_edges_are_cut_in_the_error(tmp_path, capsys):
+    # an empty D on 2000 faces misses all 3000 edges; the message names the
+    # first few, not every one
+    t = random_triangulation(2000, random.Random(1))
+    path = write_instance(tmp_path, {"faces": [list(row) for row in t.faces], "D": {}})
+    code, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge"])
+    assert code == 2
+    assert out.count("\n") == 1 and len(out.encode()) < 200, out[:300]
+    assert json.loads(out) == {"error": {"type": "InvalidInstance", "message": "invariant missing edges [0, 1, 2, 3,..."}}
 
 
 # a cap is ASCII decimal digits with an optional minus, as ratpi.parse

@@ -783,3 +783,29 @@ def test_construct_checks_what_it_returns(monkeypatch, tetra):
             m.setattr(lp, name, fake)
             with pytest.raises(VerificationFailed, match=match):
                 construct_structure(tetra, const_fn(tetra, value), geometry)
+
+
+@pytest.mark.parametrize("index, theorem", [(12, "T1"), (14, "T3")], ids=["T1", "T3"])
+def test_construct_work_counts(monkeypatch, face_terms_builds, index, theorem):
+    # a spherical construct at 12 faces builds each structure's face ints
+    # once (the margin witness's ints serve both its check and the corner
+    # transform), builds the closure network twice per cut (the cut and its
+    # check) and checks two witnesses, the program's and the transformed one
+    t, fn, geometry = list(pinned_construct_requests())[index]
+    assert geometry is GeometryClass.SPHERICAL and lp._route(t, fn, geometry)[0] == theorem
+    face_terms_builds.clear()  # those of the structures the request was drawn from
+    cuts, networks, checks = [], [], []
+    cut, network, witness_ok = lp.min_cut, feasibility._closure_network, lp._witness_ok
+
+    def counted(calls, function):
+        return lambda *args: calls.append(None) or function(*args)
+
+    monkeypatch.setattr(lp, "min_cut", counted(cuts, cut))
+    monkeypatch.setattr(feasibility, "_closure_network", counted(networks, network))
+    monkeypatch.setattr(lp, "_witness_ok", counted(checks, witness_ok))
+    witness = construct_structure(t, fn, geometry)
+    assert isinstance(witness, AngleStructure)
+    assert len(checks) == 2
+    assert cuts and len(networks) == 2 * len(cuts)
+    assert len(face_terms_builds) == len({id(x) for x in face_terms_builds}) == 2
+    assert face_terms_builds[-1] is witness

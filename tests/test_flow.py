@@ -6,8 +6,10 @@ exactly when it is at most 0, so their reports must be equal, and every
 check method prints the same bytes.
 """
 
+import functools
 import itertools
 import json
+import operator
 import random
 import time
 from fractions import Fraction
@@ -265,6 +267,29 @@ def test_min_cut_minimisers_bracket_every_minimiser(monkeypatch):
         faces = [v if u == n else u for u, v, _ in terminals]
         assert sorted(set(faces)) == faces and set(faces) <= set(range(n))
     assert self_glued >= 20  # of the 41 gluings
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_max_flow_is_a_minimum_cut_on_any_network(n, data):
+    # any network on at most 8 nodes, the last two the source and the sink:
+    # parallel arcs, self-loops, arcs into the source or out of the sink,
+    # zero capacities and direct source -> sink arcs, so the greedy first
+    # phase meets paths that the closure network never has; the flow must
+    # pass _flow_value's checks, its value must be the minimum cut found by
+    # trying every source side, and the residual searches must give the
+    # smallest and the largest minimum source side
+    node = st.integers(0, n - 1)
+    arcs = data.draw(st.lists(st.tuples(node, node, st.integers(0, 6)), max_size=24))
+    source, sink = n - 2, n - 1
+    flow, from_source, to_sink = feasibility._max_flow(arcs, n, source, sink)
+    value = feasibility._flow_value(arcs, flow, n)
+    sides = [m for m in range(1 << n) if m >> source & 1 and not m >> sink & 1]
+    cut = {m: sum(c for u, v, c in arcs if m >> u & 1 and not m >> v & 1) for m in sides}
+    minimal = [m for m in sides if cut[m] == min(cut.values())]
+    assert value == cut[minimal[0]]
+    assert sum(1 << u for u in range(n) if from_source[u]) == functools.reduce(operator.and_, minimal)
+    assert sum(1 << u for u in range(n) if not to_sink[u]) == functools.reduce(operator.or_, minimal)
 
 
 def test_two_hundred_faces_under_a_second():

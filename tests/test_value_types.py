@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from anglestruct import AngleStructure, EdgeFunction, InvariantKind, validate
+from anglestruct.errors import DimensionMismatch
 from anglestruct.feasibility import THEOREMS, FeasibilityReport, Verdict
 from anglestruct.lp import Infeasible, Optimal, make_problem
 
@@ -62,3 +63,23 @@ def test_value_type_contract(index):
     assert twin is not value and twin == value and hash(twin) == hash(value)
     assert twin._replace(**{value._fields[0]: value[0]}) == value
 
+
+
+@pytest.mark.parametrize(
+    "value",
+    [AngleStructure((F(1, 3), F(1, 2), F(1, 6))), EdgeFunction((F(7, 10), F(0)), InvariantKind.EDGE)],
+    ids=["AngleStructure", "EdgeFunction"],
+)
+def test_replace_runs_the_constructor_checks(value):
+    # namedtuple's _replace goes through _make, which would skip __new__
+    with pytest.raises(TypeError, match="must be a tuple"):
+        value._replace(values=list(value.values))
+    assert value._replace(values=value.values[::-1]).values == value.values[::-1]
+
+
+def test_lp_problem_replace_runs_the_constructor_checks():
+    problem = make_problem([[1, F(1, 2)]], [1], [1, 0])
+    with pytest.raises(DimensionMismatch, match="outside c"):
+        problem._replace(row_terms=((((2, 1),), 1, 1),))
+    with pytest.raises(DimensionMismatch, match="not positive"):
+        problem._replace(row_terms=((((0, 1),), 1, 0),))
