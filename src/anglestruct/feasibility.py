@@ -130,21 +130,27 @@ def _weights(t: Triangulation, fn: EdgeFunction, row: Theorem) -> list[Fraction]
     return list(fn.values)
 
 
-def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
-    """Edge weights W of the theorem's inequality, after checking that fn
-    has the theorem's invariant kind, one value per edge and every value in
-    the theorem's domain."""
+def theorem_row(t: Triangulation, fn: EdgeFunction, theorem: str) -> Theorem:
+    """The theorem's row of THEOREMS, after checking that fn has the
+    theorem's invariant kind, one value per edge and every value in the
+    theorem's domain; it builds no weights."""
     row = THEOREMS[theorem]
     if fn.kind is not row.kind:
         raise RangeViolation(f"{theorem} needs a {row.kind.value} invariant, got {fn.kind.value}")
-    weights = _weights(t, fn, row)
+    if len(fn.values) != t.n_edges:
+        raise DimensionMismatch(f"{len(fn.values)} invariant values for {t.n_edges} edges")
     (lo_n, lo_d), (hi_n, hi_d) = row.lo.as_integer_ratio(), row.hi.as_integer_ratio()
     for e, (p, q) in enumerate(v.as_integer_ratio() for v in fn.values):
         # the signs of v - lo and hi - v, by integer cross-multiplication
         above, below = p * lo_d - lo_n * q, hi_n * q - p * hi_d
         if not (above > 0 < below if row.strict else above >= 0 <= below):
             raise RangeViolation(f"{theorem}: value {p}/{q} at edge {e} outside domain")
-    return weights
+    return row
+
+
+def theorem_weights(t: Triangulation, fn: EdgeFunction, theorem: str) -> list[Fraction]:
+    """Edge weights W of the theorem's inequality, after theorem_row's checks."""
+    return _weights(t, fn, theorem_row(t, fn, theorem))
 
 
 def _offset(t: Triangulation, scaled: list[int], scale: int, grow_form: bool) -> int:

@@ -36,19 +36,18 @@ and T3) and, where the geometry is spherical, maps its witness back with
 the corner transform that belongs to that program.
 
 ``construct_structure`` solves both programs by parametric minimum cut:
-at a fixed m, the edge program and the Delaunay program with every face
-sum at s = sum(Dd)/|F| are transportation problems on the network of
-``feasibility.min_cut``, and Newton steps on its largest minimiser reach
-the largest such m in a few cuts, each proven by the network's check.
-Only when equal face sums give no m > 0 does the simplex solve the
-Delaunay program; otherwise its witness is not the max-margin one.
-``check_via_lp`` reports ``construct_structure``'s answer: feasible
-exactly when it returns a witness.
-
-When the program shows that no witness exists, ``construct_structure``
-returns the ``FeasibilityReport`` of the minimum cut of
-``feasibility.check_via_flow``; the cut must agree that the instance is
-infeasible, and its subset is re-evaluated exactly.
+at a fixed m, the edge program is a transportation problem on the network
+of ``feasibility.min_cut``, and Newton steps on its largest minimiser
+reach its optimum in a few cuts, each proven by the network's check.  The
+Delaunay program takes the edge program's witness for the weights Dd
+through the half-sum map, which keeps every face sum and the margin and
+turns the edge invariant Dd into the Delaunay invariant Dd; that witness
+is not the max-margin one.  When the flow gives no witness, the minimum
+cut of ``feasibility.check_via_flow`` decides: its infeasible report is
+returned, its subset re-evaluated exactly, and only a Delaunay program
+that the cut calls feasible goes to the simplex, which must then find a
+witness.  ``check_via_lp`` reports ``construct_structure``'s answer:
+feasible exactly when it returns a witness.
 """
 
 from __future__ import annotations
@@ -79,6 +78,7 @@ from .feasibility import (
     min_cut,
     subset_slack,
     theorem_for,
+    theorem_row,
     theorem_weights,
 )
 from .ratpi import render
@@ -444,9 +444,10 @@ def _route(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass):
     inverse (T3, from the edge program); a hyperbolic one needs none.
     """
     theorem = theorem_for(geometry, fn.kind)
-    weights = theorem_weights(t, fn, theorem)
     if geometry is GeometryClass.HYPERBOLIC:
+        theorem_row(t, fn, theorem)  # the domain checks: the program is fn itself
         return theorem, fn, None
+    weights = theorem_weights(t, fn, theorem)
     if THEOREMS[theorem].nonempty:  # 2 - 2*p/q, without Fraction arithmetic
         weights = [Fraction(2 * (q - p), q) for p, q in (w.as_integer_ratio() for w in weights)]
         return theorem, EdgeFunction(tuple(weights), InvariantKind.DELAUNAY), corner_transform
@@ -457,8 +458,9 @@ def build_construction_lp(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> LpProblem:
     """The margin program of the request, for either invariant kind:
-    construct_structure reaches its optimum for an edge program, and for a
-    Delaunay program only in the simplex fallback of equal face sums."""
+    construct_structure reaches its optimum for an edge program, and solves
+    a Delaunay program only when the half-sum map gives no witness and the
+    cut says one exists."""
     _, program, _ = _route(t, fn, geometry)
     return _margin_lp(t, program)
 
@@ -478,57 +480,61 @@ def _witness_ok(t: Triangulation, x: AngleStructure, fn: EdgeFunction, geometry)
 #
 # With the margin m fixed, the edge program is a transportation problem:
 # each edge e supplies exactly W(e) - 2m to its two facing corners and each
-# face absorbs at most u - k*m, u = 1 and k = 4 (Gale 1957).  So is the
-# Delaunay program with every face sum fixed at s = sum(Dd)/|F|: edge e's
-# equation reads x + x' = s - Dd(e)/2 on its facing corners, so W = s -
-# Dd/2, u = s and k = 3, and as supply and demand balance, at most is
-# exactly.  That is the network of feasibility.min_cut with weights W_m =
-# W - 2m and unit u - k*m: it hands each edge's supply to its first face
-# f1, and the flow on the arc f1 -> f2 is the share that goes on to f2.
-# Every face then absorbs at most u - k*m exactly when every source arc is
-# saturated, which is when F minimises g_m(X) = W_m(E(X)) - (u - k*m)|X|.
-# Every feasible m keeps g_m(X) - g_m(F), a line in m, nonnegative for all
-# X.  When F is no minimiser, the largest minimiser X is negative on its
-# line at m, and m moves to the root (Newton's method on the parametric
-# cut, as in Dinkelbach 1967).  Each root bounds the largest feasible m
-# from above and no line is negative twice, so the first m at which F
-# minimises g_m is the largest feasible m up to the start.
+# face absorbs at most 1 - 4m (Gale 1957).  That is the network of
+# feasibility.min_cut with weights W_m = W - 2m and unit 1 - 4m: it hands
+# each edge's supply to its first face f1, and the flow on the arc f1 -> f2
+# is the share that goes on to f2.  Every face then absorbs at most 1 - 4m
+# exactly when every source arc is saturated, which is when F minimises
+# g_m(X) = W_m(E(X)) - (1 - 4m)|X|.  Every feasible m keeps g_m(X) - g_m(F),
+# a line in m, nonnegative for all X.  When F is no minimiser, the largest
+# minimiser X is negative on its line at m, and m moves to the root
+# (Newton's method on the parametric cut, as in Dinkelbach 1967).  Each root
+# bounds the largest feasible m from above and no line is negative twice,
+# so the first m at which F minimises g_m is the largest feasible m up to
+# the start.
 # The slope by which a step's line falls per unit of m is the integer
-# k|F - X| - 2|E - E(X)| = (k - 3)|F - X| + |dX|, dX the edges between X
-# and F - X (both corners of an edge outside E(X) lie in F - X).  It is at
-# least 1: at equal face sums g_m is 0 at F and at the empty set, so X is
-# neither.  It falls strictly from step to step: X_k minimises g at m_k,
-# and X_{k+1} is negative at the root m_{k+1} < m_k of X_k's line, so
+# 4|F - X| - 2|E - E(X)| = |F - X| + |dX|, dX the edges between X and F - X
+# (both corners of an edge outside E(X) lie in F - X).  It is at least 1,
+# as X is not F.  It falls strictly from step to step: X_k minimises g at
+# m_k, and X_{k+1} is negative at the root m_{k+1} < m_k of X_k's line, so
 # between the two X_{k+1}'s line climbs from below X_k's to at least X_k's.
-# The loop therefore makes at most k|F| steps, and a slope outside [1, the
+# The loop therefore makes at most 4|F| steps, and a slope outside [1, the
 # last slope) shows a wrong cut.
-# The loop runs in ints: W and u come over one scale D, and at m = p/q a
-# step's capacities are W*q - 2p*D and u*q - k*p*D over D*q, divided by
-# their gcd g with D*q: arc for arc the network of the exact W_m and u - k*m
-# over the lcm D*q/g of their denominators.
+# The loop runs in ints: W comes over one scale D, and at m = p/q a step's
+# capacities are W*q - 2p*D and (q - 4p)*D over D*q, divided by their gcd g
+# with D*q: arc for arc the network of the exact W_m and 1 - 4m over the lcm
+# D*q/g of their denominators.
+# The Delaunay program of T1 and T4 takes its witness from the edge program
+# whose weights are the Delaunay invariant Dd, by the half-sum map: on a
+# face with corners i, j, k, x_k = (x'_i + x'_j)/2 = (S - x'_k)/2 for the
+# face sum S of the edge program's witness x'.  The face sums stay, each
+# corner keeps the margin, and x_i + x_j - x_k = x'_k, so x's Delaunay
+# invariant on e is the facing pair x'_k1 + x'_k2 = Dd(e).  Its margin is
+# the edge program's optimum, which can lie below the Delaunay program's.
 
 
-def _newton_margin(t: Triangulation, weights, unit, scale: int, rate: int, margin: Fraction):
-    """Largest m in (0, margin] at which F minimises g_m(X) = W_m(E(X)) -
-    (unit - rate*m)|X|, W_m = W - 2m, for weights and a unit that are ints
-    over `scale`, and the corner values a_i + m there, a_i >= 0, indexed
-    3*face + slot; None when there is none.  The start margin keeps the
-    weights and the unit nonnegative.  Each step's cut proves its minimum
-    of g_m; at the end the last X is re-evaluated exactly and must reach
-    it, which shows that m is its line's root.  The a_i are read from the
-    flow on the dual arcs, m folded in; a self-glued edge splits its weight
+def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
+    """Optimum m > 0 of the edge program with weights W = program.values,
+    and the corner values a_i + m of its witness, a_i >= 0, indexed 3*face
+    + slot, mapped by half sums when the program is a Delaunay one; None
+    when no m > 0 is feasible.  It starts at min(min W/2, 1/4), the bound
+    of a >= 0 and of the face rows.  Each step's cut proves its minimum of
+    g_m; at the end the last X is re-evaluated exactly and must reach it,
+    which shows that m is its line's root.  The a_i are read from the flow
+    on the dual arcs, m folded in; a self-glued edge splits its weight
     between its two corners."""
+    weights, scale = _over_lcm(program.values)
     ne, nf = t.n_edges, t.n_faces
-    last, fall = None, rate * nf + 1
+    margin, last, fall = min(Fraction(min(weights), 2 * scale), ONE / 4), None, 4 * nf + 1
     while margin > 0:
         p, q = margin.numerator, margin.denominator
-        shifted, face = [w * q - 2 * p * scale for w in weights], unit * q - rate * p * scale
+        shifted, face = [w * q - 2 * p * scale for w in weights], (q - 4 * p) * scale
         g = math.gcd(scale * q, face, *shifted)
         shifted, face, at = [w // g for w in shifted], face // g, scale * q // g
         minimum, _, largest, arcs, flow = min_cut(t, shifted, face)
         if len(largest) == nf:
             break
-        slope = rate * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
+        slope = 4 * (nf - len(largest)) - 2 * (ne - len(edge_set(t, largest)))
         if not 1 <= slope < fall:
             raise VerificationFailed("the Newton slope did not fall")
         fall = slope
@@ -538,36 +544,18 @@ def _newton_margin(t: Triangulation, weights, unit, scale: int, rate: int, margi
         return None
     if last is not None and sum(shifted[e] for e in edge_set(t, last)) - face * len(last) != minimum:
         raise VerificationFailed("the last line does not reach the cut's minimum")
-    x, lift, over = [ZERO] * (3 * nf), p * at, at * q  # m = lift / over
+    x, lift, over = [0] * (3 * nf), 2 * p * at, 2 * at * q  # numerators over `over`; m = lift / over
     dual = zip(arcs, flow)  # the first arcs, one per edge that is not self-glued
     for e, ((f1, s1), (f2, s2)) in enumerate(t.edge_corners):
         if f1 == f2:  # a self-glued edge faces two corners of one face: W_m/2 + m = W/2
-            x[3 * f1 + s1] = x[3 * f2 + s2] = Fraction(weights[e], 2 * scale)
+            x[3 * f1 + s1] = x[3 * f2 + s2] = shifted[e] * q + lift
             continue
         (_, _, c), y = next(dual)
-        x[3 * f1 + s1], x[3 * f2 + s2] = Fraction((c - y) * q + lift, over), Fraction(y * q + lift, over)
-    return margin, x
-
-
-def _flow_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
-    """Optimum m > 0 of the edge program with weights W and its corner
-    values; None when no m > 0 is feasible.  It starts at min(min W/2,
-    1/4), the bound of a >= 0 and of the face rows."""
-    weights, scale = _over_lcm(program.values)
-    return _newton_margin(t, weights, scale, scale, 4, min(Fraction(min(weights), 2 * scale), ONE / 4))
-
-
-def _equal_sums_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
-    """The largest margin m > 0 of the Delaunay program with every face sum
-    s = sum(Dd)/|F|, and its corner values; None when there is none.  It
-    starts at min(min W/2, 1 - s) for W = s - Dd/2, the bounds of a >= 0
-    and of the face rows; the face share s - 3m stays >= 0 below it, as
-    s = 3/2 mean(Dd) puts min W/2 at most s/3.  Over 2L|F|, for Dd = d/L,
-    s is 2*sum(d) and W is 2*sum(d) - |F|*d."""
-    dd, den = _over_lcm(program.values)
-    total, scale = 2 * sum(dd), 2 * den * t.n_faces
-    weights, cap = [total - t.n_faces * d for d in dd], 1 - Fraction(total, scale)
-    return _newton_margin(t, weights, total, scale, 3, min(Fraction(min(weights), 2 * scale), cap))
+        x[3 * f1 + s1], x[3 * f2 + s2] = 2 * (c - y) * q + lift, 2 * y * q + lift
+    if program.kind is InvariantKind.DELAUNAY:  # the half-sum map
+        faces = [x[f:f + 3] for f in range(0, 3 * nf, 3)]
+        x, over = [sum(face) - v for face in faces for v in face], 2 * over
+    return margin, [Fraction(v, over) for v in x]
 
 
 def _simplex_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, list[Fraction]] | None:
@@ -579,17 +567,6 @@ def _simplex_margin(t: Triangulation, program: EdgeFunction) -> tuple[Fraction, 
     return -outcome.value, [v - outcome.value for v in outcome.x[:3 * t.n_faces]]
 
 
-def _infeasible_certificate(t, fn, theorem) -> FeasibilityReport:
-    """The cut's infeasible report, its certificate re-evaluated exactly."""
-    report = check_via_flow(t, fn, theorem)
-    if report.verdict is not Verdict.INFEASIBLE:
-        raise VerificationFailed("construction and subset conditions disagree")
-    slack = subset_slack(t, fn, theorem, report.certificate)
-    if slack != report.slack or slack > 0:
-        raise VerificationFailed("cut subset does not violate the inequality")
-    return report
-
-
 def construct_structure(
     t: Triangulation, fn: EdgeFunction, geometry: GeometryClass
 ) -> AngleStructure | FeasibilityReport:
@@ -597,19 +574,27 @@ def construct_structure(
     infeasible report of the theorem (T1-T4) for that pair, whose
     certificate is a face subset violating its inequality.
 
-    Solves the hyperbolic margin program of the theorem's route, T2's edge
-    program by parametric flow and T4's Delaunay program by that flow at
-    equal face sums, else by the simplex, and maps its witness back with
-    the route's corner transform.  The returned witness has been checked
-    for range, class and recomputed invariant.
+    Solves the hyperbolic margin program of the theorem's route by
+    parametric flow: T2's edge program, and T4's Delaunay program through
+    the half-sum map.  When that gives no witness, the minimum cut of
+    feasibility.check_via_flow decides: an infeasible report is returned,
+    its subset re-evaluated exactly; on a feasible one the simplex solves
+    the Delaunay program, and must find a witness.  The witness is mapped
+    back with the route's corner transform.  The returned witness has been
+    checked for range, class and recomputed invariant.
     """
     theorem, program, transform = _route(t, fn, geometry)
-    if program.kind is InvariantKind.EDGE:
-        solved = _flow_margin(t, program)
-    else:
-        solved = _equal_sums_margin(t, program) or _simplex_margin(t, program)
+    solved = _flow_margin(t, program)
     if solved is None:
-        return _infeasible_certificate(t, fn, theorem)
+        report = check_via_flow(t, fn, theorem)
+        if report.verdict is Verdict.INFEASIBLE:
+            slack = subset_slack(t, fn, theorem, report.certificate)
+            if slack != report.slack or slack > 0:
+                raise VerificationFailed("cut subset does not violate the inequality")
+            return report
+        solved = program.kind is InvariantKind.DELAUNAY and _simplex_margin(t, program)
+        if not solved:
+            raise VerificationFailed("construction and subset conditions disagree")
     witness = AngleStructure(tuple(solved[1]))
     if not _witness_ok(t, witness, program, GeometryClass.HYPERBOLIC):
         raise VerificationFailed("margin witness failed validation")

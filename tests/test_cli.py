@@ -143,10 +143,10 @@ def test_construct_spherical_golden(tmp_path, capsys):
     assert code == 0
     structure = json.loads(out)
     assert structure["corners"] == [
-        ["0/0", "11/20"], ["0/1", "7/20"], ["0/2", "3/20"],
-        ["1/0", "3/20"], ["1/1", "11/20"], ["1/2", "7/20"],
-        ["2/0", "7/20"], ["2/1", "3/20"], ["2/2", "11/20"],
-        ["3/0", "11/20"], ["3/1", "7/20"], ["3/2", "3/20"],
+        ["0/0", "1/4"], ["0/1", "7/20"], ["0/2", "9/20"],
+        ["1/0", "9/20"], ["1/1", "1/4"], ["1/2", "7/20"],
+        ["2/0", "7/20"], ["2/1", "9/20"], ["2/2", "1/4"],
+        ["3/0", "1/4"], ["3/1", "7/20"], ["3/2", "9/20"],
     ]
 
 

@@ -31,10 +31,10 @@ from anglestruct import (
 )
 from anglestruct.angles import _over_lcm
 from anglestruct.cli import main
-from anglestruct.errors import RangeViolation, VerificationFailed
+from anglestruct.errors import DimensionMismatch, RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
 from anglestruct.feasibility import THEOREMS, make_report, theorem_for
-from anglestruct.lp import _infeasible_certificate, check_via_lp
+from anglestruct.lp import check_via_lp
 from anglestruct.sampling import (
     random_edge_values,
     random_hyperbolic_delaunay_domain,
@@ -68,17 +68,22 @@ def test_hyperbolic_boundary_equality(tetra):
     assert cert.slack == Fraction(0)
 
 
-# a T4 request on which equal face sums give no margin: s = sum(Dd)/|F|
-# = 161/400 and s - Dd(3)/2 < 0, so the search has no start; the simplex
-# finds the optimum 489/12500
-FALLBACK_FACES = [[0, 1, 2], [3, 3, 2], [0, 4, 1], [5, 5, 4]]
-FALLBACK_DELAUNAY = "1831/10000 3497/10000 681/6250 5219/6250 687/12500 489/6250"
+# T4 requests on which the half-sum map gives no witness (the edge program
+# with weights Dd has no m > 0) though the cut calls them feasible, so the
+# simplex solves their Delaunay program, to the optimum m*
+FALLBACK_REQUESTS = {
+    "4-faces": ([[0, 0, 1], [2, 3, 4], [2, 1, 4], [5, 3, 5]], "3/10 1/10 3/28 1/30 1/2 61/35", Fraction(3, 70)),
+    "6-faces": (
+        [[0, 1, 1], [2, 3, 4], [2, 5, 0], [6, 7, 6], [3, 7, 4], [8, 8, 5]],
+        "3631/10051 320/437 2081/13754 3/20 129/260 8271/35972 1/11 213/440 18/17",
+        Fraction(1, 22),
+    ),
+}
 
 
-def fallback_request():
-    t = validate(FALLBACK_FACES)
-    values = tuple(Fraction(v) for v in FALLBACK_DELAUNAY.split())
-    return t, EdgeFunction(values, InvariantKind.DELAUNAY)
+def fallback_request(name):
+    faces, values, _ = FALLBACK_REQUESTS[name]
+    return validate(faces), EdgeFunction(tuple(Fraction(v) for v in values.split()), InvariantKind.DELAUNAY)
 
 
 @pytest.mark.parametrize(
@@ -89,7 +94,8 @@ def fallback_request():
         (SELF_GLUED_FACES, (1, 2), InvariantKind.EDGE, GeometryClass.HYPERBOLIC),
         (TETRA_FACES, (4, 5), InvariantKind.DELAUNAY, GeometryClass.SPHERICAL),
         (TETRA_FACES, (3, 5), InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
-        (FALLBACK_FACES, None, InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
+        (None, "4-faces", InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
+        (None, "6-faces", InvariantKind.DELAUNAY, GeometryClass.HYPERBOLIC),
     ],
     ids=[
         "tetra-boundary-hyperbolic",
@@ -98,34 +104,36 @@ def fallback_request():
         "tetra-delaunay-spherical",
         "tetra-delaunay-hyperbolic",
         "fallback-delaunay-hyperbolic",
+        "fallback-6-faces-delaunay-hyperbolic",
     ],
 )
 def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kind, geometry):
     # T2/T3 construct never calls the simplex, and its flow reaches the
     # optimum of the dumped program (None where the optimum is 0: no
-    # witness).  T1/T4 construct first tries equal face sums, whose margin,
-    # when positive, is at most that optimum, and only when they give none
+    # witness).  T1/T4 construct runs the same flow on the edge program
+    # with weights Dd, whose margin, when positive, is at most that optimum,
+    # and only when it gives none and the cut calls the request feasible
     # solves the dumped program by the simplex, once.  check --method lp
     # makes exactly construct's solver calls
     solved, margins = [], []
-    solve = lp.simplex_solve
+    solve, flow_margin = lp.simplex_solve, lp._flow_margin
 
     def recording(problem):
         solved.append(problem)
         return solve(problem)
 
-    def recorded(margin):
-        def search(t, program):
-            result = margin(t, program)
-            margins.append(None if result is None else result[0])
-            return result
-        return search
+    def search(t, program):
+        result = flow_margin(t, program)
+        margins.append(None if result is None else result[0])
+        return result
 
     monkeypatch.setattr(lp, "simplex_solve", recording)
-    for name in ("_flow_margin", "_equal_sums_margin"):
-        monkeypatch.setattr(lp, name, recorded(getattr(lp, name)))
-    t = validate(faces)
-    fn = fallback_request()[1] if value is None else const_fn(t, value, kind)
+    monkeypatch.setattr(lp, "_flow_margin", search)
+    if faces is None:
+        t, fn = fallback_request(value)
+    else:
+        t = validate(faces)
+        fn = const_fn(t, value, kind)
     problem = lp.build_construction_lp(t, fn, geometry)
     optimum = -solve(problem).value or None
     for decide in (construct_structure, check_via_lp):
@@ -134,37 +142,105 @@ def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kin
         decide(t, fn, geometry)
         if not THEOREMS[theorem_for(geometry, kind)].nonempty:
             assert (solved, margins) == ([], [optimum]), decide.__name__
-        elif value is None:
+        elif faces is None:
             assert (solved, margins) == ([problem], [None]), decide.__name__
         else:
             assert solved == [] and 0 < margins[0] <= optimum, decide.__name__
 
 
-def test_equal_face_sums_fall_back_to_the_simplex(monkeypatch):
-    # the fallback request fails at the start cap, before any cut, and the
-    # simplex's witness carries the Delaunay invariant it was asked for
-    t, fn = fallback_request()
+@pytest.mark.parametrize("name", FALLBACK_REQUESTS)
+def test_half_sums_fall_back_to_the_simplex(name):
+    # the edge program with weights Dd has no m > 0, the cut calls the T4
+    # request feasible, and the simplex's witness, at the optimum m*,
+    # carries the Delaunay invariant it was asked for
+    t, fn = fallback_request(name)
     _, program, _ = lp._route(t, fn, GeometryClass.HYPERBOLIC)
     assert program == fn
-    with monkeypatch.context() as m:
-        m.setattr(lp, "min_cut", None)
-        assert lp._equal_sums_margin(t, program) is None
-    assert lp._simplex_margin(t, program)[0] == Fraction(489, 12500)
+    assert lp._flow_margin(t, program) is None
+    assert check_via_flow(t, fn, "T4").verdict is Verdict.FEASIBLE
+    assert lp._simplex_margin(t, program)[0] == FALLBACK_REQUESTS[name][2]
     w = construct_structure(t, fn, GeometryClass.HYPERBOLIC)
-    assert isinstance(w, AngleStructure)
     assert delaunay_invariant(t, w) == fn
+    assert_verify_accepts(t, fn, GeometryClass.HYPERBOLIC, w)
+
+
+def _half_sums(x):
+    """x_k = (x'_i + x'_j)/2 on each face with corners i, j, k."""
+    faces = [x[f:f + 3] for f in range(0, len(x), 3)]
+    return [(sum(face) - v) / 2 for face in faces for v in face]
+
+
+def test_half_sums_turn_t2_witnesses_into_t4_witnesses():
+    # a T2 witness x' of D with margin m (every corner >= m, every face sum
+    # <= 1 - m) maps to a hyperbolic structure with the same face sums,
+    # every corner >= m and Delaunay invariant D; construct's flow gives
+    # exactly the half sums of its edge-program witness for the same values
+    rng = random.Random(31)
+    gluings = [validate(SELF_GLUED_FACES)] + [random_triangulation(n, rng) for n in (2, 2, 4, 4, 6, 8, 10, 12) * 4]
+    assert any(f1 == f2 for t in gluings for (f1, _), (f2, _) in t.edge_corners)  # self-glued edges
+    mapped = 0
+    for t in gluings:
+        for witness in ("sampled", "flow"):
+            if witness == "sampled":
+                x = random_structure(t, GeometryClass.HYPERBOLIC, rng)
+                d = edge_invariant(t, x)
+            else:
+                d = random_edge_values(t, rng, Fraction(0), Fraction(4, 3), InvariantKind.EDGE)
+                solved = lp._flow_margin(t, d)
+                if solved is None:
+                    continue
+                x = AngleStructure(tuple(solved[1]))
+                delaunay = EdgeFunction(d.values, InvariantKind.DELAUNAY)
+                assert lp._flow_margin(t, delaunay) == (solved[0], _half_sums(x.values))
+                mapped += 1
+            sums = [sum(x.values[f:f + 3]) for f in range(0, 3 * t.n_faces, 3)]
+            margin = min(*x.values, 1 - max(sums))
+            assert classify_structure(t, x) is GeometryClass.HYPERBOLIC and margin > 0
+            y = AngleStructure(tuple(_half_sums(x.values)))
+            assert classify_structure(t, y) is GeometryClass.HYPERBOLIC
+            assert delaunay_invariant(t, y).values == d.values
+            assert [sum(y.values[f:f + 3]) for f in range(0, 3 * t.n_faces, 3)] == sums
+            assert min(y.values) >= margin
+    assert mapped > len(gluings) // 4
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T4"])
+def test_infeasible_and_boundary_t1_t4_never_reach_the_simplex(monkeypatch, theorem):
+    # weights W in (0, 1) scaled so that W(E) is |F| (slack 0 at F: the
+    # boundary, or below 0 elsewhere) or less (infeasible at F); T1
+    # prescribes them as its edge invariant, T4 the Delaunay invariant 2 -
+    # 2W.  The edge program with weights Dd has no witness, and construct
+    # returns the cut's report, whole, without a simplex call
+    calls = []
+    monkeypatch.setattr(lp, "simplex_solve", lambda problem: calls.append(problem))
+    rng, slacks = random.Random(7), set()
+    for n in (2, 4, 4, 6, 6, 8, 8, 10, 12, 16) * 3:
+        t = random_triangulation(n, rng)
+        weights = [Fraction(rng.randint(20, 60), 80) for _ in range(t.n_edges)]
+        factor = Fraction(n, sum(weights)) * rng.choice([1, 1, Fraction(rng.randint(90, 99), 100)])
+        weights = [w * factor for w in weights]
+        if not all(0 < w < 1 for w in weights):
+            continue
+        if theorem == "T1":
+            fn, geometry = EdgeFunction(tuple(weights), InvariantKind.EDGE), GeometryClass.SPHERICAL
+        else:
+            fn, geometry = EdgeFunction(tuple(2 - 2 * w for w in weights), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
+        report = check_via_flow(t, fn, theorem)
+        assert report.verdict is Verdict.INFEASIBLE
+        assert construct_structure(t, fn, geometry) == report == check_via_lp(t, fn, geometry)
+        slacks.add(report.slack == 0)
+    assert slacks == {False, True}  # both boundary and strictly infeasible requests
+    assert calls == []
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 4, 6, 8, 10]), theorem=st.sampled_from(["T1", "T4"]))
-@example(seed=7, n=8, theorem="T4")  # equal face sums fail: the simplex's witness
-@example(seed=7, n=8, theorem="T1")
 def test_every_t1_t4_witness_passes_verify(seed, n, theorem):
     # a hyperbolic structure whose Delaunay invariant lies in T4's domain
     # gives a feasible T4 request, and its spherical image under the corner
-    # transform a feasible T1 request with the same program; about one in
-    # six of them falls back to the simplex.  verify then reads the witness
-    # back from its JSON with the request's invariant and stated class
+    # transform a feasible T1 request with the same program.  verify then
+    # reads the witness back from its JSON with the request's invariant and
+    # stated class
     rng = random.Random(seed)
     t = random_triangulation(n, rng)
     x = random_hyperbolic_delaunay_domain(t, rng)
@@ -172,7 +248,12 @@ def test_every_t1_t4_witness_passes_verify(seed, n, theorem):
         fn, geometry = delaunay_invariant(t, x), GeometryClass.HYPERBOLIC
     else:
         fn, geometry = edge_invariant(t, corner_transform(t, x)), GeometryClass.SPHERICAL
-    w = construct_structure(t, fn, geometry)
+    assert_verify_accepts(t, fn, geometry, construct_structure(t, fn, geometry))
+
+
+def assert_verify_accepts(t, fn, geometry, w):
+    """cli verify reads the witness w back from its JSON with the request's
+    invariant fn and stated class geometry, and accepts it."""
     assert isinstance(w, AngleStructure)
     instance = {
         "faces": [list(t.faces[f]) for f in range(t.n_faces)],
@@ -215,6 +296,16 @@ def test_construction_range_checks(tetra):
         )
     with pytest.raises(RangeViolation):
         construct_structure(tetra, const_fn(tetra, (1, 2)), GeometryClass.EUCLIDEAN)
+    # a hyperbolic request checks its domain without building weights, with
+    # the deciders' message, and its length before its values
+    for fn, theorem in ((const_fn(tetra, 2), "T2"), (const_fn(tetra, (-1, 2), InvariantKind.DELAUNAY), "T4")):
+        with pytest.raises(RangeViolation) as expected:
+            check_via_flow(tetra, fn, theorem)
+        with pytest.raises(RangeViolation) as raised:
+            construct_structure(tetra, fn, GeometryClass.HYPERBOLIC)
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(DimensionMismatch, match="^5 invariant values for 6 edges$"):
+            construct_structure(tetra, fn._replace(values=fn.values[:5]), GeometryClass.HYPERBOLIC)
 
 
 def test_delaunay_constructions(tetra):
@@ -253,10 +344,10 @@ def test_self_glued_constructions(self_glued):
 
 
 # sha256 of the JSON bytes of the witnesses of the 16
-# pinned_construct_requests (conftest); a change that moves the flow's
-# witness (T2/T3, or T1/T4 at equal face sums) or the simplex's (the T1/T4
-# fallback) to another point on purpose updates it and says so
-WITNESS_DIGEST = "2d02137c18b0e517558fda4d6d181271eb7bf45727edcd300c2f04a1f1200785"
+# pinned_construct_requests (conftest), every one of them the flow's
+# witness (T2/T3, or T1/T4 through the half-sum map); a change that moves
+# them to another point on purpose updates it and says so
+WITNESS_DIGEST = "4b567c78de7afc54d51c245b23e2233b6540cdae3c1939f56a821a9c827a322c"
 # sha256 of the exact optimal margins of the same 16 programs; the optimum
 # value is unique, so no choice of pivots may move it
 MARGIN_DIGEST = "e9b2291d2023d3f60a886d9d3a57707f33711ecadc09bc3e52becab0b2e70690"
@@ -312,7 +403,8 @@ def test_extract_certificate_spec_vector(tetra):
     report = check_via_flow(tetra, d, "T2")
     assert report.certificate == frozenset()
     assert report.slack == Fraction(-1, 5)
-    assert _infeasible_certificate(tetra, d, "T2") == make_report("T2", Fraction(-1, 5), frozenset())
+    construct = construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
+    assert construct == make_report("T2", Fraction(-1, 5), frozenset())
 
 
 def test_extract_certificate_rejects_zero_vector(tetra):
@@ -390,7 +482,7 @@ def test_certify_cut_rejects_a_network_off_its_weights(faces, edit):
         _certify_cut(t, weights, unit, changed, flow, [smallest])
 
 
-def test_extract_certificate_rejects_nonpositive_objective(tetra):
+def test_extract_certificate_rejects_nonpositive_objective(monkeypatch, tetra):
     # T2 at 1/2 is feasible: the cut finds no violating subset, and a
     # construction that claimed infeasibility would be caught
     d = const_fn(tetra, (1, 2))
@@ -398,8 +490,26 @@ def test_extract_certificate_rejects_nonpositive_objective(tetra):
     assert report.verdict is Verdict.FEASIBLE
     assert report.certificate is None and report.slack is None
     assert isinstance(construct_structure(tetra, d, GeometryClass.HYPERBOLIC), AngleStructure)
-    with pytest.raises(VerificationFailed):
-        _infeasible_certificate(tetra, d, "T2")
+    monkeypatch.setattr(lp, "_flow_margin", lambda t, program: None)
+    with pytest.raises(VerificationFailed, match="disagree"):
+        construct_structure(tetra, d, GeometryClass.HYPERBOLIC)
+
+
+@pytest.mark.parametrize("cut", ["claims-feasible", "feasible"])
+def test_t1_t4_cut_and_simplex_must_agree(monkeypatch, tetra, cut):
+    # when the flow gives no T4 witness and the cut calls the request
+    # feasible, the simplex must find one: on the tetrahedron at Dd = 4/5,
+    # which is infeasible, a cut that claims otherwise is caught by the
+    # simplex's empty answer; on a request the cut rightly calls feasible,
+    # a simplex that finds nothing is caught too
+    if cut == "claims-feasible":
+        t, fn = tetra, const_fn(tetra, (4, 5), InvariantKind.DELAUNAY)
+        monkeypatch.setattr(lp, "check_via_flow", lambda t, fn, theorem: make_report("T4", None))
+    else:
+        t, fn = fallback_request("4-faces")
+        monkeypatch.setattr(lp, "simplex_solve", lambda problem: lp.Infeasible(()))
+    with pytest.raises(VerificationFailed, match="construction and subset conditions disagree"):
+        construct_structure(t, fn, GeometryClass.HYPERBOLIC)
 
 
 def test_extract_certificate_needs_shifting(tetra):
@@ -683,16 +793,15 @@ def test_newton_loop_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, claimed, cuts",
-    [(InvariantKind.EDGE, {0}, 2), (InvariantKind.DELAUNAY, {0}, 2), (InvariantKind.DELAUNAY, set(), 1)],
-    ids=["edge-program", "equal-face-sums", "equal-face-sums-empty-set"],
+    [(InvariantKind.EDGE, {0}, 2), (InvariantKind.DELAUNAY, {0}, 2), (InvariantKind.DELAUNAY, set(), 2)],
+    ids=["edge-program", "delaunay-program", "delaunay-program-empty-set"],
 )
 def test_a_slope_that_does_not_fall_raises(monkeypatch, tetra, kind, claimed, cuts):
     # T2 and T4 at 3/5 on the tetrahedron, through the Newton loop that both
-    # margin searches share: a cut that claims the same minimiser X at every
-    # step, just below g_m(F), moves the margin once with the slope
-    # k|F - X| - 2|E - E(X)| (6 for the edge program, |dX| = 3 at equal
-    # face sums), and the second step's equal slope raises; the empty set's
-    # slope at equal face sums is 0, below 1, and raises at once
+    # programs share (T4's on the edge program with weights Dd): a cut that
+    # claims the same minimiser X at every step, just below g_m(F), moves
+    # the margin once with the slope |F - X| + |dX| (3 + 3 for X = {0}, 4
+    # + 0 for the empty set), and the second step's equal slope raises
     cut, calls = lp.min_cut, []
 
     def claiming(t, weights, unit):
@@ -715,20 +824,21 @@ class _FirstStep(Exception):
     seed=st.integers(0, 10**6),
     n=st.sampled_from([0, 2, 4, 6]),
     scale=st.sampled_from([1, 2, 6, 10, 12, 45, 10**4]),
-    rate=st.sampled_from([3, 4]),
-    margin=st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(1, 2), max_denominator=10**4),
+    kind=st.sampled_from(InvariantKind),
 )
-@example(seed=0, n=4, scale=10, rate=4, margin=Fraction(1, 2))  # D and q share 2: the gcd is at least 2
-def test_newton_step_network_is_the_exact_one(seed, n, scale, rate, margin):
-    # a Newton step shifts int weights and an int unit over one scale D by
-    # m = p/q in ints over D*q, reduced by their gcd: its network must be,
-    # arc for arc and at the same scale, the one of the exact Fractions
-    # W - 2m and unit - k*m over the lcm of their denominators
+@example(seed=0, n=4, scale=10, kind=InvariantKind.EDGE)  # D and q share 5: the gcd is at least 5
+@example(seed=1, n=2, scale=1, kind=InvariantKind.EDGE)  # m = 1/4: the unit 1 - 4m is 0
+def test_newton_step_network_is_the_exact_one(seed, n, scale, kind):
+    # a Newton step shifts the weights, ints over one scale D, by m = p/q
+    # in ints over D*q, reduced by their gcd: the first step's network, at
+    # the start m = min(min W/2, 1/4), must be, arc for arc and at the same
+    # scale, the one of the exact Fractions W - 2m and 1 - 4m over the lcm
+    # of their denominators, for an edge or a Delaunay program alike
     rng = random.Random(seed)
     t = validate(SELF_GLUED_FACES) if n == 0 else random_triangulation(n, rng)
-    weights = [rng.randint(0, 3 * scale) for _ in range(t.n_edges)]
-    unit = rng.randint(0, 3 * scale)
-    exact = [Fraction(w, scale) - 2 * margin for w in weights] + [Fraction(unit, scale) - rate * margin]
+    values = tuple(Fraction(rng.randint(1, 3 * scale), scale) for _ in range(t.n_edges))
+    margin = min(min(values) / 2, Fraction(1, 4))
+    exact = [v - 2 * margin for v in values] + [1 - 4 * margin]
     (*scaled, face), _ = _over_lcm(exact)
     steps = []
 
@@ -739,7 +849,7 @@ def test_newton_step_network_is_the_exact_one(seed, n, scale, rate, margin):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lp, "min_cut", first_step)
         with pytest.raises(_FirstStep):
-            lp._newton_margin(t, weights, unit, scale, rate, margin)
+            lp._flow_margin(t, EdgeFunction(values, kind))
     assert steps == [(scaled, face, _closure_network(t, scaled, face))]
 
 
@@ -763,8 +873,9 @@ def test_newton_step_from_all_faces_but_one(self_glued):
 
 def test_construct_checks_what_it_returns(monkeypatch, tetra):
     # a witness off its invariant, a transformed witness of the wrong
-    # class, and a cut report that is not infeasible or whose subset does
-    # not violate: each is caught before construct returns it
+    # class, and a cut report that is not infeasible, whose subset does not
+    # violate or whose slack is not its subset's: each is caught before
+    # construct returns it
     flow_margin = lp._flow_margin
 
     def off(t, program):
@@ -773,11 +884,13 @@ def test_construct_checks_what_it_returns(monkeypatch, tetra):
 
     feasible = make_report("T2", None)
     wrong = make_report("T2", Fraction(-1, 5), frozenset({0}))
+    misstated = make_report("T2", Fraction(-3, 10), frozenset())  # the empty set's slack is -1/5
     for name, fake, geometry, value, match in (
         ("_flow_margin", off, GeometryClass.HYPERBOLIC, (3, 5), "margin witness"),
         ("corner_transform", lambda t, x: x, GeometryClass.SPHERICAL, (7, 10), "transformed witness"),
         ("check_via_flow", lambda t, fn, theorem: feasible, GeometryClass.HYPERBOLIC, (7, 10), "disagree"),
         ("check_via_flow", lambda t, fn, theorem: wrong, GeometryClass.HYPERBOLIC, (7, 10), "does not violate"),
+        ("check_via_flow", lambda t, fn, theorem: misstated, GeometryClass.HYPERBOLIC, (7, 10), "does not violate"),
     ):
         with monkeypatch.context() as m:
             m.setattr(lp, name, fake)
