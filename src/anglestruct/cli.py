@@ -10,7 +10,7 @@ nothing more written and no traceback.  The enumeration cap comes from
 --cap, then the ANGLESTRUCT_CAP environment variable, then the default of
 20; a value that is not an ASCII decimal integer (-?[0-9]+), or is
 negative, from either source, is an InvalidSetting, and so is any usage
-error.
+error.  Each call adds only its subcommand's arguments and keeps no parser.
 
 Every ``check`` method prints the same report, so ``--method auto`` is the
 minimum cut, which decides any size in polynomial time; ``--cross-check``
@@ -54,10 +54,38 @@ EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors, its subparsers' too, exit 2 as InvalidSetting."""
+    """Usage errors, its subparsers' too, exit 2 as InvalidSetting.  A
+    subparser adds its ``arguments``, (names, options) pairs, only when it
+    parses: argparse calls the chosen subparser's parse_known_args."""
+
+    def __init__(self, *args, arguments=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _integer)  # argparse still names the type int
+        self._deferred = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        for names, options in self._deferred:
+            self.add_argument(*names, **options)
+        self._deferred = ()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise InvalidSetting(message)
+
+
+def _arg(*names, **options):
+    return names, options
+
+
+def _integer(value: str) -> int:
+    """--cap and every type=int: ASCII decimal digits (-?[0-9]+), as ratpi.parse
+    reads them; int() alone takes spaces, underscores and other scripts' digits."""
+    if not re.fullmatch("-?[0-9]+", value):
+        raise ValueError("is not an integer")
+    try:
+        return int(value)
+    except ValueError:  # more digits than int() converts
+        raise ValueError("has too many digits") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,56 +96,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cap", default=None, help="subset-enumeration cap")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="feasibility verdict with certificate")
-    p_check.add_argument("path")
-    p_check.add_argument("--geometry", choices=["spherical", "hyperbolic"], required=True)
-    p_check.add_argument("--invariant", choices=["edge", "delaunay"], required=True)
-    p_check.add_argument("--method", choices=["enumerate", "lp", "flow", "auto"], default="auto")
-    p_check.add_argument(
-        "--cross-check", action="store_true", help="run enumeration, LP and flow, require agreement"
-    )
-    p_check.add_argument("--dump-lp", action="store_true", help="dump the construction program to stderr")
-    p_check.set_defaults(func=cmd_check)
-
-    p_con = sub.add_parser("construct", help="explicit witness structure or certificate")
-    p_con.add_argument("path")
-    p_con.add_argument("--geometry", choices=["spherical", "hyperbolic"], required=True)
-    p_con.add_argument("--dump-lp", action="store_true")
-    p_con.set_defaults(func=cmd_construct)
-
-    p_inv = sub.add_parser("invariants", help="both invariants and the geometry class")
-    p_inv.add_argument("path")
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_gen = sub.add_parser("gen", help="random connected instance")
-    p_gen.add_argument("--faces", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--geometry", choices=["euclidean", "spherical", "hyperbolic"])
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_ver = sub.add_parser("verify", help="recompute invariants, compare to stated data")
-    p_ver.add_argument("path")
-    p_ver.set_defaults(func=cmd_verify)
+    geometry = _arg("--geometry", choices=["spherical", "hyperbolic"], required=True)
+    sub.add_parser("check", help="feasibility verdict with certificate", arguments=[
+        _arg("path"),
+        geometry,
+        _arg("--invariant", choices=["edge", "delaunay"], required=True),
+        _arg("--method", choices=["enumerate", "lp", "flow", "auto"], default="auto"),
+        _arg("--cross-check", action="store_true", help="run enumeration, LP and flow, require agreement"),
+        _arg("--dump-lp", action="store_true", help="dump the construction program to stderr"),
+    ])
+    sub.add_parser("construct", help="explicit witness structure or certificate",
+                   arguments=[_arg("path"), geometry, _arg("--dump-lp", action="store_true")])
+    sub.add_parser("invariants", help="both invariants and the geometry class", arguments=[_arg("path")])
+    sub.add_parser("gen", help="random connected instance", arguments=[
+        _arg("--faces", type=int, required=True),
+        _arg("--seed", type=int, default=0),
+        _arg("--geometry", choices=["euclidean", "spherical", "hyperbolic"]),
+    ])
+    sub.add_parser("verify", help="recompute invariants, compare to stated data", arguments=[_arg("path")])
     return parser
 
 
 def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        name, value = "--cap", args.cap
-    else:
+    name, value = "--cap", args.cap
+    if value is None:
         name, value = "ANGLESTRUCT_CAP", os.environ.get("ANGLESTRUCT_CAP")
         if value is None:
             return DEFAULT_ENUMERATION_CAP
-    shown = f"{name}={excerpt(value)}"
-    if not re.fullmatch("-?[0-9]+", value):  # ASCII digits only, as ratpi.parse reads
-        raise InvalidSetting(f"{shown} is not an integer")
     try:
-        cap = int(value)
-    except ValueError:  # more digits than int() converts
-        raise InvalidSetting(f"{shown} has too many digits") from None
+        cap = _integer(value)
+    except ValueError as exc:
+        raise InvalidSetting(f"{name}={excerpt(value)} {exc}") from None
     if cap < 0:
-        raise InvalidSetting(f"{shown} is negative")
+        raise InvalidSetting(f"{name}={excerpt(value)} is negative")
     return cap
 
 
@@ -232,10 +243,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+COMMANDS = {"check": cmd_check, "construct": cmd_construct, "invariants": cmd_invariants,
+            "gen": cmd_gen, "verify": cmd_verify}
+
+
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except AngleStructError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3 if isinstance(exc, VerificationFailed) else 2

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -518,6 +519,133 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: anglestruct")
+
+
+SUBCOMMANDS = ["check", "construct", "invariants", "gen", "verify"]
+
+# every help text and every kind of usage error; inst.json is a
+# tetrahedron instance, so the abbreviated options run a whole check
+HELP_ARGVS = [
+    ["--help"],
+    *([sub, "--help"] for sub in SUBCOMMANDS),
+    [],
+    ["bogus", "inst.json"],
+    ["chec", "inst.json", "--geometry", "spherical", "--invariant", "edge"],
+    # a missing required option or argument for each subcommand
+    ["check", "inst.json", "--geometry", "spherical"],
+    ["construct", "inst.json"],
+    ["invariants"],
+    ["gen", "--seed", "1"],
+    ["verify"],
+    # an invalid choice for each subcommand that has one, a stray word for the others
+    ["check", "inst.json", "--geometry", "flat", "--invariant", "edge"],
+    ["check", "inst.json", "--geometry", "spherical", "--invariant", "edge", "--method", "guess"],
+    ["construct", "inst.json", "--geometry", "flat"],
+    ["gen", "--faces", "4", "--geometry", "flat"],
+    ["invariants", "inst.json", "extra"],
+    ["verify", "inst.json", "extra"],
+    CHECK + ["--bogus"],
+    ["check", "inst.json", "--geo", "spherical", "--inv", "edge", "--meth", "flow"],
+    CHECK + ["--cap", "5"],
+    ["--", "check", "inst.json", "--geometry", "spherical", "--invariant", "edge"],
+    ["check", "--", "inst.json", "--geometry", "spherical", "--invariant", "edge"],
+    CHECK + ["--"],
+    ["gen", "--faces", "x"],
+]
+# sha256 of the exit code (SystemExit's for --help), stdout and stderr of
+# every HELP_ARGVS entry at 80 columns.  argparse words its help and its
+# messages differently from one Python release to another, so a digest is
+# kept for each release it was recorded on, and the others only run the cases
+HELP_DIGEST = {
+    "3.10.13": "c47db854916d56cc990e16f5acd92b25649190c8d3ca84947e3714a8569aa4a0",
+    "3.11.7": "c47db854916d56cc990e16f5acd92b25649190c8d3ca84947e3714a8569aa4a0",
+    "3.12.1": "c47db854916d56cc990e16f5acd92b25649190c8d3ca84947e3714a8569aa4a0",
+    "3.13.0": "cdd41ae7231f52a087d54204bedceed22ba69f9954c3b089a9456a533e0dcd08",
+}
+
+
+def test_help_and_usage_bytes_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    write_instance(tmp_path, tetra_payload("7/10"))
+    digest = hashlib.sha256()
+    for argv in HELP_ARGVS:
+        try:
+            code = main([a.replace("{path}", "inst.json") for a in argv])
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        assert code in (0, 2), argv
+        digest.update(f"{code}\n{captured.out}{captured.err}".encode())
+    recorded = HELP_DIGEST.get(sys.version.split()[0])
+    assert recorded in (None, digest.hexdigest())
+
+
+# the arguments each parser adds besides -h, and a valid call of each subcommand
+ADDED_ARGUMENTS = {
+    "check": ["path", "--geometry", "--invariant", "--method", "--cross-check", "--dump-lp"],
+    "construct": ["path", "--geometry", "--dump-lp"],
+    "invariants": ["path"],
+    "gen": ["--faces", "--seed", "--geometry"],
+    "verify": ["path"],
+}
+VALID_ARGVS = {
+    "check": CHECK + ["--method", "flow"],
+    "construct": ["construct", "{path}", "--geometry", "spherical"],
+    "invariants": ["invariants", "{path}"],
+    "gen": ["gen", "--faces", "4", "--seed", "1", "--geometry", "hyperbolic"],
+    "verify": ["verify", "{path}"],
+}
+
+
+def test_a_call_adds_only_its_subcommands_arguments(tmp_path, capsys, monkeypatch):
+    added = {}
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *names, **options):
+        if names != ("-h", "--help"):
+            added.setdefault(self.prog, []).append(names[0])
+        return add_argument(self, *names, **options)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    payload = {**tetra_payload("7/10"), "structure": {"corners": CORNERS}}
+    path = write_instance(tmp_path, payload)
+    for sub, argv in VALID_ARGVS.items():
+        # twice: no parser and no argument outlives a call
+        for _ in range(2):
+            added.clear()
+            assert main([a.replace("{path}", path) for a in argv]) in (0, 1)
+            assert "error" not in capsys.readouterr().out
+            assert added == {"anglestruct": ["--cap"], f"anglestruct {sub}": ADDED_ARGUMENTS[sub]}
+    # --help adds the arguments it shows, a usage error those it checks
+    added.clear()
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert added == {"anglestruct": ["--cap"], "anglestruct gen": ADDED_ARGUMENTS["gen"]}
+    added.clear()
+    assert main(["construct", path]) == 2
+    assert added == {"anglestruct": ["--cap"], "anglestruct construct": ADDED_ARGUMENTS["construct"]}
+    added.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert added == {"anglestruct": ["--cap"]}
+
+
+@pytest.mark.parametrize("flag", ["--faces", "--seed"])
+@pytest.mark.parametrize(
+    "value",
+    ["\u0664", "1_0", " 4", "4 ", "+4", "x", "", "9" * 5000],
+    ids=["arabic-indic-4", "underscore", "leading-space", "trailing-space", "plus", "letter", "empty", "5000-digits"],
+)
+def test_gen_integers_are_ascii_digits_like_cap(capsys, flag, value):
+    # int() takes each of the first five, as 4, 10, 4, 4 and 4
+    argv = ["gen", "--faces", "4", "--seed", "1"]
+    argv[argv.index(flag) + 1] = value
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "InvalidSetting", "message": f"argument {flag}: invalid int value: {value!r}"
+    }
 
 
 def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):
