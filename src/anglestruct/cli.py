@@ -66,10 +66,14 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         for names, options in self._deferred:
             self.add_argument(*names, **options)
-        self._deferred = ()
+        self._deferred, self._words = (), sys.argv[1:] if args is None else args
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        # argparse quotes a command-line word whole, after "=" or after the -h
+        # flags it reads, repr'd or bare: cut each over 12 characters as excerpt does
+        for value in (v for w in self._words for v in (w, w.lstrip("-h"), w.partition("=")[2]) if len(v) > 12):
+            message = message.replace(repr(value), excerpt(value)).replace(value, f"{value[:12]}...")
         raise InvalidSetting(message)
 
 

@@ -12,15 +12,14 @@ moves, so the run ends even on the highly degenerate symmetric instances
 this domain produces.  A problem is stored only as its integer rows
 (``LpProblem.row_terms``); ``make_problem`` converts dense data.  The
 point, value and multipliers become ``Fraction``s only when read out and
-checked, against those rows and the column view built from them.  An
-artificial column is dropped from the tableau as it leaves the basis, so
-no pivot carries it.  The multipliers y = c_B^t B^-1 of the final basis
-are solved from the problem's own columns, B^t y = c_B eliminated by the
-same pivot: at an optimum they are the dual, and when phase 1 ends
-positive, under the phase-1 costs, a Farkas vector (A^t y <= 0,
-b^t y > 0).  The program must be bounded, as every margin program below
-is (its face rows, all coefficients >= 0 and right-hand side 1, hold
-every column): an unbounded phase raises.
+checked, against those rows and the column view built from them.  The
+artificial columns stay in the tableau, so the multipliers y = c_B^t B^-1
+of the final basis read off the objective row as y_i = c_u - r_u at row
+i's initial unit column u: at an optimum they are the dual, and when phase
+1 ends positive, under the phase-1 costs, a Farkas vector (A^t y <= 0,
+b^t y > 0).  The program must be bounded, as every margin program below is
+(its face rows, all coefficients >= 0 and right-hand side 1, hold every
+column): an unbounded phase raises.
 
 Construction rests on one margin program over x_i = a_i + m, a_i >= 0:
 maximize m subject to the face bound a_i+a_j+a_k+4*m <= pi and the
@@ -155,9 +154,6 @@ class Infeasible(namedtuple("Infeasible", "certificate")):
     __slots__ = ()
 
 
-LpOutcome = Optimal | Infeasible
-
-
 # ---------------------------------------------------------------------------
 # simplex kernel
 #
@@ -166,11 +162,10 @@ LpOutcome = Optimal | Infeasible
 # objective row of reduced costs whose right-hand side is minus the
 # objective value.  Row i is a dict of its nonzero numerators over the
 # positive denominator dens[i], the right-hand side under the key _RHS, and
-# basis[i] is its basic column.  Column n + i is row i's artificial; it
-# appears only in row i while it is basic there, and is deleted from that
-# row when it leaves, so every other row stays free of it.  A redundant row
-# keeps its artificial basic at 0 and holds no real column, so no ratio
-# test picks it and no pivot changes it.
+# basis[i] is its basic column.  Column n + i, row i's artificial, starts
+# as a unit column of row i and stays; only columns j < n enter, so it is
+# never basic again once it leaves.  A redundant row keeps its artificial
+# basic at 0 and no real column: no ratio test picks it, no pivot changes it.
 
 _RHS = -1
 # Dantzig's rule gives way to Bland's after this many degenerate pivots in a
@@ -182,8 +177,8 @@ def _pivot(rows, dens, basis, r, col):
     """Make col basic in row r: normalise it to the denominator d = prow[col]
     > 0, then set every other row with a nonzero factor in col, the objective
     row included, to (target * d' - factor' * prow) / (dens[i] * d'), reduced,
-    with d', factor' = d, factor over their gcd.  Each pass visits nonzeros
-    and updates the row's dict in place."""
+    with d', factor' = d, factor over their gcd.  Each pass visits nonzeros,
+    in the artificial columns too, and updates the row's dict in place."""
     prow = rows[r]
     g = math.gcd(*prow.values()) if prow[col] > 0 else -math.gcd(*prow.values())
     if g != 1:
@@ -249,16 +244,14 @@ def _run(rows, dens, basis, n, costs, phase):
         if leave < 0:
             raise VerificationFailed(f"phase {phase} unbounded")
         degenerate = degenerate + 1 if best_rhs == 0 else 0
-        if basis[leave] >= n:  # an artificial leaves for good: drop its column
-            del rows[leave][basis[leave]]
         _pivot(rows, dens, basis, leave, enter)
 
 
-def simplex_solve(problem: LpProblem) -> LpOutcome:
+def simplex_solve(problem: LpProblem) -> Optimal | Infeasible:
     """Exact two-phase simplex with dual multipliers and Farkas certificates,
     for a bounded problem: a phase whose entering column no row bounds
     raises VerificationFailed.  Both vectors are c_B^t B^-1 of the final
-    basis, solved by _multipliers from the problem's columns."""
+    basis, read off the objective row by _multipliers."""
     m, n = problem.n_rows, problem.n_cols
     rows, dens = [], []
     for terms, bv, scale in problem.row_terms:
@@ -278,11 +271,12 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
         if basis[i] is None:
             row[n + i] = dens[i]
             basis[i] = n + i
+    start = list(basis)
 
     phase1_cost = [ZERO] * n + [ONE if col >= n else ZERO for col in basis]
     _run(rows, dens, basis, n, phase1_cost, 1)
     if rows[-1].get(_RHS, 0) < 0:  # the artificials sum to more than 0
-        y = _multipliers(problem, basis, phase1_cost)
+        y = _multipliers(problem, rows, dens, start, phase1_cost)
         _verify_farkas(problem, y)
         return Infeasible(tuple(y))
     _expel_artificials(rows, dens, basis, n)
@@ -294,58 +288,30 @@ def simplex_solve(problem: LpProblem) -> LpOutcome:
         x[col] = Fraction(row.get(_RHS, 0), den)
     del x[n:]
     value = Fraction(-rows[-1].get(_RHS, 0), dens[-1])
-    y = _multipliers(problem, basis, costs)
+    y = _multipliers(problem, rows, dens, start, costs)
     _verify_optimal(problem, x, value, y)
     return Optimal(tuple(x), value, tuple(y))
 
 
 def _expel_artificials(rows, dens, basis, n):
     """Pivot each zero-valued basic artificial out on the lowest real
-    column of its row, the artificial's column dropped as it leaves.  A
-    row with no real column is redundant and stays as it is, its
-    artificial basic at 0."""
+    column of its row.  A row with no real column is redundant and stays
+    as it is, its artificial basic at 0."""
     for i, (row, col) in enumerate(zip(rows, basis)):
         if col >= n:
             if _RHS in row:
                 raise VerificationFailed("artificial basic with nonzero value at phase-1 optimum")
             real = min((j for j in row if 0 <= j < n), default=None)
             if real is not None:
-                del row[col]
                 _pivot(rows, dens, basis, i, real)
 
 
-def _multipliers(problem: LpProblem, basis, costs):
-    """y = c_B^t B^-1: the solution of B^t y = c_B, one equation per basic
-    column; a redundant row, whose artificial stays basic at cost 0, reads
-    y_i = 0.
-
-    The unknowns are z_i = y_i / L_i, so a column's equation has its
-    col_terms, times its cost's denominator, as integer coefficients and
-    the cost's numerator under _RHS.  The artificial n + i of row i is L_i
-    times a unit column of the row as the tableau holds it, negated where
-    b_i < 0, so its equation reads +-L_i z_i = its cost.  The equations
-    are rows of the tableau's form, and _pivot eliminates them
-    Gauss-Jordan, shortest first, each on its lowest unknown: every row
-    ends with one unknown, read as x is."""
-    n, m = problem.n_cols, problem.n_rows
-    rows = []
-    for col in basis:
-        q = costs[col].denominator
-        if col < n:
-            row = {i: v * q for i, v in problem.col_terms[col]}
-        else:
-            _, bv, scale = problem.row_terms[col - n]
-            row = {col - n: -scale * q if bv < 0 else scale * q}
-        if costs[col]:
-            row[_RHS] = costs[col].numerator
-        rows.append(row)
-    dens, solved = [1] * m, [None] * m
-    for r in sorted(range(m), key=lambda r: len(rows[r])):
-        _pivot(rows, dens, solved, r, min(j for j in rows[r] if j != _RHS))
-    y = [ZERO] * m
-    for row, den, i in zip(rows, dens, solved):
-        y[i] = Fraction(row.get(_RHS, 0), den) * problem.row_terms[i][2]
-    return y
+def _multipliers(problem: LpProblem, rows, dens, start, costs):
+    """y = c_B^t B^-1 of the final basis: row i's initial unit column u
+    holds B^-1 e_i, so y_i = c_u - r_u, negated where b_i < 0 negated the
+    row.  A redundant row's artificial stays basic at cost 0: y_i = 0."""
+    y = [costs[u] - Fraction(rows[-1].get(u, 0), dens[-1]) for u in start]
+    return [-v if bv < 0 else v for v, (_, bv, _) in zip(y, problem.row_terms)]
 
 
 # The checks read the problem's own data, never the tableau, in exact

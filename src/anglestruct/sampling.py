@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
-from .errors import Disconnected, OddFaceCount
+from .errors import Disconnected, OddFaceCount, excerpt
 from .surface import Triangulation, validate
 
 MAX_DENOMINATOR = 40
@@ -24,7 +24,7 @@ MAX_DENOMINATOR = 40
 def random_triangulation(n_faces: int, rng: random.Random) -> Triangulation:
     """Connected gluing of n_faces triangles; self-glued edges allowed."""
     if n_faces < 2 or n_faces % 2:
-        raise OddFaceCount(f"need an even face count >= 2, got {n_faces}")
+        raise OddFaceCount(f"need an even face count >= 2, got {excerpt(n_faces)}")
     for _ in range(10_000):
         slots = [(f, k) for f in range(n_faces) for k in range(3)]
         rng.shuffle(slots)

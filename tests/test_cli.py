@@ -12,6 +12,7 @@ import pytest
 import anglestruct
 from anglestruct import angles, feasibility, lp
 from anglestruct.cli import EXIT_BROKEN_PIPE, main
+from anglestruct.errors import excerpt
 from anglestruct.feasibility import _scan, make_report
 from anglestruct.sampling import random_triangulation
 from anglestruct.surface import validate
@@ -440,6 +441,34 @@ def test_long_input_value_is_cut_in_the_error(tmp_path, capsys, payload, error_t
     assert shown in error["message"]
 
 
+# argparse quotes a command-line value whole; the usage error cuts it as an
+# input value is cut.  Only odd or negative huge --faces values: an even one
+# would build that many faces
+LONG_ARGVS = {
+    "long-int": (["gen", "--faces", "9" * 5000], "InvalidSetting", "invalid int value: '999999999999'..."),
+    "long-int-after-equals": (["gen", "--faces=" + "9" * 5000], "InvalidSetting", "invalid int value: '999999999999'..."),
+    "long-choice": (["check", "x.json", "--geometry", "g" * 5000], "InvalidSetting", "invalid choice: 'gggggggggggg'... ("),
+    "long-stray-word": (["invariants", "x.json", "w" * 5000], "InvalidSetting", "unrecognized arguments: wwwwwwwwwwww..."),
+    "long-subcommand": (["u" * 5000], "InvalidSetting", "invalid choice: 'uuuuuuuuuuuu'... ("),
+    "long-odd-faces": (["gen", "--faces", "9" * 30], "OddFaceCount", "got 999999999999..."),
+    "long-negative-faces": (["gen", "--faces", "-" + "8" * 30], "OddFaceCount", "got -88888888888..."),
+}
+if sys.version_info < (3, 13):  # from 3.13 on, argparse shows the help for -h with a value attached
+    LONG_ARGVS["long-short-flag-argument"] = (
+        ["-hh" + "z" * 5000], "InvalidSetting", "ignored explicit argument 'zzzzzzzzzzzz'..."
+    )
+
+
+@pytest.mark.parametrize("argv, error_type, shown", LONG_ARGVS.values(), ids=list(LONG_ARGVS))
+def test_long_command_line_value_is_cut_in_the_error(capsys, argv, error_type, shown):
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out.count("\n") == 1 and len(out.encode()) < 300, out[:300]
+    error = json.loads(out)["error"]
+    assert error["type"] == error_type
+    assert shown in error["message"]
+
+
 def test_missing_edges_are_cut_in_the_error(tmp_path, capsys):
     # an empty D on 2000 faces misses all 3000 edges; the message names the
     # first few, not every one
@@ -638,13 +667,14 @@ def test_a_call_adds_only_its_subcommands_arguments(tmp_path, capsys, monkeypatc
     ids=["arabic-indic-4", "underscore", "leading-space", "trailing-space", "plus", "letter", "empty", "5000-digits"],
 )
 def test_gen_integers_are_ascii_digits_like_cap(capsys, flag, value):
-    # int() takes each of the first five, as 4, 10, 4, 4 and 4
+    # int() takes each of the first five, as 4, 10, 4, 4 and 4; the message
+    # quotes the value as excerpt does, the 5000 digits cut to 12
     argv = ["gen", "--faces", "4", "--seed", "1"]
     argv[argv.index(flag) + 1] = value
     code, out = run(capsys, argv)
     assert code == 2
     assert json.loads(out)["error"] == {
-        "type": "InvalidSetting", "message": f"argument {flag}: invalid int value: {value!r}"
+        "type": "InvalidSetting", "message": f"argument {flag}: invalid int value: {excerpt(value)}"
     }
 
 

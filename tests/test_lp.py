@@ -308,65 +308,60 @@ def test_pivots_keep_rows_canonical(monkeypatch):
     # the elimination divides the pivot and each factor by their gcd before
     # it multiplies; after every pivot of both sweeps above, every row must
     # still be in lowest terms over a positive denominator, with its basic
-    # entry equal to that denominator (the unit column of B^-1 A).  The
-    # multiplier solve pivots on rows of B^t with no objective row; there
-    # each solved unknown's entry equals its row's denominator and no other
-    # row holds that unknown
-    pivot, pivots = lp._pivot, {"simplex": 0, "multipliers": 0}
+    # entry equal to that denominator (the unit column of B^-1 A)
+    pivot, pivots = lp._pivot, []
 
     def checked(rows, dens, basis, r, col):
         pivot(rows, dens, basis, r, col)
-        simplex = len(rows) == len(basis) + 1
-        pivots["simplex" if simplex else "multipliers"] += 1
+        pivots.append(col)
         for i, (row, den) in enumerate(zip(rows, dens, strict=True)):
             assert den > 0
             assert math.gcd(*row.values(), den) == 1
-            if i < len(basis) and basis[i] is not None:
+            if i < len(basis):
                 assert row[basis[i]] == den
-                if not simplex:
-                    assert sum(basis[i] in other for other in rows) == 1
 
     monkeypatch.setattr(lp, "_pivot", checked)
     outcome_counts(random.Random(99), random_problem, 200)
     outcome_counts(random.Random(2718), random_rational_problem, 300)
-    assert pivots["simplex"] > 1000 and pivots["multipliers"] > 1000, pivots
+    assert len(pivots) > 1000, len(pivots)
 
 
-def test_artificial_columns_leave_with_their_row(monkeypatch):
-    # the tableau keeps one shape for the whole solve: after every simplex
-    # pivot (the multiplier solve has no objective row) there are m rows and
-    # the objective row, and the only column >= n that row i holds is its
-    # artificial n + i, while that is basic there; it is dropped from the
-    # row as it leaves the basis and never carried elsewhere.  The objective
-    # row holds none once pricing has pivoted on every basic column (a
-    # pivot on a column that is already basic).  The programs of the two
-    # redundant-row tests keep a row whose artificial stays basic at 0
-    pivot, left, shape = lp._pivot, [], {}
+def test_artificials_never_return(monkeypatch):
+    # every artificial column stays in the tableau, but only real columns
+    # enter: an artificial that leaves the basis never becomes basic again,
+    # and after _expel_artificials an artificial is basic only on a row with
+    # no real column, at value 0.  The programs of the two redundant-row
+    # tests keep such a row
+    pivot, run, expel = lp._pivot, lp._run, lp._expel_artificials
+    current, counts = {}, {"left": 0, "kept": 0}  # the solve's n and departed artificials
 
-    def checked(rows, dens, basis, r, col):
-        if len(rows) != len(basis) + 1:
-            pivot(rows, dens, basis, r, col)
-            return
-        m, n = shape["m"], shape["n"]
-        pricing = basis[r] == col
-        left.append(basis[r] >= n and not pricing)
+    def checked_pivot(rows, dens, basis, r, col):
+        if basis[r] != col and basis[r] >= current["n"]:  # not a pricing pivot
+            current["left"].add(basis[r])
+            counts["left"] += 1
         pivot(rows, dens, basis, r, col)
-        assert len(rows) == m + 1 and len(basis) == m
-        for i, row in enumerate(rows[:m] if pricing else rows):
-            own = n + i if i < m and basis[i] == n + i else None
-            assert all(j < n or j == own for j in row), (i, basis[i:i + 1], sorted(row))
+        assert not current["left"].intersection(basis)
 
-    def solve(problem):
-        shape.update(m=problem.n_rows, n=problem.n_cols)
-        return lp.simplex_solve(problem)
+    def checked_run(rows, dens, basis, n, costs, phase):
+        if phase == 1:
+            current.update(n=n, left=set())
+        run(rows, dens, basis, n, costs, phase)
 
-    monkeypatch.setattr(lp, "_pivot", checked)
-    monkeypatch.setitem(globals(), "simplex_solve", solve)
+    def checked_expel(rows, dens, basis, n):
+        expel(rows, dens, basis, n)
+        for row, col in zip(rows, basis):
+            if col >= n:
+                assert lp._RHS not in row and all(j >= n for j in row), sorted(row)
+                counts["kept"] += 1
+
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    monkeypatch.setattr(lp, "_run", checked_run)
+    monkeypatch.setattr(lp, "_expel_artificials", checked_expel)
     for problem in pinned_programs():
-        solve(problem)
+        simplex_solve(problem)
     test_redundant_equality_rows()
     test_empty_rows_and_columns()
-    assert sum(left) > 500, sum(left)
+    assert counts["left"] > 500 and counts["kept"] > 0, counts
 
 
 def dense_margin_program(t, program):
