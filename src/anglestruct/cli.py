@@ -70,9 +70,12 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        # argparse quotes a command-line word whole, after "=" or after the -h
-        # flags it reads, repr'd or bare: cut each over 12 characters as excerpt does
-        for value in (v for w in self._words for v in (w, w.lstrip("-h"), w.partition("=")[2]) if len(v) > 12):
+        if message.startswith("argument -h/--help: ignored explicit argument"):
+            self.print_help()  # -h with a value attached, as argparse does from 3.13 on
+            self.exit()
+        # argparse quotes a command-line word whole or after "=", repr'd or
+        # bare: cut each over 12 characters as excerpt does
+        for value in (v for w in self._words for v in (w, w.partition("=")[2]) if len(v) > 12):
             message = message.replace(repr(value), excerpt(value)).replace(value, f"{value[:12]}...")
         raise InvalidSetting(message)
 

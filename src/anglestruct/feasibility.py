@@ -325,19 +325,15 @@ def _closure_network(t: Triangulation, weights: list[int], unit: int):
 
 
 def _max_flow(arcs, n: int, source: int, sink: int):
-    """Dinic's maximum flow on integer capacities.
+    """Dinic's (1970) maximum flow on integer capacities: blocking flows along
+    the levels of a breadth-first search, until the sink is unreached.
 
     Returns the flow on each arc, the nodes the source reaches in the final
     residual graph and the nodes from which the sink is reachable there.
-    A greedy first phase pushes along every path source -> u -> v -> sink,
-    arcs in the order the blocking-flow search tries them: on the closure
-    network, where no face has both terminal arcs and so no path is shorter,
-    that is Dinic's (1970) first blocking flow without its level search.
     """
     head: list[int] = []
     cap: list[int] = []
     out: list[list[int]] = [[] for _ in range(n)]
-    into_sink = {u: 2 * i for i, (u, v, _) in enumerate(arcs) if v == sink and source != u != sink}
     for u, v, c in arcs:  # arc 2i runs u -> v, arc 2i+1 is its residual reverse
         out[u].append(len(head))
         head.append(v)
@@ -346,14 +342,6 @@ def _max_flow(arcs, n: int, source: int, sink: int):
         head.append(u)
         cap.append(0)
 
-    for a in out[source]:
-        for b in out[head[a]]:
-            c = into_sink.get(head[b])
-            push = 0 if c is None else min(cap[a], cap[b], cap[c])
-            if push:
-                for arc in (a, b, c):
-                    cap[arc] -= push
-                    cap[arc ^ 1] += push
     while True:
         level = [-1] * n
         level[source] = 0

@@ -11,6 +11,7 @@ driven by a caller-supplied ``random.Random`` so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -112,15 +113,8 @@ def random_edge_values(
     for _ in range(t.n_edges):
         while True:
             den = rng.randint(1, MAX_DENOMINATOR)
-            low = lo * den
-            high = hi * den
-            num_min = low.numerator // low.denominator + 1
-            num_max = -((-high.numerator) // high.denominator) - 1
-            if num_min > num_max:
-                continue
-            num = rng.randint(num_min, num_max)
-            value = Fraction(num, den)
-            if lo < value < hi:
-                values.append(value)
+            num_min, num_max = math.floor(lo * den) + 1, math.ceil(hi * den) - 1
+            if num_min <= num_max:
+                values.append(Fraction(rng.randint(num_min, num_max), den))
                 break
     return EdgeFunction(tuple(values), kind)

@@ -63,10 +63,8 @@ def validate(raw_incidence: Iterable[Iterable[int]]) -> Triangulation:
     edge_ids = list(dict.fromkeys(chain.from_iterable(rows)))
     if set(edge_ids) == set(range(len(edge_ids))):
         edge_ids.sort()
-    faces = rows  # unless they hold other ids than the ints 0..|E|-1
-    if edge_ids != list(range(len(edge_ids))) or set(map(type, chain.from_iterable(rows))) != {int}:
-        index = {ident: e for e, ident in enumerate(edge_ids)}
-        faces = [tuple(index[ident] for ident in row) for row in rows]
+    index = {ident: e for e, ident in enumerate(edge_ids)}
+    faces = [tuple(index[ident] for ident in row) for row in rows]
     occurrences: list[list[Corner]] = [[] for _ in edge_ids]
     for f, row in enumerate(faces):
         for k, e in enumerate(row):

@@ -383,12 +383,16 @@ def test_directory_as_instance_exits_2(tmp_path, capsys):
         (b'{"faces": [[0, 1, 2], [0, 1, 2]], "D": {"0": "1/2\xff"}}', "InvalidInstance"),
         ("[" * 100000, "InvalidInstance"),
         ('{"faces": [[0, 1, ' + "9" * 5000 + "]]}", "InvalidInstance"),
+        ({"faces": [[0, 1], [0, 1, 2], [2, 3, 3]]}, "EdgeDegree"),
+        ({"faces": TETRA_FACES, "invariant": [1]}, "InvalidInstance"),
+        ({"faces": TETRA_FACES, "invariant": {"kind": "edge"}}, "InvalidInstance"),
     ],
     ids=[
         "faces-not-a-list", "D-as-list", "rational-as-number", "true-as-edge-id", "corners-not-a-list",
         "edge-key-leading-zero", "edge-key-plus", "edge-key-space", "edge-key-underscore",
         "edge-key-repeated", "corner-key-repeated", "corner-key-leading-zero", "corner-slot-plus",
         "rational-non-ascii-digits", "not-utf-8", "nested-past-recursion-limit", "integer-past-digit-limit",
+        "face-with-two-slots", "invariant-as-list", "invariant-without-values",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, payload, error_type):
@@ -453,10 +457,6 @@ LONG_ARGVS = {
     "long-odd-faces": (["gen", "--faces", "9" * 30], "OddFaceCount", "got 999999999999..."),
     "long-negative-faces": (["gen", "--faces", "-" + "8" * 30], "OddFaceCount", "got -88888888888..."),
 }
-if sys.version_info < (3, 13):  # from 3.13 on, argparse shows the help for -h with a value attached
-    LONG_ARGVS["long-short-flag-argument"] = (
-        ["-hh" + "z" * 5000], "InvalidSetting", "ignored explicit argument 'zzzzzzzzzzzz'..."
-    )
 
 
 @pytest.mark.parametrize("argv, error_type, shown", LONG_ARGVS.values(), ids=list(LONG_ARGVS))
@@ -467,6 +467,34 @@ def test_long_command_line_value_is_cut_in_the_error(capsys, argv, error_type, s
     error = json.loads(out)["error"]
     assert error["type"] == error_type
     assert shown in error["message"]
+
+
+def help_run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, help_argv",
+    [
+        (["-hzzz"], ["--help"]),
+        (["-h=zzz"], ["--help"]),
+        (["check", "x.json", "-hz"], ["check", "x.json", "--help"]),
+        (["-hh" + "z" * 5000], ["--help"]),
+    ],
+    ids=["attached", "after-equals", "subcommand", "long-short-flag-argument"],
+)
+def test_help_flag_with_a_value_attached_prints_the_help(capsys, monkeypatch, argv, help_argv):
+    # argparse before 3.13 calls -h with a value attached a usage error; every
+    # release prints the help for it, as 3.13 does
+    monkeypatch.setenv("COLUMNS", "80")
+    code, captured = help_run(capsys, argv)
+    assert code == 0
+    assert captured.out.startswith("usage: anglestruct") and captured.err == ""
+    assert (code, captured) == help_run(capsys, help_argv)
 
 
 def test_missing_edges_are_cut_in_the_error(tmp_path, capsys):
@@ -528,8 +556,9 @@ CHECK = ["check", "{path}", "--geometry", "spherical", "--invariant", "edge"]
         (["check", "{path}", "--geometry", "flat", "--invariant", "edge"], "argument --geometry: invalid choice"),
         (["construct", "{path}"], "the following arguments are required: --geometry"),
         ([], "the following arguments are required: command"),
+        (["check", "{path}", "--geometry", "-hx", "--invariant", "edge"], "argument --geometry: expected one argument"),
     ],
-    ids=["unknown-flag", "misplaced-cap", "bad-choice", "missing-required-option", "no-subcommand"],
+    ids=["unknown-flag", "misplaced-cap", "bad-choice", "missing-required-option", "no-subcommand", "help-flag-as-value"],
 )
 def test_bad_invocation_exits_2_with_one_error_object(tmp_path, capsys, argv, message):
     # a usage error is an InvalidSetting like a bad --cap value: one error

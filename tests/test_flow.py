@@ -274,8 +274,8 @@ def test_min_cut_minimisers_bracket_every_minimiser(monkeypatch):
 def test_max_flow_is_a_minimum_cut_on_any_network(n, data):
     # any network on at most 8 nodes, the last two the source and the sink:
     # parallel arcs, self-loops, arcs into the source or out of the sink,
-    # zero capacities and direct source -> sink arcs, so the greedy first
-    # phase meets paths that the closure network never has; the flow must
+    # zero capacities and direct source -> sink arcs, so Dinic's phases
+    # meet paths that the closure network never has; the flow must
     # pass _flow_value's checks, its value must be the minimum cut found by
     # trying every source side, and the residual searches must give the
     # smallest and the largest minimum source side
