@@ -10,7 +10,7 @@ entering column has the most negative reduced cost (Dantzig's rule); after
 a fixed run of degenerate pivots Bland's rule takes over until the point
 moves, so the run ends even on the highly degenerate symmetric instances
 this domain produces.  A problem is stored only as its integer rows
-(``LpProblem.row_terms``); ``make_problem`` converts dense data.  The
+(``LpProblem.row_terms``), and the margin program is built in that form.  The
 point, value and multipliers become ``Fraction``s only when read out and
 checked, against those rows and the column view built from them.  The
 artificial columns stay in the tableau, so the multipliers y = c_B^t B^-1
@@ -94,9 +94,9 @@ ONE = Fraction(1)
 class LpProblem(namedtuple("LpProblem", "row_terms c")):
     """min c.x  subject to  A x = b, x >= 0, all data rational, stored only
     as A's rows scaled to integers: row i is the nonzeros (j, L_i a_ij),
-    then L_i b_i and L_i > 0, with L_i the lcm of the row's denominators
-    (make_problem builds this from dense data).  row_terms: tuple of
-    (tuple[tuple[int, int], ...], int, int); c: tuple[Fraction, ...]."""
+    then L_i b_i and L_i > 0, with L_i the lcm of the row's denominators.
+    row_terms: tuple of (tuple[tuple[int, int], ...], int, int);
+    c: tuple[Fraction, ...]."""
 
     def __new__(cls, row_terms, c):
         n = len(c)
@@ -126,22 +126,6 @@ class LpProblem(namedtuple("LpProblem", "row_terms c")):
     @property
     def n_cols(self) -> int:
         return len(self.c)
-
-
-def make_problem(a, b, c) -> LpProblem:
-    """The LpProblem of dense int/Fraction data A, b and c: each equation
-    a_i x = b_i times the lcm of its denominators, its zeros dropped."""
-    c = tuple(Fraction(v) for v in c)
-    if len(a) != len(b):
-        raise DimensionMismatch("row count of A differs from b")
-    view = []
-    for row, bv in zip(a, b):
-        if len(row) != len(c):
-            raise DimensionMismatch("row width of A differs from c")
-        cols = [j for j, v in enumerate(row) if v]
-        (scaled_b, *nums), scale = _over_lcm([Fraction(bv), *(Fraction(row[j]) for j in cols)])
-        view.append((tuple(zip(cols, nums)), scaled_b, scale))
-    return LpProblem(tuple(view), c)
 
 
 class Optimal(namedtuple("Optimal", "x value dual")):

@@ -1,25 +1,22 @@
-"""Seeded random instances: gluings, angle structures, invariant values.
+"""Seeded random instances for ``gen``: gluings and angle structures.
 
 Gluings are sampled by shuffling the 3N face slots and pairing them
 consecutively, rejecting pairings that leave the surface disconnected; a
 pairing may glue two sides of one face.  Structures are sampled face by
-face and rescaled or rejected until the requested geometry class holds.
-Structures and edge values come out as the package's flat tuples, one
-angle per corner at 3*face + slot and one value per edge.  Everything is
-driven by a caller-supplied ``random.Random`` so runs are reproducible.
+face and rescaled or rejected until the requested geometry class holds;
+they come out as the package's flat tuples, one angle per corner at
+3*face + slot.  Everything is driven by a caller-supplied
+``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
-from .angles import AngleStructure, EdgeFunction, GeometryClass, InvariantKind
+from .angles import AngleStructure, GeometryClass
 from .errors import Disconnected, OddFaceCount, excerpt
 from .surface import Triangulation, validate
-
-MAX_DENOMINATOR = 40
 
 
 def random_triangulation(n_faces: int, rng: random.Random) -> Triangulation:
@@ -74,47 +71,3 @@ def random_structure(
     }
     sampler = samplers[geometry]
     return AngleStructure(tuple(v for _ in range(t.n_faces) for v in sampler(rng)))
-
-
-def random_hyperbolic_delaunay_domain(t: Triangulation, rng: random.Random) -> AngleStructure:
-    """Hyperbolic structure whose Delaunay invariant is guaranteed positive.
-
-    Near-equilateral triples keep every x_j + x_k - x_i strictly positive,
-    so each edge's invariant sums two positive terms.
-    """
-    values = []
-    for _ in range(t.n_faces):
-        p, q, r = (rng.randint(8, 12) for _ in range(3))
-        scale_den = rng.randint(2, 40)
-        scale = Fraction(rng.randint(1, scale_den - 1), scale_den)
-        total = p + q + r
-        values += [Fraction(p, total) * scale, Fraction(q, total) * scale, Fraction(r, total) * scale]
-    return AngleStructure(tuple(values))
-
-
-def random_spherical_edge_domain(t: Triangulation, rng: random.Random) -> AngleStructure:
-    """Spherical structure whose edge invariant stays below pi.
-
-    Angles in (pi/3, pi/2) force the face sum above pi, every pairwise
-    deficit below pi, and every facing pair below pi.
-    """
-    return AngleStructure(tuple(Fraction(rng.randint(41, 59), 120) for _ in range(3 * t.n_faces)))
-
-
-def random_edge_values(
-    t: Triangulation,
-    rng: random.Random,
-    lo: Fraction,
-    hi: Fraction,
-    kind: InvariantKind,
-) -> EdgeFunction:
-    """Independent per-edge rationals strictly inside (lo, hi), in pi-units."""
-    values = []
-    for _ in range(t.n_edges):
-        while True:
-            den = rng.randint(1, MAX_DENOMINATOR)
-            num_min, num_max = math.floor(lo * den) + 1, math.ceil(hi * den) - 1
-            if num_min <= num_max:
-                values.append(Fraction(rng.randint(num_min, num_max), den))
-                break
-    return EdgeFunction(tuple(values), kind)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -13,13 +14,10 @@ from anglestruct import (
     edge_invariant,
     validate,
 )
-from anglestruct.lp import Optimal, make_problem, simplex_solve
-from anglestruct.sampling import (
-    random_hyperbolic_delaunay_domain,
-    random_spherical_edge_domain,
-    random_structure,
-    random_triangulation,
-)
+from anglestruct.angles import _over_lcm
+from anglestruct.errors import DimensionMismatch
+from anglestruct.lp import LpProblem, Optimal, simplex_solve
+from anglestruct.sampling import random_structure, random_triangulation
 
 TETRA_FACES = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
 
@@ -67,6 +65,72 @@ def face_terms_builds(monkeypatch):
     counted.__set_name__(AngleStructure, "face_terms")
     monkeypatch.setattr(AngleStructure, "face_terms", counted)
     return builds
+
+
+MAX_DENOMINATOR = 40
+
+
+def make_problem(a, b, c) -> LpProblem:
+    """The LpProblem of dense int/Fraction data A, b and c: each equation
+    a_i x = b_i times the lcm of its denominators, its zeros dropped."""
+    c = tuple(Fraction(v) for v in c)
+    if len(a) != len(b):
+        raise DimensionMismatch("row count of A differs from b")
+    view = []
+    for row, bv in zip(a, b):
+        if len(row) != len(c):
+            raise DimensionMismatch("row width of A differs from c")
+        cols = [j for j, v in enumerate(row) if v]
+        (scaled_b, *nums), scale = _over_lcm([Fraction(bv), *(Fraction(row[j]) for j in cols)])
+        view.append((tuple(zip(cols, nums)), scaled_b, scale))
+    return LpProblem(tuple(view), c)
+
+
+def random_hyperbolic_delaunay_domain(t, rng: random.Random) -> AngleStructure:
+    """Hyperbolic structure whose Delaunay invariant is guaranteed positive.
+
+    Near-equilateral triples keep every x_j + x_k - x_i strictly positive,
+    so each edge's invariant sums two positive terms.
+    """
+    values = []
+    for _ in range(t.n_faces):
+        p, q, r = (rng.randint(8, 12) for _ in range(3))
+        scale_den = rng.randint(2, 40)
+        scale = Fraction(rng.randint(1, scale_den - 1), scale_den)
+        total = p + q + r
+        values += [Fraction(p, total) * scale, Fraction(q, total) * scale, Fraction(r, total) * scale]
+    return AngleStructure(tuple(values))
+
+
+def random_spherical_edge_domain(t, rng: random.Random) -> AngleStructure:
+    """Spherical structure whose edge invariant stays below pi.
+
+    Angles in (pi/3, pi/2) force the face sum above pi, every pairwise
+    deficit below pi, and every facing pair below pi.
+    """
+    return AngleStructure(tuple(Fraction(rng.randint(41, 59), 120) for _ in range(3 * t.n_faces)))
+
+
+def _open_numerators(lo, hi, den):
+    """The least and greatest numerator over den strictly inside (lo, hi)."""
+    return math.floor(lo * den) + 1, math.ceil(hi * den) - 1
+
+
+def random_edge_values(t, rng: random.Random, lo, hi, kind: InvariantKind) -> EdgeFunction:
+    """Independent per-edge rationals strictly inside (lo, hi), in pi-units,
+    each over a denominator drawn from 1 to MAX_DENOMINATOR.  ValueError,
+    before any draw, when no such fraction lies inside."""
+    if not any(a <= b for a, b in (_open_numerators(lo, hi, den) for den in range(1, MAX_DENOMINATOR + 1))):
+        raise ValueError(f"no fraction with denominator <= {MAX_DENOMINATOR} lies in ({lo}, {hi})")
+    values = []
+    for _ in range(t.n_edges):
+        while True:
+            den = rng.randint(1, MAX_DENOMINATOR)
+            num_min, num_max = _open_numerators(lo, hi, den)
+            if num_min <= num_max:
+                values.append(Fraction(rng.randint(num_min, num_max), den))
+                break
+    return EdgeFunction(tuple(values), kind)
 
 
 def const_fn(t, value, kind=InvariantKind.EDGE) -> EdgeFunction:

@@ -27,18 +27,20 @@ from anglestruct.lp import (
     Infeasible,
     Optimal,
     build_construction_lp,
-    make_problem,
     simplex_solve,
 )
-from anglestruct.sampling import (
+from anglestruct.sampling import random_structure, random_triangulation
+from anglestruct.surface import edge_set
+from conftest import (
+    TETRA_FACES,
+    const_fn,
+    dual_cone_max_is_zero,
+    face_subsets,
+    make_problem,
     random_edge_values,
     random_hyperbolic_delaunay_domain,
     random_spherical_edge_domain,
-    random_structure,
-    random_triangulation,
 )
-from anglestruct.surface import edge_set
-from conftest import TETRA_FACES, const_fn, dual_cone_max_is_zero, face_subsets
 
 FACE_COUNTS = [2, 4, 6, 8, 10]
 

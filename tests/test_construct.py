@@ -35,14 +35,16 @@ from anglestruct.errors import DimensionMismatch, RangeViolation, VerificationFa
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
 from anglestruct.feasibility import THEOREMS, make_report, theorem_for
 from anglestruct.lp import check_via_lp
-from anglestruct.sampling import (
+from anglestruct.sampling import random_structure, random_triangulation
+from anglestruct.serialize import dumps, edge_function_to_json, structure_to_json
+from conftest import (
+    SELF_GLUED_FACES,
+    TETRA_FACES,
+    const_fn,
+    pinned_construct_requests,
     random_edge_values,
     random_hyperbolic_delaunay_domain,
-    random_structure,
-    random_triangulation,
 )
-from anglestruct.serialize import dumps, edge_function_to_json, structure_to_json
-from conftest import SELF_GLUED_FACES, TETRA_FACES, const_fn, pinned_construct_requests
 
 
 def test_hyperbolic_construction_golden(tetra):

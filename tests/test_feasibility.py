@@ -28,14 +28,14 @@ from anglestruct.angles import mismatched_edges
 from anglestruct.errors import DimensionMismatch, MissingCorner, RangeViolation, TooLarge
 from anglestruct.angles import _over_lcm
 from anglestruct.feasibility import THEOREMS, QuantifierRange, _placements, _scan, subset_slack
-from anglestruct.sampling import (
+from anglestruct.sampling import random_structure, random_triangulation
+from conftest import (
+    SELF_GLUED_FACES,
+    const_fn,
     random_edge_values,
     random_hyperbolic_delaunay_domain,
     random_spherical_edge_domain,
-    random_structure,
-    random_triangulation,
 )
-from conftest import SELF_GLUED_FACES, const_fn
 
 
 # --- independent oracle: plain loops over masks, no Gray-code, no incremental sums
@@ -195,6 +195,16 @@ def test_wrong_lengths_raise_library_errors(tetra):
 def test_enumeration_cap(tetra):
     with pytest.raises(TooLarge):
         check_via_enumeration(tetra, const_fn(tetra, (1, 2)), "T1", cap=2)
+
+
+def test_random_edge_values_rejects_a_domain_without_its_fractions(tetra):
+    # no fraction over a denominator up to 40 lies in (99/100, 1): the
+    # sampler must raise before its first draw instead of redrawing forever
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_edge_values(tetra, rng, Fraction(99, 100), Fraction(1), InvariantKind.EDGE)
+    assert rng.getstate() == state
 
 
 @settings(max_examples=30, deadline=None)

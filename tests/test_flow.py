@@ -38,19 +38,20 @@ from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
 from anglestruct.lp import check_via_lp
 from anglestruct.ratpi import render
-from anglestruct.sampling import (
+from anglestruct.sampling import random_structure, random_triangulation
+from anglestruct.surface import DEFAULT_ENUMERATION_CAP
+from conftest import (
+    SELF_GLUED_FACES,
+    const_fn,
     random_edge_values,
     random_hyperbolic_delaunay_domain,
     random_spherical_edge_domain,
-    random_structure,
-    random_triangulation,
 )
-from conftest import SELF_GLUED_FACES, const_fn
 
 
-def assert_flow_matches_enumeration(t, fn, theorem):
+def assert_flow_matches_enumeration(t, fn, theorem, cap=DEFAULT_ENUMERATION_CAP):
     flow = check_via_flow(t, fn, theorem)
-    assert flow == check_via_enumeration(t, fn, theorem), theorem
+    assert flow == check_via_enumeration(t, fn, theorem, cap), theorem
     if flow.verdict is Verdict.INFEASIBLE:
         assert subset_slack(t, fn, theorem, flow.certificate) == flow.slack
     return flow
@@ -205,12 +206,13 @@ def status_instance(t, theorem, status, rng):
     return EdgeFunction(tuple(values), row.kind)
 
 
-def test_flow_matches_enumeration_at_the_default_cap():
-    # 16 to 20 faces, every theorem in every status, every other gluing
-    # with some face glued to itself: the whole reports must be equal
-    rng = random.Random(1620)
+def assert_every_status_matches_enumeration(seed, sizes, cap):
+    """One gluing per size, every other one with some face glued to
+    itself; on each, every theorem in every status of status_instance must
+    get the same whole report from the cut and from the scan."""
+    rng = random.Random(seed)
     self_glued = 0
-    for trial, n in enumerate((16, 16, 18, 18, 20, 20)):
+    for trial, n in enumerate(sizes):
         t = random_triangulation(n, rng)
         while trial % 2 and all(len(set(row)) == 3 for row in t.faces):
             t = random_triangulation(n, rng)
@@ -218,13 +220,23 @@ def test_flow_matches_enumeration_at_the_default_cap():
         for theorem, row in THEOREMS.items():
             for status in ("feasible", "boundary", "infeasible"):
                 fn = status_instance(t, theorem, status, rng)
-                report = assert_flow_matches_enumeration(t, fn, theorem)
+                report = assert_flow_matches_enumeration(t, fn, theorem, cap)
                 if status == "feasible":
                     assert report.slack is None, (theorem, status)
                 else:
                     assert report.slack == 0 if status == "boundary" else report.slack < 0, (theorem, status)
                 assert (report.verdict is Verdict.CLOSURE_ONLY) == (not row.strict and status != "infeasible")
-    assert self_glued >= 3
+    assert self_glued >= len(sizes) // 2
+
+
+def test_flow_matches_enumeration_at_the_default_cap():
+    assert_every_status_matches_enumeration(1620, (16, 16, 18, 18, 20, 20), DEFAULT_ENUMERATION_CAP)
+
+
+def test_flow_matches_enumeration_above_the_default_cap():
+    # above the default cap no command enumerates, so the scan at cap 40
+    # is the only decider there that does not run the cut's network
+    assert_every_status_matches_enumeration(2440, (24, 24, 32, 32, 40, 40), 40)
 
 
 def test_min_cut_minimisers_bracket_every_minimiser(monkeypatch):

@@ -16,12 +16,18 @@ from anglestruct.lp import (
     _verify_farkas,
     _verify_optimal,
     build_construction_lp,
-    make_problem,
     render_problem,
     simplex_solve,
 )
-from anglestruct.sampling import random_edge_values, random_triangulation
-from conftest import SELF_GLUED_FACES, const_fn, dual_cone_max_is_zero, pinned_construct_requests
+from anglestruct.sampling import random_triangulation
+from conftest import (
+    SELF_GLUED_FACES,
+    const_fn,
+    dual_cone_max_is_zero,
+    make_problem,
+    pinned_construct_requests,
+    random_edge_values,
+)
 
 
 def test_trivial_feasible():

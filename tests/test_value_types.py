@@ -8,7 +8,8 @@ import pytest
 from anglestruct import AngleStructure, EdgeFunction, InvariantKind, validate
 from anglestruct.errors import DimensionMismatch
 from anglestruct.feasibility import THEOREMS, FeasibilityReport, Verdict
-from anglestruct.lp import Infeasible, Optimal, make_problem
+from anglestruct.lp import Infeasible, Optimal
+from conftest import make_problem
 
 
 def examples():
