@@ -7,7 +7,7 @@ when it does not.  All arithmetic is exact: every angle, invariant value
 and slack is a ``Fraction``, its coefficient of pi.
 
 The value types are immutable named tuples; ``._replace`` makes a changed
-copy.  The five LP names load ``lp`` on first use, so importing the package
+copy.  The four LP names load ``lp`` on first use, so importing the package
 or its command line loads neither ``lp`` nor ``sampling``.
 """
 
@@ -44,7 +44,7 @@ from .surface import (
 
 def __getattr__(name):
     """The LP names, from ``lp`` imported on their first use (PEP 562)."""
-    if name in ("LpProblem", "build_construction_lp", "check_via_lp", "construct_structure", "simplex_solve"):
+    if name in ("LpProblem", "build_construction_lp", "construct_structure", "simplex_solve"):
         from . import lp
         return getattr(lp, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -66,7 +66,6 @@ __all__ = [
     "check_closure",
     "check_via_enumeration",
     "check_via_flow",
-    "check_via_lp",
     "classify_structure",
     "classify_triangle",
     "construct_structure",

@@ -12,11 +12,12 @@ nothing more written and no traceback.  The enumeration cap comes from
 negative, from either source, is an InvalidSetting, and so is any usage
 error.  Each call adds only its subcommand's arguments and keeps no parser.
 
-Every ``check`` method prints the same report, so ``--method auto`` is the
-minimum cut, which decides any size in polynomial time; ``--cross-check``
-runs enumeration, LP and cut and requires the same whole report from all
-three.  The closure variant L7 has no subcommand; it is available through
-the library only.
+``check`` has two deciders that print the same report: subset enumeration
+(``--method enumerate``) and the minimum cut, which decides any size in
+polynomial time and which ``auto``, ``flow`` and ``lp`` all run;
+``--cross-check`` runs both and requires the same whole report.  ``lp`` is
+loaded only by ``construct`` and ``--dump-lp``.  The closure variant L7
+has no subcommand; it is available through the library only.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         geometry,
         _arg("--invariant", choices=["edge", "delaunay"], required=True),
         _arg("--method", choices=["enumerate", "lp", "flow", "auto"], default="auto"),
-        _arg("--cross-check", action="store_true", help="run enumeration, LP and flow, require agreement"),
+        _arg("--cross-check", action="store_true", help="run enumeration and flow, require agreement"),
         _arg("--dump-lp", action="store_true", help="dump the construction program to stderr"),
     ])
     sub.add_parser("construct", help="explicit witness structure or certificate",
@@ -164,26 +165,19 @@ def cmd_check(args) -> int:
     cap = _resolve_cap(args)
 
     theorem = feasibility.theorem_for(geometry, kind)
-    # lp is imported only where it runs, so auto, flow and enumerate never load it
-    if args.dump_lp:
+    if args.dump_lp:  # the only check that loads lp
         from . import lp
         print(lp.render_problem(lp.build_construction_lp(t, invariant, geometry)), file=sys.stderr)
 
     if args.method == "enumerate" or args.cross_check:
         report = feasibility.check_via_enumeration(t, invariant, theorem, cap)
-    elif args.method == "lp":
-        from . import lp
-        report = lp.check_via_lp(t, invariant, geometry)
     else:
         report = feasibility.check_via_flow(t, invariant, theorem)
     if args.cross_check:
-        from . import lp
-        lp_report = lp.check_via_lp(t, invariant, geometry)
         flow_report = feasibility.check_via_flow(t, invariant, theorem)
-        for name, other in (("lp", lp_report), ("flow", flow_report)):
-            if other != report:
-                detail = f"enumerate {_describe(report)}, {name} {_describe(other)}"
-                raise VerificationFailed(f"cross-check disagreement: {detail}")
+        if flow_report != report:
+            detail = f"enumerate {_describe(report)}, flow {_describe(flow_report)}"
+            raise VerificationFailed(f"cross-check disagreement: {detail}")
     print(dumps(report_to_json(report)))
     return 0 if report.verdict is not Verdict.INFEASIBLE else 1
 

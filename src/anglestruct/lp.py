@@ -45,8 +45,7 @@ is not the max-margin one.  When the flow gives no witness, the minimum
 cut of ``feasibility.check_via_flow`` decides: its infeasible report is
 returned, its subset re-evaluated exactly, and only a Delaunay program
 that the cut calls feasible goes to the simplex, which must then find a
-witness.  ``check_via_lp`` reports ``construct_structure``'s answer:
-feasible exactly when it returns a witness.
+witness.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from .feasibility import (
     FeasibilityReport,
     Verdict,
     check_via_flow,
-    make_report,
     min_cut,
     subset_slack,
     theorem_for,
@@ -554,15 +552,3 @@ def construct_structure(
             raise VerificationFailed(f"transformed witness fails validation against {theorem}")
     return witness
 
-
-# ---------------------------------------------------------------------------
-# feasibility reports via the LP path
-
-
-def check_via_lp(t: Triangulation, fn: EdgeFunction, geometry: GeometryClass) -> FeasibilityReport:
-    """The report check_via_enumeration and check_via_flow give, decided by
-    construct_structure: feasible exactly when it returns a witness."""
-    result = construct_structure(t, fn, geometry)
-    if isinstance(result, FeasibilityReport):
-        return result
-    return make_report(theorem_for(geometry, fn.kind), None)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import anglestruct
-from anglestruct import angles, feasibility, lp
+from anglestruct import angles, feasibility
 from anglestruct.cli import EXIT_BROKEN_PIPE, main
 from anglestruct.errors import excerpt
 from anglestruct.feasibility import _scan, make_report
@@ -74,7 +74,7 @@ def test_check_methods_agree(tmp_path, capsys):
     code_f, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--method", "flow"])
     code_x, _ = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
     assert code_e == code_l == code_f == code_x == 0
-    # feasible T1 without a slack, then infeasible T2 with the same slack from all three
+    # feasible T1 without a slack, then infeasible T2 with the same slack from both deciders
     path = write_instance(tmp_path, tetra_payload("7/10"), "infeasible.json")
     code_x, out = run(capsys, ["check", path, "--geometry", "spherical", "--invariant", "edge", "--cross-check"])
     assert code_x == 0 and "slack" not in json.loads(out)
@@ -615,10 +615,10 @@ HELP_ARGVS = [
 # messages differently from one Python release to another, so a digest is
 # kept for each release it was recorded on, and the others only run the cases
 HELP_DIGEST = {
-    "3.10.13": "c47db854916d56cc990e16f5acd92b25649190c8d3ca84947e3714a8569aa4a0",
-    "3.11.7": "c47db854916d56cc990e16f5acd92b25649190c8d3ca84947e3714a8569aa4a0",
-    "3.12.1": "c47db854916d56cc990e16f5acd92b25649190c8d3ca84947e3714a8569aa4a0",
-    "3.13.0": "cdd41ae7231f52a087d54204bedceed22ba69f9954c3b089a9456a533e0dcd08",
+    "3.10.13": "b0266f1cbb4509acf4b15c5cd8a497878133b066bfa33ab46864359751a998c5",
+    "3.11.7": "b0266f1cbb4509acf4b15c5cd8a497878133b066bfa33ab46864359751a998c5",
+    "3.12.1": "b0266f1cbb4509acf4b15c5cd8a497878133b066bfa33ab46864359751a998c5",
+    "3.13.0": "40abd9e0aaab2903cf58033f871b44a1cb4402409d6f5c79a95c6d5761724657",
 }
 
 
@@ -726,16 +726,17 @@ def test_enumeration_slack_mismatch_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_cross_check_disagreement_exits_3(tmp_path, capsys, monkeypatch):
-    # an LP decider that claims feasibility on an infeasible instance is a
-    # bug, reported apart from invalid input
-    monkeypatch.setattr(lp, "check_via_lp", lambda t, fn, geometry: make_report("T2", None))
+    # a cut that claims feasibility on an infeasible instance is a bug,
+    # reported apart from invalid input
+    monkeypatch.setattr(feasibility, "check_via_flow", lambda t, fn, theorem: make_report(theorem, None))
     path = write_instance(tmp_path, tetra_payload("7/10"))
     code, out = run(capsys, ["check", path, "--geometry", "hyperbolic", "--invariant", "edge", "--cross-check"])
     assert code == 3
     assert out.count("\n") == 1
-    error = json.loads(out)["error"]
-    assert error["type"] == "VerificationFailed"
-    assert "cross-check disagreement" in error["message"]
+    assert json.loads(out)["error"] == {
+        "type": "VerificationFailed",
+        "message": "cross-check disagreement: enumerate infeasible [] at slack -1/5, flow feasible",
+    }
 
 
 def test_cross_check_certificate_disagreement_exits_3(tmp_path, capsys, monkeypatch):

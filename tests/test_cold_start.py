@@ -1,8 +1,8 @@
 """What a fresh interpreter loads for each command.
 
 A single ``anglestruct check`` process pays for every module it imports,
-so the command line loads ``lp`` only for the commands and methods that
-run it and ``sampling`` only for ``gen``.  Each test starts its own
+so the command line loads ``lp`` only for ``construct`` and ``--dump-lp``
+and ``sampling`` only for ``gen``.  Each test starts its own
 ``python -S`` interpreter, since this test process has loaded ``lp``
 already (conftest imports it).
 """
@@ -59,10 +59,12 @@ def test_import_cli_loads_no_heavy_module():
         ["check", "{path}", "--geometry", "spherical", "--invariant", "edge"],
         ["check", "{path}", "--geometry", "hyperbolic", "--invariant", "edge", "--method", "flow"],
         ["check", "{path}", "--geometry", "spherical", "--invariant", "edge", "--method", "enumerate"],
+        ["check", "{path}", "--geometry", "hyperbolic", "--invariant", "edge", "--method", "lp"],
+        ["check", "{path}", "--geometry", "spherical", "--invariant", "edge", "--cross-check"],
         ["invariants", "{path}"],
         ["verify", "{path}"],
     ],
-    ids=["check-auto", "check-flow", "check-enumerate", "invariants", "verify"],
+    ids=["check-auto", "check-flow", "check-enumerate", "check-lp", "check-cross-check", "invariants", "verify"],
 )
 def test_commands_without_lp_load_no_heavy_module(instance, argv):
     argv = [a.replace("{path}", instance) for a in argv]

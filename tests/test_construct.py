@@ -34,7 +34,6 @@ from anglestruct.cli import main
 from anglestruct.errors import DimensionMismatch, RangeViolation, VerificationFailed
 from anglestruct.feasibility import _certify_cut, _closure_network, _max_flow, min_cut, subset_slack
 from anglestruct.feasibility import THEOREMS, make_report, theorem_for
-from anglestruct.lp import check_via_lp
 from anglestruct.sampling import random_structure, random_triangulation
 from anglestruct.serialize import dumps, edge_function_to_json, structure_to_json
 from conftest import (
@@ -109,14 +108,14 @@ def fallback_request(name):
         "fallback-6-faces-delaunay-hyperbolic",
     ],
 )
-def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kind, geometry):
+def test_construct_solves_the_dumped_program_once(tmp_path, capsys, monkeypatch, faces, value, kind, geometry):
     # T2/T3 construct never calls the simplex, and its flow reaches the
     # optimum of the dumped program (None where the optimum is 0: no
     # witness).  T1/T4 construct runs the same flow on the edge program
     # with weights Dd, whose margin, when positive, is at most that optimum,
     # and only when it gives none and the cut calls the request feasible
-    # solves the dumped program by the simplex, once.  check --method lp
-    # makes exactly construct's solver calls
+    # solves the dumped program by the simplex, once.  check --method lp is
+    # the minimum cut and calls neither solver
     solved, margins = [], []
     solve, flow_margin = lp.simplex_solve, lp._flow_margin
 
@@ -138,16 +137,21 @@ def test_construct_solves_the_dumped_program_once(monkeypatch, faces, value, kin
         fn = const_fn(t, value, kind)
     problem = lp.build_construction_lp(t, fn, geometry)
     optimum = -solve(problem).value or None
-    for decide in (construct_structure, check_via_lp):
-        solved.clear()
-        margins.clear()
-        decide(t, fn, geometry)
-        if not THEOREMS[theorem_for(geometry, kind)].nonempty:
-            assert (solved, margins) == ([], [optimum]), decide.__name__
-        elif faces is None:
-            assert (solved, margins) == ([problem], [None]), decide.__name__
-        else:
-            assert solved == [] and 0 < margins[0] <= optimum, decide.__name__
+    construct_structure(t, fn, geometry)
+    if not THEOREMS[theorem_for(geometry, kind)].nonempty:
+        assert (solved, margins) == ([], [optimum])
+    elif faces is None:
+        assert (solved, margins) == ([problem], [None])
+    else:
+        assert solved == [] and 0 < margins[0] <= optimum
+    solved.clear()
+    margins.clear()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"faces": [list(f) for f in t.faces], "invariant": edge_function_to_json(t, fn)}))
+    argv = ["check", str(path), "--geometry", geometry.value, "--invariant", kind.value, "--method", "lp"]
+    assert main(argv) in (0, 1)
+    assert "error" not in capsys.readouterr().out
+    assert (solved, margins) == ([], [])
 
 
 @pytest.mark.parametrize("name", FALLBACK_REQUESTS)
@@ -229,7 +233,7 @@ def test_infeasible_and_boundary_t1_t4_never_reach_the_simplex(monkeypatch, theo
             fn, geometry = EdgeFunction(tuple(2 - 2 * w for w in weights), InvariantKind.DELAUNAY), GeometryClass.HYPERBOLIC
         report = check_via_flow(t, fn, theorem)
         assert report.verdict is Verdict.INFEASIBLE
-        assert construct_structure(t, fn, geometry) == report == check_via_lp(t, fn, geometry)
+        assert construct_structure(t, fn, geometry) == report
         slacks.add(report.slack == 0)
     assert slacks == {False, True}  # both boundary and strictly infeasible requests
     assert calls == []
@@ -617,16 +621,22 @@ def test_round_trip_hyperbolic(seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_lp_check_agrees_with_enumeration(seed):
+    # construct returns a report exactly where enumeration finds a violating
+    # subset, and then enumeration's whole report
     rng = random.Random(seed)
     t = random_triangulation(rng.choice([2, 4, 6, 8]), rng)
-    d = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.EDGE)
-    assert check_via_lp(t, d, GeometryClass.HYPERBOLIC).verdict == check_via_enumeration(t, d, "T2").verdict
-    d1 = random_edge_values(t, rng, Fraction(0), Fraction(1), InvariantKind.EDGE)
-    assert check_via_lp(t, d1, GeometryClass.SPHERICAL).verdict == check_via_enumeration(t, d1, "T1").verdict
-    dd = random_edge_values(t, rng, Fraction(-2), Fraction(2), InvariantKind.DELAUNAY)
-    assert check_via_lp(t, dd, GeometryClass.SPHERICAL).verdict == check_via_enumeration(t, dd, "T3").verdict
-    dd4 = random_edge_values(t, rng, Fraction(0), Fraction(2), InvariantKind.DELAUNAY)
-    assert check_via_lp(t, dd4, GeometryClass.HYPERBOLIC).verdict == check_via_enumeration(t, dd4, "T4").verdict
+    for theorem, geometry, lo, hi, kind in (
+        ("T2", GeometryClass.HYPERBOLIC, 0, 2, InvariantKind.EDGE),
+        ("T1", GeometryClass.SPHERICAL, 0, 1, InvariantKind.EDGE),
+        ("T3", GeometryClass.SPHERICAL, -2, 2, InvariantKind.DELAUNAY),
+        ("T4", GeometryClass.HYPERBOLIC, 0, 2, InvariantKind.DELAUNAY),
+    ):
+        fn = random_edge_values(t, rng, Fraction(lo), Fraction(hi), kind)
+        built, enumerated = construct_structure(t, fn, geometry), check_via_enumeration(t, fn, theorem)
+        if isinstance(built, FeasibilityReport):
+            assert built == enumerated and built.verdict is Verdict.INFEASIBLE, theorem
+        else:
+            assert enumerated.verdict is Verdict.FEASIBLE, theorem
 
 
 # --- T2/T3 programs by parametric flow against the simplex

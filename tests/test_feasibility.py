@@ -17,7 +17,6 @@ from anglestruct import (
     check_closure,
     check_via_enumeration,
     check_via_flow,
-    check_via_lp,
     classify_structure,
     construct_structure,
     delaunay_invariant,
@@ -182,9 +181,8 @@ def test_wrong_lengths_raise_library_errors(tetra):
         with pytest.raises(DimensionMismatch):
             subset_slack(tetra, fn, "T2", frozenset({3}))
         for geometry in (GeometryClass.HYPERBOLIC, GeometryClass.SPHERICAL):
-            for build in (construct_structure, check_via_lp):
-                with pytest.raises(DimensionMismatch):
-                    build(tetra, fn, geometry)
+            with pytest.raises(DimensionMismatch):
+                construct_structure(tetra, fn, geometry)
     with pytest.raises(MissingCorner, match="^face 3 slot 2$"):
         classify_structure(tetra, AngleStructure((third,) * 11))
     for function in (classify_structure, edge_invariant, delaunay_invariant):

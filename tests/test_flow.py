@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 from anglestruct import (
     AngleStructure,
     EdgeFunction,
+    FeasibilityReport,
     GeometryClass,
     InvariantKind,
     Verdict,
     check_closure,
     check_via_enumeration,
     check_via_flow,
+    construct_structure,
     delaunay_invariant,
     edge_invariant,
     validate,
@@ -36,7 +38,6 @@ from anglestruct.angles import _over_lcm
 from anglestruct.cli import main
 from anglestruct.errors import RangeViolation
 from anglestruct.feasibility import THEOREMS, min_cut, subset_slack
-from anglestruct.lp import check_via_lp
 from anglestruct.ratpi import render
 from anglestruct.sampling import random_structure, random_triangulation
 from anglestruct.surface import DEFAULT_ENUMERATION_CAP
@@ -127,15 +128,19 @@ def planted_tie_values(t, theorem, rng):
     return None
 
 
-def cross_check_instance(t, rng, with_lp=False):
-    """Flow against enumeration on all five theorems and, with_lp, the
-    construction program's verdict against flow on T1-T4."""
+def cross_check_instance(t, rng, with_construct=False):
+    """Flow against enumeration on all five theorems and, with_construct,
+    construct against flow on T1-T4: a report exactly where the cut's is
+    infeasible, and then the cut's whole report."""
     for theorem, row in THEOREMS.items():
         for fn in (random_edge_values(t, rng, row.lo, row.hi, row.kind), nudged_boundary_values(t, theorem, rng)):
             flow = assert_flow_matches_enumeration(t, fn, theorem)
-            if with_lp and theorem != "L7":
-                lp_report = check_via_lp(t, fn, row.geometry)
-                assert lp_report.verdict is flow.verdict, theorem
+            if with_construct and theorem != "L7":
+                built = construct_structure(t, fn, row.geometry)
+                if isinstance(built, FeasibilityReport):
+                    assert built == flow and flow.verdict is Verdict.INFEASIBLE, theorem
+                else:
+                    assert flow.verdict is Verdict.FEASIBLE, theorem
 
 
 def test_flow_matches_enumeration_seeded():
@@ -143,9 +148,9 @@ def test_flow_matches_enumeration_seeded():
     for trial in range(60):
         n = 2 * (trial % 5 + 1)
         t = random_triangulation(n, rng)
-        # the program on half the trials and every size
-        cross_check_instance(t, rng, with_lp=trial % 4 < 2)
-    cross_check_instance(validate(SELF_GLUED_FACES), rng, with_lp=True)
+        # construct on half the trials and every size
+        cross_check_instance(t, rng, with_construct=trial % 4 < 2)
+    cross_check_instance(validate(SELF_GLUED_FACES), rng, with_construct=True)
 
 
 @settings(max_examples=40, deadline=None)
