@@ -10,7 +10,8 @@ nothing more written and no traceback.  The enumeration cap comes from
 --cap, then the ANGLESTRUCT_CAP environment variable, then the default of
 20; a value that is not an ASCII decimal integer (-?[0-9]+), or is
 negative, from either source, is an InvalidSetting, and so is any usage
-error.  Each call adds only its subcommand's arguments and keeps no parser.
+error.  Each call adds only its subcommand's arguments, its -h among them,
+and keeps no parser.
 
 ``check`` has two deciders that print the same report: subset enumeration
 (``--method enumerate``) and the minimum cut, which decides any size in
@@ -23,6 +24,7 @@ has no subcommand; it is available through the library only.
 from __future__ import annotations
 
 import argparse
+import gettext
 import os
 import re
 import sys
@@ -56,15 +58,18 @@ EXIT_BROKEN_PIPE = 141
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors, its subparsers' too, exit 2 as InvalidSetting.  A
-    subparser adds its ``arguments``, (names, options) pairs, only when it
-    parses: argparse calls the chosen subparser's parse_known_args."""
+    subparser adds its -h and its ``arguments``, (names, options) pairs, only
+    when it parses: argparse calls the chosen subparser's parse_known_args."""
 
     def __init__(self, *args, arguments=(), **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, add_help=not arguments, **kwargs)
         self.register("type", int, _integer)  # argparse still names the type int
         self._deferred = arguments
 
     def parse_known_args(self, args=None, namespace=None):
+        if self._deferred:  # the -h that add_help would have put first
+            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                              help=gettext.gettext("show this help message and exit"))
         for names, options in self._deferred:
             self.add_argument(*names, **options)
         self._deferred, self._words = (), sys.argv[1:] if args is None else args

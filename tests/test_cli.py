@@ -639,7 +639,7 @@ def test_help_and_usage_bytes_pinned(tmp_path, capsys, monkeypatch):
     assert recorded in (None, digest.hexdigest())
 
 
-# the arguments each parser adds besides -h, and a valid call of each subcommand
+# the arguments each subparser adds after its -h, and a valid call of each subcommand
 ADDED_ARGUMENTS = {
     "check": ["path", "--geometry", "--invariant", "--method", "--cross-check", "--dump-lp"],
     "construct": ["path", "--geometry", "--dump-lp"],
@@ -661,32 +661,46 @@ def test_a_call_adds_only_its_subcommands_arguments(tmp_path, capsys, monkeypatc
     add_argument = argparse.ArgumentParser.add_argument
 
     def counting(self, *names, **options):
-        if names != ("-h", "--help"):
-            added.setdefault(self.prog, []).append(names[0])
+        added.setdefault(self.prog, []).append(names[0])
         return add_argument(self, *names, **options)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     payload = {**tetra_payload("7/10"), "structure": {"corners": CORNERS}}
     path = write_instance(tmp_path, payload)
+    top = ["-h", "--cap"]
     for sub, argv in VALID_ARGVS.items():
-        # twice: no parser and no argument outlives a call
+        # twice: no parser and no argument outlives a call; the four other
+        # subparsers add nothing, not even their -h
         for _ in range(2):
             added.clear()
             assert main([a.replace("{path}", path) for a in argv]) in (0, 1)
             assert "error" not in capsys.readouterr().out
-            assert added == {"anglestruct": ["--cap"], f"anglestruct {sub}": ADDED_ARGUMENTS[sub]}
+            assert added == {"anglestruct": top, f"anglestruct {sub}": ["-h", *ADDED_ARGUMENTS[sub]]}
     # --help adds the arguments it shows, a usage error those it checks
     added.clear()
     with pytest.raises(SystemExit):
         main(["gen", "--help"])
-    assert added == {"anglestruct": ["--cap"], "anglestruct gen": ADDED_ARGUMENTS["gen"]}
+    assert added == {"anglestruct": top, "anglestruct gen": ["-h", *ADDED_ARGUMENTS["gen"]]}
     added.clear()
     assert main(["construct", path]) == 2
-    assert added == {"anglestruct": ["--cap"], "anglestruct construct": ADDED_ARGUMENTS["construct"]}
+    assert added == {"anglestruct": top, "anglestruct construct": ["-h", *ADDED_ARGUMENTS["construct"]]}
     added.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert added == {"anglestruct": ["--cap"]}
+    assert added == {"anglestruct": top}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_each_spelling_of_a_subcommands_help_prints_its_help(capsys, monkeypatch, sub):
+    # a subparser adds its -h only when it parses; every spelling of it,
+    # the abbreviation and a value attached included, still prints the bytes
+    # of --help and exits 0
+    monkeypatch.setenv("COLUMNS", "80")
+    code, captured = help_run(capsys, [sub, "--help"])
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith(f"usage: anglestruct {sub} [-h]")
+    for flag in ("-h", "-hzzz", "--he"):
+        assert help_run(capsys, [sub, flag]) == (code, captured), flag
 
 
 @pytest.mark.parametrize("flag", ["--faces", "--seed"])
